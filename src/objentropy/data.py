@@ -112,8 +112,15 @@ class Dataset:
     @cached_property
     def locations(self) -> np.ndarray:
         """Location id of every pair in flattened order."""
+        arr = np.array(self.location_ids, dtype=object)[self.location_codes]
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def location_codes(self) -> np.ndarray:
+        """Index into location_ids of every pair in flattened order."""
         arr = np.repeat(
-            np.array(self.location_ids, dtype=object),
+            np.arange(len(self.series), dtype=np.int32),
             [len(s) for s in self.series],
         )
         arr.setflags(write=False)
@@ -134,21 +141,39 @@ class Dataset:
             raise LengthMismatch(
                 f"mask of length {mask.size} applied to {self.n_total} pairs"
             )
+        if not mask.any():
+            raise DegenerateSplit("subset removed every pair")
+        return self.take(np.flatnonzero(mask))
+
+    def take(self, idx: np.ndarray) -> "Dataset":
+        """New dataset of the pairs at flattened positions idx.
+
+        A position listed twice contributes two pairs. Each location keeps
+        its pairs in the order idx lists them; locations stay in storage
+        order, and those left with no pairs are dropped.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.ndim != 1 or idx.size == 0:
+            raise DegenerateSplit("take needs a non-empty 1-D index array")
+        if idx.min() < 0 or idx.max() >= self.n_total:
+            raise LengthMismatch(
+                f"positions outside [0, {self.n_total}) requested"
+            )
+        codes = self.location_codes[idx]
+        idx = idx[np.argsort(codes, kind="stable")]
+        counts = np.bincount(codes, minlength=len(self.series))
+        ends = np.cumsum(counts)
+        offsets = np.cumsum([0] + [len(s) for s in self.series])
         kept: list[PairedSeries] = []
-        offset = 0
-        for s in self.series:
-            m = mask[offset:offset + len(s)]
-            offset += len(s)
-            if not m.any():
-                continue
+        for code in np.flatnonzero(counts).tolist():
+            s = self.series[code]
+            local = idx[ends[code] - counts[code]:ends[code]] - offsets[code]
             ts = None
             if s.timestamps is not None:
-                ts = tuple(t for t, keep in zip(s.timestamps, m) if keep)
-            kept.append(
-                PairedSeries(s.location_id, s.observed[m], s.predicted[m], ts)
-            )
-        if not kept:
-            raise DegenerateSplit("subset removed every pair")
+                ts = tuple(s.timestamps[i] for i in local.tolist())
+            kept.append(PairedSeries(
+                s.location_id, s.observed[local], s.predicted[local], ts
+            ))
         return Dataset(tuple(kept))
 
 
@@ -358,9 +383,9 @@ def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
                 f"location {s.location_id!r} lacks timestamps required for "
                 "a time-based split"
             )
-        order = np.argsort(np.array(s.timestamps, dtype=object), kind="stable")
+        order = sorted(range(len(s)), key=s.timestamps.__getitem__)
         n_test = int(round(spec.test_fraction * len(s)))
         if n_test > 0:
-            mask[offset + order[len(s) - n_test:]] = True
+            mask[offset + np.asarray(order[len(s) - n_test:])] = True
         offset += len(s)
     return mask

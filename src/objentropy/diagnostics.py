@@ -61,8 +61,9 @@ def convergence_curve(
     """Entropy of seeded subsamples at each size, in-sample.
 
     Subsampling is without replacement by default; pass with_replacement
-    for a bootstrap flavor. Fully deterministic given the seed: draws occur
-    in (size ascending, replicate ascending) order from one generator.
+    for a bootstrap flavor, where a pair drawn twice is scored twice. Fully
+    deterministic given the seed: draws occur in (size ascending, replicate
+    ascending) order from one generator.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -85,9 +86,7 @@ def convergence_curve(
     for size in sizes:
         for rep in range(1, replicates + 1):
             idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
-            mask = np.zeros(dataset.n_total, dtype=bool)
-            mask[idx] = True
-            sub = dataset.subset(mask)
+            sub = dataset.take(np.sort(idx))
             part = partition_zero_state(sub, threshold)
             fitted = evaluate_objective(spec, sub, sub, part)
             raw.append(
@@ -145,7 +144,7 @@ def per_location_entropy(
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of two equal-length columns."""
+    """Pearson correlation of two equal-length columns, within [-1, 1]."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
@@ -158,7 +157,9 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     sy = float(np.sqrt(np.sum(dy * dy)))
     if sx == 0.0 or sy == 0.0:
         raise ZeroVariance("a column is constant; correlation undefined")
-    return float(np.sum(dx * dy) / (sx * sy))
+    r = float(np.sum(dx * dy) / (sx * sy))
+    # Rounding can carry |r| past 1 for (anti)proportional columns.
+    return min(1.0, max(-1.0, r))
 
 
 def pearson_matrix(columns: np.ndarray) -> np.ndarray:

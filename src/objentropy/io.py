@@ -14,7 +14,7 @@ import io as _io
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -27,7 +27,23 @@ _REQUIRED = ("location_id", "observed", "predicted")
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Read a dataset from CSV, grouping rows by location in file order."""
+    """Read a dataset from a CSV file.
+
+    The file is UTF-8, comma-delimited, with `"` quoting as written by
+    Python's csv module (a quoted cell may hold commas, newlines and
+    doubled quotes). The first record is the header; it names at least
+    location_id, observed and predicted, plus an optional timestamp column,
+    in any order; further columns are ignored. There are no comment lines:
+    `#` is an ordinary character. Records that are empty or hold only
+    whitespace are skipped. Location ids and timestamps are stripped of
+    surrounding whitespace, and every number is parsed as `float()` parses
+    it. Rows are grouped by location id, locations in order of first
+    appearance and rows in file order within each location.
+
+    Raises EmptyFile without a header or data rows, MissingColumn when a
+    required column is absent, and UnparseableNumber, naming the line, for
+    a short row or a cell that is not a number.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -42,35 +58,94 @@ def load_csv(path: str | Path) -> Dataset:
             raise MissingColumn(
                 f"{path} lacks column(s) {', '.join(missing)}; found {header}"
             )
-        has_time = "timestamp" in columns
+        header_lines = reader.line_num
+        # Checked here because numpy only warns on input without data.
+        if not any(line.strip() for line in fh):
+            raise EmptyFile(f"{path} has a header but no data rows")
+        try:
+            groups = _read_columns(fh, columns, header_lines)
+        except ValueError:
+            # A cell numpy cannot read: parse by row, which either raises
+            # the line-numbered error or reads what float() accepts.
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            groups = _read_rows(reader, columns, path)
+    return Dataset(tuple(
+        PairedSeries(loc, obs, pred, ts) for loc, (obs, pred, ts) in groups.items()
+    ))
 
-        order: list[str] = []
-        groups: dict[str, tuple[list[float], list[float], list[str]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            loc = row[columns["location_id"]].strip()
-            obs = _parse_number(row, columns["observed"], path, line_no)
-            pred = _parse_number(row, columns["predicted"], path, line_no)
-            if loc not in groups:
-                order.append(loc)
-                groups[loc] = ([], [], [])
-            groups[loc][0].append(obs)
-            groups[loc][1].append(pred)
-            if has_time:
-                groups[loc][2].append(row[columns["timestamp"]].strip())
-    if not order:
+
+_Groups = dict[str, tuple[np.ndarray, np.ndarray, tuple[str, ...] | None]]
+
+
+def _read_columns(fh: TextIO, columns: Mapping[str, int], skip: int) -> _Groups:
+    """Columnar parse of the data records.
+
+    numpy raises ValueError on a record it cannot read, such as a short
+    row, a whitespace-only line or a number float() accepts only after
+    removing underscores; what it does read matches the row parser bit for
+    bit.
+    """
+    def read(usecols, dtype):
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                          skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2)
+
+    text_cols = [columns["location_id"]]
+    if "timestamp" in columns:
+        text_cols.append(columns["timestamp"])
+    # Variable-width strings keep trailing NULs, which a fixed-width str
+    # column drops, and need less memory for short ids.
+    text = read(text_cols, np.dtypes.StringDType())
+    ids = text[:, 0]
+
+    # Runs of equal raw ids; run heads that strip to the same id are one
+    # location. Only the heads become Python strings.
+    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    codes: dict[str, int] = {}
+    run_codes = [codes.setdefault(head.strip(), len(codes))
+                 for head in ids[starts].tolist()]
+    row_codes = np.repeat(run_codes, np.diff(starts, append=ids.size))
+    order = np.argsort(row_codes, kind="stable")
+    bounds = np.cumsum(np.bincount(row_codes))[:-1]
+    stamps = [None] * len(codes)
+    if len(text_cols) == 2:
+        stamps = [tuple(t.strip() for t in part.tolist())
+                  for part in np.split(text[order, 1], bounds)]
+    del text, ids  # before the numbers are read, to lower peak memory
+
+    numbers = read((columns["observed"], columns["predicted"]), np.float64)
+    observed = np.split(numbers[order, 0], bounds)
+    predicted = np.split(numbers[order, 1], bounds)
+    return {loc: (observed[i], predicted[i], stamps[i])
+            for loc, i in codes.items()}
+
+
+def _read_rows(
+    reader: Iterator[list[str]], columns: Mapping[str, int], path: Path
+) -> _Groups:
+    """Row-by-row parse of the data records after the header."""
+    has_time = "timestamp" in columns
+    groups: dict[str, tuple[list[float], list[float], list[str]]] = {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        loc = row[columns["location_id"]].strip()
+        obs = _parse_number(row, columns["observed"], path, line_no)
+        pred = _parse_number(row, columns["predicted"], path, line_no)
+        if loc not in groups:
+            groups[loc] = ([], [], [])
+        groups[loc][0].append(obs)
+        groups[loc][1].append(pred)
+        if has_time:
+            groups[loc][2].append(row[columns["timestamp"]].strip())
+    if not groups:
         raise EmptyFile(f"{path} has a header but no data rows")
-    series = tuple(
-        PairedSeries(
-            loc,
-            groups[loc][0],
-            groups[loc][1],
-            tuple(groups[loc][2]) if has_time else None,
-        )
-        for loc in order
-    )
-    return Dataset(series)
+    return {
+        loc: (np.array(obs), np.array(pred), tuple(ts) if has_time else None)
+        for loc, (obs, pred, ts) in groups.items()
+    }
 
 
 def _parse_number(row: list[str], col: int, path: Path, line_no: int) -> float:

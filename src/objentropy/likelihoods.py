@@ -35,7 +35,13 @@ from .errors import (
     NoZeroState,
     UnknownObjective,
 )
-from .transforms import POSITIVE_DOMAIN_KINDS, Transform, apply, log_jacobian_sum
+from .transforms import (
+    POSITIVE_DOMAIN_KINDS,
+    LocationCodes,
+    Transform,
+    apply,
+    log_jacobian_sum,
+)
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -263,9 +269,10 @@ def _evaluation_frame(
     dataset: Dataset,
     partition: ZeroPartition,
     transform: Transform,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Transformed residuals, observed values, and location keys over the
-    objective's support, plus the excluded-pair count."""
+) -> tuple[np.ndarray, np.ndarray, LocationCodes | None, int]:
+    """Transformed residuals, observed values, and location keys (for
+    per-location-scale only) over the objective's support, plus the
+    excluded-pair count."""
     positive = spec.transform_kind in POSITIVE_DOMAIN_KINDS
     if positive or spec.zero_inflated:
         idx = partition.positive_idx
@@ -275,13 +282,15 @@ def _evaluation_frame(
             )
         obs = dataset.observed[idx]
         pred = np.maximum(dataset.predicted[idx], partition.threshold)
-        locs = dataset.locations[idx]
         excluded = 0 if spec.zero_inflated else partition.n1 + partition.n2
     else:
+        idx = slice(None)
         obs = dataset.observed
         pred = dataset.predicted
-        locs = dataset.locations
         excluded = 0
+    locs = None
+    if transform.kind == "per-location-scale":
+        locs = LocationCodes(dataset.location_ids, dataset.location_codes[idx])
     residuals = apply(transform, obs, locs) - apply(transform, pred, locs)
     return residuals, obs, locs, excluded
 

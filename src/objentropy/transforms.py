@@ -12,7 +12,7 @@ so results are bit-reproducible for a given input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,40 +57,73 @@ def _require_positive(values: np.ndarray, kind: str) -> None:
         )
 
 
+class LocationCodes(NamedTuple):
+    """Location keys of a value array as integer codes into a table of ids.
+
+    Passing keys this way spares apply and log_jacobian_sum the string
+    lookup of every value: sigma_o is resolved once per id.
+    """
+
+    ids: Sequence[str]
+    codes: np.ndarray
+
+
+def _location_sigma(transform: Transform, ids: Sequence[str]) -> np.ndarray:
+    """sigma_o of each id, checked as a divisor.
+
+    When several ids fail, the error names the smallest, as a lookup over
+    sorted ids would.
+    """
+    sigma = np.empty(len(ids), dtype=np.float64)
+    missing = []
+    for i, loc in enumerate(ids):
+        try:
+            sigma[i] = transform.sigma_o[loc]
+        except KeyError:
+            missing.append(loc)
+    if missing:
+        raise DomainViolation(f"no sigma_o for location {min(missing)!r}")
+    if sigma.size and sigma.min() <= 0:
+        low = sigma.min()
+        bad = min(loc for loc, s in zip(ids, sigma) if s == low)
+        raise DomainViolation(
+            f"sigma_o must be > 0 wherever used as a divisor; location "
+            f"{bad!r} has sigma_o = {low}"
+        )
+    return sigma
+
+
 def _sigma_per_value(
-    transform: Transform, locations: np.ndarray | None, size: int
+    transform: Transform,
+    locations: np.ndarray | LocationCodes | None,
+    size: int,
 ) -> np.ndarray:
     if locations is None:
         raise DomainViolation(
             "per-location-scale requires the location key of every value"
         )
-    locations = np.asarray(locations, dtype=object)
-    if locations.size != size:
-        raise DomainViolation(
-            f"{locations.size} location keys for {size} values"
+    if isinstance(locations, LocationCodes):
+        ids, codes = locations
+    else:
+        ids, codes = np.unique(
+            np.asarray(locations, dtype=object), return_inverse=True
         )
-    uniq, inverse = np.unique(locations, return_inverse=True)
-    sigma_uniq = np.empty(uniq.size, dtype=np.float64)
-    for i, loc in enumerate(uniq):
-        try:
-            sigma_uniq[i] = transform.sigma_o[loc]
-        except KeyError:
-            raise DomainViolation(f"no sigma_o for location {loc!r}") from None
-    if sigma_uniq.min() <= 0:
-        bad = uniq[int(np.argmin(sigma_uniq))]
+    if codes.size != size:
         raise DomainViolation(
-            f"sigma_o must be > 0 wherever used as a divisor; location "
-            f"{bad!r} has sigma_o = {sigma_uniq.min()}"
+            f"{codes.size} location keys for {size} values"
         )
-    return sigma_uniq[inverse]
+    return _location_sigma(transform, ids)[codes]
 
 
 def apply(
     transform: Transform,
     values: np.ndarray,
-    locations: np.ndarray | None = None,
+    locations: np.ndarray | LocationCodes | None = None,
 ) -> np.ndarray:
     """Elementwise v(y) for the transform's kind.
+
+    `locations`, needed by per-location-scale only, keys every value by
+    location id, either as an array of ids or as LocationCodes.
 
     identity -> y; natural-log -> ln y; square-root -> sqrt(y);
     reciprocal -> 1/y; per-location-scale -> y / sigma_o(location).
@@ -114,7 +147,7 @@ def apply(
 def log_jacobian_sum(
     transform: Transform,
     observed: np.ndarray,
-    locations: np.ndarray | None = None,
+    locations: np.ndarray | LocationCodes | None = None,
 ) -> float:
     """Sum over observations of ln|v'(y_i)|, in nats.
 

@@ -145,6 +145,67 @@ def _dataset(n=10, locations=1, seed=0, timestamps=False):
     return Dataset(tuple(series))
 
 
+def _take_reference(ds, idx):
+    """take() spelt out as a loop over locations."""
+    starts = np.cumsum([0] + [len(s) for s in ds.series])
+    series = []
+    for s, start in zip(ds.series, starts):
+        local = [i - start for i in idx if start <= i < start + len(s)]
+        if local:
+            ts = None if s.timestamps is None else tuple(
+                s.timestamps[i] for i in local)
+            series.append(PairedSeries(s.location_id, s.observed[local],
+                                       s.predicted[local], ts))
+    return Dataset(tuple(series))
+
+
+class TestTake:
+    def test_location_codes_follow_storage_order(self):
+        ds = validate_dataset({"B": ([1], [1]), "A": ([2, 3], [2, 3])})
+        assert ds.location_codes.tolist() == [0, 1, 1]
+        assert ds.location_codes.dtype == np.int32
+
+    def test_keeps_duplicates_and_listed_order(self):
+        ds = _dataset(n=6, locations=3, timestamps=True)
+        idx = [17, 3, 3, 0, 17, 5, 12]
+        taken = ds.take(idx)
+        assert taken.n_total == len(idx)
+        assert taken.location_ids == ("L0", "L2")
+        assert taken.series[1].timestamps == ("2020-01-06", "2020-01-06",
+                                              "2020-01-01")
+        reference = _take_reference(ds, idx)
+        np.testing.assert_array_equal(taken.observed, reference.observed)
+        np.testing.assert_array_equal(taken.predicted, reference.predicted)
+
+    def test_random_draws_match_reference(self):
+        ds = _dataset(n=30, locations=5, seed=2)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            idx = rng.choice(ds.n_total, size=int(rng.integers(1, 200)))
+            taken, reference = ds.take(idx), _take_reference(ds, idx)
+            assert taken.location_ids == reference.location_ids
+            np.testing.assert_array_equal(taken.observed, reference.observed)
+
+    def test_subset_is_take_of_the_kept_positions(self):
+        ds = _dataset(n=20, locations=3, timestamps=True)
+        mask = np.random.default_rng(1).random(ds.n_total) < 0.4
+        a, b = ds.subset(mask), ds.take(np.flatnonzero(mask))
+        assert a.location_ids == b.location_ids
+        np.testing.assert_array_equal(a.observed, ds.observed[mask])
+        assert [s.timestamps for s in a.series] == [s.timestamps for s in b.series]
+
+    def test_rejects_bad_positions(self):
+        ds = _dataset(n=5)
+        with pytest.raises(LengthMismatch):
+            ds.take([5])
+        with pytest.raises(LengthMismatch):
+            ds.take([-1])
+        with pytest.raises(DegenerateSplit):
+            ds.take([])
+        with pytest.raises(DegenerateSplit):
+            ds.subset(np.zeros(5, dtype=bool))
+
+
 class TestSplit:
     def test_mode_none_is_identity(self):
         ds = _dataset()

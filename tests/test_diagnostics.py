@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from objentropy.data import Dataset, PairedSeries
+from objentropy import diagnostics
+from objentropy.data import Dataset, PairedSeries, partition_zero_state
 from objentropy.diagnostics import (
     convergence_curve,
     pearson,
@@ -14,7 +15,8 @@ from objentropy.diagnostics import (
     per_location_entropy,
 )
 from objentropy.errors import EmptyInput, SizeExceedsData, ZeroVariance
-from objentropy.likelihoods import CATALOG
+from objentropy.information import conditional_entropy_bits
+from objentropy.likelihoods import CATALOG, evaluate_objective
 from objentropy.synthetic import SyntheticModel, analytic_entropy, generate
 
 
@@ -80,6 +82,36 @@ class TestConvergenceCurve:
                               threshold=1e-9, with_replacement=True)
         assert a.points[0].h_bits != b.points[0].h_bits
 
+    def test_bootstrap_scores_every_draw(self, monkeypatch):
+        """A pair drawn twice is scored twice, so n_eval equals the size."""
+        n_evals = []
+
+        def recording(*args, **kwargs):
+            fitted = evaluate_objective(*args, **kwargs)
+            n_evals.append(fitted.n_eval)
+            return fitted
+
+        monkeypatch.setattr(diagnostics, "evaluate_objective", recording)
+        ds = _normal_dataset(n=1000)
+        convergence_curve(ds, CATALOG["MSE"], [200, 1000], replicates=2,
+                          seed=4, threshold=1e-9, with_replacement=True)
+        assert n_evals == [200, 200, 1000, 1000]
+
+    def test_without_replacement_scores_the_drawn_pairs(self):
+        ds = _normal_dataset(n=600)
+        curve = convergence_curve(ds, CATALOG["MAE"], [50, 300], replicates=2,
+                                  seed=8, threshold=1e-9)
+        rng = np.random.default_rng(8)
+        for point in curve.points:
+            mask = np.zeros(ds.n_total, dtype=bool)
+            mask[rng.choice(ds.n_total, size=point.size, replace=False)] = True
+            sub = ds.subset(mask)
+            fitted = evaluate_objective(CATALOG["MAE"], sub, sub,
+                                        partition_zero_state(sub, 1e-9))
+            assert point.h_bits == conditional_entropy_bits(
+                fitted.loglik_nats, fitted.n_eval
+            )
+
 
 def _heteroscedastic_dataset(seed=0, n=800):
     """Same flow scale everywhere, very different relative noise per site."""
@@ -139,7 +171,7 @@ class TestPerLocationEntropy:
         np.testing.assert_array_equal(mat.correlations, mat.correlations.T)
         assert (np.diag(mat.correlations) == 1.0).all()
         finite = np.isfinite(mat.correlations)
-        assert (np.abs(mat.correlations[finite]) <= 1.0 + 1e-12).all()
+        assert (np.abs(mat.correlations[finite]) <= 1.0).all()
 
 
 class TestPearson:
@@ -148,6 +180,12 @@ class TestPearson:
 
     def test_perfect_negative(self):
         assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+
+    def test_rounding_stays_within_unit_interval(self):
+        # Unclamped, these columns give 1.0000000000000002 and its negative.
+        x = [3.9, 2.8, -2.1, -3.8]
+        assert pearson(x, x) == 1.0
+        assert pearson(x, [-v for v in x]) == -1.0
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from objentropy.data import partition_zero_state
+from objentropy import io as oio
+from objentropy.data import Dataset, PairedSeries, partition_zero_state
 from objentropy.errors import EmptyFile, MissingColumn, UnparseableNumber
 from objentropy.information import EntropyEstimate, rank_objectives
 from objentropy.io import (
@@ -71,7 +74,152 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.series[0].observed, [1.0, 3.0])
 
 
+def _load_by(path, monkeypatch, parser):
+    """load_csv forced onto one parser: "columns" fails the test if the
+    columnar read gives up, "rows" skips the columnar read."""
+    with monkeypatch.context() as m:
+        if parser == "rows":
+            m.setattr(oio, "_read_columns", _reject)
+        else:
+            m.setattr(oio, "_read_rows", _unexpected_fallback)
+        return load_csv(path)
+
+
+def _reject(*args):
+    raise ValueError("columnar read disabled")
+
+
+def _unexpected_fallback(*args):
+    raise AssertionError("columnar read fell back to the row parser")
+
+
+def _assert_identical(a, b):
+    assert a.location_ids == b.location_ids
+    for sa, sb in zip(a.series, b.series):
+        assert sa.observed.tobytes() == sb.observed.tobytes()
+        assert sa.predicted.tobytes() == sb.predicted.tobytes()
+        assert sa.timestamps == sb.timestamps
+
+
+_HEADER = "location_id,observed,predicted\n"
+
+# (body, the parser load_csv ends up using)
+_LOADER_CASES = {
+    "interleaved": (_HEADER + "B,1.5,1\nA,2,2\nB,3,3\nC,4,4\nA,5,5\n", "columns"),
+    "blank lines": (_HEADER + "\nA,1,2\n\n\nB,3,4\n\n", "columns"),
+    "whitespace-only lines": (_HEADER + "A,1,2\n   \n\t\nB,3,4\n", "rows"),
+    "blank cells": (_HEADER + "A,1,2\n , ,\nB,3,4\n", "rows"),
+    "padded ids": (_HEADER + "  A ,1,2\nA,3,4\n\tB,5,6\nA\t,7,8\n", "columns"),
+    "hash ids": (_HEADER + "#A,1,2\nB,3,4\n#A,5,6\n", "columns"),
+    "quoted ids": (_HEADER + '"A,B",1,2\n"x""y",3,4\n"A,B",5,6\n"p\nq",7,8\n',
+                   "columns"),
+    "quoted numbers": (_HEADER + 'A,"1.25"," 2"\n', "columns"),
+    "extra columns": ("note,predicted,location_id,observed,x\n"
+                      "n1,2,A,1,\nn2,4,B,3,zz\nn3,6,A,5\n", "columns"),
+    "underscore digits": (_HEADER + "A,1_000,2\nA,3,4_0.5\n", "rows"),
+    "timestamps": ("timestamp,location_id,observed,predicted\n"
+                   " 2020-01-02 ,A,1,2\n2020-01-01,B,3,4\n2020-01-03,A,5,6\n",
+                   "columns"),
+    "crlf": ("location_id,observed,predicted\r\nA,1,2\r\nB,3,4\r\n", "columns"),
+    "nul in id": (_HEADER + "A\x00,1,2\nA,3,4\n", "columns"),
+    "padded numbers": (_HEADER + "A, 1e3 ,\t-0.0\nA,+.5,2.\n", "columns"),
+    "no final newline": (_HEADER + "A,1,2\nB,3,4", "columns"),
+}
+
+
+class TestLoaderEquivalence:
+    """The columnar read gives the row parser's dataset, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+    def test_matches_row_parser(self, case, tmp_path, monkeypatch):
+        body, parser = _LOADER_CASES[case]
+        f = tmp_path / "d.csv"
+        f.write_bytes(body.encode("utf-8"))
+        reference = _load_by(f, monkeypatch, "rows")
+        _assert_identical(_load_by(f, monkeypatch, parser), reference)
+        _assert_identical(load_csv(f), reference)
+
+    def test_grouping_follows_first_appearance(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(_LOADER_CASES["padded ids"][0])
+        ds = load_csv(f)
+        assert ds.location_ids == ("A", "B")
+        np.testing.assert_array_equal(ds.series[0].observed, [1.0, 3.0, 7.0])
+
+    @pytest.mark.parametrize("body, line, what", [
+        (_HEADER + "A,1,2\nB,x,3\n", 3, "cannot parse 'x' as a number"),
+        (_HEADER + "A,1,2\n\nB,3\n", 4, "row has too few columns"),
+        (_HEADER + "A,1,2\n\n\nB,3,\n", 5, "cannot parse '' as a number"),
+    ])
+    def test_unparseable_number_line(self, tmp_path, body, line, what):
+        f = tmp_path / "d.csv"
+        f.write_text(body)
+        with pytest.raises(UnparseableNumber) as err:
+            load_csv(f)
+        assert str(err.value) == f"{f} line {line}: {what}"
+
+    def test_blank_data_is_empty_file(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "\n   \n\n")
+        with pytest.raises(EmptyFile) as err:
+            load_csv(f)
+        assert str(err.value) == f"{f} has a header but no data rows"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["A", " A", "A ", "B", "#b", '"c,d"', '"e""f"']),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(["", "\n", "\r\n"]),
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_random_files_match_row_parser(self, tmp_path_factory, rows):
+        f = tmp_path_factory.mktemp("eq") / "d.csv"
+        f.write_text(_HEADER + "".join(
+            f"{loc},{o!r},{p!r}\n{gap}" for loc, o, p, gap in rows
+        ), newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            reference = _load_by(f, mp, "rows")
+            _assert_identical(_load_by(f, mp, "columns"), reference)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308,
+                     0.30000000000000004, 1.0000000000000002,
+                     1.7976931348623157e308, 123456789.01234567]),
+)
+
+
+@st.composite
+def _datasets(draw):
+    n_loc = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.text("ABCxyz019_-.", min_size=1, max_size=6),
+                        min_size=n_loc, max_size=n_loc, unique=True))
+    with_time = draw(st.booleans())
+    series = []
+    for loc in ids:
+        n = draw(st.integers(1, 12))
+        obs = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+        pred = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+        ts = None
+        if with_time:
+            ts = draw(st.lists(st.text("0123456789-:T", max_size=12),
+                               min_size=n, max_size=n))
+        series.append(PairedSeries(loc, obs, pred, ts))
+    return Dataset(tuple(series))
+
+
 class TestRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(_datasets())
+    def test_write_then_load_is_bitwise_exact(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        write_dataset_csv(ds, path)
+        _assert_identical(load_csv(path), ds)
+
     def test_synth_round_trip_is_exact(self, tmp_path):
         model = SyntheticModel("multiplicative-log-laplace", 0.5,
                                zero_inflation_rate=0.05, n_per_location=400,

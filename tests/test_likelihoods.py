@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objentropy.data import (
+    Dataset,
+    PairedSeries,
     location_stats,
     partition_zero_state,
     validate_dataset,
 )
 from objentropy.errors import (
     DegenerateScale,
+    DomainViolation,
     EmptyEvaluationSet,
     InvalidProbability,
     NonPositiveScale,
@@ -34,6 +39,7 @@ from objentropy.likelihoods import (
     resolve_objectives,
     score_objective,
 )
+from objentropy.transforms import LocationCodes, Transform, apply, log_jacobian_sum
 
 E = math.e
 
@@ -238,6 +244,44 @@ class TestInvariants:
             assert abs(nse.loglik_nats - mse.loglik_nats) <= (
                 1e-9 * abs(mse.loglik_nats)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4)),
+                    min_size=3, max_size=60))
+    def test_nse_equals_mse_single_location_property(self, pairs):
+        obs, pred = (np.array(col) for col in zip(*pairs))
+        if np.std(obs) == 0.0 or np.all(obs == pred):
+            return
+        raw = {"A": (obs, pred)}
+        mse = _in_sample("MSE", raw)
+        nse = _in_sample("NSE", raw)
+        assert abs(nse.loglik_nats - mse.loglik_nats) <= (
+            1e-9 * abs(mse.loglik_nats)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("DCBA"), st.floats(-1e3, 1e3)),
+                    min_size=1, max_size=50),
+           st.dictionaries(st.sampled_from("ABCD"),
+                           st.sampled_from([0.0, 0.5, 1.0, 2.5])))
+    def test_location_codes_match_id_lookup(self, rows, sigma_o):
+        """Keys as integer codes give the id-array lookup's values and
+        errors."""
+        by_loc: dict[str, list[float]] = {}
+        for loc, v in rows:
+            by_loc.setdefault(loc, []).append(v)
+        ds = Dataset(tuple(PairedSeries(loc, v, v) for loc, v in by_loc.items()))
+        t = Transform("per-location-scale", sigma_o=sigma_o)
+        codes = LocationCodes(ds.location_ids, ds.location_codes)
+        for fn in (apply, log_jacobian_sum):
+            try:
+                expected = fn(t, ds.observed, ds.locations)
+            except DomainViolation as exc:
+                with pytest.raises(DomainViolation) as err:
+                    fn(t, ds.observed, codes)
+                assert str(err.value) == str(exc)
+                continue
+            assert np.array_equal(fn(t, ds.observed, codes), expected)
 
     def test_mixture_additivity(self):
         """ZMALE's total equals the binomial term plus MALE restricted to
