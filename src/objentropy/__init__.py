@@ -29,7 +29,6 @@ from .errors import ObjentropyError
 from .information import (
     EntropyEstimate,
     EntropyReport,
-    PredictiveAdjustment,
     adjust_expectation_lognormal,
     aic_adjusted_entropy,
     akaike_weights,
@@ -68,7 +67,6 @@ __all__ = [
     "ObjectiveSpec",
     "ObjentropyError",
     "PairedSeries",
-    "PredictiveAdjustment",
     "SplitSpec",
     "SyntheticModel",
     "SyntheticTruth",

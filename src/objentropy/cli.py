@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .data import (
@@ -82,7 +81,8 @@ def _build_parser() -> _Parser:
     rank.add_argument("--aic", choices=("on", "off"), default="on",
                       help="apply the overfitting correction (default on)")
     rank.add_argument("--threads", type=int, default=None,
-                      help=f"worker cap (default ${THREADS_ENV} or cpu count)")
+                      help=f"validated (>= 1, default ${THREADS_ENV}) for "
+                           "compatibility; objectives run serially")
 
     conv = sub.add_parser(
         "convergence", help="entropy error versus subsample size"
@@ -183,21 +183,21 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _resolve_threads(flag: int | None) -> int:
+def _resolve_threads(flag: int | None) -> None:
+    """Validate the thread cap of --threads or the environment; rank is
+    serial, but a bad cap stays a usage error."""
     if flag is None:
         env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                flag = int(env)
-            except ValueError:
-                raise UsageError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            flag = os.cpu_count() or 1
+        if not env:
+            return
+        try:
+            flag = int(env)
+        except ValueError:
+            raise UsageError(
+                f"{THREADS_ENV} must be an integer, got {env!r}"
+            ) from None
     if flag < 1:
         raise UsageError(f"thread cap must be >= 1, got {flag}")
-    return flag
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -222,22 +222,19 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     specs = _resolve_specs(args.objectives)
     threshold = _validate_threshold(args.threshold)
     split_spec = _parse_split(args.split, _validate_seed(args.seed))
-    threads = _resolve_threads(args.threads)
+    _resolve_threads(args.threads)
 
     dataset = load_csv(args.input)
     stats = location_stats(dataset)
     train, test, _ = split(dataset, split_spec)
     partition = partition_zero_state(train, threshold)
-
-    def eval_one(spec):
+    estimates = []
+    for spec in specs:
         try:
-            return evaluate_objective(spec, train, test, partition, stats)
+            fitted = evaluate_objective(spec, train, test, partition, stats)
         except ObjentropyError as exc:
             raise type(exc)(f"objective {spec.name}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        fitted = list(pool.map(eval_one, specs))
-    estimates = [EntropyEstimate.from_fitted(f) for f in fitted]
+        estimates.append(EntropyEstimate.from_fitted(fitted))
     report = rank_objectives(
         estimates, base=args.base, adjusted=args.aic == "on",
         descriptions=_DESCRIPTIONS,

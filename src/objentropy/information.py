@@ -10,7 +10,7 @@ comparing objectives against the same evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
@@ -60,20 +60,15 @@ class EntropyEstimate:
         )
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    name: str
+@dataclass(frozen=True, kw_only=True)
+class ReportRow(EntropyEstimate):
+    """An estimate as ranked: its figures plus description, Akaike weight,
+    noise fraction and rank."""
+
     description: str
-    k: int
-    n_eval: int | None
-    excluded: int
-    loglik_nats: float | None
-    h_bits: float
-    h_adj_bits: float
     weight: float
     noise_fraction: float | None
     rank: int
-    zero_likelihood: bool
 
 
 @dataclass(frozen=True)
@@ -87,15 +82,6 @@ class EntropyReport:
     rows: tuple[ReportRow, ...]
     base: str
     adjusted: bool
-
-
-@dataclass(frozen=True)
-class PredictiveAdjustment:
-    """A median prediction with its log-scale sigma and coverage level."""
-
-    median: float
-    sigma: float
-    coverage: float = 0.95
 
 
 def conditional_entropy_bits(loglik_nats: float, n: int) -> float:
@@ -188,22 +174,13 @@ def rank_objectives(
         nf = None
         if math.isfinite(h) and h >= h_best > 0:
             nf = noise_fraction(h, h_best)
-        rows.append(
-            ReportRow(
-                name=est.name,
-                description=descriptions.get(est.name, ""),
-                k=est.k,
-                n_eval=est.n_eval,
-                excluded=est.excluded,
-                loglik_nats=est.loglik_nats,
-                h_bits=est.h_bits,
-                h_adj_bits=est.h_adj_bits,
-                weight=float(w),
-                noise_fraction=nf,
-                rank=rank,
-                zero_likelihood=est.zero_likelihood,
-            )
-        )
+        rows.append(ReportRow(
+            **{f.name: getattr(est, f.name) for f in fields(EntropyEstimate)},
+            description=descriptions.get(est.name, ""),
+            weight=float(w),
+            noise_fraction=nf,
+            rank=rank,
+        ))
     return EntropyReport(rows=tuple(reversed(rows)), base=base, adjusted=adjusted)
 
 

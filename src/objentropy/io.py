@@ -131,7 +131,7 @@ def _read_rows(
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        loc = row[columns["location_id"]].strip()
+        loc = _cell(row, columns["location_id"], path, line_no).strip()
         obs = _parse_number(row, columns["observed"], path, line_no)
         pred = _parse_number(row, columns["predicted"], path, line_no)
         if loc not in groups:
@@ -139,7 +139,9 @@ def _read_rows(
         groups[loc][0].append(obs)
         groups[loc][1].append(pred)
         if has_time:
-            groups[loc][2].append(row[columns["timestamp"]].strip())
+            groups[loc][2].append(
+                _cell(row, columns["timestamp"], path, line_no).strip()
+            )
     if not groups:
         raise EmptyFile(f"{path} has a header but no data rows")
     return {
@@ -148,13 +150,17 @@ def _read_rows(
     }
 
 
-def _parse_number(row: list[str], col: int, path: Path, line_no: int) -> float:
+def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:
     try:
-        cell = row[col]
+        return row[col]
     except IndexError:
         raise UnparseableNumber(
             f"{path} line {line_no}: row has too few columns"
         ) from None
+
+
+def _parse_number(row: list[str], col: int, path: Path, line_no: int) -> float:
+    cell = _cell(row, col, path, line_no)
     try:
         return float(cell)
     except ValueError:
@@ -167,7 +173,8 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the same schema load_csv ingests.
 
     Floats are written with repr, so a round trip reproduces the dataset
-    exactly.
+    exactly. Ids and timestamps are quoted as csv.QUOTE_MINIMAL quotes
+    them; load_csv strips their surrounding whitespace.
     """
     with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
         with_time = dataset.has_timestamps
@@ -176,14 +183,23 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
             header = "timestamp," + header
         fh.write(header + "\n")
         for s in dataset.series:
+            loc = _quote(s.location_id)
             for i in range(len(s)):
                 row = (
-                    f"{s.location_id},{float(s.observed[i])!r},"
+                    f"{loc},{float(s.observed[i])!r},"
                     f"{float(s.predicted[i])!r}"
                 )
                 if with_time:
-                    row = f"{s.timestamps[i]},{row}"
+                    row = f"{_quote(s.timestamps[i])},{row}"
                 fh.write(row + "\n")
+
+
+def _quote(text: str) -> str:
+    """A CSV cell for text, quoted only when it holds a delimiter, quote or
+    line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # --- report serialization ---

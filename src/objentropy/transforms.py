@@ -12,22 +12,25 @@ so results are bit-reproducible for a given input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainViolation
 
-TRANSFORM_KINDS = (
-    "identity",
-    "natural-log",
-    "square-root",
-    "reciprocal",
-    "per-location-scale",
-)
+_Elementwise = Callable[[np.ndarray], np.ndarray]
 
-# Kinds whose domain is restricted to strictly positive inputs.
-POSITIVE_DOMAIN_KINDS = frozenset({"natural-log", "square-root", "reciprocal"})
+# Kinds whose domain is restricted to strictly positive inputs, each as
+# (v, ln|v'|). Negative signs in derivatives are absorbed by the absolute
+# value.
+_POSITIVE: dict[str, tuple[_Elementwise, _Elementwise]] = {
+    "natural-log": (np.log, lambda y: -np.log(y)),
+    "square-root": (np.sqrt, lambda y: -np.log(2.0 * np.sqrt(y))),
+    "reciprocal": (lambda y: 1.0 / y, lambda y: -2.0 * np.log(y)),
+}
+
+TRANSFORM_KINDS = ("identity", *_POSITIVE, "per-location-scale")
+POSITIVE_DOMAIN_KINDS = frozenset(_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,10 @@ def apply(
     kind = transform.kind
     if kind == "identity":
         return v.copy()
-    if kind == "natural-log":
-        _require_positive(v, kind)
-        return np.log(v)
-    if kind == "square-root":
-        _require_positive(v, kind)
-        return np.sqrt(v)
-    if kind == "reciprocal":
-        _require_positive(v, kind)
-        return 1.0 / v
-    return v / _sigma_per_value(transform, locations, v.size)
+    if kind == "per-location-scale":
+        return v / _sigma_per_value(transform, locations, v.size)
+    _require_positive(v, kind)
+    return _POSITIVE[kind][0](v)
 
 
 def log_jacobian_sum(
@@ -153,21 +150,14 @@ def log_jacobian_sum(
 
     identity -> 0; natural-log -> sum ln(1/y); square-root ->
     sum ln(1/(2 sqrt(y))); reciprocal -> sum ln(1/y^2);
-    per-location-scale -> sum ln(1/sigma_o). Negative signs in derivatives
-    are absorbed by the absolute value.
+    per-location-scale -> sum ln(1/sigma_o).
     """
     y = np.asarray(observed, dtype=np.float64)
     kind = transform.kind
     if kind == "identity":
         return 0.0
-    if kind == "natural-log":
-        _require_positive(y, kind)
-        return float(-np.sum(np.log(y)))
-    if kind == "square-root":
-        _require_positive(y, kind)
-        return float(-np.sum(np.log(2.0 * np.sqrt(y))))
-    if kind == "reciprocal":
-        _require_positive(y, kind)
-        return float(-2.0 * np.sum(np.log(y)))
-    sigma = _sigma_per_value(transform, locations, y.size)
-    return float(-np.sum(np.log(sigma)))
+    if kind == "per-location-scale":
+        sigma = _sigma_per_value(transform, locations, y.size)
+        return float(-np.sum(np.log(sigma)))
+    _require_positive(y, kind)
+    return float(np.sum(_POSITIVE[kind][1](y)))

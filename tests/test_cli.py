@@ -166,6 +166,22 @@ class TestDeterminism:
                      "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("-1", None), (None, "abc"), (None, "0"),
+    ])
+    def test_bad_thread_cap_is_usage_error(self, tmp_path, monkeypatch,
+                                           capsys, flag, env):
+        data = _synth(tmp_path, **{"n-per-location": "50"})
+        capsys.readouterr()
+        monkeypatch.delenv("OBJENTROPY_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("OBJENTROPY_THREADS", env)
+        argv = ["rank", "--input", str(data)]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestOtherCommands:
     def test_adjust_example_values(self, capsys):

@@ -2,9 +2,12 @@
 adjustments."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from objentropy.data import partition_zero_state
 from objentropy.errors import (
@@ -231,6 +234,53 @@ class TestRankObjectives:
         w_bits = [r.weight for r in rank_objectives(estimates, base="bits").rows]
         w_nats = [r.weight for r in rank_objectives(estimates, base="nats").rows]
         np.testing.assert_allclose(w_bits, w_nats, atol=1e-12)
+
+
+_H = st.floats(-50, 50) | st.just(math.inf)
+
+
+@st.composite
+def _estimates(draw):
+    n = draw(st.integers(1, 8))
+    return [
+        EntropyEstimate(
+            name=f"O{i}",
+            k=draw(st.integers(1, 2)),
+            h_bits=draw(_H),
+            h_adj_bits=draw(_H),
+            loglik_nats=draw(st.none() | st.floats(-1e6, 1e6)),
+            n_eval=draw(st.none() | st.integers(1, 10**6)),
+            excluded=draw(st.integers(0, 100)),
+            zero_likelihood=draw(st.booleans()),
+        )
+        for i in range(n)
+    ]
+
+
+class TestRankObjectivesProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_estimates(), st.sampled_from(["bits", "nats"]), st.booleans(),
+           st.data())
+    def test_report_is_a_ranking_of_its_inputs(self, estimates, base,
+                                               adjusted, data):
+        def h_used(e):
+            return e.h_adj_bits if adjusted else e.h_bits
+
+        assume(any(not e.zero_likelihood and math.isfinite(h_used(e))
+                   for e in estimates))
+        report = rank_objectives(estimates, base=base, adjusted=adjusted)
+        permuted = data.draw(st.permutations(estimates))
+        assert rank_objectives(permuted, base=base, adjusted=adjusted) == report
+
+        weights = [r.weight for r in sorted(report.rows, key=lambda r: r.rank)]
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
+        assert all(a >= b for a, b in zip(weights, weights[1:]))
+
+        by_name = {e.name: e for e in estimates}
+        assert len(report.rows) == len(estimates)
+        for row in report.rows:
+            for f in fields(EntropyEstimate):
+                assert getattr(row, f.name) == getattr(by_name[row.name], f.name)
 
 
 class TestAdjustExpectation:

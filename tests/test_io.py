@@ -150,6 +150,10 @@ class TestLoaderEquivalence:
         (_HEADER + "A,1,2\nB,x,3\n", 3, "cannot parse 'x' as a number"),
         (_HEADER + "A,1,2\n\nB,3\n", 4, "row has too few columns"),
         (_HEADER + "A,1,2\n\n\nB,3,\n", 5, "cannot parse '' as a number"),
+        ("observed,predicted,location_id\n1,2,A\n3,4\n", 3,
+         "row has too few columns"),
+        ("location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n", 3,
+         "row has too few columns"),
     ])
     def test_unparseable_number_line(self, tmp_path, body, line, what):
         f = tmp_path / "d.csv"
@@ -193,10 +197,16 @@ _FLOATS = st.one_of(
 )
 
 
+def _cells(alphabet, min_size):
+    """Text cells as load_csv returns them: no surrounding whitespace."""
+    return st.text(alphabet + ',"\r\n ', min_size=min_size,
+                   max_size=12).filter(lambda t: t == t.strip())
+
+
 @st.composite
 def _datasets(draw):
     n_loc = draw(st.integers(1, 3))
-    ids = draw(st.lists(st.text("ABCxyz019_-.", min_size=1, max_size=6),
+    ids = draw(st.lists(_cells("ABCxyz019_-.", 1),
                         min_size=n_loc, max_size=n_loc, unique=True))
     with_time = draw(st.booleans())
     series = []
@@ -206,7 +216,7 @@ def _datasets(draw):
         pred = draw(st.lists(_FLOATS, min_size=n, max_size=n))
         ts = None
         if with_time:
-            ts = draw(st.lists(st.text("0123456789-:T", max_size=12),
+            ts = draw(st.lists(_cells("0123456789-:T", 0),
                                min_size=n, max_size=n))
         series.append(PairedSeries(loc, obs, pred, ts))
     return Dataset(tuple(series))

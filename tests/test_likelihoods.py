@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import (
@@ -21,6 +21,7 @@ from objentropy.errors import (
     InvalidProbability,
     NonPositiveScale,
     NoZeroState,
+    ObjentropyError,
     UnknownObjective,
 )
 from objentropy.likelihoods import (
@@ -282,6 +283,34 @@ class TestInvariants:
                 assert str(err.value) == str(exc)
                 continue
             assert np.array_equal(fn(t, ds.observed, codes), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("AB"),
+                              st.sampled_from([0.0, 0.001]) | st.floats(0.01, 1e4),
+                              st.sampled_from([0.0, 0.001]) | st.floats(0.01, 1e4)),
+                    min_size=2, max_size=40))
+    def test_in_sample_evaluation_equals_frozen_score(self, rows):
+        """An in-sample evaluation scores the frame it was fitted on, which
+        gives a frozen re-score's figures exactly."""
+        by_loc: dict[str, tuple[list[float], list[float]]] = {}
+        for loc, obs, pred in rows:
+            by_loc.setdefault(loc, ([], []))
+            by_loc[loc][0].append(obs)
+            by_loc[loc][1].append(pred)
+        ds = validate_dataset(by_loc)
+        part = partition_zero_state(ds, 0.0028)
+        assume(part.n1 + part.n2 > 0)
+        stats = location_stats(ds)
+        for spec in CATALOG.values():
+            try:
+                fitted = evaluate_objective(spec, ds, ds, part, stats)
+            except ObjentropyError:
+                continue
+            frozen = score_objective(spec, fitted.params, ds, part, stats)
+            assert (frozen.loglik_nats, frozen.n_eval, frozen.excluded,
+                    frozen.zero_likelihood) == (
+                fitted.loglik_nats, fitted.n_eval, fitted.excluded,
+                fitted.zero_likelihood)
 
     def test_mixture_additivity(self):
         """ZMALE's total equals the binomial term plus MALE restricted to
