@@ -11,7 +11,6 @@ from .data import (
     DEFAULT_ZERO_THRESHOLD,
     Dataset,
     LocationStats,
-    PairedSeries,
     SplitSpec,
     ZeroPartition,
     location_stats,
@@ -66,7 +65,6 @@ __all__ = [
     "LocationStats",
     "ObjectiveSpec",
     "ObjentropyError",
-    "PairedSeries",
     "SplitSpec",
     "SyntheticModel",
     "SyntheticTruth",

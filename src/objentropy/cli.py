@@ -200,6 +200,17 @@ def _resolve_threads(flag: int | None) -> None:
         raise UsageError(f"thread cap must be >= 1, got {flag}")
 
 
+def _per_objective(specs, evaluate):
+    """evaluate(spec) for each spec in turn; an error names its objective."""
+    results = []
+    for spec in specs:
+        try:
+            results.append(evaluate(spec))
+        except ObjentropyError as exc:
+            raise type(exc)(f"objective {spec.name}: {exc}") from exc
+    return results
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -228,13 +239,9 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     stats = location_stats(dataset)
     train, test, _ = split(dataset, split_spec)
     partition = partition_zero_state(train, threshold)
-    estimates = []
-    for spec in specs:
-        try:
-            fitted = evaluate_objective(spec, train, test, partition, stats)
-        except ObjentropyError as exc:
-            raise type(exc)(f"objective {spec.name}: {exc}") from exc
-        estimates.append(EntropyEstimate.from_fitted(fitted))
+    estimates = _per_objective(specs, lambda spec: EntropyEstimate.from_fitted(
+        evaluate_objective(spec, train, test, partition, stats)
+    ))
     report = rank_objectives(
         estimates, base=args.base, adjusted=args.aic == "on",
         descriptions=_DESCRIPTIONS,
@@ -275,17 +282,15 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
         raise UsageError(f"bad --sizes {args.sizes!r}") from None
     if not sizes:
         raise UsageError("--sizes is empty")
+    seed = _validate_seed(args.seed)
     dataset = load_csv(args.input)
-    curves = [
-        convergence_curve(
-            dataset, spec, sizes,
-            replicates=args.replicates,
-            seed=_validate_seed(args.seed),
-            threshold=threshold,
-            with_replacement=args.bootstrap,
-        )
-        for spec in specs
-    ]
+    curves = _per_objective(specs, lambda spec: convergence_curve(
+        dataset, spec, sizes,
+        replicates=args.replicates,
+        seed=seed,
+        threshold=threshold,
+        with_replacement=args.bootstrap,
+    ))
     _emit(format_convergence(curves, args.format), args.out)
 
 

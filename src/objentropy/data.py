@@ -1,7 +1,7 @@
-"""Observed/predicted series containers, zero-state partitioning, and splits.
+"""Columnar observed/predicted datasets, zero-state partitioning, and splits.
 
-All types are immutable after construction. Flattened views concatenate the
-per-location series in storage order, so every index-based operation
+All types are immutable after construction. A dataset holds every pair in
+one array, locations in storage order, so every index-based operation
 (partitioning, splitting) refers to one fixed, deterministic ordering.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,86 +28,71 @@ DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
 @dataclass(frozen=True)
-class PairedSeries:
-    """Aligned observed and predicted values at one location.
+class Dataset:
+    """Observed/predicted pairs of every location, stored as columns.
 
-    Arrays are coerced to read-only float64. Timestamps are optional opaque
-    strings used only by time-based splitting.
+    Location i owns columns bounds[i]:bounds[i + 1] of pairs, whose row 0
+    holds observed values and row 1 predicted values. Location ids are
+    unique and every location has at least one pair. pairs is a read-only,
+    C-contiguous float64 array and bounds a read-only int64 array.
+    Timestamps are optional opaque strings, one per column, used only by
+    time-based splitting.
     """
 
-    location_id: str
-    observed: np.ndarray
-    predicted: np.ndarray
+    location_ids: tuple[str, ...]
+    bounds: np.ndarray
+    pairs: np.ndarray
     timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        obs = np.asarray(self.observed, dtype=np.float64)
-        pred = np.asarray(self.predicted, dtype=np.float64)
-        if obs.ndim != 1 or pred.ndim != 1:
-            raise LengthMismatch(
-                f"location {self.location_id!r}: series must be 1-D"
-            )
-        if obs.size == 0:
-            raise EmptyInput(f"location {self.location_id!r} has no pairs")
-        if obs.size != pred.size:
-            raise LengthMismatch(
-                f"location {self.location_id!r}: {obs.size} observed vs "
-                f"{pred.size} predicted values"
-            )
-        if not np.isfinite(obs).all() or not np.isfinite(pred).all():
-            raise NonFiniteValue(
-                f"location {self.location_id!r} contains NaN or infinite values"
-            )
-        if self.timestamps is not None and len(self.timestamps) != obs.size:
-            raise LengthMismatch(
-                f"location {self.location_id!r}: {len(self.timestamps)} "
-                f"timestamps vs {obs.size} pairs"
-            )
-        obs.setflags(write=False)
-        pred.setflags(write=False)
-        object.__setattr__(self, "observed", obs)
-        object.__setattr__(self, "predicted", pred)
-        if self.timestamps is not None:
-            object.__setattr__(self, "timestamps", tuple(self.timestamps))
-
-    def __len__(self) -> int:
-        return int(self.observed.size)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Collection of paired series with unique location ids."""
-
-    series: tuple[PairedSeries, ...]
-
-    def __post_init__(self) -> None:
-        if not self.series:
-            raise EmptyInput("dataset has no series")
-        object.__setattr__(self, "series", tuple(self.series))
-        ids = [s.location_id for s in self.series]
+        ids = tuple(self.location_ids)
+        if not ids:
+            raise EmptyInput("dataset has no locations")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DuplicateLocation(f"duplicate location ids: {dupes}")
+        pairs = np.ascontiguousarray(self.pairs, dtype=np.float64)
+        bounds = np.array(self.bounds, dtype=np.int64, ndmin=1)
+        n = pairs.shape[-1]
+        counts = np.diff(bounds)
+        if (pairs.shape != (2, n) or bounds.shape != (len(ids) + 1,)
+                or bounds[0] != 0 or bounds[-1] != n or (counts < 0).any()):
+            raise LengthMismatch(
+                f"bounds {bounds.tolist()} do not split pairs of shape "
+                f"{pairs.shape} (expected (2, n)) among {len(ids)} locations"
+            )
+        if not counts.all():
+            empty = ids[int(np.flatnonzero(counts == 0)[0])]
+            raise EmptyInput(f"location {empty!r} has no pairs")
+        finite = np.isfinite(pairs).all(axis=0)
+        if not finite.all():
+            first = int(np.flatnonzero(~finite)[0])
+            loc = ids[int(np.searchsorted(bounds, first, side="right")) - 1]
+            raise NonFiniteValue(
+                f"location {loc!r} contains NaN or infinite values"
+            )
+        if self.timestamps is not None:
+            stamps = tuple(self.timestamps)
+            if len(stamps) != n:
+                raise LengthMismatch(f"{len(stamps)} timestamps vs {n} pairs")
+            object.__setattr__(self, "timestamps", stamps)
+        pairs.setflags(write=False)
+        bounds.setflags(write=False)
+        object.__setattr__(self, "location_ids", ids)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "pairs", pairs)
 
-    @cached_property
+    @property
     def n_total(self) -> int:
-        return sum(len(s) for s in self.series)
-
-    @cached_property
-    def location_ids(self) -> tuple[str, ...]:
-        return tuple(s.location_id for s in self.series)
+        return self.pairs.shape[1]
 
     @cached_property
     def observed(self) -> np.ndarray:
-        arr = np.concatenate([s.observed for s in self.series])
-        arr.setflags(write=False)
-        return arr
+        return self.pairs[0]
 
     @cached_property
     def predicted(self) -> np.ndarray:
-        arr = np.concatenate([s.predicted for s in self.series])
-        arr.setflags(write=False)
-        return arr
+        return self.pairs[1]
 
     @cached_property
     def locations(self) -> np.ndarray:
@@ -120,15 +105,16 @@ class Dataset:
     def location_codes(self) -> np.ndarray:
         """Index into location_ids of every pair in flattened order."""
         arr = np.repeat(
-            np.arange(len(self.series), dtype=np.int32),
-            [len(s) for s in self.series],
+            np.arange(len(self.location_ids), dtype=np.int32),
+            np.diff(self.bounds),
         )
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def has_timestamps(self) -> bool:
-        return all(s.timestamps is not None for s in self.series)
+    def rows(self) -> Iterator[tuple[str, slice]]:
+        """Each location id with the slice of the columns it owns."""
+        bounds = self.bounds.tolist()
+        return zip(self.location_ids, map(slice, bounds[:-1], bounds[1:]))
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         """New dataset keeping flattened positions where mask is True.
@@ -161,20 +147,15 @@ class Dataset:
             )
         codes = self.location_codes[idx]
         idx = idx[np.argsort(codes, kind="stable")]
-        counts = np.bincount(codes, minlength=len(self.series))
-        ends = np.cumsum(counts)
-        offsets = np.cumsum([0] + [len(s) for s in self.series])
-        kept: list[PairedSeries] = []
-        for code in np.flatnonzero(counts).tolist():
-            s = self.series[code]
-            local = idx[ends[code] - counts[code]:ends[code]] - offsets[code]
-            ts = None
-            if s.timestamps is not None:
-                ts = tuple(s.timestamps[i] for i in local.tolist())
-            kept.append(PairedSeries(
-                s.location_id, s.observed[local], s.predicted[local], ts
-            ))
-        return Dataset(tuple(kept))
+        counts = np.bincount(codes, minlength=len(self.location_ids))
+        kept = np.flatnonzero(counts)
+        return Dataset(
+            tuple(map(self.location_ids.__getitem__, kept.tolist())),
+            np.concatenate(([0], np.cumsum(counts[kept]))),
+            np.take(self.pairs, idx, axis=1),
+            None if self.timestamps is None
+            else tuple(map(self.timestamps.__getitem__, idx.tolist())),
+        )
 
 
 @dataclass(frozen=True)
@@ -268,24 +249,32 @@ class SplitResult(NamedTuple):
 
 
 def validate_dataset(
-    raw: Mapping[str, tuple[Sequence[float], Sequence[float]]] | Iterable[PairedSeries],
+    raw: Mapping[str, tuple[Sequence[float], Sequence[float]]],
 ) -> Dataset:
-    """Build a validated Dataset from raw per-location pairs.
+    """Build a validated Dataset from a mapping of location_id ->
+    (observed, predicted).
 
-    Accepts either a mapping of location_id -> (observed, predicted) or an
-    iterable of already-built PairedSeries. Rejects empty input, length
-    mismatches, and non-finite values.
+    Rejects empty input, length mismatches, and non-finite values; each
+    error names the location at fault.
     """
-    if isinstance(raw, Mapping):
-        series = tuple(
-            PairedSeries(loc, np.asarray(obs), np.asarray(pred))
-            for loc, (obs, pred) in raw.items()
-        )
-    else:
-        series = tuple(raw)
-    if not series:
+    if not raw:
         raise EmptyInput("no locations provided")
-    return Dataset(series)
+    observed, predicted = [], []
+    for loc, (obs, pred) in raw.items():
+        obs = np.asarray(obs, dtype=np.float64)
+        pred = np.asarray(pred, dtype=np.float64)
+        if obs.ndim != 1 or obs.shape != pred.shape:
+            raise LengthMismatch(
+                f"location {loc!r}: observed shape {obs.shape} vs predicted "
+                f"shape {pred.shape}; both must be 1-D and equal"
+            )
+        observed.append(obs)
+        predicted.append(pred)
+    bounds = np.cumsum([0] + [obs.size for obs in observed])
+    pairs = np.empty((2, int(bounds[-1])))
+    np.concatenate(observed, out=pairs[0])
+    np.concatenate(predicted, out=pairs[1])
+    return Dataset(tuple(raw), bounds, pairs)
 
 
 def partition_zero_state(dataset: Dataset, threshold: float) -> ZeroPartition:
@@ -313,9 +302,10 @@ def location_stats(dataset: Dataset) -> LocationStats:
     location."""
     means: dict[str, float] = {}
     sigmas: dict[str, float] = {}
-    for s in dataset.series:
-        means[s.location_id] = float(s.observed.mean())
-        sigmas[s.location_id] = float(np.std(s.observed))
+    for loc, rows in dataset.rows():
+        obs = dataset.observed[rows]
+        means[loc] = float(obs.mean())
+        sigmas[loc] = float(np.std(obs))
     return LocationStats(mean=means, sigma_o=sigmas)
 
 
@@ -354,7 +344,7 @@ def _random_mask(n: int, spec: SplitSpec) -> np.ndarray:
 
 
 def _location_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
-    n_loc = len(dataset.series)
+    n_loc = len(dataset.location_ids)
     n_test = int(round(spec.test_fraction * n_loc))
     if n_test < 1 or n_test >= n_loc:
         raise DegenerateSplit(
@@ -362,30 +352,23 @@ def _location_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
             f"locations out of {n_loc}"
         )
     rng = np.random.default_rng(spec.seed)
-    test_locs = set(
-        dataset.location_ids[i] for i in rng.permutation(n_loc)[:n_test]
-    )
-    mask = np.zeros(dataset.n_total, dtype=bool)
-    offset = 0
-    for s in dataset.series:
-        if s.location_id in test_locs:
-            mask[offset:offset + len(s)] = True
-        offset += len(s)
-    return mask
+    is_test = np.zeros(n_loc, dtype=bool)
+    is_test[rng.permutation(n_loc)[:n_test]] = True
+    return is_test[dataset.location_codes]
 
 
 def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
     mask = np.zeros(dataset.n_total, dtype=bool)
-    offset = 0
-    for s in dataset.series:
-        if s.timestamps is None or any(t == "" for t in s.timestamps):
+    for loc, rows in dataset.rows():
+        stamps = None if dataset.timestamps is None else dataset.timestamps[rows]
+        if stamps is None or "" in stamps:
             raise MissingTimestamps(
-                f"location {s.location_id!r} lacks timestamps required for "
-                "a time-based split"
+                f"location {loc!r} lacks timestamps required for a "
+                "time-based split"
             )
-        order = sorted(range(len(s)), key=s.timestamps.__getitem__)
-        n_test = int(round(spec.test_fraction * len(s)))
+        n = len(stamps)
+        order = sorted(range(n), key=stamps.__getitem__)
+        n_test = int(round(spec.test_fraction * n))
         if n_test > 0:
-            mask[offset + np.asarray(order[len(s) - n_test:])] = True
-        offset += len(s)
+            mask[rows.start + np.asarray(order[n - n_test:])] = True
     return mask

@@ -124,8 +124,9 @@ def per_location_entropy(
     names = tuple(s.name for s in specs)
     locations = dataset.location_ids
     h = np.full((len(locations), len(specs)), np.nan)
-    for i, series in enumerate(dataset.series):
-        single = Dataset((series,))
+    for i, (loc, rows) in enumerate(dataset.rows()):
+        single = Dataset((loc,), (0, rows.stop - rows.start),
+                         dataset.pairs[:, rows])
         part = partition_zero_state(single, threshold)
         for j, spec in enumerate(specs):
             try:

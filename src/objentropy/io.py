@@ -18,7 +18,7 @@ from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .data import Dataset, PairedSeries
+from .data import Dataset
 from .diagnostics import ConvergenceCurve, EntropyMatrix
 from .errors import EmptyFile, MissingColumn, UnparseableNumber
 from .information import EntropyReport
@@ -63,23 +63,34 @@ def load_csv(path: str | Path) -> Dataset:
         if not any(line.strip() for line in fh):
             raise EmptyFile(f"{path} has a header but no data rows")
         try:
-            groups = _read_columns(fh, columns, header_lines)
+            return _read_columns(fh, columns, header_lines)
         except ValueError:
             # A cell numpy cannot read: parse by row, which either raises
             # the line-numbered error or reads what float() accepts.
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            groups = _read_rows(reader, columns, path)
-    return Dataset(tuple(
-        PairedSeries(loc, obs, pred, ts) for loc, (obs, pred, ts) in groups.items()
-    ))
+            return _read_rows(reader, columns, path)
 
 
-_Groups = dict[str, tuple[np.ndarray, np.ndarray, tuple[str, ...] | None]]
+def _group(
+    heads: list[str], lengths: int | np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Group runs of records by location: run j holds lengths[j] records
+    (or `lengths`, an int) of the stripped id heads[j]. Returns the ids in
+    order of first appearance, their bounds, and the record order that lists
+    each location's records together, in file order."""
+    codes: dict[str, int] = {}
+    run_codes = [codes.setdefault(head, len(codes)) for head in heads]
+    record_codes = np.repeat(run_codes, lengths)
+    order = np.argsort(record_codes, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(record_codes))))
+    return tuple(codes), bounds, order
 
 
-def _read_columns(fh: TextIO, columns: Mapping[str, int], skip: int) -> _Groups:
+def _read_columns(
+    fh: TextIO, columns: Mapping[str, int], skip: int
+) -> Dataset:
     """Columnar parse of the data records.
 
     numpy raises ValueError on a record it cannot read, such as a short
@@ -103,51 +114,49 @@ def _read_columns(fh: TextIO, columns: Mapping[str, int], skip: int) -> _Groups:
     # Runs of equal raw ids; run heads that strip to the same id are one
     # location. Only the heads become Python strings.
     starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    codes: dict[str, int] = {}
-    run_codes = [codes.setdefault(head.strip(), len(codes))
-                 for head in ids[starts].tolist()]
-    row_codes = np.repeat(run_codes, np.diff(starts, append=ids.size))
-    order = np.argsort(row_codes, kind="stable")
-    bounds = np.cumsum(np.bincount(row_codes))[:-1]
-    stamps = [None] * len(codes)
+    location_ids, bounds, order = _group(
+        [head.strip() for head in ids[starts].tolist()],
+        np.diff(starts, append=ids.size),
+    )
+    stamps = None
     if len(text_cols) == 2:
-        stamps = [tuple(t.strip() for t in part.tolist())
-                  for part in np.split(text[order, 1], bounds)]
+        stamps = tuple(map(str.strip, text[order, 1].tolist()))
     del text, ids  # before the numbers are read, to lower peak memory
 
     numbers = read((columns["observed"], columns["predicted"]), np.float64)
-    observed = np.split(numbers[order, 0], bounds)
-    predicted = np.split(numbers[order, 1], bounds)
-    return {loc: (observed[i], predicted[i], stamps[i])
-            for loc, i in codes.items()}
+    return Dataset(location_ids, bounds, np.take(numbers.T, order, axis=1),
+                   stamps)
 
 
 def _read_rows(
     reader: Iterator[list[str]], columns: Mapping[str, int], path: Path
-) -> _Groups:
+) -> Dataset:
     """Row-by-row parse of the data records after the header."""
     has_time = "timestamp" in columns
-    groups: dict[str, tuple[list[float], list[float], list[str]]] = {}
+    locs: list[str] = []
+    numbers: list[tuple[float, float]] = []
+    stamps: list[str] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        loc = _cell(row, columns["location_id"], path, line_no).strip()
-        obs = _parse_number(row, columns["observed"], path, line_no)
-        pred = _parse_number(row, columns["predicted"], path, line_no)
-        if loc not in groups:
-            groups[loc] = ([], [], [])
-        groups[loc][0].append(obs)
-        groups[loc][1].append(pred)
+        locs.append(_cell(row, columns["location_id"], path, line_no).strip())
+        numbers.append((
+            _parse_number(row, columns["observed"], path, line_no),
+            _parse_number(row, columns["predicted"], path, line_no),
+        ))
         if has_time:
-            groups[loc][2].append(
+            stamps.append(
                 _cell(row, columns["timestamp"], path, line_no).strip()
             )
-    if not groups:
+    if not locs:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return {
-        loc: (np.array(obs), np.array(pred), tuple(ts) if has_time else None)
-        for loc, (obs, pred, ts) in groups.items()
-    }
+    location_ids, bounds, order = _group(locs, 1)
+    return Dataset(
+        location_ids,
+        bounds,
+        np.take(np.array(numbers).T, order, axis=1),
+        tuple(map(stamps.__getitem__, order.tolist())) if has_time else None,
+    )
 
 
 def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:
@@ -176,22 +185,22 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     exactly. Ids and timestamps are quoted as csv.QUOTE_MINIMAL quotes
     them; load_csv strips their surrounding whitespace.
     """
+    stamps = dataset.timestamps
     with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        with_time = dataset.has_timestamps
         header = "location_id,observed,predicted"
-        if with_time:
+        if stamps is not None:
             header = "timestamp," + header
         fh.write(header + "\n")
-        for s in dataset.series:
-            loc = _quote(s.location_id)
-            for i in range(len(s)):
-                row = (
-                    f"{loc},{float(s.observed[i])!r},"
-                    f"{float(s.predicted[i])!r}"
-                )
-                if with_time:
-                    row = f"{_quote(s.timestamps[i])},{row}"
-                fh.write(row + "\n")
+        for loc, rows in dataset.rows():
+            loc = _quote(loc)
+            obs = dataset.observed[rows].tolist()
+            pred = dataset.predicted[rows].tolist()
+            if stamps is None:
+                fh.writelines(f"{loc},{o!r},{p!r}\n"
+                              for o, p in zip(obs, pred))
+            else:
+                fh.writelines(f"{_quote(t)},{loc},{o!r},{p!r}\n"
+                              for t, o, p in zip(stamps[rows], obs, pred))
 
 
 def _quote(text: str) -> str:

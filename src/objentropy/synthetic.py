@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, PairedSeries
+from .data import Dataset, validate_dataset
 from .errors import InvalidModel, NonPositiveScale
 
 FAMILIES = (
@@ -133,7 +133,7 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
     """
     children = np.random.SeedSequence(model.seed).spawn(model.n_locations)
     medians = model.medians()
-    series = []
+    raw = {}
     n = model.n_per_location
     p = model.zero_inflation_rate
     for i in range(model.n_locations):
@@ -153,7 +153,7 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
         if p > 0:
             obs[rng.random(n) < p] = 0.0
             pred[rng.random(n) < p] = 0.0
-        series.append(PairedSeries(f"loc{i + 1:03d}", obs, pred))
+        raw[f"loc{i + 1:03d}"] = (obs, pred)
     truth = SyntheticTruth(
         family=model.family,
         scale=model.scale,
@@ -165,4 +165,4 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
         ),
         seed=model.seed,
     )
-    return Dataset(tuple(series)), truth
+    return validate_dataset(raw), truth

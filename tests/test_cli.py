@@ -214,6 +214,17 @@ class TestOtherCommands:
         assert len(rows) == 2 * 2 * 3  # objectives x sizes x replicates
         assert {r["objective"] for r in rows} == {"MSE", "MALE"}
 
+    def test_convergence_failure_names_the_objective(self, tmp_path, capsys):
+        # 20 draws from 25 locations leave some location with one pair,
+        # whose sigma_o of 0 NSE cannot divide by.
+        data = _synth(tmp_path, locations="25", **{"n-per-location": "4"})
+        capsys.readouterr()
+        rc = main(["convergence", "--input", str(data), "--sizes", "20",
+                   "--replicates", "1", "--objectives", "MSE,NSE"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective NSE: sigma_o must be > 0")
+
     def test_correlate_pairs(self, tmp_path, capsys):
         data = _synth(tmp_path, locations="5", **{"n-per-location": "500"})
         capsys.readouterr()

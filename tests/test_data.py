@@ -1,11 +1,14 @@
 """Tests for dataset containers, zero-state partitioning, and splits."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objentropy.data import (
     Dataset,
-    PairedSeries,
     SplitSpec,
     location_stats,
     partition_zero_state,
@@ -47,19 +50,49 @@ class TestValidateDataset:
             validate_dataset({"A": ([], [])})
 
     def test_duplicate_location(self):
-        a = PairedSeries("A", [1.0], [2.0])
         with pytest.raises(DuplicateLocation):
-            Dataset((a, a))
+            Dataset(("A", "A"), [0, 1, 2], [[1.0, 1.0], [2.0, 2.0]])
 
     def test_arrays_read_only(self):
         ds = validate_dataset({"A": ([1, 2], [2, 4])})
         with pytest.raises(ValueError):
-            ds.series[0].observed[0] = 9.0
+            ds.observed[0] = 9.0
 
     def test_flattened_order_follows_series(self):
         ds = validate_dataset({"B": ([1], [1]), "A": ([2, 3], [2, 3])})
         np.testing.assert_array_equal(ds.observed, [1.0, 2.0, 3.0])
         assert list(ds.locations) == ["B", "A", "A"]
+
+
+class TestDatasetChecks:
+    def test_non_finite_names_its_location(self):
+        with pytest.raises(NonFiniteValue, match="location 'B'"):
+            Dataset(("A", "B"), [0, 2, 4], [[1, 2, 3, np.nan], [1, 2, 3, 4]])
+
+    def test_repeated_bound_is_an_empty_location(self):
+        with pytest.raises(EmptyInput, match="location 'B' has no pairs"):
+            Dataset(("A", "B", "C"), [0, 2, 2, 3], [[1, 2, 3], [1, 2, 3]])
+
+    def test_shape_mismatches(self):
+        with pytest.raises(LengthMismatch):
+            Dataset(("A", "B"), [0, 2, 5], [[1, 2, 3, 4], [1, 2, 3, 4]])
+        with pytest.raises(LengthMismatch):
+            Dataset(("A",), [0, 2], [[1, 2], [1, 2], [1, 2]])
+        with pytest.raises(LengthMismatch):
+            Dataset(("A",), [0, 2], [[1, 2], [1, 2]], ("t1",))
+
+    def test_arrays_read_only(self):
+        ds = Dataset(("A",), [0, 2], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            ds.pairs[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            ds.bounds[1] = 1
+
+    def test_pairs_c_contiguous_from_transposed_input(self):
+        columns = np.arange(6.0).reshape(3, 2)
+        ds = Dataset(("A",), [0, 3], columns.T)
+        assert ds.pairs.flags.c_contiguous
+        np.testing.assert_array_equal(ds.pairs, columns.T)
 
 
 class TestPartitionZeroState:
@@ -135,28 +168,53 @@ class TestLocationStats:
 
 def _dataset(n=10, locations=1, seed=0, timestamps=False):
     rng = np.random.default_rng(seed)
-    raw = {}
-    series = []
-    for i in range(locations):
-        obs = rng.lognormal(0, 1, n)
-        pred = rng.lognormal(0, 1, n)
-        ts = tuple(f"2020-01-{d + 1:02d}" for d in range(n)) if timestamps else None
-        series.append(PairedSeries(f"L{i}", obs, pred, ts))
-    return Dataset(tuple(series))
+    pairs = rng.lognormal(0, 1, (locations, 2, n))
+    ts = None
+    if timestamps:
+        ts = tuple(f"2020-01-{d + 1:02d}" for d in range(n)) * locations
+    return Dataset(tuple(f"L{i}" for i in range(locations)),
+                   np.arange(locations + 1) * n,
+                   np.concatenate(pairs, axis=1), ts)
 
 
 def _take_reference(ds, idx):
     """take() spelt out as a loop over locations."""
-    starts = np.cumsum([0] + [len(s) for s in ds.series])
-    series = []
-    for s, start in zip(ds.series, starts):
-        local = [i - start for i in idx if start <= i < start + len(s)]
+    ids, bounds, columns, ts = [], [0], [], []
+    for loc, rows in ds.rows():
+        local = [i for i in idx if rows.start <= i < rows.stop]
         if local:
-            ts = None if s.timestamps is None else tuple(
-                s.timestamps[i] for i in local)
-            series.append(PairedSeries(s.location_id, s.observed[local],
-                                       s.predicted[local], ts))
-    return Dataset(tuple(series))
+            ids.append(loc)
+            bounds.append(bounds[-1] + len(local))
+            columns.append(ds.pairs[:, local])
+            if ds.timestamps is not None:
+                ts.extend(ds.timestamps[i] for i in local)
+    return Dataset(tuple(ids), bounds, np.concatenate(columns, axis=1),
+                   None if ds.timestamps is None else tuple(ts))
+
+
+@st.composite
+def _timestamped_datasets(draw):
+    n_loc = draw(st.integers(1, 5))
+    bounds = [0]
+    for _ in range(n_loc):
+        bounds.append(bounds[-1] + draw(st.integers(1, 15)))
+    n = bounds[-1]
+    values = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0]),
+                      min_size=n, max_size=n)
+    days = draw(st.lists(st.integers(1, 28), min_size=n, max_size=n))
+    return Dataset(tuple(f"L{i}" for i in range(n_loc)), bounds,
+                   [draw(values), draw(values)],
+                   tuple(f"2020-02-{d:02d}" for d in days))
+
+
+def _rows(ds):
+    """The dataset as a multiset of (id, observed, predicted, timestamp)."""
+    return Counter(
+        (loc, o, p, t)
+        for loc, rows in ds.rows()
+        for o, p, t in zip(ds.observed[rows].tolist(),
+                           ds.predicted[rows].tolist(), ds.timestamps[rows])
+    )
 
 
 class TestTake:
@@ -171,11 +229,13 @@ class TestTake:
         taken = ds.take(idx)
         assert taken.n_total == len(idx)
         assert taken.location_ids == ("L0", "L2")
-        assert taken.series[1].timestamps == ("2020-01-06", "2020-01-06",
-                                              "2020-01-01")
+        assert taken.bounds.tolist() == [0, 4, 7]
+        assert taken.timestamps[4:] == ("2020-01-06", "2020-01-06",
+                                        "2020-01-01")
         reference = _take_reference(ds, idx)
         np.testing.assert_array_equal(taken.observed, reference.observed)
         np.testing.assert_array_equal(taken.predicted, reference.predicted)
+        assert taken.timestamps == reference.timestamps
 
     def test_random_draws_match_reference(self):
         ds = _dataset(n=30, locations=5, seed=2)
@@ -184,7 +244,8 @@ class TestTake:
             idx = rng.choice(ds.n_total, size=int(rng.integers(1, 200)))
             taken, reference = ds.take(idx), _take_reference(ds, idx)
             assert taken.location_ids == reference.location_ids
-            np.testing.assert_array_equal(taken.observed, reference.observed)
+            np.testing.assert_array_equal(taken.bounds, reference.bounds)
+            np.testing.assert_array_equal(taken.pairs, reference.pairs)
 
     def test_subset_is_take_of_the_kept_positions(self):
         ds = _dataset(n=20, locations=3, timestamps=True)
@@ -192,7 +253,8 @@ class TestTake:
         a, b = ds.subset(mask), ds.take(np.flatnonzero(mask))
         assert a.location_ids == b.location_ids
         np.testing.assert_array_equal(a.observed, ds.observed[mask])
-        assert [s.timestamps for s in a.series] == [s.timestamps for s in b.series]
+        np.testing.assert_array_equal(a.bounds, b.bounds)
+        assert a.timestamps == b.timestamps
 
     def test_rejects_bad_positions(self):
         ds = _dataset(n=5)
@@ -234,28 +296,39 @@ class TestSplit:
         np.testing.assert_array_equal(first.test.observed, second.test.observed)
         np.testing.assert_array_equal(first.train.observed, second.train.observed)
 
-    def test_random_split_disjoint_exhaustive(self):
-        ds = _dataset(n=40, locations=2)
-        train, test, _ = split(
-            ds, SplitSpec("random-fraction", test_fraction=0.25, seed=5)
-        )
-        assert train.n_total + test.n_total == ds.n_total
-        combined = sorted(np.concatenate([train.observed, test.observed]))
-        assert combined == sorted(ds.observed)
+    @settings(max_examples=80, deadline=None)
+    @given(_timestamped_datasets(),
+           st.sampled_from(["random-fraction", "by-location", "by-time"]),
+           st.floats(0.05, 0.95), st.integers(0, 2 ** 32))
+    def test_split_disjoint_exhaustive(self, ds, mode, fraction, seed):
+        try:
+            train, test, in_sample = split(ds, SplitSpec(mode, fraction, seed))
+        except DegenerateSplit:
+            return
+        assert not in_sample
+        assert _rows(train) + _rows(test) == _rows(ds)
+        if mode == "by-location":
+            assert set(train.location_ids).isdisjoint(test.location_ids)
+        if mode == "by-time":
+            for loc, rows in test.rows():
+                if loc in train.location_ids:
+                    seen = dict(train.rows())[loc]
+                    assert (max(train.timestamps[seen])
+                            <= min(test.timestamps[rows]))
 
     def test_by_location_keeps_whole_locations(self):
         ds = _dataset(n=10, locations=4)
         train, test, _ = split(
             ds, SplitSpec("by-location", test_fraction=0.25, seed=1)
         )
-        assert len(test.series) == 1 and len(train.series) == 3
+        assert len(test.location_ids) == 1 and len(train.location_ids) == 3
         assert set(test.location_ids).isdisjoint(train.location_ids)
 
     def test_by_time_takes_chronological_tail(self):
         ds = _dataset(n=10, timestamps=True)
         train, test, _ = split(ds, SplitSpec("by-time", test_fraction=0.2, seed=0))
         assert test.n_total == 2
-        assert test.series[0].timestamps == ("2020-01-09", "2020-01-10")
+        assert test.timestamps == ("2020-01-09", "2020-01-10")
 
     def test_by_time_requires_timestamps(self):
         ds = _dataset(n=10, timestamps=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from objentropy import diagnostics
-from objentropy.data import Dataset, PairedSeries, partition_zero_state
+from objentropy.data import partition_zero_state, validate_dataset
 from objentropy.diagnostics import (
     convergence_curve,
     pearson,
@@ -116,15 +116,14 @@ class TestConvergenceCurve:
 def _heteroscedastic_dataset(seed=0, n=800):
     """Same flow scale everywhere, very different relative noise per site."""
     scales = [0.25, 0.4, 0.6, 0.9, 1.3, 1.8, 0.3, 0.7, 1.1, 1.6]
-    series = []
+    raw = {}
     for i, s in enumerate(scales):
         model = SyntheticModel("multiplicative-lognormal", s, base_median=5.0,
                                base_log_sigma=0.6, n_per_location=n,
                                n_locations=1, seed=seed + i)
         ds, _ = generate(model)
-        src = ds.series[0]
-        series.append(PairedSeries(f"site{i:02d}", src.observed, src.predicted))
-    return Dataset(tuple(series))
+        raw[f"site{i:02d}"] = (ds.observed, ds.predicted)
+    return validate_dataset(raw)
 
 
 class TestPerLocationEntropy:
@@ -156,9 +155,9 @@ class TestPerLocationEntropy:
 
     def test_failed_cells_are_nan_not_fatal(self):
         # constant series: sigma_o = 0 so the normalized objective fails
-        const = PairedSeries("flat", [5.0, 5.0, 5.0], [4.0, 6.0, 5.0])
-        ok = PairedSeries("ok", [1.0, 2.0, 4.0], [2.0, 1.0, 3.0])
-        mat = per_location_entropy(Dataset((const, ok)),
+        ds = validate_dataset({"flat": ([5.0, 5.0, 5.0], [4.0, 6.0, 5.0]),
+                               "ok": ([1.0, 2.0, 4.0], [2.0, 1.0, 3.0])})
+        mat = per_location_entropy(ds,
                                    [CATALOG["MSE"], CATALOG["NSE"]],
                                    threshold=1e-9)
         assert np.isnan(mat.entropies[0, 1])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objentropy import io as oio
-from objentropy.data import Dataset, PairedSeries, partition_zero_state
+from objentropy.data import Dataset, partition_zero_state
 from objentropy.errors import EmptyFile, MissingColumn, UnparseableNumber
 from objentropy.information import EntropyEstimate, rank_objectives
 from objentropy.io import (
@@ -61,7 +61,7 @@ class TestLoadCsv:
             "2020-01-01,A,2.0,4.0\n"
         )
         ds = load_csv(f)
-        assert ds.series[0].timestamps == ("2020-01-02", "2020-01-01")
+        assert ds.timestamps == ("2020-01-02", "2020-01-01")
 
     def test_interleaved_locations_grouped_in_file_order(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -71,7 +71,8 @@ class TestLoadCsv:
         )
         ds = load_csv(f)
         assert ds.location_ids == ("B", "A")
-        np.testing.assert_array_equal(ds.series[0].observed, [1.0, 3.0])
+        assert ds.bounds.tolist() == [0, 2, 3]
+        np.testing.assert_array_equal(ds.observed, [1.0, 3.0, 2.0])
 
 
 def _load_by(path, monkeypatch, parser):
@@ -95,10 +96,9 @@ def _unexpected_fallback(*args):
 
 def _assert_identical(a, b):
     assert a.location_ids == b.location_ids
-    for sa, sb in zip(a.series, b.series):
-        assert sa.observed.tobytes() == sb.observed.tobytes()
-        assert sa.predicted.tobytes() == sb.predicted.tobytes()
-        assert sa.timestamps == sb.timestamps
+    assert a.bounds.tolist() == b.bounds.tolist()
+    assert a.pairs.tobytes() == b.pairs.tobytes()
+    assert a.timestamps == b.timestamps
 
 
 _HEADER = "location_id,observed,predicted\n"
@@ -144,7 +144,8 @@ class TestLoaderEquivalence:
         f.write_text(_LOADER_CASES["padded ids"][0])
         ds = load_csv(f)
         assert ds.location_ids == ("A", "B")
-        np.testing.assert_array_equal(ds.series[0].observed, [1.0, 3.0, 7.0])
+        assert ds.bounds.tolist() == [0, 3, 4]
+        np.testing.assert_array_equal(ds.observed, [1.0, 3.0, 7.0, 5.0])
 
     @pytest.mark.parametrize("body, line, what", [
         (_HEADER + "A,1,2\nB,x,3\n", 3, "cannot parse 'x' as a number"),
@@ -209,17 +210,16 @@ def _datasets(draw):
     ids = draw(st.lists(_cells("ABCxyz019_-.", 1),
                         min_size=n_loc, max_size=n_loc, unique=True))
     with_time = draw(st.booleans())
-    series = []
-    for loc in ids:
-        n = draw(st.integers(1, 12))
-        obs = draw(st.lists(_FLOATS, min_size=n, max_size=n))
-        pred = draw(st.lists(_FLOATS, min_size=n, max_size=n))
-        ts = None
-        if with_time:
-            ts = draw(st.lists(_cells("0123456789-:T", 0),
-                               min_size=n, max_size=n))
-        series.append(PairedSeries(loc, obs, pred, ts))
-    return Dataset(tuple(series))
+    bounds = [0]
+    for _ in ids:
+        bounds.append(bounds[-1] + draw(st.integers(1, 12)))
+    n = bounds[-1]
+    pairs = draw(st.lists(st.lists(_FLOATS, min_size=n, max_size=n),
+                          min_size=2, max_size=2))
+    ts = None
+    if with_time:
+        ts = draw(st.lists(_cells("0123456789-:T", 0), min_size=n, max_size=n))
+    return Dataset(tuple(ids), bounds, pairs, ts)
 
 
 class TestRoundTrip:

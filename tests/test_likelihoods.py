@@ -8,8 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import (
-    Dataset,
-    PairedSeries,
     location_stats,
     partition_zero_state,
     validate_dataset,
@@ -271,7 +269,7 @@ class TestInvariants:
         by_loc: dict[str, list[float]] = {}
         for loc, v in rows:
             by_loc.setdefault(loc, []).append(v)
-        ds = Dataset(tuple(PairedSeries(loc, v, v) for loc, v in by_loc.items()))
+        ds = validate_dataset({loc: (v, v) for loc, v in by_loc.items()})
         t = Transform("per-location-scale", sigma_o=sigma_o)
         codes = LocationCodes(ds.location_ids, ds.location_codes)
         for fn in (apply, log_jacobian_sum):

@@ -94,8 +94,9 @@ class TestGenerate:
                                base_median=(1.0, 100.0), base_log_sigma=0.5,
                                n_per_location=4000, n_locations=2, seed=4)
         ds, _ = generate(model)
-        low = float(np.median(ds.series[0].predicted))
-        high = float(np.median(ds.series[1].predicted))
+        (_, first), (_, second) = ds.rows()
+        low = float(np.median(ds.predicted[first]))
+        high = float(np.median(ds.predicted[second]))
         assert low == pytest.approx(1.0, rel=0.1)
         assert high == pytest.approx(100.0, rel=0.1)
 

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objentropy.errors import DomainViolation
 from objentropy.likelihoods import loglik_normal
-from objentropy.transforms import Transform, apply, log_jacobian_sum
+from objentropy.transforms import (
+    TRANSFORM_KINDS,
+    LocationCodes,
+    Transform,
+    apply,
+    log_jacobian_sum,
+)
 
 E = math.e
 
@@ -83,6 +91,34 @@ class TestLogJacobianSum:
         whole = log_jacobian_sum(t, np.concatenate([a, b]))
         parts = log_jacobian_sum(t, a) + log_jacobian_sum(t, b)
         assert whole == pytest.approx(parts, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(TRANSFORM_KINDS),
+           st.lists(st.tuples(st.floats(1e-300, 1e300), st.integers(0, 2)),
+                    min_size=1, max_size=40),
+           st.integers(0, 40),
+           st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3))
+    def test_additive_over_concatenation_property(self, kind, values, cut,
+                                                  sigmas):
+        """The sum over a concatenation equals the sum of the parts' sums,
+        within 1e-12 of the sum of the terms' magnitudes."""
+        ids = ("A", "B", "C")
+        t = Transform(kind, sigma_o=dict(zip(ids, sigmas)))
+        y = np.array([v for v, _ in values])
+        codes = np.array([c for _, c in values], dtype=np.int32)
+
+        def jacobian(part):
+            locs = None
+            if kind == "per-location-scale":
+                locs = LocationCodes(ids, codes[part])
+            return log_jacobian_sum(t, y[part], locs)
+
+        cut = min(cut, y.size)
+        whole = jacobian(slice(None))
+        parts = jacobian(slice(None, cut)) + jacobian(slice(cut, None))
+        magnitude = math.fsum(abs(jacobian(slice(i, i + 1)))
+                              for i in range(y.size))
+        assert abs(whole - parts) <= 1e-12 * magnitude
 
 
 class TestChangeOfVariables:
