@@ -39,7 +39,6 @@ from .information import (
 from .io import load_csv, write_dataset_csv
 from .likelihoods import (
     CATALOG,
-    FittedObjective,
     FittedParams,
     ObjectiveSpec,
     evaluate_objective,
@@ -60,7 +59,6 @@ __all__ = [
     "EntropyEstimate",
     "EntropyMatrix",
     "EntropyReport",
-    "FittedObjective",
     "FittedParams",
     "LocationStats",
     "ObjectiveSpec",

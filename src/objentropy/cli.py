@@ -239,8 +239,8 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     stats = location_stats(dataset)
     train, test, _ = split(dataset, split_spec)
     partition = partition_zero_state(train, threshold)
-    estimates = _per_objective(specs, lambda spec: EntropyEstimate.from_fitted(
-        evaluate_objective(spec, train, test, partition, stats)
+    estimates = _per_objective(specs, lambda spec: evaluate_objective(
+        spec, train, test, partition, stats
     ))
     report = rank_objectives(
         estimates, base=args.base, adjusted=args.aic == "on",

@@ -27,7 +27,7 @@ from .errors import (
 DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Observed/predicted pairs of every location, stored as columns.
 
@@ -36,7 +36,7 @@ class Dataset:
     unique and every location has at least one pair. pairs is a read-only,
     C-contiguous float64 array and bounds a read-only int64 array.
     Timestamps are optional opaque strings, one per column, used only by
-    time-based splitting.
+    time-based splitting. A dataset equals only itself.
     """
 
     location_ids: tuple[str, ...]
@@ -158,7 +158,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroPartition:
     """Index sets separating zero-state pairs from positive pairs.
 

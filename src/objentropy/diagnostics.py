@@ -11,7 +11,6 @@ import numpy as np
 
 from .data import DEFAULT_ZERO_THRESHOLD, Dataset, partition_zero_state
 from .errors import EmptyInput, ObjentropyError, SizeExceedsData, ZeroVariance
-from .information import conditional_entropy_bits
 from .likelihoods import ObjectiveSpec, evaluate_objective
 
 
@@ -88,10 +87,8 @@ def convergence_curve(
             idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
             sub = dataset.take(np.sort(idx))
             part = partition_zero_state(sub, threshold)
-            fitted = evaluate_objective(spec, sub, sub, part)
-            raw.append(
-                (size, rep, conditional_entropy_bits(fitted.loglik_nats, fitted.n_eval))
-            )
+            h = evaluate_objective(spec, sub, sub, part).h_bits
+            raw.append((size, rep, h))
     tail = raw[-min(5, len(raw)):]
     reference = float(np.mean([h for _, _, h in tail]))
     points = tuple(
@@ -130,10 +127,7 @@ def per_location_entropy(
         part = partition_zero_state(single, threshold)
         for j, spec in enumerate(specs):
             try:
-                fitted = evaluate_objective(spec, single, single, part)
-                h[i, j] = conditional_entropy_bits(
-                    fitted.loglik_nats, fitted.n_eval
-                )
+                h[i, j] = evaluate_objective(spec, single, single, part).h_bits
             except ObjentropyError:
                 continue
     return EntropyMatrix(

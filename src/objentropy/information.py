@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,14 +24,20 @@ from .errors import (
     OrderingViolation,
     ZeroSampleCount,
 )
-from .likelihoods import FittedObjective
+
+if TYPE_CHECKING:
+    from .likelihoods import FittedParams
 
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """One objective's entropy figures for ranking."""
+    """One objective's entropy figures for ranking.
+
+    An evaluation of an objective is its estimate; it carries the fitted
+    parameters, which are None for estimates built from entropies alone.
+    """
 
     name: str
     k: int
@@ -41,23 +47,7 @@ class EntropyEstimate:
     n_eval: int | None = None
     excluded: int = 0
     zero_likelihood: bool = False
-
-    @classmethod
-    def from_fitted(cls, fitted: FittedObjective) -> "EntropyEstimate":
-        h = conditional_entropy_bits(fitted.loglik_nats, fitted.n_eval)
-        h_adj = aic_adjusted_entropy(
-            fitted.loglik_nats, fitted.n_eval, fitted.spec.k
-        )
-        return cls(
-            name=fitted.spec.name,
-            k=fitted.spec.k,
-            h_bits=h,
-            h_adj_bits=h_adj,
-            loglik_nats=fitted.loglik_nats,
-            n_eval=fitted.n_eval,
-            excluded=fitted.excluded,
-            zero_likelihood=fitted.zero_likelihood,
-        )
+    params: FittedParams | None = None
 
 
 @dataclass(frozen=True, kw_only=True)

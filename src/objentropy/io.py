@@ -224,20 +224,12 @@ def report_records(report: EntropyReport) -> list[dict[str, Any]]:
     """Report rows as plain dicts; non-finite floats become None."""
     records = []
     for row in report.rows:
-        records.append({
-            "objective": row.name,
-            "description": row.description,
-            "k": row.k,
-            "n_eval": row.n_eval,
-            "excluded": row.excluded,
-            "loglik_nats": _finite_or_none(row.loglik_nats),
-            "h_bits": _finite_or_none(row.h_bits),
-            "h_adj_bits": _finite_or_none(row.h_adj_bits),
-            "weight": row.weight,
-            "noise_fraction": row.noise_fraction,
-            "rank": row.rank,
-            "zero_likelihood": row.zero_likelihood,
-        })
+        record = {}
+        for field in _REPORT_FIELDS:
+            value = getattr(row, "name" if field == "objective" else field)
+            record[field] = (_finite_or_none(value)
+                             if isinstance(value, float) else value)
+        records.append(record)
     return records
 
 

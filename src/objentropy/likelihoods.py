@@ -36,6 +36,11 @@ from .errors import (
     NoZeroState,
     UnknownObjective,
 )
+from .information import (
+    EntropyEstimate,
+    aic_adjusted_entropy,
+    conditional_entropy_bits,
+)
 from .transforms import (
     POSITIVE_DOMAIN_KINDS,
     LocationCodes,
@@ -88,19 +93,6 @@ class FittedParams:
 
     scale: float
     rho: float | None = None
-
-
-@dataclass(frozen=True)
-class FittedObjective:
-    """An objective's fitted parameters and total log-likelihood."""
-
-    spec: ObjectiveSpec
-    params: FittedParams
-    loglik_nats: float
-    n_eval: int
-    in_sample: bool
-    excluded: int = 0
-    zero_likelihood: bool = False
 
 
 # Catalog in benchmark display order.
@@ -253,25 +245,25 @@ _LOGLIK = {
 }
 
 
-def make_transform(spec: ObjectiveSpec, stats: LocationStats | None) -> Transform:
-    """Materialize the spec's transform, attaching sigma_o where needed."""
-    if spec.transform_kind == "per-location-scale":
-        if stats is None:
-            raise EmptyInput(
-                f"{spec.name} requires location statistics for its transform"
-            )
-        return Transform(spec.transform_kind, sigma_o=stats.sigma_o)
-    return Transform(spec.transform_kind)
+def _transform(
+    spec: ObjectiveSpec, dataset: Dataset, stats: LocationStats | None
+) -> Transform:
+    """The spec's transform. Per-location-scale takes sigma_o from stats,
+    or from the dataset's own statistics when stats is None."""
+    if spec.transform_kind != "per-location-scale":
+        return Transform(spec.transform_kind)
+    if stats is None:
+        stats = location_stats(dataset)
+    return Transform(spec.transform_kind, sigma_o=stats.sigma_o)
 
 
 class _Frame(NamedTuple):
-    """One dataset seen through one objective: transformed residuals,
-    observed values and location keys (per-location-scale only) over the
-    objective's support, plus the count of pairs left out of it."""
+    """One dataset seen through one objective: transformed residuals over
+    the objective's support, the log-Jacobian summed over its observed
+    values, and the count of pairs left out of it."""
 
     residuals: np.ndarray
-    observed: np.ndarray
-    locations: LocationCodes | None
+    log_jacobian: float
     excluded: int
 
 
@@ -299,8 +291,11 @@ def _evaluation_frame(
     locs = None
     if transform.kind == "per-location-scale":
         locs = LocationCodes(dataset.location_ids, dataset.location_codes[idx])
+    # Summed before the residuals are formed, so its temporaries are freed
+    # before the residual arrays are allocated: this lowers peak memory.
+    log_jacobian = log_jacobian_sum(transform, obs, locs)
     residuals = apply(transform, obs, locs) - apply(transform, pred, locs)
-    return _Frame(residuals, obs, locs, excluded)
+    return _Frame(residuals, log_jacobian, excluded)
 
 
 def evaluate_objective(
@@ -309,30 +304,26 @@ def evaluate_objective(
     test: Dataset,
     partition: ZeroPartition,
     stats: LocationStats | None = None,
-) -> FittedObjective:
-    """Fit the objective on train and evaluate its total log-likelihood on
-    test.
+) -> EntropyEstimate:
+    """Fit the objective on train and evaluate it on test.
 
     `partition` is the train dataset's zero-state partition; when test is a
     different dataset its partition is derived at the same threshold. For
     per-location-scale transforms, `stats` defaults to statistics of the
-    training observations.
+    training observations. The result carries the fitted parameters.
     """
-    if stats is None and spec.transform_kind == "per-location-scale":
-        stats = location_stats(train)
-    transform = make_transform(spec, stats)
+    transform = _transform(spec, train, stats)
     frame = _evaluation_frame(spec, train, partition, transform)
     scale = _FIT[spec.base_family](frame.residuals)
     rho = None
     if spec.zero_inflated and (partition.n1 + partition.n2) > 0:
         rho = fit_binomial_rate(partition)
     params = FittedParams(scale=scale, rho=rho)
-    in_sample = test is train
-    if not in_sample:
+    if test is not train:
         del frame  # before the test frame is built, to lower peak memory
         partition = partition_zero_state(test, partition.threshold)
         frame = _evaluation_frame(spec, test, partition, transform)
-    return _score(spec, params, frame, partition, transform, in_sample)
+    return _score(spec, params, frame, partition)
 
 
 def score_objective(
@@ -341,18 +332,16 @@ def score_objective(
     test: Dataset,
     partition: ZeroPartition,
     stats: LocationStats | None = None,
-) -> FittedObjective:
+) -> EntropyEstimate:
     """Evaluate the objective on test with frozen parameters.
 
     Callers who fit on a different dataset should pass the location
     statistics used at fit time so the transform is unchanged; otherwise
     they are computed from the test data.
     """
-    if stats is None and spec.transform_kind == "per-location-scale":
-        stats = location_stats(test)
-    transform = make_transform(spec, stats)
+    transform = _transform(spec, test, stats)
     frame = _evaluation_frame(spec, test, partition, transform)
-    return _score(spec, params, frame, partition, transform, in_sample=False)
+    return _score(spec, params, frame, partition)
 
 
 def _score(
@@ -360,11 +349,9 @@ def _score(
     params: FittedParams,
     frame: _Frame,
     partition: ZeroPartition,
-    transform: Transform,
-    in_sample: bool,
-) -> FittedObjective:
+) -> EntropyEstimate:
     total = _LOGLIK[spec.base_family](frame.residuals, params.scale)
-    total += log_jacobian_sum(transform, frame.observed, frame.locations)
+    total += frame.log_jacobian
     n_eval = int(frame.residuals.size)
     if spec.zero_inflated:
         n_zero = partition.n1 + partition.n2
@@ -376,12 +363,14 @@ def _score(
                 total = float("-inf")
             else:
                 total += loglik_binomial(partition.n1, partition.n2, params.rho)
-    return FittedObjective(
-        spec=spec,
-        params=params,
-        loglik_nats=float(total),
+    return EntropyEstimate(
+        name=spec.name,
+        k=spec.k,
+        h_bits=conditional_entropy_bits(total, n_eval),
+        h_adj_bits=aic_adjusted_entropy(total, n_eval, spec.k),
+        loglik_nats=total,
         n_eval=n_eval,
-        in_sample=in_sample,
         excluded=frame.excluded,
         zero_likelihood=not math.isfinite(total),
+        params=params,
     )

@@ -116,9 +116,7 @@ def _rank_winner(zero_inflation, threshold, seed):
     partition = partition_zero_state(dataset, threshold)
     stats = location_stats(dataset)
     estimates = [
-        EntropyEstimate.from_fitted(
-            evaluate_objective(spec, dataset, dataset, partition, stats)
-        )
+        evaluate_objective(spec, dataset, dataset, partition, stats)
         for spec in CATALOG.values()
     ]
     report = rank_objectives(estimates, adjusted=True)

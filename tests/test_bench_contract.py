@@ -1,12 +1,13 @@
 """The benchmark's tracer still wraps and restores what it names.
 
 perfbench/tracer.py re-wraps public module functions, Dataset.subset and
-Dataset's cached flattening properties by name; a refactor that renames or
-reshapes them breaks `perfbench/run.py --trace 1` without failing any other
-test.
+Dataset's cached flattening properties by name, and perfbench/run.py counts
+attributes of their results; a refactor that renames or reshapes them
+breaks `perfbench/run.py --trace 1` without failing any other test.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -16,13 +17,31 @@ from objentropy.data import Dataset
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
-    )
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+
+
+def _load_run():
+    """perfbench/run.py, which imports its sibling modules by bare name."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        return _load("perfbench_run", ROOT / "perfbench" / "run.py")
+    finally:
+        sys.path.remove(bench)
+
+
+def _synth(path, *args):
+    assert cli.main(["synth", "--n-per-location", "100", "--locations", "2",
+                     *args, "--out", str(path)]) == 0
 
 
 def _bindings():
@@ -37,10 +56,8 @@ def _bindings():
 
 def test_rank_under_tracer(tmp_path, capsys):
     data = tmp_path / "d.csv"
-    assert cli.main(["synth", "--family", "multiplicative-lognormal",
-                     "--scale", "0.4", "--n-per-location", "100",
-                     "--locations", "2", "--seed", "5",
-                     "--out", str(data)]) == 0
+    _synth(data, "--family", "multiplicative-lognormal", "--scale", "0.4",
+           "--seed", "5")
     before = _bindings()
     tracer = _load_tracer().Tracer()
     with tracer:
@@ -52,3 +69,25 @@ def test_rank_under_tracer(tmp_path, capsys):
     after = _bindings()
     assert [key for key, value in before.items()
             if after.get(key) is not value] == []
+
+
+def test_counters_read_the_evaluations(tmp_path, capsys):
+    """The benchmark's evaluate_objective counters sum the n_eval and
+    zero-likelihood flags of the rows rank reports."""
+    data = tmp_path / "d.csv"
+    _synth(data, "--family", "multiplicative-log-laplace", "--scale", "0.4",
+           "--zero-inflation", "0.05", "--seed", "7")
+    out = tmp_path / "rank.json"
+    run = _load_run()
+    with run.Tracer(run.COUNTERS) as tracer:
+        rc = cli.main(["rank", "--input", str(data), "--split", "random:0.5",
+                       "--format", "json", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    flagged = sum(row["zero_likelihood"] for row in rows)
+    assert flagged > 0
+    counts = tracer.counts
+    assert counts["likelihoods.evaluate_objective.n_eval"] == sum(
+        row["n_eval"] for row in rows)
+    assert counts["likelihoods.evaluate_objective.zero_likelihood"] == flagged

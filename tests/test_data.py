@@ -94,6 +94,17 @@ class TestDatasetChecks:
         assert ds.pairs.flags.c_contiguous
         np.testing.assert_array_equal(ds.pairs, columns.T)
 
+    def test_equality_is_identity(self):
+        """Datasets and partitions hold arrays, so they compare and hash
+        by identity instead of raising on an elementwise comparison."""
+        raw = {"A": ([1, 2], [1, 2])}
+        for make in (validate_dataset,
+                     lambda r: partition_zero_state(validate_dataset(r), 0.5)):
+            a, b = make(raw), make(raw)
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestPartitionZeroState:
     def test_stated_rule(self):

@@ -249,10 +249,7 @@ def _report():
                            n_locations=2, seed=8)
     ds, _ = generate(model)
     part = partition_zero_state(ds, 0.0028)
-    estimates = [
-        EntropyEstimate.from_fitted(evaluate_objective(s, ds, ds, part))
-        for s in CATALOG.values()
-    ]
+    estimates = [evaluate_objective(s, ds, ds, part) for s in CATALOG.values()]
     return rank_objectives(estimates, adjusted=True,
                            descriptions={n: s.description
                                          for n, s in CATALOG.items()})
