@@ -10,10 +10,8 @@ is the most informative one.
 from .data import (
     DEFAULT_ZERO_THRESHOLD,
     Dataset,
-    LocationStats,
     SplitSpec,
     ZeroPartition,
-    location_stats,
     partition_zero_state,
     split,
     validate_dataset,
@@ -60,7 +58,6 @@ __all__ = [
     "EntropyMatrix",
     "EntropyReport",
     "FittedParams",
-    "LocationStats",
     "ObjectiveSpec",
     "ObjentropyError",
     "SplitSpec",
@@ -78,7 +75,6 @@ __all__ = [
     "generate",
     "get_objective",
     "load_csv",
-    "location_stats",
     "log_jacobian_sum",
     "noise_fraction",
     "partition_zero_state",

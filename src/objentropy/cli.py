@@ -16,7 +16,6 @@ from pathlib import Path
 from .data import (
     DEFAULT_ZERO_THRESHOLD,
     SplitSpec,
-    location_stats,
     partition_zero_state,
     split,
 )
@@ -236,11 +235,10 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     _resolve_threads(args.threads)
 
     dataset = load_csv(args.input)
-    stats = location_stats(dataset)
-    train, test, _ = split(dataset, split_spec)
+    train, test = split(dataset, split_spec)
     partition = partition_zero_state(train, threshold)
     estimates = _per_objective(specs, lambda spec: evaluate_objective(
-        spec, train, test, partition, stats
+        spec, train, test, partition
     ))
     report = rank_objectives(
         estimates, base=args.base, adjusted=args.aic == "on",

@@ -199,19 +199,6 @@ class ZeroPartition:
 
 
 @dataclass(frozen=True)
-class LocationStats:
-    """Per-location mean and population standard deviation of observations.
-
-    sigma_o uses the divide-by-n convention for consistency with maximum
-    likelihood scale estimates elsewhere. A zero sigma_o is representable;
-    operations that divide by it reject it at use time.
-    """
-
-    mean: Mapping[str, float]
-    sigma_o: Mapping[str, float]
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """How to carve a dataset into train and test portions.
 
@@ -245,7 +232,6 @@ class SplitSpec:
 class SplitResult(NamedTuple):
     train: Dataset
     test: Dataset
-    in_sample: bool
 
 
 def validate_dataset(
@@ -297,25 +283,13 @@ def partition_zero_state(dataset: Dataset, threshold: float) -> ZeroPartition:
     return ZeroPartition(float(threshold), n1, n2, n3, clamp)
 
 
-def location_stats(dataset: Dataset) -> LocationStats:
-    """Mean and population standard deviation of the observed values per
-    location."""
-    means: dict[str, float] = {}
-    sigmas: dict[str, float] = {}
-    for loc, rows in dataset.rows():
-        obs = dataset.observed[rows]
-        means[loc] = float(obs.mean())
-        sigmas[loc] = float(np.std(obs))
-    return LocationStats(mean=means, sigma_o=sigmas)
-
-
 def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
-    """Split a dataset per the spec; disjoint and exhaustive for every mode
-    except "none", which returns the dataset twice with the in-sample flag
-    set. Identical (dataset, spec) inputs yield identical splits.
+    """Split a dataset per the spec into (train, test), disjoint and
+    exhaustive, except that mode "none" returns the same dataset twice
+    (`test is train`). Identical (dataset, spec) inputs split identically.
     """
     if spec.mode == "none":
-        return SplitResult(dataset, dataset, True)
+        return SplitResult(dataset, dataset)
     if spec.mode == "random-fraction":
         mask = _random_mask(dataset.n_total, spec)
     elif spec.mode == "by-location":
@@ -327,7 +301,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
             f"test_fraction {spec.test_fraction} leaves an empty side on "
             f"{dataset.n_total} pairs"
         )
-    return SplitResult(dataset.subset(~mask), dataset.subset(mask), False)
+    return SplitResult(dataset.subset(~mask), dataset.subset(mask))
 
 
 def _random_mask(n: int, spec: SplitSpec) -> np.ndarray:

@@ -25,9 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, LocationStats, ZeroPartition, location_stats, partition_zero_state
+from .data import Dataset, ZeroPartition, partition_zero_state
 from .errors import (
     DegenerateScale,
+    DomainViolation,
     EmptyEvaluationSet,
     EmptyInput,
     InvalidModel,
@@ -43,7 +44,6 @@ from .information import (
 )
 from .transforms import (
     POSITIVE_DOMAIN_KINDS,
-    LocationCodes,
     Transform,
     apply,
     log_jacobian_sum,
@@ -245,25 +245,30 @@ _LOGLIK = {
 }
 
 
-def _transform(
-    spec: ObjectiveSpec, dataset: Dataset, stats: LocationStats | None
-) -> Transform:
-    """The spec's transform. Per-location-scale takes sigma_o from stats,
-    or from the dataset's own statistics when stats is None."""
+def _transform(spec: ObjectiveSpec, dataset: Dataset) -> Transform:
+    """The spec's transform on dataset. Per-location-scale takes each
+    location's sigma_o, the population standard deviation of its observed
+    values, from dataset itself."""
     if spec.transform_kind != "per-location-scale":
         return Transform(spec.transform_kind)
-    if stats is None:
-        stats = location_stats(dataset)
-    return Transform(spec.transform_kind, sigma_o=stats.sigma_o)
+    observed = dataset.observed
+    sigma = np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
+    if not sigma.all():
+        bad = min(loc for loc, s in zip(dataset.location_ids, sigma) if s == 0)
+        raise DomainViolation(
+            f"sigma_o must be > 0 wherever used as a divisor; location "
+            f"{bad!r} has sigma_o = 0.0"
+        )
+    return Transform(spec.transform_kind, sigma_o=sigma)
 
 
 class _Frame(NamedTuple):
     """One dataset seen through one objective: transformed residuals over
     the objective's support, the log-Jacobian summed over its observed
-    values, and the count of pairs left out of it."""
+    values (None on a fit-only frame), and the count of pairs left out."""
 
     residuals: np.ndarray
-    log_jacobian: float
+    log_jacobian: float | None
     excluded: int
 
 
@@ -271,7 +276,7 @@ def _evaluation_frame(
     spec: ObjectiveSpec,
     dataset: Dataset,
     partition: ZeroPartition,
-    transform: Transform,
+    scored: bool = True,
 ) -> _Frame:
     positive = spec.transform_kind in POSITIVE_DOMAIN_KINDS
     if positive or spec.zero_inflated:
@@ -288,13 +293,16 @@ def _evaluation_frame(
         obs = dataset.observed
         pred = dataset.predicted
         excluded = 0
-    locs = None
+    transform = _transform(spec, dataset)
+    codes = None
     if transform.kind == "per-location-scale":
-        locs = LocationCodes(dataset.location_ids, dataset.location_codes[idx])
-    # Summed before the residuals are formed, so its temporaries are freed
-    # before the residual arrays are allocated: this lowers peak memory.
-    log_jacobian = log_jacobian_sum(transform, obs, locs)
-    residuals = apply(transform, obs, locs) - apply(transform, pred, locs)
+        codes = dataset.location_codes[idx]
+    # The log-Jacobian is summed first and obs is dropped once transformed,
+    # so fewer n-value arrays are alive at once: this lowers peak memory.
+    log_jacobian = log_jacobian_sum(transform, obs, codes) if scored else None
+    residuals = apply(transform, obs, codes)
+    del obs
+    residuals -= apply(transform, pred, codes)
     return _Frame(residuals, log_jacobian, excluded)
 
 
@@ -303,17 +311,16 @@ def evaluate_objective(
     train: Dataset,
     test: Dataset,
     partition: ZeroPartition,
-    stats: LocationStats | None = None,
 ) -> EntropyEstimate:
     """Fit the objective on train and evaluate it on test.
 
     `partition` is the train dataset's zero-state partition; when test is a
-    different dataset its partition is derived at the same threshold. For
-    per-location-scale transforms, `stats` defaults to statistics of the
-    training observations. The result carries the fitted parameters.
+    different dataset its partition is derived at the same threshold. A
+    per-location-scale transform (NSE) takes sigma_o from the dataset it
+    is applied to: the fit uses train's, the score test's. The result
+    carries the fitted parameters.
     """
-    transform = _transform(spec, train, stats)
-    frame = _evaluation_frame(spec, train, partition, transform)
+    frame = _evaluation_frame(spec, train, partition, scored=test is train)
     scale = _FIT[spec.base_family](frame.residuals)
     rho = None
     if spec.zero_inflated and (partition.n1 + partition.n2) > 0:
@@ -322,7 +329,7 @@ def evaluate_objective(
     if test is not train:
         del frame  # before the test frame is built, to lower peak memory
         partition = partition_zero_state(test, partition.threshold)
-        frame = _evaluation_frame(spec, test, partition, transform)
+        frame = _evaluation_frame(spec, test, partition)
     return _score(spec, params, frame, partition)
 
 
@@ -331,16 +338,13 @@ def score_objective(
     params: FittedParams,
     test: Dataset,
     partition: ZeroPartition,
-    stats: LocationStats | None = None,
 ) -> EntropyEstimate:
     """Evaluate the objective on test with frozen parameters.
 
-    Callers who fit on a different dataset should pass the location
-    statistics used at fit time so the transform is unchanged; otherwise
-    they are computed from the test data.
+    A per-location-scale transform (NSE) takes sigma_o from test's own
+    observed values, as NSE is defined per evaluated series.
     """
-    transform = _transform(spec, test, stats)
-    frame = _evaluation_frame(spec, test, partition, transform)
+    frame = _evaluation_frame(spec, test, partition)
     return _score(spec, params, frame, partition)
 
 

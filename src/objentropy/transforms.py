@@ -12,7 +12,7 @@ so results are bit-reproducible for a given input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,12 +33,14 @@ TRANSFORM_KINDS = ("identity", *_POSITIVE, "per-location-scale")
 POSITIVE_DOMAIN_KINDS = frozenset(_POSITIVE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transform:
-    """A transform kind plus, for per-location-scale, the sigma_o map."""
+    """A transform kind plus, for per-location-scale, sigma_o: a read-only
+    float64 array, every entry > 0, indexed by location code. A transform
+    equals only itself."""
 
     kind: str
-    sigma_o: Mapping[str, float] | None = None
+    sigma_o: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in TRANSFORM_KINDS:
@@ -46,10 +48,20 @@ class Transform:
                 f"unknown transform {self.kind!r}; expected one of "
                 f"{TRANSFORM_KINDS}"
             )
-        if self.kind == "per-location-scale" and self.sigma_o is None:
+        if self.kind != "per-location-scale":
+            return
+        if self.sigma_o is None:
             raise DomainViolation(
                 "per-location-scale requires per-location sigma_o values"
             )
+        sigma = np.array(self.sigma_o, dtype=np.float64)
+        if not (sigma > 0).all():
+            raise DomainViolation(
+                "sigma_o must be > 0 wherever used as a divisor; minimum "
+                f"was {sigma.min()}"
+            )
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma_o", sigma)
 
 
 def _require_positive(values: np.ndarray, kind: str) -> None:
@@ -60,83 +72,38 @@ def _require_positive(values: np.ndarray, kind: str) -> None:
         )
 
 
-class LocationCodes(NamedTuple):
-    """Location keys of a value array as integer codes into a table of ids.
-
-    Passing keys this way spares apply and log_jacobian_sum the string
-    lookup of every value: sigma_o is resolved once per id.
-    """
-
-    ids: Sequence[str]
-    codes: np.ndarray
-
-
-def _location_sigma(transform: Transform, ids: Sequence[str]) -> np.ndarray:
-    """sigma_o of each id, checked as a divisor.
-
-    When several ids fail, the error names the smallest, as a lookup over
-    sorted ids would.
-    """
-    sigma = np.empty(len(ids), dtype=np.float64)
-    missing = []
-    for i, loc in enumerate(ids):
-        try:
-            sigma[i] = transform.sigma_o[loc]
-        except KeyError:
-            missing.append(loc)
-    if missing:
-        raise DomainViolation(f"no sigma_o for location {min(missing)!r}")
-    if sigma.size and sigma.min() <= 0:
-        low = sigma.min()
-        bad = min(loc for loc, s in zip(ids, sigma) if s == low)
-        raise DomainViolation(
-            f"sigma_o must be > 0 wherever used as a divisor; location "
-            f"{bad!r} has sigma_o = {low}"
-        )
-    return sigma
-
-
 def _sigma_per_value(
-    transform: Transform,
-    locations: np.ndarray | LocationCodes | None,
-    size: int,
+    transform: Transform, codes: np.ndarray | None, size: int
 ) -> np.ndarray:
-    if locations is None:
+    if codes is None:
         raise DomainViolation(
-            "per-location-scale requires the location key of every value"
+            "per-location-scale requires the location code of every value"
         )
-    if isinstance(locations, LocationCodes):
-        ids, codes = locations
-    else:
-        ids, codes = np.unique(
-            np.asarray(locations, dtype=object), return_inverse=True
-        )
+    codes = np.asarray(codes)
     if codes.size != size:
-        raise DomainViolation(
-            f"{codes.size} location keys for {size} values"
-        )
-    return _location_sigma(transform, ids)[codes]
+        raise DomainViolation(f"{codes.size} location codes for {size} values")
+    return transform.sigma_o[codes]
 
 
 def apply(
     transform: Transform,
     values: np.ndarray,
-    locations: np.ndarray | LocationCodes | None = None,
+    codes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Elementwise v(y) for the transform's kind.
+    """Elementwise v(y) for the transform's kind, as a new array.
 
-    `locations`, needed by per-location-scale only, keys every value by
-    location id, either as an array of ids or as LocationCodes.
+    `codes`, needed by per-location-scale only, gives the location code of
+    every value, an index into the transform's sigma_o.
 
     identity -> y; natural-log -> ln y; square-root -> sqrt(y);
-    reciprocal -> 1/y; per-location-scale -> y / sigma_o(location).
+    reciprocal -> 1/y; per-location-scale -> y / sigma_o[code].
     """
     v = np.asarray(values, dtype=np.float64)
     kind = transform.kind
     if kind == "identity":
         return v.copy()
     if kind == "per-location-scale":
-        return v / _sigma_per_value(transform, locations, v.size)
+        return v / _sigma_per_value(transform, codes, v.size)
     _require_positive(v, kind)
     return _POSITIVE[kind][0](v)
 
@@ -144,20 +111,20 @@ def apply(
 def log_jacobian_sum(
     transform: Transform,
     observed: np.ndarray,
-    locations: np.ndarray | LocationCodes | None = None,
+    codes: np.ndarray | None = None,
 ) -> float:
     """Sum over observations of ln|v'(y_i)|, in nats.
 
     identity -> 0; natural-log -> sum ln(1/y); square-root ->
     sum ln(1/(2 sqrt(y))); reciprocal -> sum ln(1/y^2);
-    per-location-scale -> sum ln(1/sigma_o).
+    per-location-scale -> sum ln(1/sigma_o[code]).
     """
     y = np.asarray(observed, dtype=np.float64)
     kind = transform.kind
     if kind == "identity":
         return 0.0
     if kind == "per-location-scale":
-        sigma = _sigma_per_value(transform, locations, y.size)
+        sigma = _sigma_per_value(transform, codes, y.size)
         return float(-np.sum(np.log(sigma)))
     _require_positive(y, kind)
     return float(np.sum(_POSITIVE[kind][1](y)))

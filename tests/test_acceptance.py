@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from objentropy.cli import main
-from objentropy.data import location_stats, partition_zero_state
+from objentropy.data import partition_zero_state
 from objentropy.information import (
     EntropyEstimate,
     adjust_expectation_lognormal,
@@ -114,9 +114,8 @@ def _rank_winner(zero_inflation, threshold, seed):
     )
     dataset, _ = generate(model)
     partition = partition_zero_state(dataset, threshold)
-    stats = location_stats(dataset)
     estimates = [
-        evaluate_objective(spec, dataset, dataset, partition, stats)
+        evaluate_objective(spec, dataset, dataset, partition)
         for spec in CATALOG.values()
     ]
     report = rank_objectives(estimates, adjusted=True)

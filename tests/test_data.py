@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from objentropy.data import (
     Dataset,
     SplitSpec,
-    location_stats,
     partition_zero_state,
     split,
     validate_dataset,
@@ -151,32 +150,6 @@ class TestPartitionZeroState:
         assert len(np.unique(merged)) == ds.n_total
 
 
-class TestLocationStats:
-    def test_analytic(self):
-        ds = validate_dataset({"A": ([1, 2, 3], [1, 1, 1])})
-        stats = location_stats(ds)
-        assert stats.mean["A"] == pytest.approx(2.0)
-        assert stats.sigma_o["A"] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
-
-    def test_single_point(self):
-        stats = location_stats(validate_dataset({"A": ([5], [0])}))
-        assert stats.mean["A"] == 5.0
-        assert stats.sigma_o["A"] == 0.0
-
-    def test_constant_series(self):
-        stats = location_stats(validate_dataset({"A": ([2, 2, 2], [0, 0, 0])}))
-        assert stats.sigma_o["A"] == 0.0
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(3)
-        obs = rng.lognormal(0, 1, 1000)
-        stats = location_stats(validate_dataset({"A": (obs, obs)}))
-        mean = sum(obs) / len(obs)
-        var = sum((x - mean) ** 2 for x in obs) / len(obs)
-        assert stats.mean["A"] == pytest.approx(mean, rel=1e-12)
-        assert stats.sigma_o["A"] == pytest.approx(np.sqrt(var), rel=1e-12)
-
-
 def _dataset(n=10, locations=1, seed=0, timestamps=False):
     rng = np.random.default_rng(seed)
     pairs = rng.lognormal(0, 1, (locations, 2, n))
@@ -282,16 +255,15 @@ class TestTake:
 class TestSplit:
     def test_mode_none_is_identity(self):
         ds = _dataset()
-        result = split(ds, SplitSpec("none"))
-        assert result.train is ds and result.test is ds
-        assert result.in_sample
+        train, test = split(ds, SplitSpec("none"))
+        assert train is ds and test is ds
 
     def test_random_fraction_cardinality(self):
         ds = _dataset(n=10)
-        train, test, in_sample = split(
+        train, test = split(
             ds, SplitSpec("random-fraction", test_fraction=0.2, seed=42)
         )
-        assert not in_sample
+        assert train is not test
         assert train.n_total == 8 and test.n_total == 2
 
     def test_degenerate_split(self):
@@ -313,10 +285,10 @@ class TestSplit:
            st.floats(0.05, 0.95), st.integers(0, 2 ** 32))
     def test_split_disjoint_exhaustive(self, ds, mode, fraction, seed):
         try:
-            train, test, in_sample = split(ds, SplitSpec(mode, fraction, seed))
+            train, test = split(ds, SplitSpec(mode, fraction, seed))
         except DegenerateSplit:
             return
-        assert not in_sample
+        assert train is not test
         assert _rows(train) + _rows(test) == _rows(ds)
         if mode == "by-location":
             assert set(train.location_ids).isdisjoint(test.location_ids)
@@ -329,7 +301,7 @@ class TestSplit:
 
     def test_by_location_keeps_whole_locations(self):
         ds = _dataset(n=10, locations=4)
-        train, test, _ = split(
+        train, test = split(
             ds, SplitSpec("by-location", test_fraction=0.25, seed=1)
         )
         assert len(test.location_ids) == 1 and len(train.location_ids) == 3
@@ -337,7 +309,7 @@ class TestSplit:
 
     def test_by_time_takes_chronological_tail(self):
         ds = _dataset(n=10, timestamps=True)
-        train, test, _ = split(ds, SplitSpec("by-time", test_fraction=0.2, seed=0))
+        train, test = split(ds, SplitSpec("by-time", test_fraction=0.2, seed=0))
         assert test.n_total == 2
         assert test.timestamps == ("2020-01-09", "2020-01-10")
 

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import (
-    location_stats,
+    SplitSpec,
     partition_zero_state,
+    split,
     validate_dataset,
 )
 from objentropy.errors import (
@@ -32,6 +33,7 @@ from objentropy.io import report_records
 from objentropy.likelihoods import (
     CATALOG,
     FittedParams,
+    _transform,
     evaluate_objective,
     fit_binomial_rate,
     fit_scale_laplace,
@@ -45,7 +47,7 @@ from objentropy.likelihoods import (
     resolve_objectives,
     score_objective,
 )
-from objentropy.transforms import LocationCodes, Transform, apply, log_jacobian_sum
+from objentropy.transforms import apply, log_jacobian_sum
 
 E = math.e
 
@@ -209,21 +211,81 @@ class TestEvaluationIsEstimate:
         ds = validate_dataset(raw)
         part = partition_zero_state(ds, 0.0028)
         assert part.n1 and part.n2
-        stats = location_stats(ds)
         evaluations = []
         for spec in CATALOG.values():
-            result = evaluate_objective(spec, ds, ds, part, stats)
+            result = evaluate_objective(spec, ds, ds, part)
             assert (result.name, result.k) == (spec.name, spec.k)
             assert result.h_bits == conditional_entropy_bits(
                 result.loglik_nats, result.n_eval)
             assert result.h_adj_bits == aic_adjusted_entropy(
                 result.loglik_nats, result.n_eval, spec.k)
-            assert score_objective(spec, result.params, ds, part,
-                                   stats) == result
+            assert score_objective(spec, result.params, ds, part) == result
             evaluations.append(result)
         rebuilt = [replace(e, params=None) for e in evaluations]
         assert report_records(rank_objectives(evaluations)) == report_records(
             rank_objectives(rebuilt))
+
+
+class TestSigmaO:
+    """NSE's sigma_o: the population standard deviation of each location's
+    observed values in the dataset its transform is built on."""
+
+    @staticmethod
+    def _sigma_o(raw):
+        return _transform(get_objective("NSE"), validate_dataset(raw)).sigma_o
+
+    def test_analytic(self):
+        sigma = self._sigma_o({"A": ([1, 2, 3], [1, 1, 1]),
+                               "B": ([4, 8], [0, 0])})
+        np.testing.assert_allclose(sigma, [np.sqrt(2.0 / 3.0), 2.0],
+                                   atol=1e-12)
+        assert sigma.dtype == np.float64 and not sigma.flags.writeable
+
+    def test_single_point(self):
+        with pytest.raises(DomainViolation,
+                           match="location 'A' has sigma_o = 0.0"):
+            self._sigma_o({"A": ([5], [0])})
+
+    def test_constant_series(self):
+        with pytest.raises(DomainViolation,
+                           match="location 'B' has sigma_o = 0.0"):
+            self._sigma_o({"C": ([1, 2], [0, 0]), "B": ([2, 2, 2], [0, 0, 0]),
+                           "D": ([3], [3])})
+
+    def test_matches_two_pass_oracle(self):
+        rng = np.random.default_rng(3)
+        obs = rng.lognormal(0, 1, 1000)
+        (sigma,) = self._sigma_o({"A": (obs, obs)})
+        mean = sum(obs) / len(obs)
+        var = sum((x - mean) ** 2 for x in obs) / len(obs)
+        assert sigma == pytest.approx(np.sqrt(var), rel=1e-12)
+
+
+class TestOutOfSampleNSE:
+    """NSE scales by the sigma_o of the data being fitted or scored."""
+
+    @staticmethod
+    def _split(mode):
+        rng = np.random.default_rng(5)
+        raw = {}
+        for i in range(8):
+            pred = rng.lognormal(0.3 * i, 1.0, 40)
+            raw[f"L{i}"] = (pred * rng.lognormal(0.0, 0.4, 40), pred)
+        return split(validate_dataset(raw), SplitSpec(mode, 0.25, seed=2))
+
+    @pytest.mark.parametrize("mode", ["random-fraction", "by-location"])
+    def test_out_of_sample_is_fit_then_score(self, mode):
+        """Scoring test locations the fit never saw succeeds, and equals an
+        in-sample fit on train followed by a frozen score on test."""
+        train, test = self._split(mode)
+        nse = get_objective("NSE")
+        part = partition_zero_state(train, 0.0028)
+        result = evaluate_objective(nse, train, test, part)
+        assert result.n_eval == test.n_total
+        assert math.isfinite(result.loglik_nats)
+        fitted = evaluate_objective(nse, train, train, part)
+        assert result == score_objective(nse, fitted.params, test,
+                                         partition_zero_state(test, 0.0028))
 
 
 class TestScoreObjective:
@@ -297,29 +359,41 @@ class TestInvariants:
             1e-9 * abs(mse.loglik_nats)
         )
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("DCBA"), st.floats(-1e3, 1e3)),
-                    min_size=1, max_size=50),
-           st.dictionaries(st.sampled_from("ABCD"),
-                           st.sampled_from([0.0, 0.5, 1.0, 2.5])))
-    def test_location_codes_match_id_lookup(self, rows, sigma_o):
-        """Keys as integer codes give the id-array lookup's values and
-        errors."""
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("DCBA"),
+                              st.sampled_from([-1.0, 0.5, 2.0])
+                              | st.floats(-1e3, 1e3)),
+                    min_size=1, max_size=50))
+    def test_location_codes_match_id_lookup(self, rows):
+        """NSE's transform, indexed by location code, divides each value by
+        the sigma_o looked up by the value's location id. Where locations
+        have sigma_o = 0, fitting and scoring NSE both fail naming the
+        smallest such id."""
         by_loc: dict[str, list[float]] = {}
         for loc, v in rows:
             by_loc.setdefault(loc, []).append(v)
         ds = validate_dataset({loc: (v, v) for loc, v in by_loc.items()})
-        t = Transform("per-location-scale", sigma_o=sigma_o)
-        codes = LocationCodes(ds.location_ids, ds.location_codes)
-        for fn in (apply, log_jacobian_sum):
-            try:
-                expected = fn(t, ds.observed, ds.locations)
-            except DomainViolation as exc:
+        sigma_o = {loc: np.std(v) for loc, v in by_loc.items()}
+        nse = get_objective("NSE")
+        part = partition_zero_state(ds, 0.0028)
+        zero = [loc for loc, s in sigma_o.items() if s == 0]
+        if zero:
+            message = ("sigma_o must be > 0 wherever used as a divisor; "
+                       f"location {min(zero)!r} has sigma_o = 0.0")
+            for run in (
+                lambda: evaluate_objective(nse, ds, ds, part),
+                lambda: score_objective(nse, FittedParams(1.0), ds, part),
+            ):
                 with pytest.raises(DomainViolation) as err:
-                    fn(t, ds.observed, codes)
-                assert str(err.value) == str(exc)
-                continue
-            assert np.array_equal(fn(t, ds.observed, codes), expected)
+                    run()
+                assert str(err.value) == message
+            return
+        lookup = np.array([sigma_o[loc] for loc in ds.locations])
+        t = _transform(nse, ds)
+        got = apply(t, ds.observed, ds.location_codes)
+        assert np.array_equal(got, ds.observed / lookup)
+        assert log_jacobian_sum(t, ds.observed, ds.location_codes) == float(
+            -np.sum(np.log(lookup)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("AB"),
@@ -337,13 +411,12 @@ class TestInvariants:
         ds = validate_dataset(by_loc)
         part = partition_zero_state(ds, 0.0028)
         assume(part.n1 + part.n2 > 0)
-        stats = location_stats(ds)
         for spec in CATALOG.values():
             try:
-                fitted = evaluate_objective(spec, ds, ds, part, stats)
+                fitted = evaluate_objective(spec, ds, ds, part)
             except ObjentropyError:
                 continue
-            frozen = score_objective(spec, fitted.params, ds, part, stats)
+            frozen = score_objective(spec, fitted.params, ds, part)
             assert (frozen.loglik_nats, frozen.n_eval, frozen.excluded,
                     frozen.zero_likelihood) == (
                 fitted.loglik_nats, fitted.n_eval, fitted.excluded,

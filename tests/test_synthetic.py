@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from objentropy.data import location_stats, partition_zero_state
+from objentropy.data import partition_zero_state
 from objentropy.errors import InvalidModel, NonPositiveScale
 from objentropy.information import conditional_entropy_bits, rank_objectives
 from objentropy.likelihoods import CATALOG, evaluate_objective, score_objective
@@ -97,8 +97,8 @@ class TestGenerate:
         assert high == pytest.approx(100.0, rel=0.1)
 
 
-def _in_sample_h(name, ds, part, stats=None):
-    fitted = evaluate_objective(CATALOG[name], ds, ds, part, stats)
+def _in_sample_h(name, ds, part):
+    fitted = evaluate_objective(CATALOG[name], ds, ds, part)
     return conditional_entropy_bits(fitted.loglik_nats, fitted.n_eval)
 
 
@@ -160,11 +160,10 @@ class TestOracleConsistency:
         test, _ = generate(model(seed + 1_000_000))
         part_train = partition_zero_state(train, 1e-9)
         part_test = partition_zero_state(test, 1e-9)
-        stats = location_stats(train)
         estimates = []
         for spec in CATALOG.values():
-            fitted = evaluate_objective(spec, train, train, part_train, stats)
+            fitted = evaluate_objective(spec, train, train, part_train)
             estimates.append(
-                score_objective(spec, fitted.params, test, part_test, stats))
+                score_objective(spec, fitted.params, test, part_test))
         report = rank_objectives(estimates)
         return [r.name for r in report.rows if r.rank == 1][0]

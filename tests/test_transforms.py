@@ -11,7 +11,6 @@ from objentropy.errors import DomainViolation
 from objentropy.likelihoods import loglik_normal
 from objentropy.transforms import (
     TRANSFORM_KINDS,
-    LocationCodes,
     Transform,
     apply,
     log_jacobian_sum,
@@ -34,9 +33,9 @@ class TestApply:
         )
 
     def test_per_location_scale(self):
-        t = Transform("per-location-scale", sigma_o={"A": 2.0})
-        out = apply(t, [2, 4], locations=np.array(["A", "A"], dtype=object))
-        np.testing.assert_allclose(out, [1.0, 2.0])
+        t = Transform("per-location-scale", sigma_o=[2.0, 4.0])
+        out = apply(t, [2, 4, 8], codes=np.array([0, 0, 1]))
+        np.testing.assert_allclose(out, [1.0, 2.0, 2.0])
 
     def test_identity(self):
         np.testing.assert_array_equal(apply(Transform("identity"), [-1, 0, 3]),
@@ -46,14 +45,13 @@ class TestApply:
         for kind in ("natural-log", "square-root", "reciprocal"):
             with pytest.raises(DomainViolation):
                 apply(Transform(kind), [1.0, 0.0])
-        t = Transform("per-location-scale", sigma_o={"A": 0.0})
-        with pytest.raises(DomainViolation):
-            apply(t, [1.0], locations=np.array(["A"], dtype=object))
-
-    def test_unknown_location(self):
-        t = Transform("per-location-scale", sigma_o={"A": 1.0})
-        with pytest.raises(DomainViolation):
-            apply(t, [1.0], locations=np.array(["B"], dtype=object))
+        with pytest.raises(DomainViolation, match="minimum was 0.0"):
+            Transform("per-location-scale", sigma_o=[1.0, 0.0])
+        t = Transform("per-location-scale", sigma_o=[1.0])
+        with pytest.raises(DomainViolation, match="location code of every"):
+            apply(t, [1.0])
+        with pytest.raises(DomainViolation, match="2 location codes for 1"):
+            apply(t, [1.0], codes=np.array([0, 0]))
 
 
 class TestLogJacobianSum:
@@ -77,10 +75,8 @@ class TestLogJacobianSum:
         )
 
     def test_per_location_scale(self):
-        t = Transform("per-location-scale", sigma_o={"A": 2.0, "B": 0.5})
-        got = log_jacobian_sum(
-            t, [1.0, 1.0], locations=np.array(["A", "B"], dtype=object)
-        )
+        t = Transform("per-location-scale", sigma_o=[2.0, 0.5])
+        got = log_jacobian_sum(t, [1.0, 1.0], codes=np.array([0, 1]))
         assert got == pytest.approx(-math.log(2.0) - math.log(0.5), abs=1e-12)
 
     def test_additive_over_concatenation(self):
@@ -102,16 +98,12 @@ class TestLogJacobianSum:
                                                   sigmas):
         """The sum over a concatenation equals the sum of the parts' sums,
         within 1e-12 of the sum of the terms' magnitudes."""
-        ids = ("A", "B", "C")
-        t = Transform(kind, sigma_o=dict(zip(ids, sigmas)))
+        t = Transform(kind, sigma_o=sigmas)
         y = np.array([v for v, _ in values])
         codes = np.array([c for _, c in values], dtype=np.int32)
 
         def jacobian(part):
-            locs = None
-            if kind == "per-location-scale":
-                locs = LocationCodes(ids, codes[part])
-            return log_jacobian_sum(t, y[part], locs)
+            return log_jacobian_sum(t, y[part], codes[part])
 
         cut = min(cut, y.size)
         whole = jacobian(slice(None))
@@ -143,7 +135,7 @@ class TestChangeOfVariables:
     def test_inverse_recovers_inputs(self):
         rng = np.random.default_rng(4)
         y = rng.lognormal(0, 1, 500)
-        locs = np.array(["A"] * 500, dtype=object)
+        codes = np.zeros(500, dtype=np.int32)
         inverses = {
             "identity": lambda v: v,
             "natural-log": np.exp,
@@ -152,6 +144,6 @@ class TestChangeOfVariables:
             "per-location-scale": lambda v: v * 1.7,
         }
         for kind, inverse in inverses.items():
-            t = Transform(kind, sigma_o={"A": 1.7} if "scale" in kind else None)
-            back = inverse(apply(t, y, locations=locs))
+            t = Transform(kind, sigma_o=[1.7] if "scale" in kind else None)
+            back = inverse(apply(t, y, codes))
             np.testing.assert_allclose(back, y, rtol=1e-12)
