@@ -45,7 +45,7 @@ from .likelihoods import (
     score_objective,
 )
 from .synthetic import SyntheticModel, SyntheticTruth, analytic_entropy, generate
-from .transforms import Transform, log_jacobian_sum
+from .transforms import log_jacobian_sum
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "SplitSpec",
     "SyntheticModel",
     "SyntheticTruth",
-    "Transform",
     "ZeroPartition",
     "adjust_expectation_lognormal",
     "aic_adjusted_entropy",

@@ -22,7 +22,6 @@ from .data import (
 from .diagnostics import convergence_curve, per_location_entropy
 from .errors import (
     EmptyFile,
-    NeedTwoObjectives,
     ObjentropyError,
     UnknownObjective,
     UsageError,
@@ -295,9 +294,7 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
 def _cmd_correlate(args: argparse.Namespace) -> None:
     specs = _resolve_specs(args.objectives)
     if len(specs) < 2:
-        raise NeedTwoObjectives(
-            "correlate requires at least two objectives"
-        )
+        raise UsageError("correlate requires at least two objectives")
     threshold = _validate_threshold(args.threshold)
     dataset = load_csv(args.input)
     matrix = per_location_entropy(dataset, specs, threshold=threshold)

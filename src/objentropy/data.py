@@ -35,8 +35,9 @@ class Dataset:
     holds observed values and row 1 predicted values. Location ids are
     unique and every location has at least one pair. pairs is a read-only,
     C-contiguous float64 array and bounds a read-only int64 array.
-    Timestamps are optional opaque strings, one per column, used only by
-    time-based splitting. A dataset equals only itself.
+    Timestamps are optional strings, one per column, read only by
+    time-based splitting, which parses them as ISO-8601. A dataset equals
+    only itself.
     """
 
     location_ids: tuple[str, ...]
@@ -332,17 +333,36 @@ def _location_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
 
 
 def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
+    """Each location's last round(test_fraction * n) pairs in the order of
+    their ISO-8601 timestamps; pairs at the same time keep storage order."""
+    stamps = dataset.timestamps
+    if stamps is None:
+        raise MissingTimestamps(
+            f"location {dataset.location_ids[0]!r} lacks timestamps required "
+            "for a time-based split"
+        )
+    try:
+        times = np.array(stamps, dtype="datetime64")
+    except ValueError:  # numpy does not say which stamp it rejected
+        times = np.array([_datetime(t) for t in stamps])
+    bad = np.flatnonzero(np.isnat(times))
+    if bad.size:
+        loc = dataset.location_ids[dataset.location_codes[bad[0]]]
+        raise MissingTimestamps(
+            f"location {loc!r} has timestamp {stamps[bad[0]]!r}; a time-based "
+            "split needs an ISO-8601 date or time on every row"
+        )
+    counts = np.diff(dataset.bounds)
+    n_test = np.rint(spec.test_fraction * counts).astype(np.int64)
+    tail = np.arange(dataset.n_total) >= np.repeat(dataset.bounds[1:] - n_test,
+                                                   counts)
     mask = np.zeros(dataset.n_total, dtype=bool)
-    for loc, rows in dataset.rows():
-        stamps = None if dataset.timestamps is None else dataset.timestamps[rows]
-        if stamps is None or "" in stamps:
-            raise MissingTimestamps(
-                f"location {loc!r} lacks timestamps required for a "
-                "time-based split"
-            )
-        n = len(stamps)
-        order = sorted(range(n), key=stamps.__getitem__)
-        n_test = int(round(spec.test_fraction * n))
-        if n_test > 0:
-            mask[rows.start + np.asarray(order[n - n_test:])] = True
+    mask[np.lexsort((times, dataset.location_codes))[tail]] = True
     return mask
+
+
+def _datetime(stamp: str) -> np.datetime64:
+    try:
+        return np.datetime64(stamp)
+    except ValueError:
+        return np.datetime64("NaT")

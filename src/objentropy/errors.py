@@ -36,7 +36,8 @@ class DegenerateSplit(ObjentropyError):
 
 
 class MissingTimestamps(ObjentropyError):
-    """A time-based split was requested on rows without timestamps."""
+    """A time-based split was requested on rows without ISO-8601
+    timestamps."""
 
 
 # --- transforms ---
@@ -101,10 +102,6 @@ class SizeExceedsData(ObjentropyError):
 
 class ZeroVariance(ObjentropyError):
     """Correlation undefined for a constant column."""
-
-
-class NeedTwoObjectives(ObjentropyError):
-    """Correlation analysis requires at least two objectives."""
 
 
 # --- synthetic data ---

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,14 +44,45 @@ from .information import (
 )
 from .transforms import (
     POSITIVE_DOMAIN_KINDS,
-    Transform,
+    TRANSFORM_KINDS,
     apply,
     log_jacobian_sum,
 )
 
 _LN_2PI = math.log(2.0 * math.pi)
 
-BASE_FAMILIES = ("normal", "laplace", "uniform")
+
+class _Family(NamedTuple):
+    """A base family read through its sufficient statistic: the residuals
+    enter its scale's MLE and its log-likelihood only through statistic(r)
+    and their count n."""
+
+    statistic: Callable[[np.ndarray], float]
+    fit: Callable[[float, int], float]  # (statistic, n) -> scale
+    loglik: Callable[[float, int, float], float]  # (statistic, n, scale)
+    scale_name: str
+
+
+_FAMILIES: dict[str, _Family] = {
+    # sigma = sqrt(sum r^2 / n);
+    # loglik = -n ln sigma - (n/2) ln(2 pi) - sum r^2 / (2 sigma^2).
+    "normal": _Family(
+        lambda r: float(np.sum(r * r)), lambda s, n: math.sqrt(s / n),
+        lambda s, n, sigma: (-n * math.log(sigma) - 0.5 * n * _LN_2PI
+                             - s / (2.0 * sigma * sigma)), "sigma"),
+    # b = sum |r| / n; loglik = -n ln(2b) - sum |r| / b.
+    "laplace": _Family(
+        lambda r: float(np.sum(np.abs(r))), lambda s, n: s / n,
+        lambda s, n, b: -n * math.log(2.0 * b) - s / b, "b"),
+    # a = max |r|; loglik = -n ln a while every |r| <= a, else -inf (zero
+    # likelihood). Densities above 1 make positive values legitimate.
+    "uniform": _Family(
+        lambda r: float(np.max(np.abs(r), initial=0.0)), lambda s, n: s,
+        lambda s, n, a: -n * math.log(a) if s <= a else float("-inf"),
+        "the bound"),
+}
+
+BASE_FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -72,8 +103,11 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         if self.base_family not in BASE_FAMILIES:
+            raise InvalidModel(f"unknown base family {self.base_family!r}")
+        if self.transform_kind not in TRANSFORM_KINDS:
             raise InvalidModel(
-                f"unknown base family {self.base_family!r}"
+                f"unknown transform {self.transform_kind!r}; expected one "
+                f"of {TRANSFORM_KINDS}"
             )
         if self.zero_inflated and self.transform_kind not in POSITIVE_DOMAIN_KINDS:
             raise InvalidModel(
@@ -136,33 +170,40 @@ def resolve_objectives(selection: str | list[str]) -> list[ObjectiveSpec]:
     return [get_objective(n) for n in names]
 
 
-# --- parameter fits ---
+# --- fits and log-likelihoods (nats) ---
 
-def fit_scale_normal(residuals: np.ndarray) -> float:
-    """MLE of the normal scale: sqrt of the mean squared residual."""
-    r = _as_residuals(residuals)
-    sigma = float(np.sqrt(np.mean(r * r)))
-    if sigma == 0.0:
-        raise DegenerateScale("all residuals are zero; sigma is undefined")
-    return sigma
-
-
-def fit_scale_laplace(residuals: np.ndarray) -> float:
-    """MLE of the Laplace scale: mean absolute residual."""
-    r = _as_residuals(residuals)
-    b = float(np.mean(np.abs(r)))
-    if b == 0.0:
-        raise DegenerateScale("all residuals are zero; b is undefined")
-    return b
+def fit_scale(family: str, residuals: np.ndarray) -> float:
+    """Maximum-likelihood scale of a base family on residuals: sigma =
+    sqrt(mean r^2) (normal), b = mean |r| (laplace), or the bound
+    a = max |r| (uniform)."""
+    r = np.asarray(residuals, dtype=np.float64)
+    return _fit(family, _FAMILIES[family].statistic(r), r.size)
 
 
-def fit_uniform_bound(residuals: np.ndarray) -> float:
-    """Bound of the uniform error model: maximum absolute residual."""
-    r = _as_residuals(residuals)
-    a = float(np.max(np.abs(r)))
-    if a == 0.0:
-        raise DegenerateScale("all residuals are zero; the bound is undefined")
-    return a
+def loglik(family: str, residuals: np.ndarray, scale: float) -> float:
+    """Log-likelihood of residuals under a base family at a scale; -inf
+    when a residual lies beyond a uniform bound (zero likelihood)."""
+    r = np.asarray(residuals, dtype=np.float64)
+    return _loglik(family, _FAMILIES[family].statistic(r), r.size, scale)
+
+
+def _fit(family: str, statistic: float, n: int) -> float:
+    if n == 0:
+        raise EmptyInput("residuals are empty")
+    fam = _FAMILIES[family]
+    scale = fam.fit(statistic, n)
+    if scale == 0.0:
+        raise DegenerateScale(
+            f"all residuals are zero; {fam.scale_name} is undefined"
+        )
+    return scale
+
+
+def _loglik(family: str, statistic: float, n: int, scale: float) -> float:
+    fam = _FAMILIES[family]
+    if not scale > 0:
+        raise NonPositiveScale(f"{fam.scale_name} must be > 0, got {scale}")
+    return float(fam.loglik(statistic, n, scale))
 
 
 def fit_binomial_rate(partition: ZeroPartition) -> float:
@@ -171,50 +212,6 @@ def fit_binomial_rate(partition: ZeroPartition) -> float:
     if total == 0:
         raise NoZeroState("no zero-state pairs; the mixture degenerates")
     return partition.n1 / total
-
-
-def _as_residuals(residuals: np.ndarray) -> np.ndarray:
-    r = np.asarray(residuals, dtype=np.float64)
-    if r.size == 0:
-        raise EmptyInput("residuals are empty")
-    return r
-
-
-# --- log-likelihood kernels (nats) ---
-
-def loglik_normal(residuals: np.ndarray, sigma: float) -> float:
-    """-n ln sigma - (n/2) ln(2 pi) - sum(r^2) / (2 sigma^2)."""
-    if not sigma > 0:
-        raise NonPositiveScale(f"sigma must be > 0, got {sigma}")
-    r = np.asarray(residuals, dtype=np.float64)
-    n = r.size
-    return float(
-        -n * math.log(sigma)
-        - 0.5 * n * _LN_2PI
-        - np.sum(r * r) / (2.0 * sigma * sigma)
-    )
-
-
-def loglik_laplace(residuals: np.ndarray, b: float) -> float:
-    """-n ln(2b) - sum(|r|) / b."""
-    if not b > 0:
-        raise NonPositiveScale(f"b must be > 0, got {b}")
-    r = np.asarray(residuals, dtype=np.float64)
-    return float(-r.size * math.log(2.0 * b) - np.sum(np.abs(r)) / b)
-
-
-def loglik_uniform(residuals: np.ndarray, a: float) -> float:
-    """-n ln(a) while every |r| <= a, else -inf (zero likelihood).
-
-    The bound is implemented verbatim as -n ln(a); densities above 1 make
-    positive values legitimate.
-    """
-    if not a > 0:
-        raise NonPositiveScale(f"bound must be > 0, got {a}")
-    r = np.asarray(residuals, dtype=np.float64)
-    if r.size and float(np.max(np.abs(r))) > a:
-        return float("-inf")
-    return float(-r.size * math.log(a))
 
 
 def loglik_binomial(n1: int, n2: int, rho: float) -> float:
@@ -233,24 +230,9 @@ def loglik_binomial(n1: int, n2: int, rho: float) -> float:
     return total
 
 
-_FIT = {
-    "normal": fit_scale_normal,
-    "laplace": fit_scale_laplace,
-    "uniform": fit_uniform_bound,
-}
-_LOGLIK = {
-    "normal": loglik_normal,
-    "laplace": loglik_laplace,
-    "uniform": loglik_uniform,
-}
-
-
-def _transform(spec: ObjectiveSpec, dataset: Dataset) -> Transform:
-    """The spec's transform on dataset. Per-location-scale takes each
-    location's sigma_o, the population standard deviation of its observed
-    values, from dataset itself."""
-    if spec.transform_kind != "per-location-scale":
-        return Transform(spec.transform_kind)
+def _sigma_o(dataset: Dataset) -> np.ndarray:
+    """NSE's sigma_o of each location of dataset, by location code: the
+    population standard deviation of the location's observed values."""
     observed = dataset.observed
     sigma = np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
     if not sigma.all():
@@ -259,15 +241,17 @@ def _transform(spec: ObjectiveSpec, dataset: Dataset) -> Transform:
             f"sigma_o must be > 0 wherever used as a divisor; location "
             f"{bad!r} has sigma_o = 0.0"
         )
-    return Transform(spec.transform_kind, sigma_o=sigma)
+    return sigma
 
 
 class _Frame(NamedTuple):
-    """One dataset seen through one objective: transformed residuals over
-    the objective's support, the log-Jacobian summed over its observed
-    values (None on a fit-only frame), and the count of pairs left out."""
+    """One dataset seen through one objective: the count of transformed
+    residuals over the objective's support and their base family's
+    statistic, the log-Jacobian summed over its observed values (None on a
+    fit-only frame), and the count of pairs left out."""
 
-    residuals: np.ndarray
+    n: int
+    statistic: float
     log_jacobian: float | None
     excluded: int
 
@@ -276,8 +260,12 @@ def _evaluation_frame(
     spec: ObjectiveSpec,
     dataset: Dataset,
     partition: ZeroPartition,
+    fitted: bool = True,
     scored: bool = True,
 ) -> _Frame:
+    """The frame of dataset. A fitted frame raises where sigma_o = 0; a
+    frame only scored gets the zero-likelihood sentinel there, as an
+    out-of-support uniform bound does."""
     positive = spec.transform_kind in POSITIVE_DOMAIN_KINDS
     if positive or spec.zero_inflated:
         idx = partition.positive_idx
@@ -293,17 +281,23 @@ def _evaluation_frame(
         obs = dataset.observed
         pred = dataset.predicted
         excluded = 0
-    transform = _transform(spec, dataset)
-    codes = None
-    if transform.kind == "per-location-scale":
-        codes = dataset.location_codes[idx]
+    kind = spec.transform_kind
+    sigma = None
+    if kind == "per-location-scale":
+        try:
+            sigma = _sigma_o(dataset)[dataset.location_codes[idx]]
+        except DomainViolation:
+            if fitted:
+                raise
+            return _Frame(obs.size, 0.0, float("-inf"), excluded)
     # The log-Jacobian is summed first and obs is dropped once transformed,
     # so fewer n-value arrays are alive at once: this lowers peak memory.
-    log_jacobian = log_jacobian_sum(transform, obs, codes) if scored else None
-    residuals = apply(transform, obs, codes)
+    log_jacobian = log_jacobian_sum(kind, obs, sigma) if scored else None
+    residuals = apply(kind, obs, sigma)
     del obs
-    residuals -= apply(transform, pred, codes)
-    return _Frame(residuals, log_jacobian, excluded)
+    residuals -= apply(kind, pred, sigma)
+    statistic = _FAMILIES[spec.base_family].statistic(residuals)
+    return _Frame(residuals.size, statistic, log_jacobian, excluded)
 
 
 def evaluate_objective(
@@ -321,15 +315,14 @@ def evaluate_objective(
     carries the fitted parameters.
     """
     frame = _evaluation_frame(spec, train, partition, scored=test is train)
-    scale = _FIT[spec.base_family](frame.residuals)
+    scale = _fit(spec.base_family, frame.statistic, frame.n)
     rho = None
     if spec.zero_inflated and (partition.n1 + partition.n2) > 0:
         rho = fit_binomial_rate(partition)
     params = FittedParams(scale=scale, rho=rho)
     if test is not train:
-        del frame  # before the test frame is built, to lower peak memory
         partition = partition_zero_state(test, partition.threshold)
-        frame = _evaluation_frame(spec, test, partition)
+        frame = _evaluation_frame(spec, test, partition, fitted=False)
     return _score(spec, params, frame, partition)
 
 
@@ -344,7 +337,7 @@ def score_objective(
     A per-location-scale transform (NSE) takes sigma_o from test's own
     observed values, as NSE is defined per evaluated series.
     """
-    frame = _evaluation_frame(spec, test, partition)
+    frame = _evaluation_frame(spec, test, partition, fitted=False)
     return _score(spec, params, frame, partition)
 
 
@@ -354,9 +347,9 @@ def _score(
     frame: _Frame,
     partition: ZeroPartition,
 ) -> EntropyEstimate:
-    total = _LOGLIK[spec.base_family](frame.residuals, params.scale)
+    total = _loglik(spec.base_family, frame.statistic, frame.n, params.scale)
     total += frame.log_jacobian
-    n_eval = int(frame.residuals.size)
+    n_eval = frame.n
     if spec.zero_inflated:
         n_zero = partition.n1 + partition.n2
         n_eval += n_zero

@@ -3,7 +3,7 @@
 import objentropy
 
 REMOVED = ("LocationStats", "location_stats", "LocationCodes",
-           "PairedSeries", "FittedObjective")
+           "PairedSeries", "FittedObjective", "Transform")
 
 
 def test_all_has_no_duplicates():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from objentropy.cli import main
@@ -134,6 +135,41 @@ class TestRank:
                      "--objectives", "MSE,MAE", "--format", "csv"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("stamp", ["2020-1-2", "01/02/2020"])
+    def test_time_split_rejects_non_iso_stamps(self, tmp_path, capsys, stamp):
+        f = tmp_path / "t.csv"
+        f.write_text("timestamp,location_id,observed,predicted\n"
+                     "2020-01-01,A,1,2\n2020-01-02,A,2,1\n"
+                     f"2020-01-01,B,1,2\n{stamp},B,2,1\n")
+        assert main(["rank", "--input", str(f), "--split", "time:0.5",
+                     "--objectives", "MSE"]) == 2
+        err = capsys.readouterr().err
+        assert f"location 'B' has timestamp {stamp!r}" in err
+
+    @pytest.mark.parametrize("how", ["random:0.3", "time:0.1"])
+    def test_nse_scoring_failure_keeps_the_ranking(self, tmp_path, capsys,
+                                                   how):
+        """A test side where some location has sigma_o = 0 gives NSE the
+        zero-likelihood sentinel instead of ending the run."""
+        rng = np.random.default_rng(6)
+        lines = ["timestamp,location_id,observed,predicted"]
+        for i in range(60):
+            for day in range(int(rng.integers(5, 60))):
+                obs, pred = rng.lognormal(1.0, 0.5, 2).tolist()
+                lines.append(f"2021-{1 + day // 28:02d}-{1 + day % 28:02d},"
+                             f"S{i:03d},{obs!r},{pred!r}")
+        f = tmp_path / "stamped.csv"
+        f.write_text("\n".join(lines) + "\n")
+        rc = main(["rank", "--input", str(f), "--split", how,
+                   "--format", "json"])
+        assert rc == 0, capsys.readouterr().err
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 10
+        nse = next(r for r in rows if r["objective"] == "NSE")
+        assert (nse["weight"], nse["zero_likelihood"]) == (0.0, True)
+        assert nse["rank"] > max(r["rank"] for r in rows
+                                 if not r["zero_likelihood"])
+
 
 class TestDeterminism:
     def test_rank_bytes_identical_across_threads_and_runs(self, tmp_path):
@@ -239,7 +275,7 @@ class TestOtherCommands:
     def test_correlate_needs_two_objectives(self, tmp_path, capsys):
         data = _synth(tmp_path)
         rc = main(["correlate", "--input", str(data), "--objectives", "MSE"])
-        assert rc == 2
+        assert rc == 1
         assert "two objectives" in capsys.readouterr().err
 
     def test_synth_reports_truth(self, tmp_path, capsys):

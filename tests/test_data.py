@@ -313,6 +313,13 @@ class TestSplit:
         assert test.n_total == 2
         assert test.timestamps == ("2020-01-09", "2020-01-10")
 
+    def test_by_time_orders_by_time_not_text(self):
+        stamps = ("2020-01-10T05:00", "2020-01-10 06:00", "2020-01-10T04:00",
+                  "2020-01-10T03:00")
+        ds = Dataset(("A",), (0, 4), np.ones((2, 4)), stamps)
+        train, test = split(ds, SplitSpec("by-time", test_fraction=0.25))
+        assert test.timestamps == ("2020-01-10 06:00",)
+
     def test_by_time_requires_timestamps(self):
         ds = _dataset(n=10, timestamps=False)
         with pytest.raises(MissingTimestamps):

@@ -18,6 +18,8 @@ from objentropy.errors import (
     DegenerateScale,
     DomainViolation,
     EmptyEvaluationSet,
+    EmptyInput,
+    InvalidModel,
     InvalidProbability,
     NonPositiveScale,
     NoZeroState,
@@ -31,19 +33,17 @@ from objentropy.information import (
 )
 from objentropy.io import report_records
 from objentropy.likelihoods import (
+    BASE_FAMILIES,
     CATALOG,
     FittedParams,
-    _transform,
+    ObjectiveSpec,
+    _sigma_o,
     evaluate_objective,
     fit_binomial_rate,
-    fit_scale_laplace,
-    fit_scale_normal,
-    fit_uniform_bound,
+    fit_scale,
     get_objective,
+    loglik,
     loglik_binomial,
-    loglik_laplace,
-    loglik_normal,
-    loglik_uniform,
     resolve_objectives,
     score_objective,
 )
@@ -54,28 +54,31 @@ E = math.e
 
 class TestScaleFits:
     def test_normal(self):
-        assert fit_scale_normal([3, -4, 0]) == pytest.approx(math.sqrt(25 / 3))
-        assert fit_scale_normal([1, -1]) == 1.0
+        assert fit_scale("normal", [3, -4, 0]) == pytest.approx(
+            math.sqrt(25 / 3))
+        assert fit_scale("normal", [1, -1]) == 1.0
 
     def test_normal_degenerate(self):
-        with pytest.raises(DegenerateScale):
-            fit_scale_normal([0, 0])
+        with pytest.raises(DegenerateScale, match="sigma is undefined"):
+            fit_scale("normal", [0, 0])
 
     def test_laplace(self):
-        assert fit_scale_laplace([1, -1]) == 1.0
-        assert fit_scale_laplace([2, 0, 4]) == 2.0
+        assert fit_scale("laplace", [1, -1]) == 1.0
+        assert fit_scale("laplace", [2, 0, 4]) == 2.0
 
     def test_laplace_degenerate(self):
-        with pytest.raises(DegenerateScale):
-            fit_scale_laplace([0])
+        with pytest.raises(DegenerateScale, match="b is undefined"):
+            fit_scale("laplace", [0])
 
     def test_uniform(self):
-        assert fit_uniform_bound([0.5, -0.25]) == 0.5
-        assert fit_uniform_bound([-3, 2]) == 3.0
+        assert fit_scale("uniform", [0.5, -0.25]) == 0.5
+        assert fit_scale("uniform", [-3, 2]) == 3.0
 
     def test_uniform_degenerate(self):
-        with pytest.raises(DegenerateScale):
-            fit_uniform_bound([0, 0])
+        with pytest.raises(DegenerateScale, match="the bound is undefined"):
+            fit_scale("uniform", [0, 0])
+        with pytest.raises(EmptyInput, match="residuals are empty"):
+            fit_scale("uniform", [])
 
     def test_binomial_rate(self):
         ds = validate_dataset({
@@ -93,30 +96,33 @@ class TestScaleFits:
 
 class TestLoglikKernels:
     def test_normal(self):
-        assert loglik_normal([1, -1], 1.0) == pytest.approx(
+        assert loglik("normal", [1, -1], 1.0) == pytest.approx(
             -math.log(2 * math.pi) - 1, abs=1e-12
         )
-        assert loglik_normal([0], 1.0) == pytest.approx(-0.9189385, abs=1e-6)
-        with pytest.raises(NonPositiveScale):
-            loglik_normal([1], 0.0)
+        assert loglik("normal", [0], 1.0) == pytest.approx(-0.9189385,
+                                                           abs=1e-6)
+        with pytest.raises(NonPositiveScale, match="sigma must be > 0"):
+            loglik("normal", [1], 0.0)
 
     def test_laplace(self):
-        assert loglik_laplace([1, -1], 1.0) == pytest.approx(
+        assert loglik("laplace", [1, -1], 1.0) == pytest.approx(
             -2 * math.log(2) - 2, abs=1e-12
         )
-        assert loglik_laplace([0], 1.0) == pytest.approx(-math.log(2), abs=1e-12)
-        with pytest.raises(NonPositiveScale):
-            loglik_laplace([1], 0.0)
+        assert loglik("laplace", [0], 1.0) == pytest.approx(-math.log(2),
+                                                            abs=1e-12)
+        with pytest.raises(NonPositiveScale, match="b must be > 0"):
+            loglik("laplace", [1], 0.0)
 
     def test_uniform(self):
         # densities above one make positive log-likelihoods legitimate
-        assert loglik_uniform([0.5, -0.25], 0.5) == pytest.approx(
+        assert loglik("uniform", [0.5, -0.25], 0.5) == pytest.approx(
             -2 * math.log(0.5), abs=1e-12
         )
-        assert loglik_uniform([0.1], 1.0) == 0.0
-        assert loglik_uniform([2.0], 1.0) == float("-inf")
-        with pytest.raises(NonPositiveScale):
-            loglik_uniform([1], 0.0)
+        assert loglik("uniform", [0.1], 1.0) == 0.0
+        assert loglik("uniform", [2.0], 1.0) == float("-inf")
+        assert loglik("uniform", [], 1.0) == 0.0
+        with pytest.raises(NonPositiveScale, match="bound must be > 0"):
+            loglik("uniform", [1], 0.0)
 
     def test_binomial(self):
         assert loglik_binomial(3, 1, 0.75) == pytest.approx(
@@ -138,6 +144,12 @@ class TestCatalog:
         with pytest.raises(UnknownObjective) as err:
             get_objective("RMSE")
         assert "MSE" in str(err.value)
+
+    def test_spec_rejects_unknown_family_or_transform(self):
+        with pytest.raises(InvalidModel, match="unknown base family"):
+            ObjectiveSpec("X", "x", "identity", "cauchy", False)
+        with pytest.raises(InvalidModel, match="unknown transform 'cube'"):
+            ObjectiveSpec("X", "x", "cube", "normal", False)
 
     def test_resolve_all(self):
         assert len(resolve_objectives("all")) == 10
@@ -232,14 +244,14 @@ class TestSigmaO:
 
     @staticmethod
     def _sigma_o(raw):
-        return _transform(get_objective("NSE"), validate_dataset(raw)).sigma_o
+        return _sigma_o(validate_dataset(raw))
 
     def test_analytic(self):
         sigma = self._sigma_o({"A": ([1, 2, 3], [1, 1, 1]),
                                "B": ([4, 8], [0, 0])})
         np.testing.assert_allclose(sigma, [np.sqrt(2.0 / 3.0), 2.0],
                                    atol=1e-12)
-        assert sigma.dtype == np.float64 and not sigma.flags.writeable
+        assert sigma.dtype == np.float64
 
     def test_single_point(self):
         with pytest.raises(DomainViolation,
@@ -321,16 +333,11 @@ class TestInvariants:
         in-sample log-likelihood."""
         rng = np.random.default_rng(12)
         residuals = rng.normal(0, 2, 400)
-        cases = [
-            (fit_scale_normal, loglik_normal),
-            (fit_scale_laplace, loglik_laplace),
-            (fit_uniform_bound, loglik_uniform),
-        ]
-        for fit, loglik in cases:
-            scale = fit(residuals)
-            best = loglik(residuals, scale)
-            assert loglik(residuals, scale * 1.01) < best
-            assert loglik(residuals, scale * 0.99) < best
+        for family in BASE_FAMILIES:
+            scale = fit_scale(family, residuals)
+            best = loglik(family, residuals, scale)
+            assert loglik(family, residuals, scale * 1.01) < best
+            assert loglik(family, residuals, scale * 0.99) < best
 
     def test_nse_equals_mse_single_location(self):
         """Scaling by one location's sigma_o cancels exactly against the
@@ -367,8 +374,8 @@ class TestInvariants:
     def test_location_codes_match_id_lookup(self, rows):
         """NSE's transform, indexed by location code, divides each value by
         the sigma_o looked up by the value's location id. Where locations
-        have sigma_o = 0, fitting and scoring NSE both fail naming the
-        smallest such id."""
+        have sigma_o = 0, fitting NSE fails naming the smallest such id,
+        and scoring gives the zero-likelihood sentinel."""
         by_loc: dict[str, list[float]] = {}
         for loc, v in rows:
             by_loc.setdefault(loc, []).append(v)
@@ -380,20 +387,21 @@ class TestInvariants:
         if zero:
             message = ("sigma_o must be > 0 wherever used as a divisor; "
                        f"location {min(zero)!r} has sigma_o = 0.0")
-            for run in (
-                lambda: evaluate_objective(nse, ds, ds, part),
-                lambda: score_objective(nse, FittedParams(1.0), ds, part),
-            ):
-                with pytest.raises(DomainViolation) as err:
-                    run()
-                assert str(err.value) == message
+            with pytest.raises(DomainViolation) as err:
+                evaluate_objective(nse, ds, ds, part)
+            assert str(err.value) == message
+            params = FittedParams(1.0)
+            scored = score_objective(nse, params, ds, part)
+            assert scored.loglik_nats == float("-inf")
+            assert scored.zero_likelihood
+            assert (scored.n_eval, scored.params) == (ds.n_total, params)
             return
         lookup = np.array([sigma_o[loc] for loc in ds.locations])
-        t = _transform(nse, ds)
-        got = apply(t, ds.observed, ds.location_codes)
+        sigma = _sigma_o(ds)[ds.location_codes]
+        got = apply("per-location-scale", ds.observed, sigma)
         assert np.array_equal(got, ds.observed / lookup)
-        assert log_jacobian_sum(t, ds.observed, ds.location_codes) == float(
-            -np.sum(np.log(lookup)))
+        assert log_jacobian_sum("per-location-scale", ds.observed,
+                                sigma) == float(-np.sum(np.log(lookup)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("AB"),
@@ -455,6 +463,92 @@ class TestInvariants:
             - (np.log(obs) - np.log(pred)) ** 2 / (2 * sigma**2)
         ))
         assert fitted.loglik_nats == pytest.approx(oracle, rel=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from("ABC"),
+        st.lists(st.tuples(*[st.sampled_from([0.0, 1 / 1024])
+                             | st.integers(1, 6400).map(lambda k: k / 64)] * 2),
+                 min_size=1, max_size=8),
+        min_size=2, max_size=3))
+    def test_catalog_matches_termwise_density_oracle(self, raw):
+        """Every catalog objective's in-sample total equals its density on
+        the original scale summed termwise: the base family's log-density
+        of v(y) - v(pred), plus ln|v'(y)|, over the clamped support, plus
+        the binomial zero-state term when zero-inflated. Values lie on a
+        1/64 grid so that distinct values never cancel to rounding noise,
+        and a constant location's sigma_o is exactly 0."""
+        threshold = 0.0028
+        ds = validate_dataset({loc: tuple(zip(*pairs))
+                               for loc, pairs in raw.items()})
+        part = partition_zero_state(ds, threshold)
+        rows = [(loc, o, p) for loc, pairs in raw.items() for o, p in pairs]
+        sigma_o = {}
+        for loc, pairs in raw.items():
+            obs = [o for o, _ in pairs]
+            mean = math.fsum(obs) / len(obs)
+            sigma_o[loc] = math.sqrt(
+                math.fsum((o - mean) ** 2 for o in obs) / len(obs))
+        zero = [(o, p) for _, o, p in rows if o <= threshold]
+        n1 = sum(p <= threshold for _, p in zero)
+        n2 = len(zero) - n1
+        transforms = {  # kind -> (v, ln|v'|), each of (value, location)
+            "identity": (lambda y, loc: y, lambda y, loc: 0.0),
+            "natural-log": (lambda y, loc: math.log(y),
+                            lambda y, loc: -math.log(y)),
+            "square-root": (lambda y, loc: math.sqrt(y),
+                            lambda y, loc: -math.log(2 * math.sqrt(y))),
+            "reciprocal": (lambda y, loc: 1 / y,
+                           lambda y, loc: -2 * math.log(y)),
+            "per-location-scale": (lambda y, loc: y / sigma_o[loc],
+                                   lambda y, loc: -math.log(sigma_o[loc])),
+        }
+        for spec in CATALOG.values():
+            v, log_dv = transforms[spec.transform_kind]
+            if spec.transform_kind == "identity" or (
+                    spec.transform_kind == "per-location-scale"):
+                support = rows
+            else:
+                support = [(loc, o, max(p, threshold))
+                           for loc, o, p in rows if o > threshold]
+            if not support:
+                with pytest.raises(EmptyEvaluationSet):
+                    evaluate_objective(spec, ds, ds, part)
+                continue
+            if spec.transform_kind == "per-location-scale" and (
+                    0.0 in sigma_o.values()):
+                with pytest.raises(DomainViolation):
+                    evaluate_objective(spec, ds, ds, part)
+                continue
+            r = [v(o, loc) - v(p, loc) for loc, o, p in support]
+            n = len(r)
+            scale = {
+                "normal": math.sqrt(math.fsum(x * x for x in r) / n),
+                "laplace": math.fsum(abs(x) for x in r) / n,
+                "uniform": max(abs(x) for x in r),
+            }[spec.base_family]
+            if scale == 0.0:
+                with pytest.raises(DegenerateScale):
+                    evaluate_objective(spec, ds, ds, part)
+                continue
+            density = {
+                "normal": lambda x: (-math.log(scale)
+                                     - 0.5 * math.log(2 * math.pi)
+                                     - x * x / (2 * scale * scale)),
+                "laplace": lambda x: -math.log(2 * scale) - abs(x) / scale,
+                "uniform": lambda x: -math.log(scale),
+            }[spec.base_family]
+            terms = [density(x) + log_dv(o, loc)
+                     for x, (loc, o, _) in zip(r, support)]
+            if spec.zero_inflated:  # rho = n1 / (n1 + n2)
+                terms += [math.log(c / len(zero)) for c in (n1, n2)
+                          for _ in range(c)]
+            result = evaluate_objective(spec, ds, ds, part)
+            magnitude = math.fsum(abs(t) for t in terms)
+            assert abs(result.loglik_nats - math.fsum(terms)) <= (
+                1e-9 * magnitude), spec.name
+            assert result.params.scale == pytest.approx(scale, rel=1e-9)
+            assert result.n_eval == len(terms)
 
     def test_scale_equivariance(self):
         """Multiplying data (and threshold) by c shifts log-transformed

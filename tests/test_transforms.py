@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objentropy.errors import DomainViolation
-from objentropy.likelihoods import loglik_normal
+from objentropy.likelihoods import loglik
 from objentropy.transforms import (
+    POSITIVE_DOMAIN_KINDS,
     TRANSFORM_KINDS,
-    Transform,
     apply,
     log_jacobian_sum,
 )
@@ -21,72 +21,91 @@ E = math.e
 
 class TestApply:
     def test_natural_log(self):
-        t = Transform("natural-log")
-        np.testing.assert_allclose(apply(t, [1, E, E**2]), [0, 1, 2], atol=1e-12)
+        np.testing.assert_allclose(apply("natural-log", [1, E, E**2]),
+                                   [0, 1, 2], atol=1e-12)
 
     def test_square_root(self):
-        np.testing.assert_allclose(apply(Transform("square-root"), [4]), [2.0])
+        np.testing.assert_allclose(apply("square-root", [4]), [2.0])
 
     def test_reciprocal(self):
-        np.testing.assert_allclose(
-            apply(Transform("reciprocal"), [2, 4]), [0.5, 0.25]
-        )
+        np.testing.assert_allclose(apply("reciprocal", [2, 4]), [0.5, 0.25])
 
     def test_per_location_scale(self):
-        t = Transform("per-location-scale", sigma_o=[2.0, 4.0])
-        out = apply(t, [2, 4, 8], codes=np.array([0, 0, 1]))
+        out = apply("per-location-scale", [2, 4, 8],
+                    sigma=np.array([2.0, 2.0, 4.0]))
         np.testing.assert_allclose(out, [1.0, 2.0, 2.0])
 
     def test_identity(self):
-        np.testing.assert_array_equal(apply(Transform("identity"), [-1, 0, 3]),
+        np.testing.assert_array_equal(apply("identity", [-1, 0, 3]),
                                       [-1.0, 0.0, 3.0])
 
     def test_domain_violations(self):
-        for kind in ("natural-log", "square-root", "reciprocal"):
-            with pytest.raises(DomainViolation):
-                apply(Transform(kind), [1.0, 0.0])
-        with pytest.raises(DomainViolation, match="minimum was 0.0"):
-            Transform("per-location-scale", sigma_o=[1.0, 0.0])
-        t = Transform("per-location-scale", sigma_o=[1.0])
-        with pytest.raises(DomainViolation, match="location code of every"):
-            apply(t, [1.0])
-        with pytest.raises(DomainViolation, match="2 location codes for 1"):
-            apply(t, [1.0], codes=np.array([0, 0]))
+        for kind in POSITIVE_DOMAIN_KINDS:
+            for run in (apply, log_jacobian_sum):
+                with pytest.raises(DomainViolation, match="minimum was 0.0"):
+                    run(kind, [1.0, 0.0])
+        for run in (apply, log_jacobian_sum):
+            with pytest.raises(DomainViolation, match="unknown transform"):
+                run("cube-root", [1.0])
+            with pytest.raises(DomainViolation, match="minimum was 0.0"):
+                run("per-location-scale", [1.0, 2.0], sigma=[1.0, 0.0])
+            with pytest.raises(DomainViolation, match="each of 1 values; got 0"):
+                run("per-location-scale", [1.0])
+            with pytest.raises(DomainViolation, match="each of 1 values; got 2"):
+                run("per-location-scale", [1.0], sigma=np.array([1.0, 1.0]))
 
 
 class TestLogJacobianSum:
     def test_natural_log(self):
-        assert log_jacobian_sum(Transform("natural-log"), [1, E, E**2]) == (
+        assert log_jacobian_sum("natural-log", [1, E, E**2]) == (
             pytest.approx(-3.0, abs=1e-12)
         )
 
     def test_square_root(self):
-        assert log_jacobian_sum(Transform("square-root"), [4]) == (
+        assert log_jacobian_sum("square-root", [4]) == (
             pytest.approx(math.log(0.25), abs=1e-12)
         )
 
     def test_identity_is_zero(self):
-        assert log_jacobian_sum(Transform("identity"), [5, -2, 0.1]) == 0.0
+        assert log_jacobian_sum("identity", [5, -2, 0.1]) == 0.0
 
     def test_reciprocal(self):
         # |d(1/y)/dy| = 1/y^2
-        assert log_jacobian_sum(Transform("reciprocal"), [2.0]) == (
+        assert log_jacobian_sum("reciprocal", [2.0]) == (
             pytest.approx(-2 * math.log(2.0), abs=1e-12)
         )
 
     def test_per_location_scale(self):
-        t = Transform("per-location-scale", sigma_o=[2.0, 0.5])
-        got = log_jacobian_sum(t, [1.0, 1.0], codes=np.array([0, 1]))
+        got = log_jacobian_sum("per-location-scale", [1.0, 1.0],
+                               sigma=np.array([2.0, 0.5]))
         assert got == pytest.approx(-math.log(2.0) - math.log(0.5), abs=1e-12)
 
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(8)
         a = rng.lognormal(0, 1, 300)
         b = rng.lognormal(1, 0.5, 200)
-        t = Transform("natural-log")
-        whole = log_jacobian_sum(t, np.concatenate([a, b]))
-        parts = log_jacobian_sum(t, a) + log_jacobian_sum(t, b)
+        whole = log_jacobian_sum("natural-log", np.concatenate([a, b]))
+        parts = (log_jacobian_sum("natural-log", a)
+                 + log_jacobian_sum("natural-log", b))
         assert whole == pytest.approx(parts, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(POSITIVE_DOMAIN_KINDS)),
+           st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=50)
+           | st.builds(lambda seed, size, spread: np.random.default_rng(
+               seed).lognormal(0.0, spread, size),
+               st.integers(0, 2 ** 32), st.integers(1, 200_000),
+               st.floats(0.01, 20.0)))
+    def test_positive_sums_equal_termwise_formulas(self, kind, values):
+        """Each positive-domain sum equals the sum of its termwise
+        ln|v'(y)| exactly."""
+        y = np.asarray(values, dtype=np.float64)
+        termwise = {
+            "natural-log": lambda: -np.log(y),
+            "square-root": lambda: -np.log(2.0 * np.sqrt(y)),
+            "reciprocal": lambda: -2.0 * np.log(y),
+        }[kind]
+        assert log_jacobian_sum(kind, y) == float(np.sum(termwise()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(TRANSFORM_KINDS),
@@ -98,12 +117,11 @@ class TestLogJacobianSum:
                                                   sigmas):
         """The sum over a concatenation equals the sum of the parts' sums,
         within 1e-12 of the sum of the terms' magnitudes."""
-        t = Transform(kind, sigma_o=sigmas)
         y = np.array([v for v, _ in values])
-        codes = np.array([c for _, c in values], dtype=np.int32)
+        sigma = np.array(sigmas)[[c for _, c in values]]
 
         def jacobian(part):
-            return log_jacobian_sum(t, y[part], codes[part])
+            return log_jacobian_sum(kind, y[part], sigma[part])
 
         cut = min(cut, y.size)
         whole = jacobian(slice(None))
@@ -120,9 +138,9 @@ class TestChangeOfVariables:
         rng = np.random.default_rng(21)
         median, sigma = 3.0, 0.7
         y = rng.lognormal(math.log(median), sigma, 2000)
-        t = Transform("natural-log")
-        residuals = apply(t, y) - math.log(median)
-        via_transform = loglik_normal(residuals, sigma) + log_jacobian_sum(t, y)
+        residuals = apply("natural-log", y) - math.log(median)
+        via_transform = (loglik("normal", residuals, sigma)
+                         + log_jacobian_sum("natural-log", y))
 
         # Independent oracle: lognormal log-density written out termwise.
         direct = sum(
@@ -135,7 +153,7 @@ class TestChangeOfVariables:
     def test_inverse_recovers_inputs(self):
         rng = np.random.default_rng(4)
         y = rng.lognormal(0, 1, 500)
-        codes = np.zeros(500, dtype=np.int32)
+        sigma = np.full(500, 1.7)
         inverses = {
             "identity": lambda v: v,
             "natural-log": np.exp,
@@ -144,6 +162,5 @@ class TestChangeOfVariables:
             "per-location-scale": lambda v: v * 1.7,
         }
         for kind, inverse in inverses.items():
-            t = Transform(kind, sigma_o=[1.7] if "scale" in kind else None)
-            back = inverse(apply(t, y, codes))
+            back = inverse(apply(kind, y, sigma))
             np.testing.assert_allclose(back, y, rtol=1e-12)
