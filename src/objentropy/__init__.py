@@ -7,15 +7,7 @@ weight. The objective that represents the model error in the fewest bits
 is the most informative one.
 """
 
-from .data import (
-    DEFAULT_ZERO_THRESHOLD,
-    Dataset,
-    SplitSpec,
-    ZeroPartition,
-    partition_zero_state,
-    split,
-    validate_dataset,
-)
+from .data import Dataset, SplitSpec, split, validate_dataset
 from .diagnostics import (
     ConvergenceCurve,
     EntropyMatrix,
@@ -37,6 +29,7 @@ from .information import (
 from .io import load_csv, write_dataset_csv
 from .likelihoods import (
     CATALOG,
+    DEFAULT_ZERO_THRESHOLD,
     FittedParams,
     ObjectiveSpec,
     evaluate_objective,
@@ -63,7 +56,6 @@ __all__ = [
     "SplitSpec",
     "SyntheticModel",
     "SyntheticTruth",
-    "ZeroPartition",
     "adjust_expectation_lognormal",
     "aic_adjusted_entropy",
     "akaike_weights",
@@ -76,7 +68,6 @@ __all__ = [
     "load_csv",
     "log_jacobian_sum",
     "noise_fraction",
-    "partition_zero_state",
     "per_location_entropy",
     "prediction_interval",
     "rank_objectives",

@@ -7,27 +7,15 @@ Subcommands: rank, convergence, correlate, synth, adjust. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from pathlib import Path
 
-from .data import (
-    DEFAULT_ZERO_THRESHOLD,
-    SplitSpec,
-    partition_zero_state,
-    split,
-)
+from .data import SplitSpec, split
 from .diagnostics import convergence_curve, per_location_entropy
-from .errors import (
-    EmptyFile,
-    ObjentropyError,
-    UnknownObjective,
-    UsageError,
-)
+from .errors import ObjentropyError, UnknownObjective, UsageError
 from .information import (
-    EntropyEstimate,
     adjust_expectation_lognormal,
     prediction_interval,
     rank_objectives,
@@ -38,9 +26,15 @@ from .io import (
     format_correlations,
     format_report,
     load_csv,
+    load_entropies,
     write_dataset_csv,
 )
-from .likelihoods import CATALOG, evaluate_objective, resolve_objectives
+from .likelihoods import (
+    CATALOG,
+    DEFAULT_ZERO_THRESHOLD,
+    evaluate_objective,
+    resolve_objectives,
+)
 from .synthetic import FAMILIES, SyntheticModel, generate
 
 THREADS_ENV = "OBJENTROPY_THREADS"
@@ -220,7 +214,7 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     if (args.input is None) == (args.from_entropies is None):
         raise UsageError("rank needs exactly one of --input or --from-entropies")
     if args.from_entropies is not None:
-        estimates = _load_entropies(Path(args.from_entropies))
+        estimates = load_entropies(args.from_entropies)
         report = rank_objectives(
             estimates, base=args.base, adjusted=False,
             descriptions=_DESCRIPTIONS,
@@ -235,39 +229,14 @@ def _cmd_rank(args: argparse.Namespace) -> None:
 
     dataset = load_csv(args.input)
     train, test = split(dataset, split_spec)
-    partition = partition_zero_state(train, threshold)
     estimates = _per_objective(specs, lambda spec: evaluate_objective(
-        spec, train, test, partition
+        spec, train, test, threshold
     ))
     report = rank_objectives(
         estimates, base=args.base, adjusted=args.aic == "on",
         descriptions=_DESCRIPTIONS,
     )
     _emit(format_report(report, args.format), args.out)
-
-
-def _load_entropies(path: Path) -> list[EntropyEstimate]:
-    estimates = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(f"{path} is empty")
-        fields = {name.strip() for name in reader.fieldnames}
-        if not {"objective", "h_bits"} <= fields:
-            raise UsageError(
-                f"{path} must have columns objective,h_bits (optional k)"
-            )
-        for row in reader:
-            k = int(row.get("k") or 1)
-            h = float(row["h_bits"])
-            estimates.append(
-                EntropyEstimate(
-                    name=row["objective"].strip(), k=k, h_bits=h, h_adj_bits=h
-                )
-            )
-    if not estimates:
-        raise EmptyFile(f"{path} has no entropy rows")
-    return estimates
 
 
 def _cmd_convergence(args: argparse.Namespace) -> None:

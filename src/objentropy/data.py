@@ -1,12 +1,13 @@
-"""Columnar observed/predicted datasets, zero-state partitioning, and splits.
+"""Columnar observed/predicted datasets and train/test splits.
 
 All types are immutable after construction. A dataset holds every pair in
 one array, locations in storage order, so every index-based operation
-(partitioning, splitting) refers to one fixed, deterministic ordering.
+(subsetting, splitting) refers to one fixed, deterministic ordering.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -20,11 +21,7 @@ from .errors import (
     LengthMismatch,
     MissingTimestamps,
     NonFiniteValue,
-    NonPositiveThreshold,
 )
-
-# Default zero-state threshold in flow units (m^3/s); roughly 0.01 ft^3/s.
-DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,46 +156,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroPartition:
-    """Index sets separating zero-state pairs from positive pairs.
-
-    Membership is decided by the observed value alone: observed <= threshold
-    puts a pair in the zero state, where predicted <= threshold marks it
-    correctly predicted. Positive pairs whose prediction falls at or below
-    the threshold are flagged for clamping during transformed evaluation.
-    """
-
-    threshold: float
-    zero_correct_idx: np.ndarray
-    zero_incorrect_idx: np.ndarray
-    positive_idx: np.ndarray
-    clamp_idx: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("zero_correct_idx", "zero_incorrect_idx",
-                     "positive_idx", "clamp_idx"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n1(self) -> int:
-        return int(self.zero_correct_idx.size)
-
-    @property
-    def n2(self) -> int:
-        return int(self.zero_incorrect_idx.size)
-
-    @property
-    def n3(self) -> int:
-        return int(self.positive_idx.size)
-
-    @property
-    def n_total(self) -> int:
-        return self.n1 + self.n2 + self.n3
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """How to carve a dataset into train and test portions.
@@ -264,26 +221,6 @@ def validate_dataset(
     return Dataset(tuple(raw), bounds, pairs)
 
 
-def partition_zero_state(dataset: Dataset, threshold: float) -> ZeroPartition:
-    """Partition pairs into zero-correct (n1), zero-incorrect (n2), and
-    positive (n3) index sets at the given threshold.
-
-    Values exactly equal to the threshold count as zero-state. Positive
-    pairs with predicted <= threshold are recorded in clamp_idx.
-    """
-    if not (threshold > 0):
-        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
-    obs = dataset.observed
-    pred = dataset.predicted
-    zero = obs <= threshold
-    pred_zero = pred <= threshold
-    n1 = np.flatnonzero(zero & pred_zero)
-    n2 = np.flatnonzero(zero & ~pred_zero)
-    n3 = np.flatnonzero(~zero)
-    clamp = np.flatnonzero(~zero & pred_zero)
-    return ZeroPartition(float(threshold), n1, n2, n3, clamp)
-
-
 def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     """Split a dataset per the spec into (train, test), disjoint and
     exhaustive, except that mode "none" returns the same dataset twice
@@ -341,10 +278,14 @@ def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
             f"location {dataset.location_ids[0]!r} lacks timestamps required "
             "for a time-based split"
         )
-    try:
-        times = np.array(stamps, dtype="datetime64")
-    except ValueError:  # numpy does not say which stamp it rejected
-        times = np.array([_datetime(t) for t in stamps])
+    with warnings.catch_warnings():
+        # numpy converts a stamp with a UTC offset to UTC, as intended, but
+        # warns that datetime64 keeps no time zone.
+        warnings.filterwarnings("ignore", "no explicit representation of timezones")
+        try:
+            times = np.array(stamps, dtype="datetime64")
+        except ValueError:  # numpy does not say which stamp it rejected
+            times = np.array([_datetime(t) for t in stamps])
     bad = np.flatnonzero(np.isnat(times))
     if bad.size:
         loc = dataset.location_ids[dataset.location_codes[bad[0]]]

@@ -9,9 +9,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import DEFAULT_ZERO_THRESHOLD, Dataset, partition_zero_state
-from .errors import EmptyInput, ObjentropyError, SizeExceedsData, ZeroVariance
-from .likelihoods import ObjectiveSpec, evaluate_objective
+from .data import Dataset
+from .errors import (
+    EmptyInput,
+    NonPositiveThreshold,
+    ObjentropyError,
+    SizeExceedsData,
+    ZeroVariance,
+)
+from .likelihoods import DEFAULT_ZERO_THRESHOLD, ObjectiveSpec, evaluate_objective
 
 
 class ConvergencePoint(NamedTuple):
@@ -86,8 +92,7 @@ def convergence_curve(
         for rep in range(1, replicates + 1):
             idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
             sub = dataset.take(np.sort(idx))
-            part = partition_zero_state(sub, threshold)
-            h = evaluate_objective(spec, sub, sub, part).h_bits
+            h = evaluate_objective(spec, sub, sub, threshold).h_bits
             raw.append((size, rep, h))
     tail = raw[-min(5, len(raw)):]
     reference = float(np.mean([h for _, _, h in tail]))
@@ -114,7 +119,7 @@ def per_location_entropy(
 
     Locations where an objective's fit fails (domain, degenerate scale, or
     empty support) become NaN cells and drop out of the pairwise
-    correlations.
+    correlations. A threshold <= 0 fails every cell, so it raises.
     """
     if not specs:
         raise EmptyInput("no objectives given")
@@ -124,10 +129,12 @@ def per_location_entropy(
     for i, (loc, rows) in enumerate(dataset.rows()):
         single = Dataset((loc,), (0, rows.stop - rows.start),
                          dataset.pairs[:, rows])
-        part = partition_zero_state(single, threshold)
         for j, spec in enumerate(specs):
             try:
-                h[i, j] = evaluate_objective(spec, single, single, part).h_bits
+                h[i, j] = evaluate_objective(spec, single, single,
+                                             threshold).h_bits
+            except NonPositiveThreshold:
+                raise
             except ObjentropyError:
                 continue
     return EntropyMatrix(

@@ -9,7 +9,7 @@ class ObjentropyError(Exception):
     """Base class for all errors raised by objentropy."""
 
 
-# --- dataset construction and partitioning ---
+# --- dataset construction and splitting ---
 
 class EmptyInput(ObjentropyError):
     """No data where at least one element is required."""
@@ -25,10 +25,6 @@ class NonFiniteValue(ObjentropyError):
 
 class DuplicateLocation(ObjentropyError):
     """Two series share the same location id."""
-
-
-class NonPositiveThreshold(ObjentropyError):
-    """Zero-state threshold must be strictly positive."""
 
 
 class DegenerateSplit(ObjentropyError):
@@ -47,6 +43,10 @@ class DomainViolation(ObjentropyError):
 
 
 # --- likelihood fitting and evaluation ---
+
+class NonPositiveThreshold(ObjentropyError):
+    """Zero-state threshold must be strictly positive."""
+
 
 class DegenerateScale(ObjentropyError):
     """A fitted scale parameter collapsed to zero."""
@@ -122,6 +122,10 @@ class UnparseableNumber(ObjentropyError):
 
 class EmptyFile(ObjentropyError):
     """CSV file contains no data rows."""
+
+
+class UndecodableFile(ObjentropyError):
+    """Input file is not UTF-8 text."""
 
 
 # --- CLI ---

@@ -13,6 +13,7 @@ import csv
 import io as _io
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence, TextIO
 
@@ -20,8 +21,13 @@ import numpy as np
 
 from .data import Dataset
 from .diagnostics import ConvergenceCurve, EntropyMatrix
-from .errors import EmptyFile, MissingColumn, UnparseableNumber
-from .information import EntropyReport
+from .errors import (
+    EmptyFile,
+    MissingColumn,
+    UndecodableFile,
+    UnparseableNumber,
+)
+from .information import EntropyEstimate, EntropyReport
 
 _REQUIRED = ("location_id", "observed", "predicted")
 
@@ -41,29 +47,22 @@ def load_csv(path: str | Path) -> Dataset:
     appearance and rows in file order within each location.
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
-    required column is absent, and UnparseableNumber, naming the line, for
-    a short row or a cell that is not a number.
+    required column is absent, UnparseableNumber, naming the line, for a
+    short row or a cell that is not a number, and UndecodableFile for a
+    byte that is not UTF-8.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        columns = {name: i for i, name in enumerate(header)}
-        missing = [name for name in _REQUIRED if name not in columns]
-        if missing:
-            raise MissingColumn(
-                f"{path} lacks column(s) {', '.join(missing)}; found {header}"
-            )
+        columns = _columns(reader, path, _REQUIRED)
         header_lines = reader.line_num
         # Checked here because numpy only warns on input without data.
         if not any(line.strip() for line in fh):
             raise EmptyFile(f"{path} has a header but no data rows")
         try:
             return _read_columns(fh, columns, header_lines)
+        except UnicodeDecodeError:
+            raise
         except ValueError:
             # A cell numpy cannot read: parse by row, which either raises
             # the line-numbered error or reads what float() accepts.
@@ -71,6 +70,63 @@ def load_csv(path: str | Path) -> Dataset:
             reader = csv.reader(fh)
             next(reader)
             return _read_rows(reader, columns, path)
+
+
+def load_entropies(path: str | Path) -> list[EntropyEstimate]:
+    """Read entropies to rank from a CSV file read as load_csv reads one,
+    with columns objective and h_bits plus an optional integer k (1 where
+    absent or empty). Raises load_csv's errors for a missing header,
+    column or number."""
+    path = Path(path)
+    estimates = []
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        columns = _columns(reader, path, ("objective", "h_bits"))
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            name = _cell(row, columns["objective"], path, line_no).strip()
+            h = _parse_number(row, columns["h_bits"], path, line_no)
+            k = 1
+            if "k" in columns and _cell(row, columns["k"], path, line_no):
+                k = _parse_number(row, columns["k"], path, line_no, int)
+            estimates.append(
+                EntropyEstimate(name=name, k=k, h_bits=h, h_adj_bits=h)
+            )
+    if not estimates:
+        raise EmptyFile(f"{path} has no entropy rows")
+    return estimates
+
+
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """path opened for csv as UTF-8 text; a byte that is not UTF-8 raises
+    UndecodableFile naming the path."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise UndecodableFile(
+                f"{path} is not UTF-8 text: cannot decode byte "
+                f"{exc.object[exc.start]:#04x}"
+            ) from None
+
+
+def _columns(
+    reader: Iterator[list[str]], path: Path, required: Sequence[str]
+) -> dict[str, int]:
+    """The index of each column named in the header that reader reads."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise EmptyFile(f"{path} is empty") from None
+    columns = {name: i for i, name in enumerate(header)}
+    missing = [name for name in required if name not in columns]
+    if missing:
+        raise MissingColumn(
+            f"{path} lacks column(s) {', '.join(missing)}; found {header}"
+        )
+    return columns
 
 
 def _group(
@@ -168,10 +224,12 @@ def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:
         ) from None
 
 
-def _parse_number(row: list[str], col: int, path: Path, line_no: int) -> float:
+def _parse_number(
+    row: list[str], col: int, path: Path, line_no: int, parse: type = float
+) -> float:
     cell = _cell(row, col, path, line_no)
     try:
-        return float(cell)
+        return parse(cell)
     except ValueError:
         raise UnparseableNumber(
             f"{path} line {line_no}: cannot parse {cell!r} as a number"

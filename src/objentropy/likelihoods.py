@@ -13,6 +13,8 @@ Support rules:
     inflation exclude zero-state pairs and report the exclusion count;
   * zero-inflated objectives cover zero-state pairs through the binomial
     and the remaining pairs through the continuous part.
+A pair is in the zero state when its observed value is at or below the
+threshold: n1 such pairs are predicted at or below it too, n2 are not.
 Positive pairs whose prediction is at or below the threshold are clamped
 up to the threshold before a positive-domain transform is applied.
 """
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, ZeroPartition, partition_zero_state
+from .data import Dataset
 from .errors import (
     DegenerateScale,
     DomainViolation,
@@ -34,6 +36,7 @@ from .errors import (
     InvalidModel,
     InvalidProbability,
     NonPositiveScale,
+    NonPositiveThreshold,
     NoZeroState,
     UnknownObjective,
 )
@@ -50,6 +53,9 @@ from .transforms import (
 )
 
 _LN_2PI = math.log(2.0 * math.pi)
+
+# Default zero-state threshold in flow units (m^3/s); roughly 0.01 ft^3/s.
+DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
 class _Family(NamedTuple):
@@ -206,12 +212,11 @@ def _loglik(family: str, statistic: float, n: int, scale: float) -> float:
     return float(fam.loglik(statistic, n, scale))
 
 
-def fit_binomial_rate(partition: ZeroPartition) -> float:
+def fit_binomial_rate(n1: int, n2: int) -> float:
     """Zero-state success probability rho = n1 / (n1 + n2)."""
-    total = partition.n1 + partition.n2
-    if total == 0:
+    if n1 + n2 == 0:
         raise NoZeroState("no zero-state pairs; the mixture degenerates")
-    return partition.n1 / total
+    return n1 / (n1 + n2)
 
 
 def loglik_binomial(n1: int, n2: int, rho: float) -> float:
@@ -248,48 +253,50 @@ class _Frame(NamedTuple):
     """One dataset seen through one objective: the count of transformed
     residuals over the objective's support and their base family's
     statistic, the log-Jacobian summed over its observed values (None on a
-    fit-only frame), and the count of pairs left out."""
+    fit-only frame), and the zero-state counts n1 and n2 (both 0 where the
+    transform's domain is not positive)."""
 
     n: int
     statistic: float
     log_jacobian: float | None
-    excluded: int
+    n1: int
+    n2: int
 
 
 def _evaluation_frame(
     spec: ObjectiveSpec,
     dataset: Dataset,
-    partition: ZeroPartition,
+    threshold: float,
     fitted: bool = True,
     scored: bool = True,
 ) -> _Frame:
-    """The frame of dataset. A fitted frame raises where sigma_o = 0; a
-    frame only scored gets the zero-likelihood sentinel there, as an
-    out-of-support uniform bound does."""
-    positive = spec.transform_kind in POSITIVE_DOMAIN_KINDS
-    if positive or spec.zero_inflated:
-        idx = partition.positive_idx
-        if idx.size == 0:
+    """The frame of dataset at a zero-state threshold. A fitted frame
+    raises where sigma_o = 0; a frame only scored gets the zero-likelihood
+    sentinel there, as an out-of-support uniform bound does."""
+    if not threshold > 0:
+        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
+    kind = spec.transform_kind
+    obs, pred = dataset.observed, dataset.predicted
+    n1 = n2 = 0
+    if kind in POSITIVE_DOMAIN_KINDS:
+        positive = obs > threshold
+        if not positive.any():
             raise EmptyEvaluationSet(
                 f"{spec.name}: no pairs above the zero-state threshold"
             )
-        obs = dataset.observed[idx]
-        pred = np.maximum(dataset.predicted[idx], partition.threshold)
-        excluded = 0 if spec.zero_inflated else partition.n1 + partition.n2
-    else:
-        idx = slice(None)
-        obs = dataset.observed
-        pred = dataset.predicted
-        excluded = 0
-    kind = spec.transform_kind
+        zero_pred = pred[~positive]
+        n1 = int(np.count_nonzero(zero_pred <= threshold))
+        n2 = zero_pred.size - n1
+        obs = obs[positive]
+        pred = np.maximum(pred[positive], threshold)
     sigma = None
-    if kind == "per-location-scale":
+    if kind == "per-location-scale":  # never a positive-domain kind
         try:
-            sigma = _sigma_o(dataset)[dataset.location_codes[idx]]
+            sigma = _sigma_o(dataset)[dataset.location_codes]
         except DomainViolation:
             if fitted:
                 raise
-            return _Frame(obs.size, 0.0, float("-inf"), excluded)
+            return _Frame(obs.size, 0.0, float("-inf"), n1, n2)
     # The log-Jacobian is summed first and obs is dropped once transformed,
     # so fewer n-value arrays are alive at once: this lowers peak memory.
     log_jacobian = log_jacobian_sum(kind, obs, sigma) if scored else None
@@ -297,61 +304,56 @@ def _evaluation_frame(
     del obs
     residuals -= apply(kind, pred, sigma)
     statistic = _FAMILIES[spec.base_family].statistic(residuals)
-    return _Frame(residuals.size, statistic, log_jacobian, excluded)
+    return _Frame(residuals.size, statistic, log_jacobian, n1, n2)
 
 
 def evaluate_objective(
     spec: ObjectiveSpec,
     train: Dataset,
     test: Dataset,
-    partition: ZeroPartition,
+    threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyEstimate:
     """Fit the objective on train and evaluate it on test.
 
-    `partition` is the train dataset's zero-state partition; when test is a
-    different dataset its partition is derived at the same threshold. A
-    per-location-scale transform (NSE) takes sigma_o from the dataset it
-    is applied to: the fit uses train's, the score test's. The result
-    carries the fitted parameters.
+    Both sides split their pairs into the zero state and positive pairs at
+    the same threshold. A per-location-scale transform (NSE) takes sigma_o
+    from the dataset it is applied to: the fit uses train's, the score
+    test's. The result carries the fitted parameters.
     """
-    frame = _evaluation_frame(spec, train, partition, scored=test is train)
+    frame = _evaluation_frame(spec, train, threshold, scored=test is train)
     scale = _fit(spec.base_family, frame.statistic, frame.n)
     rho = None
-    if spec.zero_inflated and (partition.n1 + partition.n2) > 0:
-        rho = fit_binomial_rate(partition)
+    if spec.zero_inflated and frame.n1 + frame.n2 > 0:
+        rho = fit_binomial_rate(frame.n1, frame.n2)
     params = FittedParams(scale=scale, rho=rho)
     if test is not train:
-        partition = partition_zero_state(test, partition.threshold)
-        frame = _evaluation_frame(spec, test, partition, fitted=False)
-    return _score(spec, params, frame, partition)
+        frame = _evaluation_frame(spec, test, threshold, fitted=False)
+    return _score(spec, params, frame)
 
 
 def score_objective(
     spec: ObjectiveSpec,
     params: FittedParams,
     test: Dataset,
-    partition: ZeroPartition,
+    threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyEstimate:
     """Evaluate the objective on test with frozen parameters.
 
     A per-location-scale transform (NSE) takes sigma_o from test's own
     observed values, as NSE is defined per evaluated series.
     """
-    frame = _evaluation_frame(spec, test, partition, fitted=False)
-    return _score(spec, params, frame, partition)
+    return _score(spec, params,
+                  _evaluation_frame(spec, test, threshold, fitted=False))
 
 
 def _score(
-    spec: ObjectiveSpec,
-    params: FittedParams,
-    frame: _Frame,
-    partition: ZeroPartition,
+    spec: ObjectiveSpec, params: FittedParams, frame: _Frame
 ) -> EntropyEstimate:
     total = _loglik(spec.base_family, frame.statistic, frame.n, params.scale)
     total += frame.log_jacobian
     n_eval = frame.n
+    n_zero = frame.n1 + frame.n2
     if spec.zero_inflated:
-        n_zero = partition.n1 + partition.n2
         n_eval += n_zero
         if n_zero:
             if params.rho is None:
@@ -359,7 +361,7 @@ def _score(
                 # assigns it no probability.
                 total = float("-inf")
             else:
-                total += loglik_binomial(partition.n1, partition.n2, params.rho)
+                total += loglik_binomial(frame.n1, frame.n2, params.rho)
     return EntropyEstimate(
         name=spec.name,
         k=spec.k,
@@ -367,7 +369,7 @@ def _score(
         h_adj_bits=aic_adjusted_entropy(total, n_eval, spec.k),
         loglik_nats=total,
         n_eval=n_eval,
-        excluded=frame.excluded,
+        excluded=0 if spec.zero_inflated else n_zero,
         zero_likelihood=not math.isfinite(total),
         params=params,
     )

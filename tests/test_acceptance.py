@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from objentropy.cli import main
-from objentropy.data import partition_zero_state
 from objentropy.information import (
     EntropyEstimate,
     adjust_expectation_lognormal,
@@ -86,9 +85,8 @@ def _fitted_entropy(objective, family, seed):
     model = SyntheticModel(family, 1.0, base_median=8.0, base_log_sigma=0.5,
                            n_per_location=100_000, n_locations=1, seed=seed)
     dataset, _ = generate(model)
-    partition = partition_zero_state(dataset, 1e-9)
     fitted = evaluate_objective(get_objective(objective), dataset, dataset,
-                                partition)
+                                1e-9)
     return conditional_entropy_bits(fitted.loglik_nats, fitted.n_eval)
 
 
@@ -113,9 +111,8 @@ def _rank_winner(zero_inflation, threshold, seed):
         n_per_location=25_000, n_locations=4, seed=seed,
     )
     dataset, _ = generate(model)
-    partition = partition_zero_state(dataset, threshold)
     estimates = [
-        evaluate_objective(spec, dataset, dataset, partition)
+        evaluate_objective(spec, dataset, dataset, threshold)
         for spec in CATALOG.values()
     ]
     report = rank_objectives(estimates, adjusted=True)
@@ -156,11 +153,8 @@ def test_criterion_5_nse_mse_equivalence():
         from objentropy.data import validate_dataset
 
         dataset = validate_dataset(raw)
-        partition = partition_zero_state(dataset, 0.0028)
-        mse = evaluate_objective(get_objective("MSE"), dataset, dataset,
-                                 partition)
-        nse = evaluate_objective(get_objective("NSE"), dataset, dataset,
-                                 partition)
+        mse = evaluate_objective(get_objective("MSE"), dataset, dataset)
+        nse = evaluate_objective(get_objective("NSE"), dataset, dataset)
         rel = abs(nse.loglik_nats - mse.loglik_nats) / abs(mse.loglik_nats)
         worst = max(worst, rel)
         assert rel <= 1e-9
@@ -175,9 +169,8 @@ def test_criterion_6_change_of_variables():
     from objentropy.data import validate_dataset
 
     dataset = validate_dataset({"G1": (obs, pred)})
-    partition = partition_zero_state(dataset, 1e-9)
     fitted = evaluate_objective(get_objective("MSLE"), dataset, dataset,
-                                partition)
+                                1e-9)
     sigma = fitted.params.scale
     oracle = float(np.sum(
         -np.log(obs) - math.log(sigma) - 0.5 * math.log(2 * math.pi)
@@ -205,10 +198,8 @@ def test_criterion_7_overfitting_direction_and_aic_order():
                                   n_locations=1, seed=seed)
         train, _ = generate(model(77_777 + 2 * i))
         test, _ = generate(model(77_778 + 2 * i))
-        part_train = partition_zero_state(train, 1e-9)
-        part_test = partition_zero_state(test, 1e-9)
-        fitted = evaluate_objective(spec, train, train, part_train)
-        scored = score_objective(spec, fitted.params, test, part_test)
+        fitted = evaluate_objective(spec, train, train, 1e-9)
+        scored = score_objective(spec, fitted.params, test, 1e-9)
         gaps.append(fitted.loglik_nats - scored.loglik_nats)
     gaps = np.array(gaps)
     mean_gap = float(gaps.mean())

@@ -3,7 +3,8 @@
 import objentropy
 
 REMOVED = ("LocationStats", "location_stats", "LocationCodes",
-           "PairedSeries", "FittedObjective", "Transform")
+           "PairedSeries", "FittedObjective", "Transform", "ZeroPartition",
+           "partition_zero_state")
 
 
 def test_all_has_no_duplicates():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,38 @@ class TestRank:
                          "--objectives", "MSE,MAE", "--format", "csv"]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize("row, what", [
+        ("MSE,1,abc", "cannot parse 'abc' as a number"),
+        ("MSE,x,1.0", "cannot parse 'x' as a number"),
+        ("MSE,1", "row has too few columns"),
+    ])
+    def test_from_entropies_rejects_bad_cells(self, tmp_path, capsys, row,
+                                              what):
+        f = tmp_path / "e.csv"
+        f.write_text(f"objective,k,h_bits\nMAE,1,2.0\n{row}\n")
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {f} line 3: {what}\n"
+
+    def test_from_entropies_needs_its_columns(self, tmp_path, capsys):
+        f = tmp_path / "e.csv"
+        f.write_text("objective,k,h\nMSE,1,2.0\n")
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} lacks column(s) h_bits; found "
+            "['objective', 'k', 'h']\n")
+
+    @pytest.mark.parametrize("flag, body", [
+        ("--input", b"location_id,observed,predicted\xff\nA,1,2\n"),
+        ("--input", b"location_id,observed,predicted\nA,1,2\nB,1,\xff2\n"),
+        ("--from-entropies", b"objective,k,h_bits\nMSE,1,2.0\xff\n"),
+    ], ids=["header", "data row", "entropies"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, flag, body):
+        f = tmp_path / "d.csv"
+        f.write_bytes(body)
+        assert main(["rank", flag, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} is not UTF-8 text: cannot decode byte 0xff\n")
+
     def test_requires_exactly_one_input(self, tmp_path):
         data = _synth(tmp_path)
         assert main(["rank"]) == 1
@@ -145,6 +178,24 @@ class TestRank:
                      "--objectives", "MSE"]) == 2
         err = capsys.readouterr().err
         assert f"location 'B' has timestamp {stamp!r}" in err
+
+    def test_time_split_orders_offset_stamps_in_utc(self, tmp_path, capsys):
+        """Stamps with a UTC offset are ordered in UTC without a warning:
+        08:00Z is the latest stamp (09:00+02:00 is 07:00Z), so it alone is
+        held out. MAE then fits b = (1 + 2 + 8) / 3 on the residuals of the
+        other rows and scores the held-out residual 4."""
+        f = tmp_path / "t.csv"
+        f.write_text("timestamp,location_id,observed,predicted\n"
+                     "2020-01-10T05:00Z,A,2,1\n2020-01-10T09:00+02:00,A,3,1\n"
+                     "2020-01-10T08:00Z,A,5,1\n2020-01-10T06:00Z,A,9,1\n")
+        rc = main(["rank", "--input", str(f), "--split", "time:0.25",
+                   "--objectives", "MAE", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        (row,) = json.loads(out)["rows"]
+        assert row["n_eval"] == 1
+        assert row["loglik_nats"] == pytest.approx(
+            -math.log(2 * 11 / 3) - 4 / (11 / 3), rel=1e-12)
 
     @pytest.mark.parametrize("how", ["random:0.3", "time:0.1"])
     def test_nse_scoring_failure_keeps_the_ranking(self, tmp_path, capsys,

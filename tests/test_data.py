@@ -1,4 +1,4 @@
-"""Tests for dataset containers, zero-state partitioning, and splits."""
+"""Tests for dataset containers, the zero-state rule, and splits."""
 
 from collections import Counter
 
@@ -10,19 +10,21 @@ from hypothesis import strategies as st
 from objentropy.data import (
     Dataset,
     SplitSpec,
-    partition_zero_state,
     split,
     validate_dataset,
 )
+from objentropy.diagnostics import per_location_entropy
 from objentropy.errors import (
     DegenerateSplit,
     DuplicateLocation,
+    EmptyEvaluationSet,
     EmptyInput,
     LengthMismatch,
     MissingTimestamps,
     NonFiniteValue,
     NonPositiveThreshold,
 )
+from objentropy.likelihoods import CATALOG, evaluate_objective
 
 
 class TestValidateDataset:
@@ -94,60 +96,80 @@ class TestDatasetChecks:
         np.testing.assert_array_equal(ds.pairs, columns.T)
 
     def test_equality_is_identity(self):
-        """Datasets and partitions hold arrays, so they compare and hash
-        by identity instead of raising on an elementwise comparison."""
+        """Datasets hold arrays, so they compare and hash by identity
+        instead of raising on an elementwise comparison."""
         raw = {"A": ([1, 2], [1, 2])}
-        for make in (validate_dataset,
-                     lambda r: partition_zero_state(validate_dataset(r), 0.5)):
-            a, b = make(raw), make(raw)
-            assert a == a and not a != a
-            assert a != b and not a == b
-            assert hash(a) == hash(a) and len({a, b}) == 2
+        a, b = validate_dataset(raw), validate_dataset(raw)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def _evaluate(name, ds, threshold=0.0028):
+    return evaluate_objective(CATALOG[name], ds, ds, threshold)
 
 
 class TestPartitionZeroState:
+    """The zero-state rule, seen through the evaluations it shapes: an
+    observed value at or below the threshold is in the zero state (n1 when
+    its prediction is too, else n2), and a positive pair predicted at or
+    below it is clamped up to it."""
+
     def test_stated_rule(self):
         ds = validate_dataset({"A": ([0, 0.001, 1, 2], [0.002, 0.5, 0.001, 3])})
-        part = partition_zero_state(ds, 0.0028)
-        assert list(part.zero_correct_idx) == [0]
-        assert list(part.zero_incorrect_idx) == [1]
-        assert list(part.positive_idx) == [2, 3]
-        assert list(part.clamp_idx) == [2]
+        msle = _evaluate("MSLE", ds)
+        assert (msle.n_eval, msle.excluded) == (2, 2)
+        clamped = np.log([1.0, 2.0]) - np.log([0.0028, 3.0])
+        assert msle.params.scale == np.sqrt(np.mean(clamped ** 2))
+        zmsle = _evaluate("ZMSLE", ds)
+        assert (zmsle.n_eval, zmsle.excluded) == (4, 0)
+        assert zmsle.params.rho == 0.5
 
     def test_all_positive(self):
         ds = validate_dataset({"A": ([1, 2], [3, 4])})
-        part = partition_zero_state(ds, 0.0028)
-        assert part.n1 == part.n2 == 0
-        assert part.n3 == 2
+        msle = _evaluate("MSLE", ds)
+        assert (msle.n_eval, msle.excluded) == (2, 0)
+        assert _evaluate("ZMSLE", ds).params.rho is None
 
     def test_all_zero_state(self):
         ds = validate_dataset({"A": ([0.001, 0.002], [0.0, 0.001])})
-        part = partition_zero_state(ds, 0.0028)
-        assert part.n1 == 2
-        assert part.n2 == part.n3 == 0
+        for name in ("MSLE", "ZMSLE", "MARE", "MSPE"):
+            with pytest.raises(EmptyEvaluationSet):
+                _evaluate(name, ds)
+        assert _evaluate("MSE", ds).n_eval == 2
 
     def test_threshold_boundary_is_zero_state(self):
-        ds = validate_dataset({"A": ([0.0028, 0.0029], [0.0028, 0.0028])})
-        part = partition_zero_state(ds, 0.0028)
-        assert list(part.zero_correct_idx) == [0]
-        assert list(part.clamp_idx) == [1]
+        ds = validate_dataset({"A": ([0.0028, 0.0029, 1.0],
+                                     [0.0028, 0.0028, 0.5])})
+        zmsle = _evaluate("ZMSLE", ds)
+        assert zmsle.params.rho == 1.0 and zmsle.n_eval == 3
+        # 0.0029 is positive; its prediction at the threshold is kept.
+        residuals = np.log([0.0029, 1.0]) - np.log([0.0028, 0.5])
+        assert zmsle.params.scale == np.sqrt(np.mean(residuals ** 2))
+        # A prediction below the threshold is clamped up to it.
+        below = validate_dataset({"A": ([0.0029, 1.0], [1e-6, 0.5])})
+        assert _evaluate("MSLE", below).params.scale == zmsle.params.scale
 
     def test_non_positive_threshold(self):
-        ds = validate_dataset({"A": ([1], [1])})
-        with pytest.raises(NonPositiveThreshold):
-            partition_zero_state(ds, 0.0)
+        ds = validate_dataset({"A": ([1, 2], [1, 3]), "B": ([1, 2], [2, 1])})
+        for threshold in (0.0, -1.0, float("nan")):
+            for spec in CATALOG.values():
+                with pytest.raises(NonPositiveThreshold):
+                    evaluate_objective(spec, ds, ds, threshold)
+            with pytest.raises(NonPositiveThreshold,
+                               match="threshold must be > 0"):
+                per_location_entropy(ds, list(CATALOG.values()), threshold)
 
     def test_partition_is_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(11)
         obs = np.abs(rng.normal(0.002, 0.01, 500))
         pred = np.abs(rng.normal(0.002, 0.01, 500))
         ds = validate_dataset({"A": (obs, pred)})
-        part = partition_zero_state(ds, 0.0028)
-        merged = np.concatenate(
-            [part.zero_correct_idx, part.zero_incorrect_idx, part.positive_idx]
-        )
-        assert part.n1 + part.n2 + part.n3 == ds.n_total
-        assert len(np.unique(merged)) == ds.n_total
+        for name in ("MSLE", "MALE", "MARE", "MSPE"):
+            estimate = _evaluate(name, ds)
+            assert estimate.n_eval + estimate.excluded == ds.n_total
+            assert estimate.excluded == np.count_nonzero(obs <= 0.0028)
+        assert _evaluate("ZMSLE", ds).n_eval == ds.n_total
 
 
 def _dataset(n=10, locations=1, seed=0, timestamps=False):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from objentropy import diagnostics
-from objentropy.data import partition_zero_state, validate_dataset
+from objentropy.data import validate_dataset
 from objentropy.diagnostics import (
     convergence_curve,
     pearson,
@@ -106,8 +106,7 @@ class TestConvergenceCurve:
             mask = np.zeros(ds.n_total, dtype=bool)
             mask[rng.choice(ds.n_total, size=point.size, replace=False)] = True
             sub = ds.subset(mask)
-            fitted = evaluate_objective(CATALOG["MAE"], sub, sub,
-                                        partition_zero_state(sub, 1e-9))
+            fitted = evaluate_objective(CATALOG["MAE"], sub, sub, 1e-9)
             assert point.h_bits == conditional_entropy_bits(
                 fitted.loglik_nats, fitted.n_eval
             )

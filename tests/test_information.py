@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from objentropy.data import partition_zero_state
 from objentropy.errors import (
     EmptyInput,
     InvalidCoverage,
@@ -359,11 +358,9 @@ def _gap(family, name, scale, p, seed_pair, n, medians=8.0, threshold=1e-9):
         )
     train, _ = generate(model(seed_pair[0]))
     test, _ = generate(model(seed_pair[1]))
-    part_train = partition_zero_state(train, threshold)
-    part_test = partition_zero_state(test, threshold)
     spec = CATALOG[name]
-    fitted = evaluate_objective(spec, train, train, part_train)
-    scored = score_objective(spec, fitted.params, test, part_test)
+    fitted = evaluate_objective(spec, train, train, threshold)
+    scored = score_objective(spec, fitted.params, test, threshold)
     return fitted.loglik_nats - scored.loglik_nats
 
 

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from objentropy.data import (
-    SplitSpec,
-    partition_zero_state,
-    split,
-    validate_dataset,
-)
+from objentropy.data import SplitSpec, split, validate_dataset
 from objentropy.errors import (
     DegenerateScale,
     DomainViolation,
@@ -81,17 +76,13 @@ class TestScaleFits:
             fit_scale("uniform", [])
 
     def test_binomial_rate(self):
-        ds = validate_dataset({
-            "A": ([0, 0, 0, 0, 1], [0, 0, 0, 1, 1]),
-        })
-        part = partition_zero_state(ds, 0.5)
-        assert fit_binomial_rate(part) == pytest.approx(0.75)
+        assert fit_binomial_rate(3, 1) == 0.75
+        assert fit_binomial_rate(0, 2) == 0.0
+        assert fit_binomial_rate(5, 0) == 1.0
 
     def test_binomial_no_zero_state(self):
-        ds = validate_dataset({"A": ([1, 2], [1, 2])})
-        part = partition_zero_state(ds, 0.5)
         with pytest.raises(NoZeroState):
-            fit_binomial_rate(part)
+            fit_binomial_rate(0, 0)
 
 
 class TestLoglikKernels:
@@ -158,8 +149,7 @@ class TestCatalog:
 
 def _in_sample(name, raw, threshold=0.0028):
     ds = validate_dataset(raw)
-    part = partition_zero_state(ds, threshold)
-    return evaluate_objective(get_objective(name), ds, ds, part)
+    return evaluate_objective(get_objective(name), ds, ds, threshold)
 
 
 class TestEvaluateObjective:
@@ -221,17 +211,17 @@ class TestEvaluationIsEstimate:
             pred[:3] = 0.0
             raw[loc] = (obs, pred)
         ds = validate_dataset(raw)
-        part = partition_zero_state(ds, 0.0028)
-        assert part.n1 and part.n2
+        zmsle = evaluate_objective(CATALOG["ZMSLE"], ds, ds)
+        assert 0 < zmsle.params.rho < 1
         evaluations = []
         for spec in CATALOG.values():
-            result = evaluate_objective(spec, ds, ds, part)
+            result = evaluate_objective(spec, ds, ds)
             assert (result.name, result.k) == (spec.name, spec.k)
             assert result.h_bits == conditional_entropy_bits(
                 result.loglik_nats, result.n_eval)
             assert result.h_adj_bits == aic_adjusted_entropy(
                 result.loglik_nats, result.n_eval, spec.k)
-            assert score_objective(spec, result.params, ds, part) == result
+            assert score_objective(spec, result.params, ds) == result
             evaluations.append(result)
         rebuilt = [replace(e, params=None) for e in evaluations]
         assert report_records(rank_objectives(evaluations)) == report_records(
@@ -291,37 +281,32 @@ class TestOutOfSampleNSE:
         in-sample fit on train followed by a frozen score on test."""
         train, test = self._split(mode)
         nse = get_objective("NSE")
-        part = partition_zero_state(train, 0.0028)
-        result = evaluate_objective(nse, train, test, part)
+        result = evaluate_objective(nse, train, test)
         assert result.n_eval == test.n_total
         assert math.isfinite(result.loglik_nats)
-        fitted = evaluate_objective(nse, train, train, part)
-        assert result == score_objective(nse, fitted.params, test,
-                                         partition_zero_state(test, 0.0028))
+        fitted = evaluate_objective(nse, train, train)
+        assert result == score_objective(nse, fitted.params, test)
 
 
 class TestScoreObjective:
     def test_frozen_normal(self):
         ds = validate_dataset({"A": ([1.0, 2.0], [1.0, 2.0])})
-        part = partition_zero_state(ds, 0.0028)
         params = FittedParams(scale=1.0)
-        fitted = score_objective(get_objective("MSE"), params, ds, part)
+        fitted = score_objective(get_objective("MSE"), params, ds)
         assert fitted.loglik_nats == pytest.approx(-math.log(2 * math.pi))
         assert fitted.params is params
 
     def test_frozen_laplace(self):
         ds = validate_dataset({"A": ([3.0], [1.0])})  # residual 2
-        part = partition_zero_state(ds, 0.0028)
         fitted = score_objective(
-            get_objective("MAE"), FittedParams(scale=2.0), ds, part
+            get_objective("MAE"), FittedParams(scale=2.0), ds
         )
         assert fitted.loglik_nats == pytest.approx(-math.log(4) - 1, abs=1e-12)
 
     def test_uniform_out_of_support_sentinel(self):
         ds = validate_dataset({"A": ([2.5], [1.0])})  # residual 1.5 > bound 1
-        part = partition_zero_state(ds, 0.0028)
         fitted = score_objective(
-            get_objective("U"), FittedParams(scale=1.0), ds, part
+            get_objective("U"), FittedParams(scale=1.0), ds
         )
         assert fitted.loglik_nats == float("-inf")
         assert fitted.zero_likelihood
@@ -382,16 +367,15 @@ class TestInvariants:
         ds = validate_dataset({loc: (v, v) for loc, v in by_loc.items()})
         sigma_o = {loc: np.std(v) for loc, v in by_loc.items()}
         nse = get_objective("NSE")
-        part = partition_zero_state(ds, 0.0028)
         zero = [loc for loc, s in sigma_o.items() if s == 0]
         if zero:
             message = ("sigma_o must be > 0 wherever used as a divisor; "
                        f"location {min(zero)!r} has sigma_o = 0.0")
             with pytest.raises(DomainViolation) as err:
-                evaluate_objective(nse, ds, ds, part)
+                evaluate_objective(nse, ds, ds)
             assert str(err.value) == message
             params = FittedParams(1.0)
-            scored = score_objective(nse, params, ds, part)
+            scored = score_objective(nse, params, ds)
             assert scored.loglik_nats == float("-inf")
             assert scored.zero_likelihood
             assert (scored.n_eval, scored.params) == (ds.n_total, params)
@@ -417,18 +401,46 @@ class TestInvariants:
             by_loc[loc][0].append(obs)
             by_loc[loc][1].append(pred)
         ds = validate_dataset(by_loc)
-        part = partition_zero_state(ds, 0.0028)
-        assume(part.n1 + part.n2 > 0)
+        assume((ds.observed <= 0.0028).any())
         for spec in CATALOG.values():
             try:
-                fitted = evaluate_objective(spec, ds, ds, part)
+                fitted = evaluate_objective(spec, ds, ds)
             except ObjentropyError:
                 continue
-            frozen = score_objective(spec, fitted.params, ds, part)
+            frozen = score_objective(spec, fitted.params, ds)
             assert (frozen.loglik_nats, frozen.n_eval, frozen.excluded,
                     frozen.zero_likelihood) == (
                 fitted.loglik_nats, fitted.n_eval, fitted.excluded,
                 fitted.zero_likelihood)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, 0.0028, 0.5, 0.6])
+                                | st.floats(0.0, 10.0)] * 2),
+                    min_size=1, max_size=40),
+           st.sampled_from([0.0028, 0.5]))
+    def test_zmsle_rho_counts_the_zero_state(self, pairs, threshold):
+        """ZMSLE's rho is n1 / (n1 + n2), counted here in numpy: an observed
+        value at or below the threshold is in the zero state, and counts in
+        n1 when its prediction is at or below it too. MSLE excludes exactly
+        the zero state."""
+        obs, pred = (np.array(col) for col in zip(*pairs))
+        ds = validate_dataset({"A": (obs, pred)})
+        zero = obs <= threshold
+        n1 = int(np.count_nonzero(zero & (pred <= threshold)))
+        n2 = int(np.count_nonzero(zero)) - n1
+        zmsle, msle = get_objective("ZMSLE"), get_objective("MSLE")
+        if zero.all():
+            with pytest.raises(EmptyEvaluationSet):
+                evaluate_objective(zmsle, ds, ds, threshold)
+            return
+        try:
+            fitted = evaluate_objective(zmsle, ds, ds, threshold)
+        except DegenerateScale:
+            return
+        assert fitted.params.rho == (n1 / (n1 + n2) if n1 + n2 else None)
+        assert fitted.n_eval == ds.n_total
+        excluded = evaluate_objective(msle, ds, ds, threshold).excluded
+        assert excluded == n1 + n2
 
     def test_mixture_additivity(self):
         """ZMALE's total equals the binomial term plus MALE restricted to
@@ -438,12 +450,13 @@ class TestInvariants:
         pred = rng.lognormal(0, 1, 500)
         obs[rng.random(500) < 0.1] = 0.0
         pred[rng.random(500) < 0.1] = 0.0
-        ds = validate_dataset({"A": (obs, pred)})
-        part = partition_zero_state(ds, 0.0028)
+        zero = obs <= 0.0028
+        n1 = int(np.count_nonzero(zero & (pred <= 0.0028)))
+        n2 = int(np.count_nonzero(zero)) - n1
 
         zmale = _in_sample("ZMALE", {"A": (obs, pred)})
         male = _in_sample("MALE", {"A": (obs, pred)})
-        binom = loglik_binomial(part.n1, part.n2, fit_binomial_rate(part))
+        binom = loglik_binomial(n1, n2, fit_binomial_rate(n1, n2))
         assert zmale.loglik_nats == pytest.approx(
             binom + male.loglik_nats, abs=1e-12 * abs(zmale.loglik_nats)
         )
@@ -481,7 +494,6 @@ class TestInvariants:
         threshold = 0.0028
         ds = validate_dataset({loc: tuple(zip(*pairs))
                                for loc, pairs in raw.items()})
-        part = partition_zero_state(ds, threshold)
         rows = [(loc, o, p) for loc, pairs in raw.items() for o, p in pairs]
         sigma_o = {}
         for loc, pairs in raw.items():
@@ -513,12 +525,12 @@ class TestInvariants:
                            for loc, o, p in rows if o > threshold]
             if not support:
                 with pytest.raises(EmptyEvaluationSet):
-                    evaluate_objective(spec, ds, ds, part)
+                    evaluate_objective(spec, ds, ds, threshold)
                 continue
             if spec.transform_kind == "per-location-scale" and (
                     0.0 in sigma_o.values()):
                 with pytest.raises(DomainViolation):
-                    evaluate_objective(spec, ds, ds, part)
+                    evaluate_objective(spec, ds, ds, threshold)
                 continue
             r = [v(o, loc) - v(p, loc) for loc, o, p in support]
             n = len(r)
@@ -529,7 +541,7 @@ class TestInvariants:
             }[spec.base_family]
             if scale == 0.0:
                 with pytest.raises(DegenerateScale):
-                    evaluate_objective(spec, ds, ds, part)
+                    evaluate_objective(spec, ds, ds, threshold)
                 continue
             density = {
                 "normal": lambda x: (-math.log(scale)
@@ -543,7 +555,7 @@ class TestInvariants:
             if spec.zero_inflated:  # rho = n1 / (n1 + n2)
                 terms += [math.log(c / len(zero)) for c in (n1, n2)
                           for _ in range(c)]
-            result = evaluate_objective(spec, ds, ds, part)
+            result = evaluate_objective(spec, ds, ds, threshold)
             magnitude = math.fsum(abs(t) for t in terms)
             assert abs(result.loglik_nats - math.fsum(terms)) <= (
                 1e-9 * magnitude), spec.name
@@ -569,6 +581,5 @@ class TestInvariants:
     def test_out_of_sample_unseen_zero_state_is_sentinel(self):
         train = validate_dataset({"A": ([1.0, 2.0, 3.0], [1.5, 1.0, 2.0])})
         test = validate_dataset({"A": ([0.0, 1.0, 2.0], [0.5, 1.0, 1.5])})
-        part = partition_zero_state(train, 0.0028)
-        fitted = evaluate_objective(get_objective("ZMALE"), train, test, part)
+        fitted = evaluate_objective(get_objective("ZMALE"), train, test)
         assert fitted.zero_likelihood

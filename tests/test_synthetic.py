@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from objentropy.data import partition_zero_state
 from objentropy.errors import InvalidModel, NonPositiveScale
 from objentropy.information import conditional_entropy_bits, rank_objectives
 from objentropy.likelihoods import CATALOG, evaluate_objective, score_objective
@@ -81,9 +80,10 @@ class TestGenerate:
                                zero_inflation_rate=0.1, n_per_location=20_000,
                                seed=3)
         ds, _ = generate(model)
-        part = partition_zero_state(ds, 1e-9)
-        assert part.n1 > 0 and part.n2 > 0 and part.n3 > 0
-        assert part.clamp_idx.size > 0
+        zero, pred_zero = ds.observed <= 1e-9, ds.predicted <= 1e-9
+        for cell in (zero & pred_zero, zero & ~pred_zero, ~zero,
+                     ~zero & pred_zero):  # n1, n2, n3 and the clamped pairs
+            assert cell.any()
 
     def test_per_location_medians(self):
         model = SyntheticModel("multiplicative-lognormal", 0.5,
@@ -97,8 +97,8 @@ class TestGenerate:
         assert high == pytest.approx(100.0, rel=0.1)
 
 
-def _in_sample_h(name, ds, part):
-    fitted = evaluate_objective(CATALOG[name], ds, ds, part)
+def _in_sample_h(name, ds):
+    fitted = evaluate_objective(CATALOG[name], ds, ds, 1e-9)
     return conditional_entropy_bits(fitted.loglik_nats, fitted.n_eval)
 
 
@@ -108,8 +108,7 @@ class TestEntropyRecovery:
                                base_log_sigma=0.5, n_per_location=100_000,
                                seed=21)
         ds, _ = generate(model)
-        part = partition_zero_state(ds, 1e-9)
-        h = _in_sample_h("MSE", ds, part)
+        h = _in_sample_h("MSE", ds)
         assert abs(h - analytic_entropy("normal", 1.0)) <= 0.02
 
     def test_additive_laplace_matches_analytic(self):
@@ -117,8 +116,7 @@ class TestEntropyRecovery:
                                base_log_sigma=0.5, n_per_location=100_000,
                                seed=22)
         ds, _ = generate(model)
-        part = partition_zero_state(ds, 1e-9)
-        h = _in_sample_h("MAE", ds, part)
+        h = _in_sample_h("MAE", ds)
         assert abs(h - analytic_entropy("laplace", 1.0)) <= 0.02
 
 
@@ -158,12 +156,9 @@ class TestOracleConsistency:
             )
         train, _ = generate(model(seed))
         test, _ = generate(model(seed + 1_000_000))
-        part_train = partition_zero_state(train, 1e-9)
-        part_test = partition_zero_state(test, 1e-9)
         estimates = []
         for spec in CATALOG.values():
-            fitted = evaluate_objective(spec, train, train, part_train)
-            estimates.append(
-                score_objective(spec, fitted.params, test, part_test))
+            fitted = evaluate_objective(spec, train, train, 1e-9)
+            estimates.append(score_objective(spec, fitted.params, test, 1e-9))
         report = rank_objectives(estimates)
         return [r.name for r in report.rows if r.rank == 1][0]
