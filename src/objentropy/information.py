@@ -65,8 +65,8 @@ class ReportRow(EntropyEstimate):
 class EntropyReport:
     """Ranked objectives, worst first, with Akaike weights attached.
 
-    base is "bits" (weights from base-2 exponentiation of bit entropies) or
-    "nats" (base-e over nat entropies); the two give identical weights.
+    base ("bits" or "nats") labels the report; the weights are computed
+    once, by base-2 exponentiation of the bit entropies, whichever it is.
     """
 
     rows: tuple[ReportRow, ...]
@@ -151,10 +151,7 @@ def rank_objectives(
 
     order = sorted(items, key=lambda e: (h_used(e), e.k, e.name))
     h_col = np.array([h_used(e) for e in order])
-    if base == "bits":
-        weights = akaike_weights(h_col, base=2.0)
-    else:
-        weights = akaike_weights(h_col * _LN2, base=math.e)
+    weights = akaike_weights(h_col, base=2.0)
 
     finite = h_col[np.isfinite(h_col)]
     h_best = float(finite.min())

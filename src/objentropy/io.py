@@ -24,6 +24,7 @@ from .diagnostics import ConvergenceCurve, EntropyMatrix
 from .errors import (
     EmptyFile,
     MissingColumn,
+    NonFiniteValue,
     UndecodableFile,
     UnparseableNumber,
 )
@@ -76,17 +77,20 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
     """Read entropies to rank from a CSV file read as load_csv reads one,
     with columns objective and h_bits plus an optional integer k (1 where
     absent or empty). Raises load_csv's errors for a missing header,
-    column or number."""
+    column or number, and NonFiniteValue, naming the line, for an h_bits
+    that is NaN or infinite."""
     path = Path(path)
     estimates = []
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         columns = _columns(reader, path, ("objective", "h_bits"))
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        for line_no, row in _records(reader):
             name = _cell(row, columns["objective"], path, line_no).strip()
             h = _parse_number(row, columns["h_bits"], path, line_no)
+            if not math.isfinite(h):
+                raise NonFiniteValue(
+                    f"{path} line {line_no}: h_bits must be finite, got {h}"
+                )
             k = 1
             if "k" in columns and _cell(row, columns["k"], path, line_no):
                 k = _parse_number(row, columns["k"], path, line_no, int)
@@ -127,6 +131,16 @@ def _columns(
             f"{path} lacks column(s) {', '.join(missing)}; found {header}"
         )
     return columns
+
+
+def _records(reader: Any) -> Iterator[tuple[int, list[str]]]:
+    """The records a csv.reader reads that hold a non-blank cell, each with
+    the physical line it starts on (a quoted cell may span lines)."""
+    line_no = reader.line_num + 1
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            yield line_no, row
+        line_no = reader.line_num + 1
 
 
 def _group(
@@ -192,9 +206,7 @@ def _read_rows(
     locs: list[str] = []
     numbers: list[tuple[float, float]] = []
     stamps: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line_no, row in _records(reader):
         locs.append(_cell(row, columns["location_id"], path, line_no).strip())
         numbers.append((
             _parse_number(row, columns["observed"], path, line_no),

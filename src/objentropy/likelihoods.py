@@ -7,8 +7,15 @@ family's log-density of transformed residuals plus the transform's
 log-Jacobian over observed values, plus a binomial term over zero-state
 counts for zero-inflated objectives.
 
+Transforms are linear or positive-domain. A linear objective's residual
+is the exact difference o - p: identity leaves it as it is, and NSE's
+per-location scale divides it by the location's sigma_o, the population
+standard deviation of that location's observed values, with log-Jacobian
+-sum(ln sigma_o) over its pairs. A positive-domain objective's residual is
+v(o) - v(p) for a value map v of `transforms`.
+
 Support rules:
-  * identity and per-location-scale objectives evaluate every pair;
+  * linear objectives evaluate every pair;
   * positive-domain objectives (log, sqrt, reciprocal) without zero
     inflation exclude zero-state pairs and report the exclusion count;
   * zero-inflated objectives cover zero-state pairs through the binomial
@@ -45,12 +52,8 @@ from .information import (
     aic_adjusted_entropy,
     conditional_entropy_bits,
 )
-from .transforms import (
-    POSITIVE_DOMAIN_KINDS,
-    TRANSFORM_KINDS,
-    apply,
-    log_jacobian_sum,
-)
+from .transforms import POSITIVE_DOMAIN_KINDS, apply, log_jacobian_sum
+from .transforms import TRANSFORM_KINDS as _VALUE_KINDS
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -89,6 +92,10 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 BASE_FAMILIES = tuple(_FAMILIES)
+
+# The value maps of `transforms`, then NSE's per-location scale, which is
+# linear and divides each residual by its location's sigma_o.
+TRANSFORM_KINDS = (*_VALUE_KINDS, "per-location-scale")
 
 
 @dataclass(frozen=True)
@@ -278,6 +285,9 @@ def _evaluation_frame(
     kind = spec.transform_kind
     obs, pred = dataset.observed, dataset.predicted
     n1 = n2 = 0
+    # Each log-Jacobian is summed before the residuals are formed, and obs
+    # is dropped once transformed, so fewer n-value arrays are alive at
+    # once: this lowers peak memory.
     if kind in POSITIVE_DOMAIN_KINDS:
         positive = obs > threshold
         if not positive.any():
@@ -289,20 +299,23 @@ def _evaluation_frame(
         n2 = zero_pred.size - n1
         obs = obs[positive]
         pred = np.maximum(pred[positive], threshold)
-    sigma = None
-    if kind == "per-location-scale":  # never a positive-domain kind
+        log_jacobian = log_jacobian_sum(kind, obs) if scored else None
+        residuals = apply(kind, obs)
+        del obs
+        residuals -= apply(kind, pred)
+    elif kind == "per-location-scale":
         try:
             sigma = _sigma_o(dataset)[dataset.location_codes]
         except DomainViolation:
             if fitted:
                 raise
             return _Frame(obs.size, 0.0, float("-inf"), n1, n2)
-    # The log-Jacobian is summed first and obs is dropped once transformed,
-    # so fewer n-value arrays are alive at once: this lowers peak memory.
-    log_jacobian = log_jacobian_sum(kind, obs, sigma) if scored else None
-    residuals = apply(kind, obs, sigma)
-    del obs
-    residuals -= apply(kind, pred, sigma)
+        log_jacobian = -float(np.sum(np.log(sigma))) if scored else None
+        residuals = obs - pred
+        residuals /= sigma
+    else:  # identity
+        log_jacobian = 0.0
+        residuals = obs - pred
     statistic = _FAMILIES[spec.base_family].statistic(residuals)
     return _Frame(residuals.size, statistic, log_jacobian, n1, n2)
 

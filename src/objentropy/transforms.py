@@ -3,7 +3,9 @@
 A transform v maps values elementwise; its derivative v' supplies the
 log-Jacobian term sum(ln|v'(y_i)|) that converts a log-likelihood evaluated
 on transformed residuals into a log-likelihood on the original data. The
-Jacobian is always evaluated on observed values only.
+Jacobian is always evaluated on observed values only. The kinds are the
+identity and three positive-domain maps; a transform that acts on
+residuals rather than on values lives in `likelihoods`.
 
 Sums use numpy's pairwise reduction over arrays in flattened dataset order,
 so results are bit-reproducible for a given input ordering.
@@ -37,7 +39,7 @@ _POSITIVE: dict[str, tuple[Callable[[np.ndarray], np.ndarray],
     "reciprocal": (lambda y: 1.0 / y, lambda y: -2.0 * np.sum(np.log(y))),
 }
 
-TRANSFORM_KINDS = ("identity", *_POSITIVE, "per-location-scale")
+TRANSFORM_KINDS = ("identity", *_POSITIVE)
 POSITIVE_DOMAIN_KINDS = frozenset(_POSITIVE)
 
 
@@ -56,56 +58,25 @@ def _positive(kind: str, values: np.ndarray) -> tuple[Callable, Callable]:
     return _POSITIVE[kind]
 
 
-def _per_value_sigma(sigma: np.ndarray | None, size: int) -> np.ndarray:
-    sigma = np.asarray(() if sigma is None else sigma, dtype=np.float64)
-    if sigma.shape != (size,):
-        raise DomainViolation(
-            f"per-location-scale needs the sigma_o of each of {size} values; "
-            f"got {sigma.size}"
-        )
-    if size and not sigma.min() > 0:
-        raise DomainViolation(
-            "sigma_o must be > 0 wherever used as a divisor; minimum was "
-            f"{sigma.min()}"
-        )
-    return sigma
-
-
-def apply(
-    kind: str,
-    values: np.ndarray,
-    sigma: np.ndarray | None = None,
-) -> np.ndarray:
+def apply(kind: str, values: np.ndarray) -> np.ndarray:
     """Elementwise v(y) for a transform kind, as a new array.
 
-    `sigma`, read by per-location-scale only, is the sigma_o of every
-    value: its location's sigma_o, each > 0.
-
     identity -> y; natural-log -> ln y; square-root -> sqrt(y);
-    reciprocal -> 1/y; per-location-scale -> y / sigma.
+    reciprocal -> 1/y.
     """
     v = np.asarray(values, dtype=np.float64)
     if kind == "identity":
         return v.copy()
-    if kind == "per-location-scale":
-        return v / _per_value_sigma(sigma, v.size)
     return _positive(kind, v)[0](v)
 
 
-def log_jacobian_sum(
-    kind: str,
-    observed: np.ndarray,
-    sigma: np.ndarray | None = None,
-) -> float:
+def log_jacobian_sum(kind: str, observed: np.ndarray) -> float:
     """Sum over observations of ln|v'(y_i)|, in nats.
 
     identity -> 0; natural-log -> sum ln(1/y); square-root ->
-    sum ln(1/(2 sqrt(y))); reciprocal -> sum ln(1/y^2);
-    per-location-scale -> sum ln(1/sigma), sigma as in `apply`.
+    sum ln(1/(2 sqrt(y))); reciprocal -> sum ln(1/y^2).
     """
     y = np.asarray(observed, dtype=np.float64)
     if kind == "identity":
         return 0.0
-    if kind == "per-location-scale":
-        return float(-np.sum(np.log(_per_value_sigma(sigma, y.size))))
     return float(_positive(kind, y)[1](y))

@@ -101,6 +101,21 @@ class TestRank:
         assert main(["rank", "--from-entropies", str(f)]) == 2
         assert capsys.readouterr().err == f"error: {f} line 3: {what}\n"
 
+    def test_from_entropies_names_the_physical_line(self, tmp_path, capsys):
+        f = tmp_path / "e.csv"
+        f.write_text('objective,k,h_bits\n"M\nSE",1,2.0\n\nMAE,1,abc\n')
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} line 5: cannot parse 'abc' as a number\n")
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+    def test_from_entropies_rejects_non_finite(self, tmp_path, capsys, h):
+        f = tmp_path / "e.csv"
+        f.write_text(f"objective,k,h_bits\nMAE,1,2.0\nMSE,1,{h}\n")
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} line 3: h_bits must be finite, got {float(h)}\n")
+
     def test_from_entropies_needs_its_columns(self, tmp_path, capsys):
         f = tmp_path / "e.csv"
         f.write_text("objective,k,h\nMSE,1,2.0\n")

@@ -160,6 +160,10 @@ class TestLoaderEquivalence:
          "row has too few columns"),
         ("location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n", 3,
          "row has too few columns"),
+        # Lines are counted in the file, not in records: "A<newline>B"
+        # spans lines 2 and 3.
+        (_HEADER + '"A\nB",1,2\nC,x,3\n', 4, "cannot parse 'x' as a number"),
+        (_HEADER + '"A\nB",1,2\n\n"C\n",1\n', 5, "row has too few columns"),
     ])
     def test_unparseable_number_line(self, tmp_path, body, line, what):
         f = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import SplitSpec, split, validate_dataset
@@ -42,7 +42,6 @@ from objentropy.likelihoods import (
     resolve_objectives,
     score_objective,
 )
-from objentropy.transforms import apply, log_jacobian_sum
 
 E = math.e
 
@@ -340,6 +339,11 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4)),
                     min_size=3, max_size=60))
+    # sigma_o of a few ULPs: o / sigma and p / sigma round to numbers
+    # whose difference is not (o - p) / sigma.
+    @example([(0.010000000000000002, 0.01), (0.01, 0.01), (0.01, 0.01)])
+    @example([(1234.5, 1234.5000000000002), (1234.5000000000002, 1234.5),
+              (1234.5000000000005, 1234.4999999999998)])
     def test_nse_equals_mse_single_location_property(self, pairs):
         obs, pred = (np.array(col) for col in zip(*pairs))
         if np.std(obs) == 0.0 or np.all(obs == pred):
@@ -353,19 +357,23 @@ class TestInvariants:
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("DCBA"),
-                              st.sampled_from([-1.0, 0.5, 2.0])
-                              | st.floats(-1e3, 1e3)),
+                              *[st.sampled_from([-1.0, 0.5, 2.0])
+                                | st.integers(-64000, 64000).map(
+                                    lambda k: k / 64)] * 2),
                     min_size=1, max_size=50))
     def test_location_codes_match_id_lookup(self, rows):
-        """NSE's transform, indexed by location code, divides each value by
-        the sigma_o looked up by the value's location id. Where locations
-        have sigma_o = 0, fitting NSE fails naming the smallest such id,
-        and scoring gives the zero-likelihood sentinel."""
-        by_loc: dict[str, list[float]] = {}
-        for loc, v in rows:
-            by_loc.setdefault(loc, []).append(v)
-        ds = validate_dataset({loc: (v, v) for loc, v in by_loc.items()})
-        sigma_o = {loc: np.std(v) for loc, v in by_loc.items()}
+        """NSE's residual, indexed by location code, is o - p divided by
+        the sigma_o looked up by the pair's location id, and its
+        log-Jacobian is -sum ln sigma_o over the same lookup. Where
+        locations have sigma_o = 0, fitting NSE fails naming the smallest
+        such id, and scoring gives the zero-likelihood sentinel."""
+        by_loc: dict[str, tuple[list[float], list[float]]] = {}
+        for loc, obs, pred in rows:
+            by_loc.setdefault(loc, ([], []))
+            by_loc[loc][0].append(obs)
+            by_loc[loc][1].append(pred)
+        ds = validate_dataset(by_loc)
+        sigma_o = {loc: np.std(obs) for loc, (obs, _) in by_loc.items()}
         nse = get_objective("NSE")
         zero = [loc for loc, s in sigma_o.items() if s == 0]
         if zero:
@@ -381,11 +389,16 @@ class TestInvariants:
             assert (scored.n_eval, scored.params) == (ds.n_total, params)
             return
         lookup = np.array([sigma_o[loc] for loc in ds.locations])
-        sigma = _sigma_o(ds)[ds.location_codes]
-        got = apply("per-location-scale", ds.observed, sigma)
-        assert np.array_equal(got, ds.observed / lookup)
-        assert log_jacobian_sum("per-location-scale", ds.observed,
-                                sigma) == float(-np.sum(np.log(lookup)))
+        residuals = (ds.observed - ds.predicted) / lookup
+        if not residuals.any():
+            with pytest.raises(DegenerateScale):
+                evaluate_objective(nse, ds, ds)
+            return
+        scale = fit_scale("normal", residuals)
+        got = evaluate_objective(nse, ds, ds)
+        assert got.params.scale == scale
+        assert got.loglik_nats == (loglik("normal", residuals, scale)
+                                   - float(np.sum(np.log(lookup))))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("AB"),
