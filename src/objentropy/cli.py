@@ -13,7 +13,11 @@ import sys
 from pathlib import Path
 
 from .data import SplitSpec, split
-from .diagnostics import convergence_curve, per_location_entropy
+from .diagnostics import (
+    check_subsamples,
+    convergence_curve,
+    per_location_entropy,
+)
 from .errors import ObjentropyError, UnknownObjective, UsageError
 from .information import (
     adjust_expectation_lognormal,
@@ -69,7 +73,6 @@ def _build_parser() -> _Parser:
     rank.add_argument("--split", default="none",
                       help="none | random:<frac> | time:<frac> | location:<frac>")
     rank.add_argument("--seed", type=int, default=0)
-    rank.add_argument("--base", choices=("bits", "nats"), default="bits")
     rank.add_argument("--aic", choices=("on", "off"), default="on",
                       help="apply the overfitting correction (default on)")
     rank.add_argument("--threads", type=int, default=None,
@@ -215,10 +218,7 @@ def _cmd_rank(args: argparse.Namespace) -> None:
         raise UsageError("rank needs exactly one of --input or --from-entropies")
     if args.from_entropies is not None:
         estimates = load_entropies(args.from_entropies)
-        report = rank_objectives(
-            estimates, base=args.base, adjusted=False,
-            descriptions=_DESCRIPTIONS,
-        )
+        report = rank_objectives(estimates, descriptions=_DESCRIPTIONS)
         _emit(format_report(report, args.format), args.out)
         return
 
@@ -232,10 +232,8 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     estimates = _per_objective(specs, lambda spec: evaluate_objective(
         spec, train, test, threshold
     ))
-    report = rank_objectives(
-        estimates, base=args.base, adjusted=args.aic == "on",
-        descriptions=_DESCRIPTIONS,
-    )
+    report = rank_objectives(estimates, adjusted=args.aic == "on",
+                             descriptions=_DESCRIPTIONS)
     _emit(format_report(report, args.format), args.out)
 
 
@@ -243,13 +241,19 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
     specs = _resolve_specs(args.objectives)
     threshold = _validate_threshold(args.threshold)
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = check_subsamples(
+            [int(s) for s in args.sizes.split(",") if s.strip()],
+            args.replicates,
+        )
     except ValueError:
         raise UsageError(f"bad --sizes {args.sizes!r}") from None
-    if not sizes:
-        raise UsageError("--sizes is empty")
+    except ObjentropyError as exc:
+        raise UsageError(str(exc)) from exc
     seed = _validate_seed(args.seed)
     dataset = load_csv(args.input)
+    # The one check that needs the data; outside the per-objective loop,
+    # its error names no objective.
+    check_subsamples(sizes, args.replicates, dataset.n_total)
     curves = _per_objective(specs, lambda spec: convergence_curve(
         dataset, spec, sizes,
         replicates=args.replicates,

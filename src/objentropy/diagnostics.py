@@ -37,8 +37,6 @@ class ConvergenceCurve:
     """
 
     objective: str
-    sizes: tuple[int, ...]
-    replicates: int
     reference_h: float
     points: tuple[ConvergencePoint, ...]
 
@@ -52,6 +50,27 @@ class EntropyMatrix:
     objectives: tuple[str, ...]
     entropies: np.ndarray
     correlations: np.ndarray
+
+
+def check_subsamples(
+    sizes: Sequence[int], replicates: int, n_total: int | None = None
+) -> list[int]:
+    """sizes as ints, once they are non-empty, >= 1 and strictly
+    increasing, replicates >= 1 and, given n_total, no size exceeds it."""
+    sizes = [int(s) for s in sizes]
+    if not sizes:
+        raise EmptyInput("no sizes requested")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise SizeExceedsData("sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise SizeExceedsData("sizes must be >= 1")
+    if replicates < 1:
+        raise EmptyInput("replicates must be >= 1")
+    if n_total is not None and sizes[-1] > n_total:
+        raise SizeExceedsData(
+            f"size {sizes[-1]} exceeds the {n_total} available pairs"
+        )
+    return sizes
 
 
 def convergence_curve(
@@ -70,19 +89,7 @@ def convergence_curve(
     deterministic given the seed: draws occur in (size ascending, replicate
     ascending) order from one generator.
     """
-    sizes = [int(s) for s in sizes]
-    if not sizes:
-        raise EmptyInput("no sizes requested")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise SizeExceedsData("sizes must be strictly increasing")
-    if sizes[0] < 1:
-        raise SizeExceedsData("sizes must be >= 1")
-    if sizes[-1] > dataset.n_total:
-        raise SizeExceedsData(
-            f"size {sizes[-1]} exceeds the {dataset.n_total} available pairs"
-        )
-    if replicates < 1:
-        raise EmptyInput("replicates must be >= 1")
+    sizes = check_subsamples(sizes, replicates, dataset.n_total)
     if not (0 <= int(seed) < 2 ** 64):
         raise EmptyInput("seed must be a 64-bit unsigned integer")
 
@@ -100,13 +107,7 @@ def convergence_curve(
         ConvergencePoint(size, rep, h, abs(h - reference))
         for size, rep, h in raw
     )
-    return ConvergenceCurve(
-        objective=spec.name,
-        sizes=tuple(sizes),
-        replicates=replicates,
-        reference_h=reference,
-        points=points,
-    )
+    return ConvergenceCurve(spec.name, reference, points)
 
 
 def per_location_entropy(

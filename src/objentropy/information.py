@@ -63,14 +63,9 @@ class ReportRow(EntropyEstimate):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Ranked objectives, worst first, with Akaike weights attached.
-
-    base ("bits" or "nats") labels the report; the weights are computed
-    once, by base-2 exponentiation of the bit entropies, whichever it is.
-    """
+    """Ranked objectives, worst first, with Akaike weights attached."""
 
     rows: tuple[ReportRow, ...]
-    base: str
     adjusted: bool
 
 
@@ -128,7 +123,6 @@ def noise_fraction(h_bits: float, h_best_bits: float) -> float:
 
 def rank_objectives(
     estimates: Iterable[EntropyEstimate],
-    base: str = "bits",
     adjusted: bool = False,
     descriptions: Mapping[str, str] | None = None,
 ) -> EntropyReport:
@@ -141,8 +135,6 @@ def rank_objectives(
     items = list(estimates)
     if not items:
         raise EmptyInput("no estimates to rank")
-    if base not in ("bits", "nats"):
-        raise EmptyInput(f"base must be 'bits' or 'nats', got {base!r}")
     descriptions = descriptions or {}
 
     def h_used(e: EntropyEstimate) -> float:
@@ -168,7 +160,7 @@ def rank_objectives(
             noise_fraction=nf,
             rank=rank,
         ))
-    return EntropyReport(rows=tuple(reversed(rows)), base=base, adjusted=adjusted)
+    return EntropyReport(rows=tuple(reversed(rows)), adjusted=adjusted)
 
 
 def adjust_expectation_lognormal(median: float, sigma: float) -> float:

@@ -48,14 +48,14 @@ def load_csv(path: str | Path) -> Dataset:
     appearance and rows in file order within each location.
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
-    required column is absent, UnparseableNumber, naming the line, for a
-    short row or a cell that is not a number, and UndecodableFile for a
-    byte that is not UTF-8.
+    required column is absent or a column it reads is named twice,
+    UnparseableNumber, naming the line, for a short row or a cell that is
+    not a number, and UndecodableFile for a byte that is not UTF-8.
     """
     path = Path(path)
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        columns = _columns(reader, path, _REQUIRED)
+        columns = _columns(reader, path, _REQUIRED, "timestamp")
         header_lines = reader.line_num
         # Checked here because numpy only warns on input without data.
         if not any(line.strip() for line in fh):
@@ -83,7 +83,7 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
     estimates = []
     with _open_text(path) as fh:
         reader = csv.reader(fh)
-        columns = _columns(reader, path, ("objective", "h_bits"))
+        columns = _columns(reader, path, ("objective", "h_bits"), "k")
         for line_no, row in _records(reader):
             name = _cell(row, columns["objective"], path, line_no).strip()
             h = _parse_number(row, columns["h_bits"], path, line_no)
@@ -117,9 +117,11 @@ def _open_text(path: Path) -> Iterator[TextIO]:
 
 
 def _columns(
-    reader: Iterator[list[str]], path: Path, required: Sequence[str]
+    reader: Iterator[list[str]], path: Path, required: Sequence[str],
+    optional: str,
 ) -> dict[str, int]:
-    """The index of each column named in the header that reader reads."""
+    """The index of each column named in the header that reader reads. A
+    column the caller reads, required or optional, must be named once."""
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -129,6 +131,12 @@ def _columns(
     if missing:
         raise MissingColumn(
             f"{path} lacks column(s) {', '.join(missing)}; found {header}"
+        )
+    repeated = [name for name in (*required, optional)
+                if header.count(name) > 1]
+    if repeated:
+        raise MissingColumn(
+            f"{path} repeats column(s) {', '.join(repeated)}; found {header}"
         )
     return columns
 
@@ -306,7 +314,6 @@ def report_records(report: EntropyReport) -> list[dict[str, Any]]:
 def format_report(report: EntropyReport, fmt: str) -> str:
     if fmt == "json":
         return _dump_json({
-            "base": report.base,
             "aic_adjusted": report.adjusted,
             "rows": report_records(report),
         })

@@ -83,11 +83,12 @@ _FAMILIES: dict[str, _Family] = {
     "laplace": _Family(
         lambda r: float(np.sum(np.abs(r))), lambda s, n: s / n,
         lambda s, n, b: -n * math.log(2.0 * b) - s / b, "b"),
-    # a = max |r|; loglik = -n ln a while every |r| <= a, else -inf (zero
-    # likelihood). Densities above 1 make positive values legitimate.
+    # a = max |r|; the density is 1/(2a) on [-a, a], so loglik =
+    # -n ln(2a) while every |r| <= a, else -inf (zero likelihood).
+    # Densities above 1 make positive values legitimate.
     "uniform": _Family(
         lambda r: float(np.max(np.abs(r), initial=0.0)), lambda s, n: s,
-        lambda s, n, a: -n * math.log(a) if s <= a else float("-inf"),
+        lambda s, n, a: -n * math.log(2.0 * a) if s <= a else float("-inf"),
         "the bound"),
 }
 
@@ -292,7 +293,7 @@ def _evaluation_frame(
         positive = obs > threshold
         if not positive.any():
             raise EmptyEvaluationSet(
-                f"{spec.name}: no pairs above the zero-state threshold"
+                "no pairs above the zero-state threshold"
             )
         zero_pred = pred[~positive]
         n1 = int(np.count_nonzero(zero_pred <= threshold))

@@ -17,16 +17,20 @@ import numpy as np
 
 from .data import Dataset, validate_dataset
 from .errors import InvalidModel, NonPositiveScale
+from .likelihoods import CATALOG
+from .transforms import POSITIVE_DOMAIN_KINDS
 
-FAMILIES = (
-    "additive-normal",
-    "additive-laplace",
-    "multiplicative-lognormal",
-    "multiplicative-log-laplace",
-)
-
-_ADDITIVE = {"additive-normal", "additive-laplace"}
-_NORMAL_LIKE = {"additive-normal", "multiplicative-lognormal"}
+# Each error family as the (transform kind, base family) of the catalog
+# objective that matches it: errors are drawn from the base family (a
+# numpy Generator method of that name) and act through the kind, added to
+# the prediction (identity) or added to its log (natural-log).
+_ERRORS = {
+    "additive-normal": ("identity", "normal"),
+    "additive-laplace": ("identity", "laplace"),
+    "multiplicative-lognormal": ("natural-log", "normal"),
+    "multiplicative-log-laplace": ("natural-log", "laplace"),
+}
+FAMILIES = tuple(_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,8 @@ class SyntheticTruth:
     """What the generator knows about its own data."""
 
     family: str
-    scale: float
-    zero_inflation_rate: float
     optimal_objective: str
     error_entropy_bits: float
-    seed: int
 
 
 def analytic_entropy(family: str, scale: float) -> float:
@@ -112,15 +113,16 @@ def analytic_entropy(family: str, scale: float) -> float:
 
 
 def optimal_objective(model: SyntheticModel) -> str:
-    """The catalog objective matching the generator's error family."""
-    if model.family == "additive-normal":
-        return "MSE"
-    if model.family == "additive-laplace":
-        return "MAE"
-    zero = model.zero_inflation_rate > 0
-    if model.family == "multiplicative-lognormal":
-        return "ZMSLE" if zero else "MSLE"
-    return "ZMALE" if zero else "MALE"
+    """The catalog objective matching the generator's error family: its
+    (transform, base family) row, zero-inflated when zeros are drawn and
+    the transform's domain is positive."""
+    kind, family = _ERRORS[model.family]
+    zero = model.zero_inflation_rate > 0 and kind in POSITIVE_DOMAIN_KINDS
+    return next(
+        spec.name for spec in CATALOG.values()
+        if (spec.transform_kind, spec.base_family, spec.zero_inflated)
+        == (kind, family, zero)
+    )
 
 
 def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
@@ -136,33 +138,18 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
     raw = {}
     n = model.n_per_location
     p = model.zero_inflation_rate
+    kind, family = _ERRORS[model.family]
     for i in range(model.n_locations):
         rng = np.random.default_rng(children[i])
-        base = rng.lognormal(
+        pred = rng.lognormal(
             mean=math.log(medians[i]), sigma=model.base_log_sigma, size=n
         )
-        if model.family in _NORMAL_LIKE:
-            eps = rng.normal(0.0, model.scale, size=n)
-        else:
-            eps = rng.laplace(0.0, model.scale, size=n)
-        pred = base.copy()
-        if model.family in _ADDITIVE:
-            obs = pred + eps
-        else:
-            obs = pred * np.exp(eps)
+        eps = getattr(rng, family)(0.0, model.scale, size=n)
+        obs = pred + eps if kind == "identity" else pred * np.exp(eps)
         if p > 0:
             obs[rng.random(n) < p] = 0.0
             pred[rng.random(n) < p] = 0.0
         raw[f"loc{i + 1:03d}"] = (obs, pred)
-    truth = SyntheticTruth(
-        family=model.family,
-        scale=model.scale,
-        zero_inflation_rate=p,
-        optimal_objective=optimal_objective(model),
-        error_entropy_bits=analytic_entropy(
-            "normal" if model.family in _NORMAL_LIKE else "laplace",
-            model.scale,
-        ),
-        seed=model.seed,
-    )
+    truth = SyntheticTruth(model.family, optimal_objective(model),
+                           analytic_entropy(family, model.scale))
     return validate_dataset(raw), truth

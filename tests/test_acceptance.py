@@ -65,7 +65,7 @@ def test_criterion_1_reference_weights_and_ranks():
         EntropyEstimate(name=name, k=k, h_bits=hb, h_adj_bits=hb)
         for name, k, hb, _, _ in REFERENCE_ROWS
     ]
-    report = rank_objectives(estimates, base="bits")
+    report = rank_objectives(estimates)
     ranks = {row.name: row.rank for row in report.rows}
     for name, _, _, _, expected_rank in REFERENCE_ROWS:
         assert ranks[name] == expected_rank, name

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from objentropy.cli import main
+from objentropy.cli import _build_parser, main
 
 TABLE_ENTROPIES = """objective,k,h_bits
 MSPE,1,23.54
@@ -61,6 +64,21 @@ class TestRank:
         assert rows[0]["objective"] == "MSE"
         assert rows[0]["weight"] == pytest.approx(1.0)
         assert rows[0]["rank"] == 1
+
+    def test_json_report_holds_only_the_ranking(self, tmp_path, capsys):
+        f = tmp_path / "entropies.csv"
+        f.write_text(TABLE_ENTROPIES)
+        assert main(["rank", "--from-entropies", str(f),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out).keys() == {
+            "aic_adjusted", "rows"}
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    def test_base_is_not_an_option(self, tmp_path, capsys, base):
+        f = tmp_path / "entropies.csv"
+        f.write_text(TABLE_ENTROPIES)
+        assert main(["rank", "--from-entropies", str(f), "--base", base]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_from_entropies_reproduces_reference_table(self, tmp_path, capsys):
         f = tmp_path / "entropies.csv"
@@ -160,6 +178,31 @@ class TestRank:
         rc = main(["rank", "--input", str(f), "--objectives", "MSE"])
         assert rc == 2
         assert "MSE" in capsys.readouterr().err
+
+    def test_empty_support_names_the_objective_once(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        capsys.readouterr()
+        rc = main(["rank", "--input", str(data), "--threshold", "inf",
+                   "--objectives", "MSE,MSLE"])
+        assert (rc, capsys.readouterr().err) == (2, (
+            "error: objective MSLE: no pairs above the zero-state "
+            "threshold\n"))
+
+    @pytest.mark.parametrize("flag, header, column", [
+        ("--input", "location_id,observed,predicted,observed", "observed"),
+        ("--input", "timestamp,location_id,observed,predicted,timestamp",
+         "timestamp"),
+        ("--from-entropies", "objective,h_bits,h_bits", "h_bits"),
+        ("--from-entropies", "k,objective,k,h_bits", "k"),
+    ])
+    def test_repeated_column_is_data_error(self, tmp_path, capsys, flag,
+                                           header, column):
+        f = tmp_path / "d.csv"
+        columns = header.split(",")
+        f.write_text(f"{header}\n" + ",".join(["1"] * len(columns)) + "\n")
+        assert main(["rank", flag, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} repeats column(s) {column}; found {columns}\n")
 
     def test_bad_split_is_usage_error(self, tmp_path):
         data = _synth(tmp_path)
@@ -327,6 +370,28 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: objective NSE: sigma_o must be > 0")
 
+    @pytest.mark.parametrize("sizes, replicates, what", [
+        ("10,20", "0", "replicates must be >= 1"),
+        ("20,10", "1", "sizes must be strictly increasing"),
+        ("0,10", "1", "sizes must be >= 1"),
+    ])
+    def test_convergence_bad_draws_are_usage_errors(self, tmp_path, capsys,
+                                                    sizes, replicates, what):
+        """Checked before the input is read, so a missing file is not
+        reached."""
+        rc = main(["convergence", "--input", str(tmp_path / "absent.csv"),
+                   "--sizes", sizes, "--replicates", replicates])
+        assert (rc, capsys.readouterr().err) == (1, f"usage error: {what}\n")
+
+    def test_convergence_size_beyond_data_names_no_objective(self, tmp_path,
+                                                            capsys):
+        data = _synth(tmp_path)
+        capsys.readouterr()
+        rc = main(["convergence", "--input", str(data), "--sizes", "10,5000",
+                   "--objectives", "MSE,MAE"])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: size 5000 exceeds the 4000 available pairs\n")
+
     def test_correlate_pairs(self, tmp_path, capsys):
         data = _synth(tmp_path, locations="5", **{"n-per-location": "500"})
         capsys.readouterr()
@@ -349,3 +414,20 @@ class TestOtherCommands:
         truth = json.loads(capsys.readouterr().out)
         assert truth["optimal_objective"] == "ZMALE"
         assert truth["n_total"] == 4000
+
+
+def test_readme_names_exactly_the_cli_flags():
+    """Every long flag the parser defines is documented, and the README
+    names no other."""
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        option
+        for command in subparsers.choices.values()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) == defined

@@ -1,6 +1,7 @@
 """Tests for entropy conversion, weights, ranking, and predictive
 adjustments."""
 
+import inspect
 import math
 from dataclasses import fields
 
@@ -19,6 +20,7 @@ from objentropy.errors import (
 )
 from objentropy.information import (
     EntropyEstimate,
+    EntropyReport,
     adjust_expectation_lognormal,
     aic_adjusted_entropy,
     akaike_weights,
@@ -171,7 +173,7 @@ class TestRankObjectives:
         estimates = [
             _estimate(name, h, k) for name, k, h, _, _ in REFERENCE_RANKING
         ]
-        report = rank_objectives(estimates, base="bits")
+        report = rank_objectives(estimates)
         by_name = {row.name: row for row in report.rows}
         for name, _, _, weight, rank in REFERENCE_RANKING:
             assert by_name[name].rank == rank
@@ -228,14 +230,10 @@ class TestRankObjectives:
         h = [conditional_entropy_bits(ll, 50) for ll in lls]
         assert int(np.argmin(h)) == int(np.argmax(lls))
 
-    def test_nats_base_matches_bits_base(self):
-        """The base labels the report; the weights are the same numbers."""
-        estimates = [_estimate(f"O{i}", h) for i, h in enumerate(
-            [23.54, 18.17, 11.62, 11.2, 9.49, 7.47, 7.34, 7.18, 7.04, 6.95])]
-        bits = rank_objectives(estimates, base="bits")
-        nats = rank_objectives(estimates, base="nats")
-        assert (bits.base, nats.base) == ("bits", "nats")
-        assert [r.weight for r in bits.rows] == [r.weight for r in nats.rows]
+    def test_report_is_in_bits_only(self):
+        """Entropies are bits throughout; no base labels the report."""
+        assert "base" not in inspect.signature(rank_objectives).parameters
+        assert "base" not in {f.name for f in fields(EntropyReport)}
 
 
 _H = st.floats(-50, 50) | st.just(math.inf)
@@ -261,18 +259,17 @@ def _estimates(draw):
 
 class TestRankObjectivesProperties:
     @settings(max_examples=100, deadline=None)
-    @given(_estimates(), st.sampled_from(["bits", "nats"]), st.booleans(),
-           st.data())
-    def test_report_is_a_ranking_of_its_inputs(self, estimates, base,
-                                               adjusted, data):
+    @given(_estimates(), st.booleans(), st.data())
+    def test_report_is_a_ranking_of_its_inputs(self, estimates, adjusted,
+                                               data):
         def h_used(e):
             return e.h_adj_bits if adjusted else e.h_bits
 
         assume(any(not e.zero_likelihood and math.isfinite(h_used(e))
                    for e in estimates))
-        report = rank_objectives(estimates, base=base, adjusted=adjusted)
+        report = rank_objectives(estimates, adjusted=adjusted)
         permuted = data.draw(st.permutations(estimates))
-        assert rank_objectives(permuted, base=base, adjusted=adjusted) == report
+        assert rank_objectives(permuted, adjusted=adjusted) == report
 
         weights = [r.weight for r in sorted(report.rows, key=lambda r: r.rank)]
         assert abs(math.fsum(weights) - 1.0) <= 1e-12

@@ -42,6 +42,12 @@ class TestLoadCsv:
             load_csv(f)
         assert "predicted" in str(err.value)
 
+    def test_repeated_ignored_column_is_allowed(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("note,location_id,observed,predicted,note,k,k\n"
+                     "x,A,1.0,2.0,y,1,2\n")
+        np.testing.assert_array_equal(load_csv(f).pairs, [[1.0], [2.0]])
+
     def test_unparseable_number_names_line(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("location_id,observed,predicted\nA,1.0,abc\n")

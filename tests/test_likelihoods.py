@@ -104,11 +104,12 @@ class TestLoglikKernels:
             loglik("laplace", [1], 0.0)
 
     def test_uniform(self):
-        # densities above one make positive log-likelihoods legitimate
-        assert loglik("uniform", [0.5, -0.25], 0.5) == pytest.approx(
+        # the density is 1/(2a) on [-a, a]; densities above one make
+        # positive log-likelihoods legitimate
+        assert loglik("uniform", [0.25, -0.125], 0.25) == pytest.approx(
             -2 * math.log(0.5), abs=1e-12
         )
-        assert loglik("uniform", [0.1], 1.0) == 0.0
+        assert loglik("uniform", [0.1], 1.0) == -math.log(2.0)
         assert loglik("uniform", [2.0], 1.0) == float("-inf")
         assert loglik("uniform", [], 1.0) == 0.0
         with pytest.raises(NonPositiveScale, match="bound must be > 0"):
@@ -561,7 +562,7 @@ class TestInvariants:
                                      - 0.5 * math.log(2 * math.pi)
                                      - x * x / (2 * scale * scale)),
                 "laplace": lambda x: -math.log(2 * scale) - abs(x) / scale,
-                "uniform": lambda x: -math.log(scale),
+                "uniform": lambda x: -math.log(2 * scale),
             }[spec.base_family]
             terms = [density(x) + log_dv(o, loc)
                      for x, (loc, o, _) in zip(r, support)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from objentropy.data import validate_dataset
 from objentropy.errors import InvalidModel, NonPositiveScale
 from objentropy.information import conditional_entropy_bits, rank_objectives
 from objentropy.likelihoods import CATALOG, evaluate_objective, score_objective
@@ -44,15 +45,18 @@ class TestSyntheticModel:
                            n_locations=3)
 
     def test_optimal_objective_map(self):
-        assert optimal_objective(SyntheticModel("additive-normal", 1.0)) == "MSE"
-        assert optimal_objective(SyntheticModel("additive-laplace", 1.0)) == "MAE"
-        assert optimal_objective(
-            SyntheticModel("multiplicative-log-laplace", 0.5)
-        ) == "MALE"
-        assert optimal_objective(
-            SyntheticModel("multiplicative-log-laplace", 0.5,
-                           zero_inflation_rate=0.02)
-        ) == "ZMALE"
+        """Zero inflation selects a zero-inflated objective only where the
+        matching transform's domain is positive."""
+        expected = {
+            "additive-normal": ("MSE", "MSE"),
+            "additive-laplace": ("MAE", "MAE"),
+            "multiplicative-lognormal": ("MSLE", "ZMSLE"),
+            "multiplicative-log-laplace": ("MALE", "ZMALE"),
+        }
+        for family, names in expected.items():
+            for rate, name in zip((0.0, 0.02), names):
+                model = SyntheticModel(family, 0.5, zero_inflation_rate=rate)
+                assert optimal_objective(model) == name, (family, rate)
 
 
 class TestGenerate:
@@ -118,6 +122,15 @@ class TestEntropyRecovery:
         ds, _ = generate(model)
         h = _in_sample_h("MAE", ds)
         assert abs(h - analytic_entropy("laplace", 1.0)) <= 0.02
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_uniform_matches_analytic(self, a):
+        """U's density is 1/(2a) on [-a, a], so its fit on U(-a, a) errors
+        recovers log2(2a)."""
+        errors = np.random.default_rng(23).uniform(-a, a, 100_000)
+        ds = validate_dataset({"A": (errors, np.zeros_like(errors))})
+        h = _in_sample_h("U", ds)
+        assert abs(h - analytic_entropy("uniform", a)) <= 1e-3
 
 
 class TestOracleConsistency:
