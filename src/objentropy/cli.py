@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,8 +39,6 @@ from .likelihoods import (
     resolve_objectives,
 )
 from .synthetic import FAMILIES, SyntheticModel, generate
-
-THREADS_ENV = "OBJENTROPY_THREADS"
 
 _DESCRIPTIONS = {name: spec.description for name, spec in CATALOG.items()}
 
@@ -76,8 +73,8 @@ def _build_parser() -> _Parser:
     rank.add_argument("--aic", choices=("on", "off"), default="on",
                       help="apply the overfitting correction (default on)")
     rank.add_argument("--threads", type=int, default=None,
-                      help=f"validated (>= 1, default ${THREADS_ENV}) for "
-                           "compatibility; objectives run serially")
+                      help="validated (>= 1) for compatibility; "
+                           "objectives run serially")
 
     conv = sub.add_parser(
         "convergence", help="entropy error versus subsample size"
@@ -136,27 +133,15 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse_split(text: str, seed: int) -> SplitSpec:
-    text = text.strip()
-    if text == "none":
-        return SplitSpec("none")
-    mode_map = {
-        "random": "random-fraction",
-        "time": "by-time",
-        "location": "by-location",
-    }
-    name, _, frac_text = text.partition(":")
-    if name not in mode_map or not frac_text:
-        raise UsageError(
-            f"bad --split {text!r}; expected none, random:<frac>, "
-            "time:<frac>, or location:<frac>"
-        )
+    """The SplitSpec of --split's `mode[:fraction]`; the spec checks the
+    mode, the fraction and the seed."""
+    mode, colon, frac = text.strip().partition(":")
     try:
-        frac = float(frac_text)
+        return SplitSpec(mode, float(frac) if colon else None, seed)
+    except ObjentropyError as exc:
+        raise UsageError(str(exc)) from exc
     except ValueError:
-        raise UsageError(f"bad split fraction {frac_text!r}") from None
-    if not (0.0 < frac < 1.0):
-        raise UsageError(f"split fraction must lie in (0, 1), got {frac}")
-    return SplitSpec(mode_map[name], test_fraction=frac, seed=seed)
+        raise UsageError(f"bad split fraction {frac!r}") from None
 
 
 def _resolve_specs(selection: str):
@@ -176,23 +161,6 @@ def _validate_seed(seed: int) -> int:
     if not (0 <= seed < 2 ** 64):
         raise UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}")
     return seed
-
-
-def _resolve_threads(flag: int | None) -> None:
-    """Validate the thread cap of --threads or the environment; rank is
-    serial, but a bad cap stays a usage error."""
-    if flag is None:
-        env = os.environ.get(THREADS_ENV)
-        if not env:
-            return
-        try:
-            flag = int(env)
-        except ValueError:
-            raise UsageError(
-                f"{THREADS_ENV} must be an integer, got {env!r}"
-            ) from None
-    if flag < 1:
-        raise UsageError(f"thread cap must be >= 1, got {flag}")
 
 
 def _per_objective(specs, evaluate):
@@ -224,8 +192,9 @@ def _cmd_rank(args: argparse.Namespace) -> None:
 
     specs = _resolve_specs(args.objectives)
     threshold = _validate_threshold(args.threshold)
-    split_spec = _parse_split(args.split, _validate_seed(args.seed))
-    _resolve_threads(args.threads)
+    split_spec = _parse_split(args.split, args.seed)
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"thread cap must be >= 1, got {args.threads}")
 
     dataset = load_csv(args.input)
     train, test = split(dataset, split_spec)

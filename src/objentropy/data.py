@@ -160,29 +160,34 @@ class Dataset:
 class SplitSpec:
     """How to carve a dataset into train and test portions.
 
-    Modes: "none" (identity, in-sample), "random-fraction" (seeded global
-    row sample), "by-location" (whole locations held out), "by-time"
-    (chronological tail of each location held out; requires timestamps).
-    Random splits are fully determined by (mode, test_fraction, seed).
+    Modes: "none" (identity, in-sample; takes no test_fraction), "random"
+    (seeded global row sample), "location" (whole locations held out),
+    "time" (chronological tail of each location held out; requires
+    timestamps). Random splits are fully determined by (mode,
+    test_fraction, seed).
     """
 
     mode: str
     test_fraction: float | None = None
     seed: int = 0
 
-    _MODES = ("none", "random-fraction", "by-location", "by-time")
+    _MODES = ("none", "random", "location", "time")
 
     def __post_init__(self) -> None:
         if self.mode not in self._MODES:
             raise DegenerateSplit(
                 f"unknown split mode {self.mode!r}; expected one of {self._MODES}"
             )
-        if self.mode != "none":
-            f = self.test_fraction
-            if f is None or not (0.0 < f < 1.0):
+        f = self.test_fraction
+        if self.mode == "none":
+            if f is not None:
                 raise DegenerateSplit(
-                    f"test_fraction must lie in (0, 1), got {f!r}"
+                    f"split mode 'none' takes no test_fraction, got {f!r}"
                 )
+        elif f is None or not (0.0 < f < 1.0):
+            raise DegenerateSplit(
+                f"test_fraction must lie in (0, 1), got {f!r}"
+            )
         if not (0 <= int(self.seed) < 2 ** 64):
             raise DegenerateSplit("seed must be a 64-bit unsigned integer")
 
@@ -228,9 +233,9 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     """
     if spec.mode == "none":
         return SplitResult(dataset, dataset)
-    if spec.mode == "random-fraction":
+    if spec.mode == "random":
         mask = _random_mask(dataset.n_total, spec)
-    elif spec.mode == "by-location":
+    elif spec.mode == "location":
         mask = _location_mask(dataset, spec)
     else:
         mask = _time_mask(dataset, spec)

@@ -36,13 +36,13 @@ _REQUIRED = ("location_id", "observed", "predicted")
 def load_csv(path: str | Path) -> Dataset:
     """Read a dataset from a CSV file.
 
-    The file is UTF-8, comma-delimited, with `"` quoting as written by
-    Python's csv module (a quoted cell may hold commas, newlines and
-    doubled quotes). The first record is the header; it names at least
-    location_id, observed and predicted, plus an optional timestamp column,
-    in any order; further columns are ignored. There are no comment lines:
-    `#` is an ordinary character. Records that are empty or hold only
-    whitespace are skipped. Location ids and timestamps are stripped of
+    The file is UTF-8, with or without a byte-order mark, comma-delimited,
+    with `"` quoting as written by Python's csv module (a quoted cell may
+    hold commas, newlines and doubled quotes). The first record is the
+    header; it names at least location_id, observed and predicted, plus an
+    optional timestamp column, in any order; further columns are ignored.
+    There are no comment lines: `#` is an ordinary character. Records that
+    are empty or hold only whitespace are skipped. Location ids and timestamps are stripped of
     surrounding whitespace, and every number is parsed as `float()` parses
     it. Rows are grouped by location id, locations in order of first
     appearance and rows in file order within each location.
@@ -104,9 +104,10 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
 
 @contextmanager
 def _open_text(path: Path) -> Iterator[TextIO]:
-    """path opened for csv as UTF-8 text; a byte that is not UTF-8 raises
-    UndecodableFile naming the path."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    """path opened for csv as UTF-8 text, skipping a leading byte-order
+    mark; a byte that is not UTF-8 raises UndecodableFile naming the
+    path."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

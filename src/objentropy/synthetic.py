@@ -18,7 +18,6 @@ import numpy as np
 from .data import Dataset, validate_dataset
 from .errors import InvalidModel, NonPositiveScale
 from .likelihoods import CATALOG
-from .transforms import POSITIVE_DOMAIN_KINDS
 
 # Each error family as the (transform kind, base family) of the catalog
 # objective that matches it: errors are drawn from the base family (a
@@ -89,7 +88,7 @@ class SyntheticTruth:
     """What the generator knows about its own data."""
 
     family: str
-    optimal_objective: str
+    optimal_objective: str | None
     error_entropy_bits: float
 
 
@@ -112,17 +111,15 @@ def analytic_entropy(family: str, scale: float) -> float:
     )
 
 
-def optimal_objective(model: SyntheticModel) -> str:
-    """The catalog objective matching the generator's error family: its
-    (transform, base family) row, zero-inflated when zeros are drawn and
-    the transform's domain is positive."""
-    kind, family = _ERRORS[model.family]
-    zero = model.zero_inflation_rate > 0 and kind in POSITIVE_DOMAIN_KINDS
-    return next(
+def optimal_objective(model: SyntheticModel) -> str | None:
+    """The catalog objective matching the generator's error model: its
+    (transform, base family) row, zero-inflated when zeros are drawn; None
+    when the catalog has no such row, as for additive errors with zeros."""
+    row = (*_ERRORS[model.family], model.zero_inflation_rate > 0)
+    return next((
         spec.name for spec in CATALOG.values()
-        if (spec.transform_kind, spec.base_family, spec.zero_inflated)
-        == (kind, family, zero)
-    )
+        if (spec.transform_kind, spec.base_family, spec.zero_inflated) == row
+    ), None)
 
 
 def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:

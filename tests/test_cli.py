@@ -204,10 +204,14 @@ class TestRank:
         assert capsys.readouterr().err == (
             f"error: {f} repeats column(s) {column}; found {columns}\n")
 
-    def test_bad_split_is_usage_error(self, tmp_path):
-        data = _synth(tmp_path)
-        assert main(["rank", "--input", str(data), "--split", "fancy:0.5"]) == 1
-        assert main(["rank", "--input", str(data), "--split", "random:2"]) == 1
+    def test_bad_split_is_usage_error(self, tmp_path, capsys):
+        """SplitSpec's own checks run before the input is read, so a
+        missing file is not reached."""
+        absent = str(tmp_path / "absent.csv")
+        for how in ("fancy:0.5", "random:2", "none:0.5", "none:", "random:",
+                    "random:nan", "location:0", "time"):
+            assert main(["rank", "--input", absent, "--split", how]) == 1, how
+            assert capsys.readouterr().err.startswith("usage error:"), how
 
     def test_time_split_needs_timestamps(self, tmp_path):
         data = _synth(tmp_path)
@@ -299,33 +303,28 @@ class TestDeterminism:
         b = _synth(tmp_path, name="b.csv", seed="1")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_thread_cap_respected(self, tmp_path, monkeypatch):
-        data = _synth(tmp_path)
-        out1 = tmp_path / "env1.csv"
-        out2 = tmp_path / "env2.csv"
-        monkeypatch.setenv("OBJENTROPY_THREADS", "2")
-        assert main(["rank", "--input", str(data), "--format", "csv",
-                     "--out", str(out1)]) == 0
-        monkeypatch.setenv("OBJENTROPY_THREADS", "1")
-        assert main(["rank", "--input", str(data), "--format", "csv",
-                     "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.parametrize("flag, env", [
-        ("0", None), ("-1", None), (None, "abc"), (None, "0"),
-    ])
-    def test_bad_thread_cap_is_usage_error(self, tmp_path, monkeypatch,
-                                           capsys, flag, env):
+    # The ids keep the (flag, environment cap) form they had while an
+    # environment variable could also set the cap, so results compare
+    # across versions.
+    @pytest.mark.parametrize("flag", ["0", "-1"], ids=["0-None", "-1-None"])
+    def test_bad_thread_cap_is_usage_error(self, tmp_path, capsys, flag):
         data = _synth(tmp_path, **{"n-per-location": "50"})
         capsys.readouterr()
-        monkeypatch.delenv("OBJENTROPY_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("OBJENTROPY_THREADS", env)
-        argv = ["rank", "--input", str(data)]
-        if flag is not None:
-            argv += ["--threads", flag]
-        assert main(argv) == 1
+        assert main(["rank", "--input", str(data), "--threads", flag]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("command", [
+        ["rank", "--input"],
+        ["convergence", "--sizes", "10", "--input"],
+        ["synth", "--family", "additive-normal", "--scale", "1", "--out"],
+    ], ids=["rank", "convergence", "synth"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, command, seed):
+        """Checked before the input is read or the output written."""
+        absent = tmp_path / "absent.csv"
+        assert main(command + [str(absent), "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not absent.exists()
 
 
 class TestOtherCommands:

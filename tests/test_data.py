@@ -283,7 +283,7 @@ class TestSplit:
     def test_random_fraction_cardinality(self):
         ds = _dataset(n=10)
         train, test = split(
-            ds, SplitSpec("random-fraction", test_fraction=0.2, seed=42)
+            ds, SplitSpec("random", test_fraction=0.2, seed=42)
         )
         assert train is not test
         assert train.n_total == 8 and test.n_total == 2
@@ -291,11 +291,11 @@ class TestSplit:
     def test_degenerate_split(self):
         ds = _dataset(n=1)
         with pytest.raises(DegenerateSplit):
-            split(ds, SplitSpec("random-fraction", test_fraction=0.99, seed=0))
+            split(ds, SplitSpec("random", test_fraction=0.99, seed=0))
 
     def test_random_split_is_pure(self):
         ds = _dataset(n=50, locations=3)
-        spec = SplitSpec("random-fraction", test_fraction=0.3, seed=7)
+        spec = SplitSpec("random", test_fraction=0.3, seed=7)
         first = split(ds, spec)
         second = split(ds, spec)
         np.testing.assert_array_equal(first.test.observed, second.test.observed)
@@ -303,7 +303,7 @@ class TestSplit:
 
     @settings(max_examples=80, deadline=None)
     @given(_timestamped_datasets(),
-           st.sampled_from(["random-fraction", "by-location", "by-time"]),
+           st.sampled_from(["random", "location", "time"]),
            st.floats(0.05, 0.95), st.integers(0, 2 ** 32))
     def test_split_disjoint_exhaustive(self, ds, mode, fraction, seed):
         try:
@@ -312,9 +312,9 @@ class TestSplit:
             return
         assert train is not test
         assert _rows(train) + _rows(test) == _rows(ds)
-        if mode == "by-location":
+        if mode == "location":
             assert set(train.location_ids).isdisjoint(test.location_ids)
-        if mode == "by-time":
+        if mode == "time":
             for loc, rows in test.rows():
                 if loc in train.location_ids:
                     seen = dict(train.rows())[loc]
@@ -324,14 +324,14 @@ class TestSplit:
     def test_by_location_keeps_whole_locations(self):
         ds = _dataset(n=10, locations=4)
         train, test = split(
-            ds, SplitSpec("by-location", test_fraction=0.25, seed=1)
+            ds, SplitSpec("location", test_fraction=0.25, seed=1)
         )
         assert len(test.location_ids) == 1 and len(train.location_ids) == 3
         assert set(test.location_ids).isdisjoint(train.location_ids)
 
     def test_by_time_takes_chronological_tail(self):
         ds = _dataset(n=10, timestamps=True)
-        train, test = split(ds, SplitSpec("by-time", test_fraction=0.2, seed=0))
+        train, test = split(ds, SplitSpec("time", test_fraction=0.2, seed=0))
         assert test.n_total == 2
         assert test.timestamps == ("2020-01-09", "2020-01-10")
 
@@ -339,16 +339,16 @@ class TestSplit:
         stamps = ("2020-01-10T05:00", "2020-01-10 06:00", "2020-01-10T04:00",
                   "2020-01-10T03:00")
         ds = Dataset(("A",), (0, 4), np.ones((2, 4)), stamps)
-        train, test = split(ds, SplitSpec("by-time", test_fraction=0.25))
+        train, test = split(ds, SplitSpec("time", test_fraction=0.25))
         assert test.timestamps == ("2020-01-10 06:00",)
 
     def test_by_time_requires_timestamps(self):
         ds = _dataset(n=10, timestamps=False)
         with pytest.raises(MissingTimestamps):
-            split(ds, SplitSpec("by-time", test_fraction=0.2, seed=0))
+            split(ds, SplitSpec("time", test_fraction=0.2, seed=0))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(DegenerateSplit):
-            SplitSpec("random-fraction", test_fraction=1.5)
+            SplitSpec("random", test_fraction=1.5)
         with pytest.raises(DegenerateSplit):
             SplitSpec("bogus")

@@ -20,6 +20,7 @@ from objentropy.information import EntropyEstimate, rank_objectives
 from objentropy.io import (
     format_report,
     load_csv,
+    load_entropies,
     report_records,
     write_dataset_csv,
 )
@@ -84,6 +85,23 @@ class TestLoadCsv:
         assert ds.location_ids == ("B", "A")
         assert ds.bounds.tolist() == [0, 2, 3]
         np.testing.assert_array_equal(ds.observed, [1.0, 3.0, 2.0])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch):
+        """A file saved as "CSV UTF-8" starts with a byte-order mark. Both
+        readers skip it, also when the row parser rereads the file after
+        the columnar read gives up on a `1_000` cell."""
+        f = tmp_path / "d.csv"
+        f.write_text("\ufeff" + _HEADER + "A,1,2\nB,3,4\n", encoding="utf-8")
+        ds = _load_by(f, monkeypatch, "columns")
+        assert ds.location_ids == ("A", "B")
+        np.testing.assert_array_equal(ds.pairs, [[1.0, 3.0], [2.0, 4.0]])
+        f.write_text("\ufeff" + _HEADER + "A,1_000,2\n", encoding="utf-8")
+        ds = load_csv(f)
+        assert ds.location_ids == ("A",)
+        np.testing.assert_array_equal(ds.pairs, [[1000.0], [2.0]])
+        f.write_text("\ufeffobjective,k,h_bits\nMSE,1,2.5\n", encoding="utf-8")
+        (estimate,) = load_entropies(f)
+        assert (estimate.name, estimate.k, estimate.h_bits) == ("MSE", 1, 2.5)
 
 
 def _load_by(path, monkeypatch, parser):

@@ -275,7 +275,7 @@ class TestOutOfSampleNSE:
             raw[f"L{i}"] = (pred * rng.lognormal(0.0, 0.4, 40), pred)
         return split(validate_dataset(raw), SplitSpec(mode, 0.25, seed=2))
 
-    @pytest.mark.parametrize("mode", ["random-fraction", "by-location"])
+    @pytest.mark.parametrize("mode", ["random", "location"])
     def test_out_of_sample_is_fit_then_score(self, mode):
         """Scoring test locations the fit never saw succeeds, and equals an
         in-sample fit on train followed by a frozen score on test."""
@@ -455,6 +455,47 @@ class TestInvariants:
         assert fitted.n_eval == ds.n_total
         excluded = evaluate_objective(msle, ds, ds, threshold).excluded
         assert excluded == n1 + n2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from("ABC"),
+        st.lists(st.tuples(*[st.sampled_from([0.0, 1 / 1024])
+                             | st.integers(1, 6400).map(lambda k: k / 64)] * 2),
+                 min_size=2, max_size=12),
+        min_size=1, max_size=3),
+        st.integers(-8, 8), st.sampled_from([0.0028, 0.5]))
+    def test_unit_change_moves_entropy_by_log2_c(self, raw, k, threshold):
+        """Multiplying observed and predicted values and the threshold by
+        c = 2^k, which is exact, moves each objective without zero
+        inflation by exactly k bits, and a zero-inflated one by k times its
+        share of positive pairs: the binomial part is a probability mass
+        and has no units. A Jacobian with the wrong power of y breaks the
+        law. The Akaike weights of the objectives without zero inflation do not
+        change."""
+        c = 2.0 ** k
+        ds, scaled = (validate_dataset({
+            loc: tuple(np.array(col) * factor for col in zip(*pairs))
+            for loc, pairs in raw.items()}) for factor in (1.0, c))
+        n_pos = int(np.count_nonzero(ds.observed > threshold))
+        before, after = [], []
+        for spec in CATALOG.values():
+            try:
+                h = evaluate_objective(spec, ds, ds, threshold)
+            except ObjentropyError as exc:
+                with pytest.raises(type(exc)):
+                    evaluate_objective(spec, scaled, scaled, threshold * c)
+                continue
+            h_c = evaluate_objective(spec, scaled, scaled, threshold * c)
+            shift = k * n_pos / h.n_eval if spec.zero_inflated else k
+            assert h_c.h_bits - h.h_bits == pytest.approx(shift, abs=1e-9)
+            if not spec.zero_inflated:
+                before.append(h)
+                after.append(h_c)
+        if before:
+            weights = [{row.name: row.weight
+                        for row in rank_objectives(side, adjusted=True).rows}
+                       for side in (before, after)]
+            assert weights[1] == pytest.approx(weights[0], abs=1e-9)
 
     def test_mixture_additivity(self):
         """ZMALE's total equals the binomial term plus MALE restricted to
