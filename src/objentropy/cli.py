@@ -163,17 +163,6 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _per_objective(specs, evaluate):
-    """evaluate(spec) for each spec in turn; an error names its objective."""
-    results = []
-    for spec in specs:
-        try:
-            results.append(evaluate(spec))
-        except ObjentropyError as exc:
-            raise type(exc)(f"objective {spec.name}: {exc}") from exc
-    return results
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -198,9 +187,8 @@ def _cmd_rank(args: argparse.Namespace) -> None:
 
     dataset = load_csv(args.input)
     train, test = split(dataset, split_spec)
-    estimates = _per_objective(specs, lambda spec: evaluate_objective(
-        spec, train, test, threshold
-    ))
+    estimates = [evaluate_objective(spec, train, test, threshold)
+                 for spec in specs]
     report = rank_objectives(estimates, adjusted=args.aic == "on",
                              descriptions=_DESCRIPTIONS)
     _emit(format_report(report, args.format), args.out)
@@ -220,16 +208,12 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
         raise UsageError(str(exc)) from exc
     seed = _validate_seed(args.seed)
     dataset = load_csv(args.input)
-    # The one check that needs the data; outside the per-objective loop,
-    # its error names no objective.
-    check_subsamples(sizes, args.replicates, dataset.n_total)
-    curves = _per_objective(specs, lambda spec: convergence_curve(
-        dataset, spec, sizes,
-        replicates=args.replicates,
-        seed=seed,
-        threshold=threshold,
-        with_replacement=args.bootstrap,
-    ))
+    curves = [convergence_curve(dataset, spec, sizes,
+                                replicates=args.replicates,
+                                seed=seed,
+                                threshold=threshold,
+                                with_replacement=args.bootstrap)
+              for spec in specs]
     _emit(format_convergence(curves, args.format), args.out)
 
 

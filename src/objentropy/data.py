@@ -234,9 +234,10 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     if spec.mode == "none":
         return SplitResult(dataset, dataset)
     if spec.mode == "random":
-        mask = _random_mask(dataset.n_total, spec)
+        mask = _held_out(dataset.n_total, spec, "pairs")
     elif spec.mode == "location":
-        mask = _location_mask(dataset, spec)
+        mask = _held_out(len(dataset.location_ids), spec,
+                         "locations")[dataset.location_codes]
     else:
         mask = _time_mask(dataset, spec)
     if not mask.any() or mask.all():
@@ -247,31 +248,18 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     return SplitResult(dataset.subset(~mask), dataset.subset(mask))
 
 
-def _random_mask(n: int, spec: SplitSpec) -> np.ndarray:
+def _held_out(n: int, spec: SplitSpec, unit: str) -> np.ndarray:
+    """A mask over n units that holds out a seeded draw of
+    round(test_fraction * n) of them, at least one and fewer than n."""
     n_test = int(round(spec.test_fraction * n))
     if n_test < 1 or n_test >= n:
         raise DegenerateSplit(
-            f"test_fraction {spec.test_fraction} yields {n_test} test pairs "
+            f"test_fraction {spec.test_fraction} yields {n_test} test {unit} "
             f"out of {n}"
         )
-    rng = np.random.default_rng(spec.seed)
     mask = np.zeros(n, dtype=bool)
-    mask[rng.permutation(n)[:n_test]] = True
+    mask[np.random.default_rng(spec.seed).permutation(n)[:n_test]] = True
     return mask
-
-
-def _location_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
-    n_loc = len(dataset.location_ids)
-    n_test = int(round(spec.test_fraction * n_loc))
-    if n_test < 1 or n_test >= n_loc:
-        raise DegenerateSplit(
-            f"test_fraction {spec.test_fraction} yields {n_test} test "
-            f"locations out of {n_loc}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    is_test = np.zeros(n_loc, dtype=bool)
-    is_test[rng.permutation(n_loc)[:n_test]] = True
-    return is_test[dataset.location_codes]
 
 
 def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:

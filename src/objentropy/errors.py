@@ -69,7 +69,7 @@ class EmptyEvaluationSet(ObjentropyError):
 
 
 class UnknownObjective(ObjentropyError):
-    """Objective name not present in the catalog."""
+    """Objective name not present in the catalog, or given twice."""
 
 
 # --- information measures ---

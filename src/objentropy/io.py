@@ -26,6 +26,7 @@ from .errors import (
     MissingColumn,
     NonFiniteValue,
     UndecodableFile,
+    UnknownObjective,
     UnparseableNumber,
 )
 from .information import EntropyEstimate, EntropyReport
@@ -77,8 +78,9 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
     """Read entropies to rank from a CSV file read as load_csv reads one,
     with columns objective and h_bits plus an optional integer k (1 where
     absent or empty). Raises load_csv's errors for a missing header,
-    column or number, and NonFiniteValue, naming the line, for an h_bits
-    that is NaN or infinite."""
+    column or number, NonFiniteValue for an h_bits that is NaN or
+    infinite, and UnknownObjective for an objective listed twice, each
+    naming the line."""
     path = Path(path)
     estimates = []
     with _open_text(path) as fh:
@@ -86,6 +88,11 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
         columns = _columns(reader, path, ("objective", "h_bits"), "k")
         for line_no, row in _records(reader):
             name = _cell(row, columns["objective"], path, line_no).strip()
+            if any(e.name == name for e in estimates):
+                raise UnknownObjective(
+                    f"{path} line {line_no}: objective {name!r} is listed "
+                    "twice"
+                )
             h = _parse_number(row, columns["h_bits"], path, line_no)
             if not math.isfinite(h):
                 raise NonFiniteValue(

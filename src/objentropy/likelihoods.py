@@ -45,6 +45,7 @@ from .errors import (
     NonPositiveScale,
     NonPositiveThreshold,
     NoZeroState,
+    ObjentropyError,
     UnknownObjective,
 )
 from .information import (
@@ -172,7 +173,8 @@ def get_objective(name: str) -> ObjectiveSpec:
 
 
 def resolve_objectives(selection: str | list[str]) -> list[ObjectiveSpec]:
-    """Resolve "all" or a list/comma string of names to catalog specs."""
+    """Resolve "all" or a list/comma string of names to catalog specs; a
+    name selected twice would count its evidence twice, so it raises."""
     if isinstance(selection, str):
         if selection.strip().lower() == "all":
             return list(CATALOG.values())
@@ -181,7 +183,11 @@ def resolve_objectives(selection: str | list[str]) -> list[ObjectiveSpec]:
         names = list(selection)
     if not names:
         raise EmptyInput("no objectives selected")
-    return [get_objective(n) for n in names]
+    specs = [get_objective(n) for n in names]
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise UnknownObjective(f"objective {repeated!r} is selected twice")
+    return specs
 
 
 # --- fits and log-likelihoods (nats) ---
@@ -260,27 +266,22 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
 class _Frame(NamedTuple):
     """One dataset seen through one objective: the count of transformed
     residuals over the objective's support and their base family's
-    statistic, the log-Jacobian summed over its observed values (None on a
-    fit-only frame), and the zero-state counts n1 and n2 (both 0 where the
-    transform's domain is not positive)."""
+    statistic, the log-Jacobian summed over its observed values, and the
+    zero-state counts n1 and n2 (both 0 where the transform's domain is
+    not positive)."""
 
     n: int
     statistic: float
-    log_jacobian: float | None
+    log_jacobian: float
     n1: int
     n2: int
 
 
 def _evaluation_frame(
-    spec: ObjectiveSpec,
-    dataset: Dataset,
-    threshold: float,
-    fitted: bool = True,
-    scored: bool = True,
+    spec: ObjectiveSpec, dataset: Dataset, threshold: float
 ) -> _Frame:
-    """The frame of dataset at a zero-state threshold. A fitted frame
-    raises where sigma_o = 0; a frame only scored gets the zero-likelihood
-    sentinel there, as an out-of-support uniform bound does."""
+    """The frame of dataset at a zero-state threshold; a location with
+    sigma_o = 0 raises _sigma_o's DomainViolation."""
     if not threshold > 0:
         raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
     kind = spec.transform_kind
@@ -300,18 +301,13 @@ def _evaluation_frame(
         n2 = zero_pred.size - n1
         obs = obs[positive]
         pred = np.maximum(pred[positive], threshold)
-        log_jacobian = log_jacobian_sum(kind, obs) if scored else None
+        log_jacobian = log_jacobian_sum(kind, obs)
         residuals = apply(kind, obs)
         del obs
         residuals -= apply(kind, pred)
     elif kind == "per-location-scale":
-        try:
-            sigma = _sigma_o(dataset)[dataset.location_codes]
-        except DomainViolation:
-            if fitted:
-                raise
-            return _Frame(obs.size, 0.0, float("-inf"), n1, n2)
-        log_jacobian = -float(np.sum(np.log(sigma))) if scored else None
+        sigma = _sigma_o(dataset)[dataset.location_codes]
+        log_jacobian = -float(np.sum(np.log(sigma)))
         residuals = obs - pred
         residuals /= sigma
     else:  # identity
@@ -327,22 +323,23 @@ def evaluate_objective(
     test: Dataset,
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyEstimate:
-    """Fit the objective on train and evaluate it on test.
-
-    Both sides split their pairs into the zero state and positive pairs at
-    the same threshold. A per-location-scale transform (NSE) takes sigma_o
-    from the dataset it is applied to: the fit uses train's, the score
-    test's. The result carries the fitted parameters.
+    """Fit the objective on train (NSE on train's sigma_o), then score it
+    on test with `score_objective`; in sample (`test is train`) the fitted
+    frame is scored as it is. The result carries the fitted parameters,
+    and an error raised on either side names the objective.
     """
-    frame = _evaluation_frame(spec, train, threshold, scored=test is train)
-    scale = _fit(spec.base_family, frame.statistic, frame.n)
-    rho = None
-    if spec.zero_inflated and frame.n1 + frame.n2 > 0:
-        rho = fit_binomial_rate(frame.n1, frame.n2)
-    params = FittedParams(scale=scale, rho=rho)
-    if test is not train:
-        frame = _evaluation_frame(spec, test, threshold, fitted=False)
-    return _score(spec, params, frame)
+    try:
+        frame = _evaluation_frame(spec, train, threshold)
+        scale = _fit(spec.base_family, frame.statistic, frame.n)
+        rho = None
+        if spec.zero_inflated and frame.n1 + frame.n2 > 0:
+            rho = fit_binomial_rate(frame.n1, frame.n2)
+        params = FittedParams(scale=scale, rho=rho)
+        if test is train:
+            return _score(spec, params, frame)
+        return score_objective(spec, params, test, threshold)
+    except ObjentropyError as exc:
+        raise type(exc)(f"objective {spec.name}: {exc}") from exc
 
 
 def score_objective(
@@ -353,11 +350,17 @@ def score_objective(
 ) -> EntropyEstimate:
     """Evaluate the objective on test with frozen parameters.
 
-    A per-location-scale transform (NSE) takes sigma_o from test's own
-    observed values, as NSE is defined per evaluated series.
+    test's pairs split into the zero state and positive pairs at the
+    threshold the fit used. A per-location-scale transform (NSE) takes
+    sigma_o from test's own observed values, as NSE is defined per
+    evaluated series; where a location's sigma_o is 0, test gets the
+    zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    return _score(spec, params,
-                  _evaluation_frame(spec, test, threshold, fitted=False))
+    try:
+        frame = _evaluation_frame(spec, test, threshold)
+    except DomainViolation:
+        frame = _Frame(test.n_total, 0.0, float("-inf"), 0, 0)
+    return _score(spec, params, frame)
 
 
 def _score(

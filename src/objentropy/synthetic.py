@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, validate_dataset
 from .errors import InvalidModel, NonPositiveScale
-from .likelihoods import CATALOG
+from .likelihoods import BASE_FAMILIES, CATALOG
 
 # Each error family as the (transform kind, base family) of the catalog
 # objective that matches it: errors are drawn from the base family (a
@@ -106,8 +106,8 @@ def analytic_entropy(family: str, scale: float) -> float:
         return math.log2(2.0 * math.e * scale)
     if family == "uniform":
         return math.log2(2.0 * scale)
-    raise NonPositiveScale(
-        f"unknown family {family!r}; expected normal, laplace, or uniform"
+    raise InvalidModel(
+        f"unknown family {family!r}; expected one of {BASE_FAMILIES}"
     )
 
 

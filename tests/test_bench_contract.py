@@ -91,3 +91,35 @@ def test_counters_read_the_evaluations(tmp_path, capsys):
     assert counts["likelihoods.evaluate_objective.n_eval"] == sum(
         row["n_eval"] for row in rows)
     assert counts["likelihoods.evaluate_objective.zero_likelihood"] == flagged
+
+
+def test_diagnose_commands_under_counters(tmp_path, capsys):
+    """correlate and convergence run under the benchmark's counters, every
+    binding is restored afterwards, and per_location_entropy counts one
+    cell per location and objective of the report."""
+    data = tmp_path / "d.csv"
+    _synth(data, "--family", "multiplicative-lognormal", "--scale", "0.4",
+           "--locations", "10", "--seed", "3")
+    out = tmp_path / "correlate.json"
+    run = _load_run()
+    before = _bindings()
+    with run.Tracer(run.COUNTERS) as tracer:
+        codes = [
+            cli.main(["correlate", "--input", str(data), "--format", "json",
+                      "--out", str(out)]),
+            cli.main(["convergence", "--input", str(data), "--sizes",
+                      "50,500", "--replicates", "2", "--objectives",
+                      "MSE,MALE,ZMALE", "--format", "json", "--out",
+                      str(tmp_path / "convergence.json")]),
+        ]
+    capsys.readouterr()
+    assert codes == [0, 0]
+    after = _bindings()
+    assert [key for key, value in before.items()
+            if after.get(key) is not value] == []
+    rows = json.loads(out.read_text())["rows"]
+    objectives = {row[side] for row in rows
+                  for side in ("objective_a", "objective_b")}
+    locations = max(row["n_locations"] for row in rows)
+    assert tracer.counts["diagnostics.per_location_entropy.cells"] == (
+        locations * len(objectives)) == 100

@@ -168,6 +168,27 @@ class TestRank:
         assert rc == 1
         assert "valid names" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, selection", [
+        ("rank", "MSE,MSE,MAE"), ("correlate", "MSE,MSE"),
+    ])
+    def test_repeated_objective_is_usage_error(self, tmp_path, capsys,
+                                               command, selection):
+        """A name selected twice would split its evidence; it is refused
+        before the input is read, so a missing file is not reached."""
+        absent = str(tmp_path / "absent.csv")
+        assert main([command, "--input", absent,
+                     "--objectives", selection]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: objective 'MSE' is selected twice\n")
+
+    def test_from_entropies_rejects_a_repeated_objective(self, tmp_path,
+                                                         capsys):
+        f = tmp_path / "e.csv"
+        f.write_text("objective,h_bits\nMSE,3\nMAE,2\nMSE,3\n")
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} line 4: objective 'MSE' is listed twice\n")
+
     def test_missing_file_is_data_error(self, capsys):
         rc = main(["rank", "--input", "/nonexistent/x.csv"])
         assert rc == 2

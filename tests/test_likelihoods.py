@@ -146,6 +146,12 @@ class TestCatalog:
         assert len(resolve_objectives("all")) == 10
         assert [s.name for s in resolve_objectives("MSE,MALE")] == ["MSE", "MALE"]
 
+    @pytest.mark.parametrize("selection", ["MSE,MAE,MSE", ["MAE", "MAE"]])
+    def test_resolve_rejects_a_repeated_name(self, selection):
+        """A name selected twice would split its evidence in the ranking."""
+        with pytest.raises(UnknownObjective, match="selected twice"):
+            resolve_objectives(selection)
+
 
 def _in_sample(name, raw, threshold=0.0028):
     ds = validate_dataset(raw)
@@ -264,7 +270,8 @@ class TestSigmaO:
 
 
 class TestOutOfSampleNSE:
-    """NSE scales by the sigma_o of the data being fitted or scored."""
+    """Out of sample, an objective is fit on train and scored on test; NSE
+    scales by the sigma_o of the data being fitted or scored."""
 
     @staticmethod
     def _split(mode):
@@ -272,20 +279,46 @@ class TestOutOfSampleNSE:
         raw = {}
         for i in range(8):
             pred = rng.lognormal(0.3 * i, 1.0, 40)
-            raw[f"L{i}"] = (pred * rng.lognormal(0.0, 0.4, 40), pred)
+            obs = pred * rng.lognormal(0.0, 0.4, 40)
+            # Zero-state pairs of both kinds, so ZMSLE and ZMALE fit rho.
+            obs[::10] = 0.0
+            pred[::20] = 0.0
+            raw[f"L{i}"] = (obs, pred)
         return split(validate_dataset(raw), SplitSpec(mode, 0.25, seed=2))
 
-    @pytest.mark.parametrize("mode", ["random", "location"])
-    def test_out_of_sample_is_fit_then_score(self, mode):
-        """Scoring test locations the fit never saw succeeds, and equals an
-        in-sample fit on train followed by a frozen score on test."""
+    @pytest.mark.parametrize("mode, name", [
+        (mode, name) for mode in ("random", "location") for name in CATALOG
+    ])
+    def test_out_of_sample_is_fit_then_score(self, mode, name):
+        """Evaluating out of sample equals an in-sample fit on train
+        followed by a frozen score on test; for NSE, scoring test
+        locations the fit never saw succeeds."""
         train, test = self._split(mode)
-        nse = get_objective("NSE")
-        result = evaluate_objective(nse, train, test)
-        assert result.n_eval == test.n_total
-        assert math.isfinite(result.loglik_nats)
-        fitted = evaluate_objective(nse, train, train)
-        assert result == score_objective(nse, fitted.params, test)
+        spec = get_objective(name)
+        result = evaluate_objective(spec, train, test)
+        fitted = evaluate_objective(spec, train, train)
+        if spec.zero_inflated:
+            assert fitted.params.rho is not None
+        assert result == score_objective(spec, fitted.params, test)
+        if name == "NSE":
+            assert result.n_eval == test.n_total
+            assert math.isfinite(result.loglik_nats)
+
+    def test_an_error_names_its_objective_once(self):
+        """evaluate_objective names the objective in an error from either
+        side, once; score_objective called directly does not."""
+        msle = get_objective("MSLE")
+        message = "no pairs above the zero-state threshold"
+        train = validate_dataset({"A": ([1.0, 2.0, 4.0], [1.5, 2.0, 3.0])})
+        dry = validate_dataset({"B": ([0.0, 0.001], [1.0, 0.0])})
+        for fit_on, score_on in ((train, dry), (dry, dry)):
+            with pytest.raises(EmptyEvaluationSet) as err:
+                evaluate_objective(msle, fit_on, score_on)
+            assert str(err.value) == f"objective MSLE: {message}"
+        params = evaluate_objective(msle, train, train).params
+        with pytest.raises(EmptyEvaluationSet) as err:
+            score_objective(msle, params, dry)
+        assert str(err.value) == message
 
 
 class TestScoreObjective:
@@ -378,8 +411,9 @@ class TestInvariants:
         nse = get_objective("NSE")
         zero = [loc for loc, s in sigma_o.items() if s == 0]
         if zero:
-            message = ("sigma_o must be > 0 wherever used as a divisor; "
-                       f"location {min(zero)!r} has sigma_o = 0.0")
+            message = ("objective NSE: sigma_o must be > 0 wherever used "
+                       f"as a divisor; location {min(zero)!r} has sigma_o "
+                       "= 0.0")
             with pytest.raises(DomainViolation) as err:
                 evaluate_objective(nse, ds, ds)
             assert str(err.value) == message

@@ -31,6 +31,13 @@ class TestAnalyticEntropy:
         with pytest.raises(NonPositiveScale):
             analytic_entropy("normal", 0.0)
 
+    def test_unknown_family_is_an_invalid_model(self):
+        """An unknown family is a fault of the model, not of its scale."""
+        with pytest.raises(InvalidModel) as err:
+            analytic_entropy("cauchy", 1.0)
+        assert str(err.value) == ("unknown family 'cauchy'; expected one of "
+                                  "('normal', 'laplace', 'uniform')")
+
 
 class TestSyntheticModel:
     def test_invalid_models(self):
