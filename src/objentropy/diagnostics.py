@@ -12,12 +12,18 @@ import numpy as np
 from .data import Dataset
 from .errors import (
     EmptyInput,
-    NonPositiveThreshold,
     ObjentropyError,
     SizeExceedsData,
     ZeroVariance,
 )
-from .likelihoods import DEFAULT_ZERO_THRESHOLD, ObjectiveSpec, evaluate_objective
+from .likelihoods import (
+    DEFAULT_ZERO_THRESHOLD,
+    ObjectiveSpec,
+    _fitted,
+    _frames,
+    _score,
+    evaluate_objective,
+)
 
 
 class ConvergencePoint(NamedTuple):
@@ -118,24 +124,26 @@ def per_location_entropy(
     """Fit and evaluate each objective independently at each location,
     in-sample.
 
-    Locations where an objective's fit fails (domain, degenerate scale, or
-    empty support) become NaN cells and drop out of the pairwise
-    correlations. A threshold <= 0 fails every cell, so it raises.
+    Each objective makes one pass over the whole dataset and reduces each
+    location's slice of it, so a cell is bit for bit the entropy of
+    `evaluate_objective` on a dataset of that location alone. Locations
+    where an objective fails (no pair above the threshold for a
+    positive-domain objective, sigma_o = 0 for NSE, or a degenerate scale)
+    become NaN cells and drop out of the pairwise correlations. A threshold
+    <= 0 fails every cell, so it raises.
     """
     if not specs:
         raise EmptyInput("no objectives given")
     names = tuple(s.name for s in specs)
     locations = dataset.location_ids
     h = np.full((len(locations), len(specs)), np.nan)
-    for i, (loc, rows) in enumerate(dataset.rows()):
-        single = Dataset((loc,), (0, rows.stop - rows.start),
-                         dataset.pairs[:, rows])
-        for j, spec in enumerate(specs):
+    for j, spec in enumerate(specs):
+        frames = _frames(spec, dataset, threshold, dataset.bounds)
+        for i, frame in enumerate(frames):
+            if isinstance(frame, ObjentropyError):
+                continue
             try:
-                h[i, j] = evaluate_objective(spec, single, single,
-                                             threshold).h_bits
-            except NonPositiveThreshold:
-                raise
+                h[i, j] = _score(spec, _fitted(spec, frame), frame).h_bits
             except ObjentropyError:
                 continue
     return EntropyMatrix(

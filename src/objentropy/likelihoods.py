@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .information import (
     aic_adjusted_entropy,
     conditional_entropy_bits,
 )
-from .transforms import POSITIVE_DOMAIN_KINDS, apply, log_jacobian_sum
+from .transforms import POSITIVE_DOMAIN_KINDS, apply, log_jacobian_terms
 from .transforms import TRANSFORM_KINDS as _VALUE_KINDS
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -64,10 +64,12 @@ DEFAULT_ZERO_THRESHOLD = 0.0028
 
 class _Family(NamedTuple):
     """A base family read through its sufficient statistic: the residuals
-    enter its scale's MLE and its log-likelihood only through statistic(r)
-    and their count n."""
+    enter its scale's MLE and its log-likelihood only through
+    reduce(values(r)) and their count n. A segment's statistic is the
+    reduction of its slice of values(r)."""
 
-    statistic: Callable[[np.ndarray], float]
+    values: Callable[[np.ndarray], np.ndarray]  # per residual
+    reduce: Callable[[np.ndarray], float]
     fit: Callable[[float, int], float]  # (statistic, n) -> scale
     loglik: Callable[[float, int, float], float]  # (statistic, n, scale)
     scale_name: str
@@ -77,21 +79,27 @@ _FAMILIES: dict[str, _Family] = {
     # sigma = sqrt(sum r^2 / n);
     # loglik = -n ln sigma - (n/2) ln(2 pi) - sum r^2 / (2 sigma^2).
     "normal": _Family(
-        lambda r: float(np.sum(r * r)), lambda s, n: math.sqrt(s / n),
+        lambda r: r * r, np.add.reduce, lambda s, n: math.sqrt(s / n),
         lambda s, n, sigma: (-n * math.log(sigma) - 0.5 * n * _LN_2PI
                              - s / (2.0 * sigma * sigma)), "sigma"),
     # b = sum |r| / n; loglik = -n ln(2b) - sum |r| / b.
     "laplace": _Family(
-        lambda r: float(np.sum(np.abs(r))), lambda s, n: s / n,
+        np.abs, np.add.reduce, lambda s, n: s / n,
         lambda s, n, b: -n * math.log(2.0 * b) - s / b, "b"),
     # a = max |r|; the density is 1/(2a) on [-a, a], so loglik =
     # -n ln(2a) while every |r| <= a, else -inf (zero likelihood).
     # Densities above 1 make positive values legitimate.
     "uniform": _Family(
-        lambda r: float(np.max(np.abs(r), initial=0.0)), lambda s, n: s,
+        np.abs, lambda v: np.maximum.reduce(v, initial=0.0), lambda s, n: s,
         lambda s, n, a: -n * math.log(2.0 * a) if s <= a else float("-inf"),
         "the bound"),
 }
+
+
+def _statistic(family: str, residuals: np.ndarray) -> float:
+    fam = _FAMILIES[family]
+    return float(fam.reduce(fam.values(residuals)))
+
 
 BASE_FAMILIES = tuple(_FAMILIES)
 
@@ -197,14 +205,14 @@ def fit_scale(family: str, residuals: np.ndarray) -> float:
     sqrt(mean r^2) (normal), b = mean |r| (laplace), or the bound
     a = max |r| (uniform)."""
     r = np.asarray(residuals, dtype=np.float64)
-    return _fit(family, _FAMILIES[family].statistic(r), r.size)
+    return _fit(family, _statistic(family, r), r.size)
 
 
 def loglik(family: str, residuals: np.ndarray, scale: float) -> float:
     """Log-likelihood of residuals under a base family at a scale; -inf
     when a residual lies beyond a uniform bound (zero likelihood)."""
     r = np.asarray(residuals, dtype=np.float64)
-    return _loglik(family, _FAMILIES[family].statistic(r), r.size, scale)
+    return _loglik(family, _statistic(family, r), r.size, scale)
 
 
 def _fit(family: str, statistic: float, n: int) -> float:
@@ -253,22 +261,15 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
     """NSE's sigma_o of each location of dataset, by location code: the
     population standard deviation of the location's observed values."""
     observed = dataset.observed
-    sigma = np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
-    if not sigma.all():
-        bad = min(loc for loc, s in zip(dataset.location_ids, sigma) if s == 0)
-        raise DomainViolation(
-            f"sigma_o must be > 0 wherever used as a divisor; location "
-            f"{bad!r} has sigma_o = 0.0"
-        )
-    return sigma
+    return np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
 
 
 class _Frame(NamedTuple):
-    """One dataset seen through one objective: the count of transformed
-    residuals over the objective's support and their base family's
-    statistic, the log-Jacobian summed over its observed values, and the
-    zero-state counts n1 and n2 (both 0 where the transform's domain is
-    not positive)."""
+    """One dataset segment seen through one objective: the count of
+    transformed residuals over the objective's support and their base
+    family's statistic, the log-Jacobian summed over its observed values,
+    and the zero-state counts n1 and n2 (both 0 where the transform's
+    domain is not positive)."""
 
     n: int
     statistic: float
@@ -277,44 +278,111 @@ class _Frame(NamedTuple):
     n2: int
 
 
-def _evaluation_frame(
-    spec: ObjectiveSpec, dataset: Dataset, threshold: float
-) -> _Frame:
-    """The frame of dataset at a zero-state threshold; a location with
-    sigma_o = 0 raises _sigma_o's DomainViolation."""
+def _frames(
+    spec: ObjectiveSpec,
+    dataset: Dataset,
+    threshold: float,
+    bounds: Sequence[int],
+) -> list[_Frame | ObjentropyError]:
+    """The frame of each segment bounds[i]:bounds[i + 1] of dataset at a
+    zero-state threshold, or the error that segment fails with: no pair
+    above the threshold, or a location with sigma_o = 0. bounds run from 0
+    to n along location boundaries.
+
+    Each per-pair array is built once over the whole dataset, and each
+    segment reduces its contiguous slice with the same numpy reduction a
+    dataset of that segment alone would use, so a segment's frame is bit
+    for bit the frame of that segment alone.
+    """
     if not threshold > 0:
         raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
     kind = spec.transform_kind
     obs, pred = dataset.observed, dataset.predicted
-    n1 = n2 = 0
-    # Each log-Jacobian is summed before the residuals are formed, and obs
-    # is dropped once transformed, so fewer n-value arrays are alive at
-    # once: this lowers peak memory.
+    bounds = [int(b) for b in bounds]
+    segments = list(zip(bounds[:-1], bounds[1:]))
+    failed: dict[int, ObjentropyError] = {}
+    n1 = n2 = [0] * len(segments)
+    # Each per-value array is reduced to per-segment sums and dropped
+    # before the next one is formed, and obs is dropped once transformed,
+    # so fewer n-value arrays are alive at once: this lowers peak memory.
     if kind in POSITIVE_DOMAIN_KINDS:
         positive = obs > threshold
-        if not positive.any():
-            raise EmptyEvaluationSet(
-                "no pairs above the zero-state threshold"
-            )
-        zero_pred = pred[~positive]
-        n1 = int(np.count_nonzero(zero_pred <= threshold))
-        n2 = zero_pred.size - n1
+        # Pairs outside n1: positive, or predicted above the threshold.
+        outside_n1 = pred > threshold
+        outside_n1 |= positive
+        n_pos, n1, n2 = [], [], []
+        for i, (a, b) in enumerate(segments):
+            p = int(np.count_nonzero(positive[a:b]))
+            outside = int(np.count_nonzero(outside_n1[a:b]))
+            n_pos.append(p)
+            n1.append(b - a - outside)
+            n2.append(outside - p)
+            if not p:
+                failed[i] = EmptyEvaluationSet(
+                    "no pairs above the zero-state threshold"
+                )
+        del outside_n1
+        ends = np.cumsum([0, *n_pos]).tolist()
+        segments = list(zip(ends[:-1], ends[1:]))
         obs = obs[positive]
-        pred = np.maximum(pred[positive], threshold)
-        log_jacobian = log_jacobian_sum(kind, obs)
+        pred = pred[positive]
+        del positive
+        np.maximum(pred, threshold, out=pred)
+        log_jacobian = _segment_sums(log_jacobian_terms(kind, obs), segments)
         residuals = apply(kind, obs)
         del obs
         residuals -= apply(kind, pred)
+        del pred
     elif kind == "per-location-scale":
-        sigma = _sigma_o(dataset)[dataset.location_codes]
-        log_jacobian = -float(np.sum(np.log(sigma)))
+        sigma = _sigma_o(dataset)
+        zero = sigma == 0
+        if zero.any():
+            ids = dataset.location_ids
+            edges = np.searchsorted(dataset.bounds, bounds).tolist()
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                bad = [ids[k] for k in range(lo, hi) if zero[k]]
+                if bad:
+                    failed[i] = DomainViolation(
+                        f"sigma_o must be > 0 wherever used as a divisor; "
+                        f"location {min(bad)!r} has sigma_o = 0.0"
+                    )
+            # Failed segments are not reduced; 1.0 keeps ln and division
+            # finite and silent on their pairs.
+            sigma[zero] = 1.0
+        sigma = sigma[dataset.location_codes]
+        terms = np.log(sigma)
+        np.negative(terms, out=terms)
+        log_jacobian = _segment_sums(terms, segments)
+        del terms
         residuals = obs - pred
         residuals /= sigma
+        del sigma
     else:  # identity
-        log_jacobian = 0.0
+        log_jacobian = [0.0] * len(segments)
         residuals = obs - pred
-    statistic = _FAMILIES[spec.base_family].statistic(residuals)
-    return _Frame(residuals.size, statistic, log_jacobian, n1, n2)
+    fam = _FAMILIES[spec.base_family]
+    values = fam.values(residuals)
+    del residuals
+    return [
+        failed[i] if i in failed else _Frame(
+            b - a, float(fam.reduce(values[a:b])), log_jacobian[i],
+            n1[i], n2[i])
+        for i, (a, b) in enumerate(segments)
+    ]
+
+
+def _segment_sums(terms: np.ndarray, segments: list[tuple[int, int]]
+                  ) -> list[float]:
+    return [float(np.add.reduce(terms[a:b])) for a, b in segments]
+
+
+def _fitted(spec: ObjectiveSpec, frame: _Frame) -> FittedParams:
+    """Maximum-likelihood parameters of spec on frame."""
+    scale = _fit(spec.base_family, frame.statistic, frame.n)
+    rho = None
+    if spec.zero_inflated and frame.n1 + frame.n2 > 0:
+        rho = fit_binomial_rate(frame.n1, frame.n2)
+    return FittedParams(scale=scale, rho=rho)
 
 
 def evaluate_objective(
@@ -329,12 +397,10 @@ def evaluate_objective(
     and an error raised on either side names the objective.
     """
     try:
-        frame = _evaluation_frame(spec, train, threshold)
-        scale = _fit(spec.base_family, frame.statistic, frame.n)
-        rho = None
-        if spec.zero_inflated and frame.n1 + frame.n2 > 0:
-            rho = fit_binomial_rate(frame.n1, frame.n2)
-        params = FittedParams(scale=scale, rho=rho)
+        (frame,) = _frames(spec, train, threshold, (0, train.n_total))
+        if not isinstance(frame, _Frame):
+            raise frame
+        params = _fitted(spec, frame)
         if test is train:
             return _score(spec, params, frame)
         return score_objective(spec, params, test, threshold)
@@ -356,10 +422,11 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    try:
-        frame = _evaluation_frame(spec, test, threshold)
-    except DomainViolation:
+    (frame,) = _frames(spec, test, threshold, (0, test.n_total))
+    if isinstance(frame, DomainViolation):
         frame = _Frame(test.n_total, 0.0, float("-inf"), 0, 0)
+    elif not isinstance(frame, _Frame):
+        raise frame
     return _score(spec, params, frame)
 
 

@@ -20,23 +20,31 @@ import numpy as np
 from .errors import DomainViolation
 
 
-def _sqrt_log_jacobian(y: np.ndarray) -> float:
-    # -sum(ln(2 sqrt(y))), built in one temporary.
+def _scaled_log(y: np.ndarray, c: float) -> np.ndarray:
+    # c ln y, built in one temporary.
+    t = np.log(y)
+    t *= c
+    return t
+
+
+def _sqrt_log_jacobian(y: np.ndarray) -> np.ndarray:
+    # -ln(2 sqrt(y)), built in one temporary.
     t = np.sqrt(y)
     t *= 2.0
     np.log(t, out=t)
-    return -np.sum(t)
+    t *= -1.0
+    return t
 
 
 # Kinds whose domain is restricted to strictly positive inputs, each as
-# (v, sum of ln|v'| over the values). Negative signs in derivatives are
-# absorbed by the absolute value; each sum scales the sum of logs, so it
-# allocates no n-value temporary beyond the logs themselves.
+# (v, per-value ln|v'|). Negative signs in derivatives are absorbed by the
+# absolute value. Scaling a term by -1 or -2 is exact, so the sum of the
+# terms equals -sum(ln y), -sum(ln(2 sqrt y)) or -2 sum(ln y) bit for bit.
 _POSITIVE: dict[str, tuple[Callable[[np.ndarray], np.ndarray],
-                           Callable[[np.ndarray], float]]] = {
-    "natural-log": (np.log, lambda y: -np.sum(np.log(y))),
+                           Callable[[np.ndarray], np.ndarray]]] = {
+    "natural-log": (np.log, lambda y: _scaled_log(y, -1.0)),
     "square-root": (np.sqrt, _sqrt_log_jacobian),
-    "reciprocal": (lambda y: 1.0 / y, lambda y: -2.0 * np.sum(np.log(y))),
+    "reciprocal": (lambda y: 1.0 / y, lambda y: _scaled_log(y, -2.0)),
 }
 
 TRANSFORM_KINDS = ("identity", *_POSITIVE)
@@ -44,8 +52,8 @@ POSITIVE_DOMAIN_KINDS = frozenset(_POSITIVE)
 
 
 def _positive(kind: str, values: np.ndarray) -> tuple[Callable, Callable]:
-    """The (v, log-Jacobian sum) of a positive-domain kind, once values lie
-    in its domain."""
+    """The (v, per-value log-Jacobian) of a positive-domain kind, once
+    values lie in its domain."""
     if kind not in _POSITIVE:
         raise DomainViolation(
             f"unknown transform {kind!r}; expected one of {TRANSFORM_KINDS}"
@@ -70,13 +78,19 @@ def apply(kind: str, values: np.ndarray) -> np.ndarray:
     return _positive(kind, v)[0](v)
 
 
-def log_jacobian_sum(kind: str, observed: np.ndarray) -> float:
-    """Sum over observations of ln|v'(y_i)|, in nats.
+def log_jacobian_terms(kind: str, observed: np.ndarray) -> np.ndarray:
+    """Elementwise ln|v'(y_i)|, in nats, as a new array.
 
-    identity -> 0; natural-log -> sum ln(1/y); square-root ->
-    sum ln(1/(2 sqrt(y))); reciprocal -> sum ln(1/y^2).
+    identity -> 0; natural-log -> ln(1/y); square-root ->
+    ln(1/(2 sqrt(y))); reciprocal -> ln(1/y^2).
     """
     y = np.asarray(observed, dtype=np.float64)
     if kind == "identity":
-        return 0.0
-    return float(_positive(kind, y)[1](y))
+        return np.zeros_like(y)
+    return _positive(kind, y)[1](y)
+
+
+def log_jacobian_sum(kind: str, observed: np.ndarray) -> float:
+    """Sum over observations of ln|v'(y_i)|, in nats: the np.sum of
+    `log_jacobian_terms`."""
+    return float(np.sum(log_jacobian_terms(kind, observed)))

@@ -6,6 +6,7 @@ attributes of their results; a refactor that renames or reshapes them
 breaks `perfbench/run.py --trace 1` without failing any other test.
 """
 
+import collections
 import importlib.util
 import json
 import sys
@@ -96,7 +97,9 @@ def test_counters_read_the_evaluations(tmp_path, capsys):
 def test_diagnose_commands_under_counters(tmp_path, capsys):
     """correlate and convergence run under the benchmark's counters, every
     binding is restored afterwards, and per_location_entropy counts one
-    cell per location and objective of the report."""
+    cell per location and objective of the report. correlate scores its
+    cells without evaluate_objective; convergence makes one evaluation per
+    size, replicate and objective."""
     data = tmp_path / "d.csv"
     _synth(data, "--family", "multiplicative-lognormal", "--scale", "0.4",
            "--locations", "10", "--seed", "3")
@@ -123,3 +126,11 @@ def test_diagnose_commands_under_counters(tmp_path, capsys):
     locations = max(row["n_locations"] for row in rows)
     assert tracer.counts["diagnostics.per_location_entropy.cells"] == (
         locations * len(objectives)) == 100
+    spans = tracer.spans
+    roots = run.root_of(spans)
+    _, convergence = sorted(
+        (s for s in spans if s.name == "cli.main"), key=lambda s: s.start_ns)
+    evaluations = collections.Counter(
+        roots[s.span_id] for s in spans
+        if s.name == "likelihoods.evaluate_objective")
+    assert evaluations == {convergence.span_id: 2 * 2 * 3}

@@ -423,6 +423,27 @@ class TestOtherCommands:
         names = {(r["objective_a"], r["objective_b"]) for r in rows}
         assert ("MSE", "MAE") in names
 
+    def test_correlate_failed_cells_are_silent(self, tmp_path, capsys):
+        """A flat location (sigma_o = 0) fails NSE and one with no observed
+        value above the threshold fails the positive-domain objectives;
+        correlate drops those cells, warns about nothing and exits 0."""
+        data = tmp_path / "failing.csv"
+        data.write_text(
+            "location_id,observed,predicted\n"
+            "A,1.5,1.2\nA,2.5,2.9\nA,0.7,0.6\nA,3.1,2.2\n"
+            "FLAT,2.0,1.5\nFLAT,2.0,2.5\nFLAT,2.0,2.25\n"
+            "ZERO,0,0\nZERO,0,0.5\nZERO,0.001,0\n"
+            "C,4.0,3.0\nC,1.0,1.5\nC,2.5,2.0\nC,0,0.1\n")
+        rc = main(["correlate", "--input", str(data), "--objectives", "all",
+                   "--format", "json"])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        counts = {(r["objective_a"], r["objective_b"]): r["n_locations"]
+                  for r in json.loads(captured.out)["rows"]}
+        assert counts[("MSE", "MAE")] == 4
+        assert counts[("MSE", "NSE")] == counts[("MSE", "MSLE")] == 3
+        assert counts[("NSE", "MSLE")] == 2
+
     def test_correlate_needs_two_objectives(self, tmp_path, capsys):
         data = _synth(tmp_path)
         rc = main(["correlate", "--input", str(data), "--objectives", "MSE"])

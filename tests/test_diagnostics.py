@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from objentropy import diagnostics
 from objentropy.data import validate_dataset
@@ -14,10 +16,20 @@ from objentropy.diagnostics import (
     pearson_matrix,
     per_location_entropy,
 )
-from objentropy.errors import EmptyInput, SizeExceedsData, ZeroVariance
+from objentropy.errors import (
+    EmptyInput,
+    ObjentropyError,
+    SizeExceedsData,
+    ZeroVariance,
+)
 from objentropy.information import conditional_entropy_bits
-from objentropy.likelihoods import CATALOG, evaluate_objective
+from objentropy.likelihoods import (
+    CATALOG,
+    DEFAULT_ZERO_THRESHOLD,
+    evaluate_objective,
+)
 from objentropy.synthetic import SyntheticModel, analytic_entropy, generate
+from objentropy.transforms import POSITIVE_DOMAIN_KINDS
 
 
 def _normal_dataset(n=10_000, seed=5):
@@ -125,7 +137,72 @@ def _heteroscedastic_dataset(seed=0, n=800):
     return validate_dataset(raw)
 
 
+# Values on a 1/16 grid sum exactly, so a flat location's sigma_o is 0.
+_GRID = st.integers(0, 64).map(lambda k: k / 16)
+_VALUE = st.just(DEFAULT_ZERO_THRESHOLD) | _GRID | st.floats(1e-3, 1e3)
+_BELOW = st.sampled_from([0.0, DEFAULT_ZERO_THRESHOLD / 2,
+                          DEFAULT_ZERO_THRESHOLD])
+
+
+def _paired(obs, pred):
+    return st.lists(st.tuples(obs, pred), min_size=1, max_size=12).map(
+        lambda pairs: tuple(map(list, zip(*pairs))))
+
+
+# A location of each kind; the last four fail some objectives: NSE on a
+# flat or single-pair location (sigma_o = 0), every positive-domain
+# objective where no observed value is above the threshold, and every
+# objective where o == p (a degenerate scale).
+_LOCATIONS = {
+    "random": _paired(_VALUE, _VALUE),
+    "flat": st.tuples(_GRID, st.lists(_VALUE, min_size=2, max_size=12)).map(
+        lambda c_pred: ([c_pred[0]] * len(c_pred[1]), c_pred[1])),
+    "below": _paired(_BELOW, _VALUE),
+    "exact": st.lists(_VALUE, min_size=1, max_size=12).map(
+        lambda obs: (obs, list(obs))),
+    "single": _paired(_VALUE, _VALUE).map(lambda op: (op[0][:1], op[1][:1])),
+}
+
+
+@st.composite
+def _mixed_locations(draw):
+    """Location kinds in a drawn order, each failing kind at least once,
+    and their pairs by id."""
+    kinds = draw(st.permutations(
+        [*list(_LOCATIONS)[1:], *draw(st.lists(st.just("random"),
+                                               max_size=4))]))
+    return kinds, {f"L{i}": draw(_LOCATIONS[kind])
+                   for i, kind in enumerate(kinds)}
+
+
 class TestPerLocationEntropy:
+    @settings(max_examples=80, deadline=None)
+    @given(_mixed_locations())
+    def test_equals_one_location_evaluations(self, drawn):
+        """Each cell is bit for bit evaluate_objective's entropy on a
+        dataset of that location alone, and NaN exactly where that
+        evaluation fails."""
+        kinds, raw = drawn
+        specs = list(CATALOG.values())
+        h = per_location_entropy(validate_dataset(raw), specs).entropies
+        oracle = np.full((len(raw), len(specs)), np.nan)
+        for i, (loc, pairs) in enumerate(raw.items()):
+            single = validate_dataset({loc: pairs})
+            for j, spec in enumerate(specs):
+                try:
+                    oracle[i, j] = evaluate_objective(spec, single,
+                                                      single).h_bits
+                except ObjentropyError:
+                    pass
+        assert np.array_equal(h, oracle, equal_nan=True)
+        row = {kind: i for i, kind in enumerate(kinds)}
+        nse = [j for j, s in enumerate(specs) if s.name == "NSE"]
+        positive = [j for j, s in enumerate(specs)
+                    if s.transform_kind in POSITIVE_DOMAIN_KINDS]
+        assert np.isnan(h[[row["flat"], row["single"]]][:, nse]).all()
+        assert np.isnan(h[row["below"], positive]).all()
+        assert np.isnan(h[row["exact"]]).all()
+
     def test_single_location_unit_diagonal(self):
         ds = _normal_dataset(n=200)
         mat = per_location_entropy(ds, [CATALOG["MSE"], CATALOG["MAE"]],

@@ -249,16 +249,21 @@ class TestSigmaO:
                                    atol=1e-12)
         assert sigma.dtype == np.float64
 
+    @staticmethod
+    def _nse_fails(ds, message):
+        with pytest.raises(DomainViolation, match=message):
+            evaluate_objective(CATALOG["NSE"], ds, ds)
+
     def test_single_point(self):
-        with pytest.raises(DomainViolation,
-                           match="location 'A' has sigma_o = 0.0"):
-            self._sigma_o({"A": ([5], [0])})
+        ds = validate_dataset({"A": ([5], [0])})
+        assert _sigma_o(ds).tolist() == [0.0]
+        self._nse_fails(ds, "location 'A' has sigma_o = 0.0")
 
     def test_constant_series(self):
-        with pytest.raises(DomainViolation,
-                           match="location 'B' has sigma_o = 0.0"):
-            self._sigma_o({"C": ([1, 2], [0, 0]), "B": ([2, 2, 2], [0, 0, 0]),
-                           "D": ([3], [3])})
+        ds = validate_dataset({"C": ([1, 2], [0, 0]),
+                               "B": ([2, 2, 2], [0, 0, 0]), "D": ([3], [3])})
+        assert _sigma_o(ds).tolist() == [0.5, 0.0, 0.0]
+        self._nse_fails(ds, "location 'B' has sigma_o = 0.0")
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)

@@ -14,6 +14,7 @@ from objentropy.transforms import (
     TRANSFORM_KINDS,
     apply,
     log_jacobian_sum,
+    log_jacobian_terms,
 )
 
 E = math.e
@@ -36,10 +37,10 @@ class TestApply:
 
     def test_domain_violations(self):
         for kind in POSITIVE_DOMAIN_KINDS:
-            for run in (apply, log_jacobian_sum):
+            for run in (apply, log_jacobian_terms, log_jacobian_sum):
                 with pytest.raises(DomainViolation, match="minimum was 0.0"):
                     run(kind, [1.0, 0.0])
-        for run in (apply, log_jacobian_sum):
+        for run in (apply, log_jacobian_terms, log_jacobian_sum):
             with pytest.raises(DomainViolation, match="unknown transform"):
                 run("cube-root", [1.0])
             with pytest.raises(DomainViolation, match="unknown transform"):
@@ -59,6 +60,8 @@ class TestLogJacobianSum:
 
     def test_identity_is_zero(self):
         assert log_jacobian_sum("identity", [5, -2, 0.1]) == 0.0
+        np.testing.assert_array_equal(
+            log_jacobian_terms("identity", [5, -2, 0.1]), [0.0, 0.0, 0.0])
 
     def test_reciprocal(self):
         # |d(1/y)/dy| = 1/y^2
@@ -83,15 +86,21 @@ class TestLogJacobianSum:
                st.integers(0, 2 ** 32), st.integers(1, 200_000),
                st.floats(0.01, 20.0)))
     def test_positive_sums_equal_termwise_formulas(self, kind, values):
-        """Each positive-domain sum equals the sum of its termwise
-        ln|v'(y)| exactly."""
+        """Each positive-domain kind's terms are its termwise ln|v'(y)|
+        exactly, and their sum equals both the sum of those terms and the
+        closed form -sum(ln y), -sum(ln(2 sqrt y)) or -2 sum(ln y) bit for
+        bit."""
         y = np.asarray(values, dtype=np.float64)
-        termwise = {
-            "natural-log": lambda: -np.log(y),
-            "square-root": lambda: -np.log(2.0 * np.sqrt(y)),
-            "reciprocal": lambda: -2.0 * np.log(y),
+        termwise, closed = {
+            "natural-log": (lambda: -np.log(y), lambda: -np.sum(np.log(y))),
+            "square-root": (lambda: -np.log(2.0 * np.sqrt(y)),
+                            lambda: -np.sum(np.log(2.0 * np.sqrt(y)))),
+            "reciprocal": (lambda: -2.0 * np.log(y),
+                           lambda: -2.0 * np.sum(np.log(y))),
         }[kind]
-        assert log_jacobian_sum(kind, y) == float(np.sum(termwise()))
+        np.testing.assert_array_equal(log_jacobian_terms(kind, y), termwise())
+        total = log_jacobian_sum(kind, y)
+        assert total == float(np.sum(termwise())) == float(closed())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(TRANSFORM_KINDS),
