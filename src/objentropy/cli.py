@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands: rank, convergence, correlate, synth, adjust. Exit codes:
-0 success, 1 usage error, 2 data or domain error.
+0 success; 1 usage error, a bad flag value, found before any file is read
+or written; 2 a file that cannot be read or written, or bad data in one.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .data import SplitSpec, split
 from .diagnostics import (
@@ -17,7 +20,7 @@ from .diagnostics import (
     convergence_curve,
     per_location_entropy,
 )
-from .errors import ObjentropyError, UnknownObjective, UsageError
+from .errors import ObjentropyError, UsageError
 from .information import (
     adjust_expectation_lognormal,
     prediction_interval,
@@ -35,6 +38,7 @@ from .io import (
 from .likelihoods import (
     CATALOG,
     DEFAULT_ZERO_THRESHOLD,
+    check_threshold,
     evaluate_objective,
     resolve_objectives,
 )
@@ -67,7 +71,7 @@ def _build_parser() -> _Parser:
         help="CSV of objective,k,h_bits; rank the given entropies directly",
     )
     _common_flags(rank)
-    rank.add_argument("--split", default="none",
+    rank.add_argument("--split", type=_split_flag, default="none",
                       help="none | random:<frac> | time:<frac> | location:<frac>")
     rank.add_argument("--seed", type=int, default=0)
     rank.add_argument("--aic", choices=("on", "off"), default="on",
@@ -80,7 +84,7 @@ def _build_parser() -> _Parser:
         "convergence", help="entropy error versus subsample size"
     )
     conv.add_argument("--input", required=True)
-    conv.add_argument("--sizes", required=True,
+    conv.add_argument("--sizes", type=_comma_list(int), required=True,
                       help="comma-separated increasing subsample sizes")
     conv.add_argument("--replicates", type=int, default=5)
     conv.add_argument("--seed", type=int, default=0)
@@ -98,7 +102,8 @@ def _build_parser() -> _Parser:
     synth.add_argument("--family", choices=FAMILIES, required=True)
     synth.add_argument("--scale", type=float, required=True)
     synth.add_argument("--zero-inflation", type=float, default=0.0)
-    synth.add_argument("--base-median", default="1.0",
+    synth.add_argument("--base-median", type=_comma_list(float),
+                       default="1.0",
                        help="single value or comma list, one per location")
     synth.add_argument("--base-log-sigma", type=float, default=1.0)
     synth.add_argument("--n-per-location", type=int, default=1000)
@@ -132,35 +137,32 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
-def _parse_split(text: str, seed: int) -> SplitSpec:
-    """The SplitSpec of --split's `mode[:fraction]`; the spec checks the
-    mode, the fraction and the seed."""
+def _comma_list(kind: type) -> Callable[[str], list]:
+    """The argparse type of a comma-separated list of kind values."""
+    def parse(text: str) -> list:
+        return [kind(item) for item in text.split(",") if item.strip()]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's message
+    return parse
+
+
+def _split_flag(text: str) -> tuple[str, float | None]:
+    """--split's mode[:fraction] as a pair; SplitSpec checks both."""
     mode, colon, frac = text.strip().partition(":")
+    return mode, float(frac) if colon else None
+
+
+_split_flag.__name__ = "mode[:fraction]"  # argparse's message
+
+
+@contextlib.contextmanager
+def _flag_values() -> Iterator[None]:
+    """The block where a command turns its flags into the library's values.
+    It reads and writes no file, so a library error raised in it is a bad
+    flag value: a usage error."""
     try:
-        return SplitSpec(mode, float(frac) if colon else None, seed)
+        yield
     except ObjentropyError as exc:
         raise UsageError(str(exc)) from exc
-    except ValueError:
-        raise UsageError(f"bad split fraction {frac!r}") from None
-
-
-def _resolve_specs(selection: str):
-    try:
-        return resolve_objectives(selection)
-    except UnknownObjective as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _validate_threshold(threshold: float) -> float:
-    if not threshold > 0:
-        raise UsageError(f"--threshold must be > 0, got {threshold}")
-    return threshold
-
-
-def _validate_seed(seed: int) -> int:
-    if not (0 <= seed < 2 ** 64):
-        raise UsageError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -171,46 +173,37 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_rank(args: argparse.Namespace) -> None:
-    if (args.input is None) == (args.from_entropies is None):
-        raise UsageError("rank needs exactly one of --input or --from-entropies")
+    with _flag_values():
+        if (args.input is None) == (args.from_entropies is None):
+            raise UsageError(
+                "rank needs exactly one of --input or --from-entropies")
+        specs = resolve_objectives(args.objectives)
+        threshold = check_threshold(args.threshold)
+        split_spec = SplitSpec(*args.split, args.seed)
+        if args.threads is not None and args.threads < 1:
+            raise UsageError(f"thread cap must be >= 1, got {args.threads}")
+
     if args.from_entropies is not None:
-        estimates = load_entropies(args.from_entropies)
-        report = rank_objectives(estimates, descriptions=_DESCRIPTIONS)
-        _emit(format_report(report, args.format), args.out)
-        return
-
-    specs = _resolve_specs(args.objectives)
-    threshold = _validate_threshold(args.threshold)
-    split_spec = _parse_split(args.split, args.seed)
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"thread cap must be >= 1, got {args.threads}")
-
-    dataset = load_csv(args.input)
-    train, test = split(dataset, split_spec)
-    estimates = [evaluate_objective(spec, train, test, threshold)
-                 for spec in specs]
-    report = rank_objectives(estimates, adjusted=args.aic == "on",
+        estimates, adjusted = load_entropies(args.from_entropies), False
+    else:
+        train, test = split(load_csv(args.input), split_spec)
+        estimates = [evaluate_objective(spec, train, test, threshold)
+                     for spec in specs]
+        adjusted = args.aic == "on"
+    report = rank_objectives(estimates, adjusted=adjusted,
                              descriptions=_DESCRIPTIONS)
     _emit(format_report(report, args.format), args.out)
 
 
 def _cmd_convergence(args: argparse.Namespace) -> None:
-    specs = _resolve_specs(args.objectives)
-    threshold = _validate_threshold(args.threshold)
-    try:
-        sizes = check_subsamples(
-            [int(s) for s in args.sizes.split(",") if s.strip()],
-            args.replicates,
-        )
-    except ValueError:
-        raise UsageError(f"bad --sizes {args.sizes!r}") from None
-    except ObjentropyError as exc:
-        raise UsageError(str(exc)) from exc
-    seed = _validate_seed(args.seed)
+    with _flag_values():
+        specs = resolve_objectives(args.objectives)
+        threshold = check_threshold(args.threshold)
+        sizes = check_subsamples(args.sizes, args.replicates, args.seed)
     dataset = load_csv(args.input)
     curves = [convergence_curve(dataset, spec, sizes,
                                 replicates=args.replicates,
-                                seed=seed,
+                                seed=args.seed,
                                 threshold=threshold,
                                 with_replacement=args.bootstrap)
               for spec in specs]
@@ -218,30 +211,29 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> None:
-    specs = _resolve_specs(args.objectives)
-    if len(specs) < 2:
-        raise UsageError("correlate requires at least two objectives")
-    threshold = _validate_threshold(args.threshold)
+    with _flag_values():
+        specs = resolve_objectives(args.objectives)
+        if len(specs) < 2:
+            raise UsageError("correlate requires at least two objectives")
+        threshold = check_threshold(args.threshold)
     dataset = load_csv(args.input)
     matrix = per_location_entropy(dataset, specs, threshold=threshold)
     _emit(format_correlations(matrix, args.format), args.out)
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
-    try:
-        medians = [float(m) for m in str(args.base_median).split(",")]
-    except ValueError:
-        raise UsageError(f"bad --base-median {args.base_median!r}") from None
-    model = SyntheticModel(
-        family=args.family,
-        scale=args.scale,
-        zero_inflation_rate=args.zero_inflation,
-        base_median=medians[0] if len(medians) == 1 else tuple(medians),
-        base_log_sigma=args.base_log_sigma,
-        n_per_location=args.n_per_location,
-        n_locations=args.locations,
-        seed=_validate_seed(args.seed),
-    )
+    medians = args.base_median
+    with _flag_values():
+        model = SyntheticModel(
+            family=args.family,
+            scale=args.scale,
+            zero_inflation_rate=args.zero_inflation,
+            base_median=medians[0] if len(medians) == 1 else tuple(medians),
+            base_log_sigma=args.base_log_sigma,
+            n_per_location=args.n_per_location,
+            n_locations=args.locations,
+            seed=args.seed,
+        )
     dataset, truth = generate(model)
     write_dataset_csv(dataset, args.out)
     sys.stdout.write(json.dumps({
@@ -254,22 +246,16 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> None:
-    low, high = prediction_interval(
-        args.center, args.sigma, args.coverage, args.style
-    )
-    if args.style == "multiplicative":
-        expectation = adjust_expectation_lognormal(args.center, args.sigma)
-    else:
-        expectation = args.center
-    record = {
-        "center": args.center,
-        "sigma": args.sigma,
-        "coverage": args.coverage,
-        "style": args.style,
-        "expectation": expectation,
-        "low": low,
-        "high": high,
-    }
+    with _flag_values():
+        low, high = prediction_interval(
+            args.center, args.sigma, args.coverage, args.style
+        )
+        expectation = (
+            adjust_expectation_lognormal(args.center, args.sigma)
+            if args.style == "multiplicative" else args.center)
+    record = {"center": args.center, "sigma": args.sigma,
+              "coverage": args.coverage, "style": args.style,
+              "expectation": expectation, "low": low, "high": high}
     _emit(format_adjustment(record, args.format), args.out)
 
 
@@ -290,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ObjentropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ObjentropyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -59,10 +59,12 @@ class EntropyMatrix:
 
 
 def check_subsamples(
-    sizes: Sequence[int], replicates: int, n_total: int | None = None
+    sizes: Sequence[int], replicates: int, seed: int = 0,
+    n_total: int | None = None,
 ) -> list[int]:
     """sizes as ints, once they are non-empty, >= 1 and strictly
-    increasing, replicates >= 1 and, given n_total, no size exceeds it."""
+    increasing, replicates >= 1, seed is a 64-bit unsigned integer and,
+    given n_total, no size exceeds it."""
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise EmptyInput("no sizes requested")
@@ -72,6 +74,8 @@ def check_subsamples(
         raise SizeExceedsData("sizes must be >= 1")
     if replicates < 1:
         raise EmptyInput("replicates must be >= 1")
+    if not (0 <= int(seed) < 2 ** 64):
+        raise EmptyInput(f"seed must be a 64-bit unsigned integer, got {seed}")
     if n_total is not None and sizes[-1] > n_total:
         raise SizeExceedsData(
             f"size {sizes[-1]} exceeds the {n_total} available pairs"
@@ -95,9 +99,7 @@ def convergence_curve(
     deterministic given the seed: draws occur in (size ascending, replicate
     ascending) order from one generator.
     """
-    sizes = check_subsamples(sizes, replicates, dataset.n_total)
-    if not (0 <= int(seed) < 2 ** 64):
-        raise EmptyInput("seed must be a 64-bit unsigned integer")
+    sizes = check_subsamples(sizes, replicates, seed, dataset.n_total)
 
     rng = np.random.default_rng(seed)
     raw: list[tuple[int, int, float]] = []

@@ -90,10 +90,9 @@ def aic_adjusted_entropy(loglik_nats: float, n: int, k: int) -> float:
     return (-loglik_nats + k) / (n * _LN2)
 
 
-def akaike_weights(
-    entropies: Sequence[float] | np.ndarray, base: float = 2.0
-) -> np.ndarray:
-    """Normalized evidence weights base**(-H_i) / sum(base**(-H_j)).
+def akaike_weights(entropies: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Normalized evidence weights 2**(-H_i) / sum(2**(-H_j)) of entropies
+    in bits.
 
     The minimum finite entropy is subtracted before exponentiation for
     numerical stability; non-finite entries (zero-likelihood sentinels)
@@ -107,7 +106,7 @@ def akaike_weights(
         raise EmptyInput("no finite entropies to weight")
     h_min = h[finite].min()
     weights = np.zeros(h.size, dtype=np.float64)
-    weights[finite] = np.power(float(base), -(h[finite] - h_min))
+    weights[finite] = np.power(2.0, -(h[finite] - h_min))
     return weights / weights.sum()
 
 
@@ -143,7 +142,7 @@ def rank_objectives(
 
     order = sorted(items, key=lambda e: (h_used(e), e.k, e.name))
     h_col = np.array([h_used(e) for e in order])
-    weights = akaike_weights(h_col, base=2.0)
+    weights = akaike_weights(h_col)
 
     finite = h_col[np.isfinite(h_col)]
     h_best = float(finite.min())

@@ -25,6 +25,7 @@ from .errors import (
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
+    OrderingViolation,
     UndecodableFile,
     UnknownObjective,
     UnparseableNumber,
@@ -79,8 +80,8 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
     with columns objective and h_bits plus an optional integer k (1 where
     absent or empty). Raises load_csv's errors for a missing header,
     column or number, NonFiniteValue for an h_bits that is NaN or
-    infinite, and UnknownObjective for an objective listed twice, each
-    naming the line."""
+    infinite, OrderingViolation for a negative k, and UnknownObjective
+    for an objective listed twice, each naming the line."""
     path = Path(path)
     estimates = []
     with _open_text(path) as fh:
@@ -101,6 +102,9 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
             k = 1
             if "k" in columns and _cell(row, columns["k"], path, line_no):
                 k = _parse_number(row, columns["k"], path, line_no, int)
+                if k < 0:
+                    raise OrderingViolation(
+                        f"{path} line {line_no}: k must be >= 0, got {k}")
             estimates.append(
                 EntropyEstimate(name=name, k=k, h_bits=h, h_adj_bits=h)
             )

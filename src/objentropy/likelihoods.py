@@ -198,6 +198,13 @@ def resolve_objectives(selection: str | list[str]) -> list[ObjectiveSpec]:
     return specs
 
 
+def check_threshold(threshold: float) -> float:
+    """threshold, once it is a zero-state threshold: > 0."""
+    if not threshold > 0:
+        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
+    return threshold
+
+
 # --- fits and log-likelihoods (nats) ---
 
 def fit_scale(family: str, residuals: np.ndarray) -> float:
@@ -259,9 +266,14 @@ def loglik_binomial(n1: int, n2: int, rho: float) -> float:
 
 def _sigma_o(dataset: Dataset) -> np.ndarray:
     """NSE's sigma_o of each location of dataset, by location code: the
-    population standard deviation of the location's observed values."""
+    population standard deviation of the location's observed values,
+    exactly 0 where they are all equal (np.std can leave a few ULPs)."""
     observed = dataset.observed
-    return np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
+    sigma = np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
+    starts = dataset.bounds[:-1]
+    sigma[np.maximum.reduceat(observed, starts)
+          == np.minimum.reduceat(observed, starts)] = 0.0
+    return sigma
 
 
 class _Frame(NamedTuple):
@@ -294,8 +306,7 @@ def _frames(
     dataset of that segment alone would use, so a segment's frame is bit
     for bit the frame of that segment alone.
     """
-    if not threshold > 0:
-        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
+    check_threshold(threshold)
     kind = spec.transform_kind
     obs, pred = dataset.observed, dataset.predicted
     bounds = [int(b) for b in bounds]

@@ -57,7 +57,7 @@ def test_criterion_1_reference_weights_and_ranks():
     machinery reproduces its known weights (2 dp) and ranks exactly."""
     started = time.perf_counter()
     h = [row[2] for row in REFERENCE_ROWS]
-    weights = akaike_weights(h, base=2)
+    weights = akaike_weights(h)
     for got, (name, _, _, expected, _) in zip(weights, REFERENCE_ROWS):
         assert round(float(got), 2) == expected, name
 

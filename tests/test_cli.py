@@ -134,6 +134,13 @@ class TestRank:
         assert capsys.readouterr().err == (
             f"error: {f} line 3: h_bits must be finite, got {float(h)}\n")
 
+    def test_from_entropies_rejects_a_negative_k(self, tmp_path, capsys):
+        f = tmp_path / "e.csv"
+        f.write_text("objective,h_bits,k\nMAE,2.0,0\nMSE,3,-1\n")
+        assert main(["rank", "--from-entropies", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f} line 3: k must be >= 0, got -1\n")
+
     def test_from_entropies_needs_its_columns(self, tmp_path, capsys):
         f = tmp_path / "e.csv"
         f.write_text("objective,k,h\nMSE,1,2.0\n")
@@ -450,11 +457,69 @@ class TestOtherCommands:
         assert rc == 1
         assert "two objectives" in capsys.readouterr().err
 
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "x"
+        assert main(["adjust", "--center", "10", "--sigma", "0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_synth_reports_truth(self, tmp_path, capsys):
         _synth(tmp_path)
         truth = json.loads(capsys.readouterr().out)
         assert truth["optimal_objective"] == "ZMALE"
         assert truth["n_total"] == 4000
+
+
+# Each command with valid flags that name an input which does not exist.
+_VALID_FLAGS = {
+    "rank": ["--input", "absent.csv"],
+    "convergence": ["--input", "absent.csv", "--sizes", "10"],
+    "correlate": ["--input", "absent.csv"],
+    "synth": ["--family", "additive-normal", "--scale", "1"],
+    "adjust": ["--center", "10", "--sigma", "0.5"],
+}
+_SHARED_BAD = [["--objectives", ","], ["--objectives", "RMSE"],
+               ["--objectives", "MSE,MSE"], ["--threshold", "0"],
+               ["--threshold", "-1"], ["--threshold", "nan"]]
+_SEEDS_BAD = [["--seed", "-1"], ["--seed", str(2 ** 64)]]
+_BAD_FLAGS = [
+    *[("rank", flags) for flags in _SHARED_BAD + _SEEDS_BAD],
+    *[("rank", ["--split", how]) for how in (
+        "fancy:0.5", "random:2", "none:0.5", "none:", "random:",
+        "random:nan", "random:x", "location:0", "time")],
+    ("rank", ["--threads", "0"]), ("rank", ["--threads", "-1"]),
+    ("rank", ["--from-entropies", "absent.csv"]),
+    *[("convergence", flags) for flags in _SHARED_BAD + _SEEDS_BAD],
+    ("convergence", ["--sizes", ","]), ("convergence", ["--sizes", "1,x"]),
+    ("convergence", ["--sizes", "20,10"]), ("convergence", ["--sizes", "0,10"]),
+    ("convergence", ["--replicates", "0"]),
+    *[("correlate", flags) for flags in _SHARED_BAD],
+    ("correlate", ["--objectives", "MSE"]),
+    *[("synth", flags) for flags in _SEEDS_BAD],
+    ("synth", ["--scale", "0"]), ("synth", ["--scale", "-1"]),
+    ("synth", ["--n-per-location", "0"]), ("synth", ["--locations", "0"]),
+    ("synth", ["--base-median", "0"]), ("synth", ["--base-median", "x"]),
+    ("synth", ["--base-median", "1,2"]), ("synth", ["--zero-inflation", "1"]),
+    ("synth", ["--base-log-sigma", "-1"]), ("synth", ["--family", "gamma"]),
+    ("adjust", ["--sigma", "-1"]), ("adjust", ["--coverage", "2"]),
+    ("adjust", ["--coverage", "0"]), ("adjust", ["--center", "-1"]),
+    ("adjust", ["--center", "0"]), ("adjust", ["--style", "other"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags", _BAD_FLAGS,
+    ids=[" ".join([command, *flags]) for command, flags in _BAD_FLAGS])
+def test_bad_flag_value_is_usage_error(tmp_path, monkeypatch, capsys,
+                                       command, flags):
+    """A bad value for any flag is a usage error (exit 1), found before
+    any file is read or written: the input named does not exist, so reading
+    it would fail as a data error, and the --out file is not created."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *_VALID_FLAGS[command], *flags, "--out", "out.txt"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_names_exactly_the_cli_flags():

@@ -137,9 +137,10 @@ def _heteroscedastic_dataset(seed=0, n=800):
     return validate_dataset(raw)
 
 
-# Values on a 1/16 grid sum exactly, so a flat location's sigma_o is 0.
+# Values on a 1/16 grid give exact residuals, and equal ones.
 _GRID = st.integers(0, 64).map(lambda k: k / 16)
-_VALUE = st.just(DEFAULT_ZERO_THRESHOLD) | _GRID | st.floats(1e-3, 1e3)
+_POSITIVE = st.floats(1e-3, 1e3)
+_VALUE = st.just(DEFAULT_ZERO_THRESHOLD) | _GRID | _POSITIVE
 _BELOW = st.sampled_from([0.0, DEFAULT_ZERO_THRESHOLD / 2,
                           DEFAULT_ZERO_THRESHOLD])
 
@@ -155,7 +156,8 @@ def _paired(obs, pred):
 # objective where o == p (a degenerate scale).
 _LOCATIONS = {
     "random": _paired(_VALUE, _VALUE),
-    "flat": st.tuples(_GRID, st.lists(_VALUE, min_size=2, max_size=12)).map(
+    "flat": st.tuples(_POSITIVE,
+                      st.lists(_VALUE, min_size=2, max_size=12)).map(
         lambda c_pred: ([c_pred[0]] * len(c_pred[1]), c_pred[1])),
     "below": _paired(_BELOW, _VALUE),
     "exact": st.lists(_VALUE, min_size=1, max_size=12).map(

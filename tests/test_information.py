@@ -102,25 +102,22 @@ class TestAicAdjustedEntropy:
 class TestAkaikeWeights:
     def test_reference_column(self):
         h = [row[2] for row in REFERENCE_RANKING]
-        weights = akaike_weights(h, base=2)
+        weights = akaike_weights(h)
         for got, row in zip(weights, REFERENCE_RANKING):
             assert round(float(got), 2) == row[3]
 
     def test_analytic_three(self):
         np.testing.assert_allclose(
-            akaike_weights([7, 8, 9], base=2), [4 / 7, 2 / 7, 1 / 7], rtol=1e-12
+            akaike_weights([7, 8, 9]), [4 / 7, 2 / 7, 1 / 7], rtol=1e-12
         )
 
     def test_symmetry(self):
-        np.testing.assert_allclose(akaike_weights([5, 5], base=2), [0.5, 0.5])
-        np.testing.assert_allclose(
-            akaike_weights([5, 5], base=math.e), [0.5, 0.5]
-        )
+        np.testing.assert_allclose(akaike_weights([5, 5]), [0.5, 0.5])
 
     def test_sum_to_one_and_bounds(self):
         rng = np.random.default_rng(2)
         h = rng.uniform(0, 40, 50)
-        w = akaike_weights(h, base=2)
+        w = akaike_weights(h)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert ((w >= 0) & (w <= 1)).all()
 
@@ -129,22 +126,22 @@ class TestAkaikeWeights:
         only differences carry information."""
         rng = np.random.default_rng(14)
         h = rng.uniform(2, 30, 12)
-        base_w = akaike_weights(h, base=2)
+        base_w = akaike_weights(h)
         for shift in (-5.0, 17.3, 1000.0):
             np.testing.assert_allclose(
-                akaike_weights(h + shift, base=2), base_w, atol=1e-12
+                akaike_weights(h + shift), base_w, atol=1e-12
             )
 
     def test_sentinel_rows_get_zero(self):
-        w = akaike_weights([3.0, float("inf"), 4.0], base=2)
+        w = akaike_weights([3.0, float("inf"), 4.0])
         assert w[1] == 0.0
         assert w.sum() == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            akaike_weights([], base=2)
+            akaike_weights([])
         with pytest.raises(EmptyInput):
-            akaike_weights([float("inf")], base=2)
+            akaike_weights([float("inf")])
 
 
 class TestNoiseFraction:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import SplitSpec, split, validate_dataset
+from objentropy.diagnostics import per_location_entropy
 from objentropy.errors import (
     DegenerateScale,
     DomainViolation,
@@ -265,6 +266,19 @@ class TestSigmaO:
         assert _sigma_o(ds).tolist() == [0.5, 0.0, 0.0]
         self._nse_fails(ds, "location 'B' has sigma_o = 0.0")
 
+    def test_constant_series_whose_mean_rounds_off(self):
+        """The mean of three copies of this value does not round back to
+        it, so np.std leaves a few ULPs; sigma_o is still exactly 0, NSE
+        fails on the location and its correlate cell is NaN."""
+        ds = validate_dataset({"F": ([682.841751481729] * 3, [0, 0, 0]),
+                               "A": ([1, 2, 3], [1.5, 2, 2.5])})
+        sigma = _sigma_o(ds)
+        assert sigma[0] == 0.0
+        assert sigma[1] == np.std([1.0, 2.0, 3.0])
+        self._nse_fails(ds, "location 'F' has sigma_o = 0.0")
+        h = per_location_entropy(ds, [CATALOG["NSE"]]).entropies
+        assert np.isnan(h[0, 0]) and np.isfinite(h[1, 0])
+
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)
         obs = rng.lognormal(0, 1, 1000)
@@ -383,9 +397,12 @@ class TestInvariants:
     @example([(0.010000000000000002, 0.01), (0.01, 0.01), (0.01, 0.01)])
     @example([(1234.5, 1234.5000000000002), (1234.5000000000002, 1234.5),
               (1234.5000000000005, 1234.4999999999998)])
+    # Equal observed values whose np.std is a few ULPs, not 0.
+    @example([(5461.704179106286, 1.0)] * 3)
     def test_nse_equals_mse_single_location_property(self, pairs):
         obs, pred = (np.array(col) for col in zip(*pairs))
-        if np.std(obs) == 0.0 or np.all(obs == pred):
+        # NSE fails where sigma_o is 0: where the observed values are equal.
+        if np.all(obs == obs[0]) or np.all(obs == pred):
             return
         raw = {"A": (obs, pred)}
         mse = _in_sample("MSE", raw)
