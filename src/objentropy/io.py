@@ -33,6 +33,8 @@ from .errors import (
 from .information import EntropyEstimate, EntropyReport
 
 _REQUIRED = ("location_id", "observed", "predicted")
+# Suffixes numpy decompresses when it is handed a path.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -47,7 +49,11 @@ def load_csv(path: str | Path) -> Dataset:
     are empty or hold only whitespace are skipped. Location ids and timestamps are stripped of
     surrounding whitespace, and every number is parsed as `float()` parses
     it. Rows are grouped by location id, locations in order of first
-    appearance and rows in file order within each location.
+    appearance and rows in file order within each location. The file is
+    read as written, whatever its name ends in: nothing is decompressed.
+
+    The header, the check for data rows and the row parser read an open
+    handle; the columnar read hands numpy the path (see _read_columns).
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
     required column is absent or a column it reads is named twice,
@@ -63,7 +69,7 @@ def load_csv(path: str | Path) -> Dataset:
         if not any(line.strip() for line in fh):
             raise EmptyFile(f"{path} has a header but no data rows")
         try:
-            return _read_columns(fh, columns, header_lines)
+            return _read_columns(fh, path, columns, header_lines)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -179,7 +185,7 @@ def _group(
 
 
 def _read_columns(
-    fh: TextIO, columns: Mapping[str, int], skip: int
+    fh: TextIO, path: Path, columns: Mapping[str, int], skip: int
 ) -> Dataset:
     """Columnar parse of the data records.
 
@@ -187,33 +193,58 @@ def _read_columns(
     row, a whitespace-only line or a number float() accepts only after
     removing underscores; what it does read matches the row parser bit for
     bit.
+
+    Both reads take the path, which numpy parses in large blocks; from the
+    handle fh it parses line by line. Two guards keep the handle's result:
+    numpy decompresses a path named *.gz, *.bz2, *.xz or *.lzma, so such a
+    file is read from fh; and numpy opens a path with universal newlines,
+    so a quoted CR or CRLF in an id or timestamp reads as LF. Every cell
+    that changes then holds a LF, and every id of a run equals its head, so
+    if a run head or a timestamp holds a LF the text is read again from fh.
+    The numbers read the same either way.
     """
-    def read(usecols, dtype):
-        fh.seek(0)
-        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                          skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2)
+    source = fh if path.suffix in _COMPRESSED else str(path)
+
+    def read(source, usecols, dtype):
+        if source is fh:
+            fh.seek(0)
+        return np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
+                          skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2,
+                          encoding="utf-8-sig")
 
     text_cols = [columns["location_id"]]
     if "timestamp" in columns:
         text_cols.append(columns["timestamp"])
-    # Variable-width strings keep trailing NULs, which a fixed-width str
-    # column drops, and need less memory for short ids.
-    text = read(text_cols, np.dtypes.StringDType())
-    ids = text[:, 0]
 
-    # Runs of equal raw ids; run heads that strip to the same id are one
-    # location. Only the heads become Python strings.
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    def read_text(source):
+        # Variable-width strings keep trailing NULs, which a fixed-width
+        # str column drops, and need less memory for short ids. Runs of
+        # equal raw ids start at `starts`.
+        text = read(source, text_cols, np.dtypes.StringDType())
+        ids = text[:, 0]
+        starts = np.concatenate(
+            ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+        return text, starts
+
+    text, starts = read_text(source)
+    if source is not fh and any(
+            np.strings.count(cells, "\n").any()
+            for cells in (text[starts, 0], *text[:, 1:].T)):
+        text, starts = read_text(fh)
+
+    # Run heads that strip to the same id are one location. Only the heads
+    # become Python strings.
     location_ids, bounds, order = _group(
-        [head.strip() for head in ids[starts].tolist()],
-        np.diff(starts, append=ids.size),
+        [head.strip() for head in text[starts, 0].tolist()],
+        np.diff(starts, append=len(text)),
     )
     stamps = None
     if len(text_cols) == 2:
         stamps = tuple(map(str.strip, text[order, 1].tolist()))
-    del text, ids  # before the numbers are read, to lower peak memory
+    del text  # before the numbers are read, to lower peak memory
 
-    numbers = read((columns["observed"], columns["predicted"]), np.float64)
+    numbers = read(source, (columns["observed"], columns["predicted"]),
+                   np.float64)
     return Dataset(location_ids, bounds, np.take(numbers.T, order, axis=1),
                    stamps)
 

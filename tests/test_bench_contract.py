@@ -12,7 +12,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from objentropy import cli
+from objentropy import io as oio
 from objentropy.data import Dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,3 +137,27 @@ def test_diagnose_commands_under_counters(tmp_path, capsys):
         roots[s.span_id] for s in spans
         if s.name == "likelihoods.evaluate_objective")
     assert evaluations == {convergence.span_id: 2 * 2 * 3}
+
+
+def test_load_csv_reads_benchmark_input_from_the_path(tmp_path, monkeypatch):
+    """numpy parses a path in large blocks and an open handle line by line,
+    so both columnar reads of a benchmark input take the path, and none
+    falls back to the row parser."""
+    inputs = _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    data = tmp_path / "flows.csv"
+    inputs.write_csv(inputs.Shape(3, 50, "laplace", 0.5, 0.02), 5, data)
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(type(source))
+        return loadtxt(source, *args, **kwargs)
+
+    def fallback(*args):
+        raise AssertionError("load_csv fell back to the row parser")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(oio, "_read_rows", fallback)
+    dataset = oio.load_csv(data)
+    assert sources == [str, str]
+    assert dataset.n_total == 150 and len(dataset.location_ids) == 3

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, dataset writing, and report serialization."""
 
+import gzip
 import json
 import math
 
@@ -153,6 +154,16 @@ _LOADER_CASES = {
     "nul in id": (_HEADER + "A\x00,1,2\nA,3,4\n", "columns"),
     "padded numbers": (_HEADER + "A, 1e3 ,\t-0.0\nA,+.5,2.\n", "columns"),
     "no final newline": (_HEADER + "A,1,2\nB,3,4", "columns"),
+    # numpy reads a path with universal newlines; a quoted CR must survive.
+    "quoted crlf ids": (_HEADER + '"p\r\nq",1,2\nA,3,4\n"p\nq",5,6\n'
+                        '"p\r\nq",7,8\n', "columns"),
+    "quoted cr ids": (_HEADER + '"p\rq",1,2\n"p\nq",3,4\n"p\rq",5,6\n',
+                      "columns"),
+    "quoted cr stamps": ("timestamp,location_id,observed,predicted\n"
+                         '"t\r1",A,1,2\n"t\n1",A,3,4\n"t\r\n1",B,5,6\n'
+                         't1,B,7,8\n', "columns"),
+    "lone cr": ("location_id,observed,predicted\rA,1,2\rB,3,4\rA,5,6\r",
+                "columns"),
 }
 
 
@@ -167,6 +178,37 @@ class TestLoaderEquivalence:
         reference = _load_by(f, monkeypatch, "rows")
         _assert_identical(_load_by(f, monkeypatch, parser), reference)
         _assert_identical(load_csv(f), reference)
+
+    def test_quoted_crlf_and_lf_ids_stay_apart(self, tmp_path, monkeypatch):
+        """Read from the path, numpy turns the CRLF into LF, and the two ids
+        would merge into one location."""
+        f = tmp_path / "d.csv"
+        f.write_bytes(b'location_id,observed,predicted\n'
+                      b'"p\r\nq",1,2\n"p\nq",3,4\n')
+        ds = _load_by(f, monkeypatch, "columns")
+        assert ds.location_ids == ("p\r\nq", "p\nq")
+        assert ds.bounds.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(ds.pairs, [[1.0, 3.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("name", ["x.gz", "x.bz2", "x.xz", "x.lzma"])
+    def test_compression_suffix_is_plain_text(self, tmp_path, monkeypatch,
+                                              name):
+        """numpy decompresses a path by its suffix; load_csv reads the file
+        as written."""
+        body = ("timestamp,location_id,observed,predicted\n"
+                "t1,A,1,2\nt2,B,3.5,4\nt3,A,5,6e-3\n").encode()
+        (tmp_path / "x.csv").write_bytes(body)
+        (tmp_path / name).write_bytes(body)
+        _assert_identical(_load_by(tmp_path / name, monkeypatch, "columns"),
+                          load_csv(tmp_path / "x.csv"))
+
+    def test_gzip_file_is_undecodable(self, tmp_path):
+        f = tmp_path / "x.csv.gz"
+        f.write_bytes(gzip.compress((_HEADER + "A,1,2\n").encode()))
+        with pytest.raises(UndecodableFile) as err:
+            load_csv(f)
+        assert str(err.value) == (
+            f"{f} is not UTF-8 text: cannot decode byte 0x8b")
 
     def test_grouping_follows_first_appearance(self, tmp_path):
         f = tmp_path / "d.csv"
