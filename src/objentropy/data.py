@@ -8,6 +8,7 @@ one array, locations in storage order, so every index-based operation
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     LengthMismatch,
     MissingTimestamps,
     NonFiniteValue,
+    check_seed,
 )
 
 
@@ -47,7 +49,7 @@ class Dataset:
         if not ids:
             raise EmptyInput("dataset has no locations")
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
             raise DuplicateLocation(f"duplicate location ids: {dupes}")
         pairs = np.ascontiguousarray(self.pairs, dtype=np.float64)
         bounds = np.array(self.bounds, dtype=np.int64, ndmin=1)
@@ -188,8 +190,7 @@ class SplitSpec:
             raise DegenerateSplit(
                 f"test_fraction must lie in (0, 1), got {f!r}"
             )
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise DegenerateSplit("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed, DegenerateSplit)
 
 
 class SplitResult(NamedTuple):

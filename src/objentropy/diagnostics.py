@@ -15,6 +15,8 @@ from .errors import (
     ObjentropyError,
     SizeExceedsData,
     ZeroVariance,
+    as_int,
+    check_seed,
 )
 from .likelihoods import (
     DEFAULT_ZERO_THRESHOLD,
@@ -65,17 +67,16 @@ def check_subsamples(
     """sizes as ints, once they are non-empty, >= 1 and strictly
     increasing, replicates >= 1, seed is a 64-bit unsigned integer and,
     given n_total, no size exceeds it."""
-    sizes = [int(s) for s in sizes]
+    sizes = [as_int(s, SizeExceedsData, "a size") for s in sizes]
     if not sizes:
         raise EmptyInput("no sizes requested")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise SizeExceedsData("sizes must be strictly increasing")
     if sizes[0] < 1:
         raise SizeExceedsData("sizes must be >= 1")
-    if replicates < 1:
+    if as_int(replicates, EmptyInput, "replicates") < 1:
         raise EmptyInput("replicates must be >= 1")
-    if not (0 <= int(seed) < 2 ** 64):
-        raise EmptyInput(f"seed must be a 64-bit unsigned integer, got {seed}")
+    check_seed(seed, EmptyInput)
     if n_total is not None and sizes[-1] > n_total:
         raise SizeExceedsData(
             f"size {sizes[-1]} exceeds the {n_total} available pairs"

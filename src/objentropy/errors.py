@@ -1,12 +1,27 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the integer checks.
 
 Every error raised by this library derives from ObjentropyError so callers
 (and the CLI) can catch domain failures with a single except clause.
 """
 
+import operator
+
 
 class ObjentropyError(Exception):
     """Base class for all errors raised by objentropy."""
+
+
+def as_int(value: object, error: type[ObjentropyError], what: str) -> int:
+    """value by operator.index: a numpy integer passes, 2.0 raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed: object, error: type[ObjentropyError]) -> None:
+    if not 0 <= as_int(seed, error, "seed") < 2 ** 64:
+        raise error(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 # --- dataset construction and splitting ---

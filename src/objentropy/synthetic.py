@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, validate_dataset
-from .errors import InvalidModel, NonPositiveScale
+from .errors import InvalidModel, NonPositiveScale, as_int, check_seed
 from .likelihoods import BASE_FAMILIES, CATALOG
 
 # Each error family as the (transform kind, base family) of the catalog
@@ -63,12 +63,12 @@ class SyntheticModel:
                 f"zero_inflation_rate must lie in [0, 1), got "
                 f"{self.zero_inflation_rate}"
             )
-        if self.n_per_location < 1 or self.n_locations < 1:
+        if (as_int(self.n_per_location, InvalidModel, "n_per_location") < 1
+                or as_int(self.n_locations, InvalidModel, "n_locations") < 1):
             raise InvalidModel("counts must be >= 1")
         if self.base_log_sigma < 0:
             raise InvalidModel("base_log_sigma must be >= 0")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise InvalidModel("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed, InvalidModel)
         medians = self.medians()
         if len(medians) != self.n_locations:
             raise InvalidModel(

@@ -69,7 +69,10 @@ def test_rank_under_tracer(tmp_path, capsys):
                        "--out", str(tmp_path / "rank.json")])
     capsys.readouterr()
     assert rc == 0
-    assert "data.Dataset.observed" in {span.name for span in tracer.spans}
+    names = {span.name for span in tracer.spans}
+    # The transforms.apply.* per-layer metrics read these spans.
+    assert {"data.Dataset.observed", "transforms.apply",
+            "transforms.log_jacobian_terms"} <= names
     after = _bindings()
     assert [key for key, value in before.items()
             if after.get(key) is not value] == []

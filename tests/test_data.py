@@ -53,6 +53,9 @@ class TestValidateDataset:
     def test_duplicate_location(self):
         with pytest.raises(DuplicateLocation):
             Dataset(("A", "A"), [0, 1, 2], [[1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(DuplicateLocation,
+                           match=r"^duplicate location ids: \['A', 'B'\]$"):
+            Dataset(("B", "A", "C", "B", "A", "B"), range(7), np.ones((2, 6)))
 
     def test_arrays_read_only(self):
         ds = validate_dataset({"A": ([1, 2], [2, 4])})

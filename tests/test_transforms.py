@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from objentropy.errors import DomainViolation
 from objentropy.likelihoods import loglik
 from objentropy.transforms import (
+    _POWERS,
     POSITIVE_DOMAIN_KINDS,
     TRANSFORM_KINDS,
+    _log_jacobian,
     apply,
     log_jacobian_sum,
     log_jacobian_terms,
 )
 
 E = math.e
+EPS = np.finfo(np.float64).eps
 
 
 class TestApply:
@@ -34,6 +37,17 @@ class TestApply:
     def test_identity(self):
         np.testing.assert_array_equal(apply("identity", [-1, 0, 3]),
                                       [-1.0, 0.0, 3.0])
+
+    def test_powers_equal_numpy_maps_bit_for_bit(self):
+        """y ** ½ and y ** −1 take ndarray's fast paths, np.sqrt and
+        1.0 / y. MSPE's and MARE's reports rest on these bits."""
+        y = np.random.default_rng(12).lognormal(0.0, 4.0, 100_000)
+        for kind, expected in (("identity", y), ("natural-log", np.log(y)),
+                               ("square-root", np.sqrt(y)),
+                               ("reciprocal", 1.0 / y)):
+            v = apply(kind, y)
+            assert v is not y
+            np.testing.assert_array_equal(v, expected, strict=True)
 
     def test_domain_violations(self):
         for kind in POSITIVE_DOMAIN_KINDS:
@@ -86,21 +100,48 @@ class TestLogJacobianSum:
                st.integers(0, 2 ** 32), st.integers(1, 200_000),
                st.floats(0.01, 20.0)))
     def test_positive_sums_equal_termwise_formulas(self, kind, values):
-        """Each positive-domain kind's terms are its termwise ln|v'(y)|
-        exactly, and their sum equals both the sum of those terms and the
-        closed form -sum(ln y), -sum(ln(2 sqrt y)) or -2 sum(ln y) bit for
-        bit."""
+        """Each positive-domain kind's terms are its termwise
+        ln|λ| + (λ − 1) ln y exactly, and their sum equals both the sum of
+        those terms and the closed form -sum(ln y), sum(-½ ln y + ln ½) or
+        -2 sum(ln y) bit for bit. The square root's terms are also
+        -ln(2 sqrt y) within 4 ε of |ln ½| + |½ ln y|."""
         y = np.asarray(values, dtype=np.float64)
         termwise, closed = {
             "natural-log": (lambda: -np.log(y), lambda: -np.sum(np.log(y))),
-            "square-root": (lambda: -np.log(2.0 * np.sqrt(y)),
-                            lambda: -np.sum(np.log(2.0 * np.sqrt(y)))),
+            "square-root": (lambda: -0.5 * np.log(y) + math.log(0.5),
+                            lambda: np.sum(-0.5 * np.log(y) + math.log(0.5))),
             "reciprocal": (lambda: -2.0 * np.log(y),
                            lambda: -2.0 * np.sum(np.log(y))),
         }[kind]
-        np.testing.assert_array_equal(log_jacobian_terms(kind, y), termwise())
+        terms = log_jacobian_terms(kind, y)
+        np.testing.assert_array_equal(terms, termwise())
         total = log_jacobian_sum(kind, y)
         assert total == float(np.sum(termwise())) == float(closed())
+        if kind == "square-root":
+            half_log = 0.5 * np.log(y)
+            oracle = -np.log(2.0 * np.sqrt(y))
+            bound = 4 * EPS * (abs(math.log(0.5)) + np.abs(half_log))
+            assert (np.abs(terms - oracle) <= bound).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(np.linspace(-1.0, 1.0, 17).tolist()),
+           st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=50),
+           st.integers(-60, 60))
+    def test_unit_law_over_a_grid_of_powers(self, lam, values, k):
+        """For c = 2^k, the power rule moves the Jacobian sum by
+        n (λ − 1) k ln 2 at every λ of a grid over [-1, 1], within 1e-12 of
+        the summed term magnitudes. Where λ is a kind's, the rule gives
+        that kind's terms."""
+        y = np.array(values)
+        terms, scaled = _log_jacobian(y, lam), _log_jacobian(y * 2.0 ** k, lam)
+        moved = math.fsum(scaled) - math.fsum(terms)
+        magnitude = math.fsum(np.abs(terms)) + math.fsum(np.abs(scaled))
+        expected = y.size * (lam - 1.0) * k * math.log(2.0)
+        assert abs(moved - expected) <= 1e-12 * magnitude
+        for kind in TRANSFORM_KINDS:
+            if _POWERS[kind] == lam:
+                np.testing.assert_array_equal(log_jacobian_terms(kind, y),
+                                              terms, strict=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(TRANSFORM_KINDS),
