@@ -13,9 +13,15 @@ import csv
 import io as _io
 import json
 import math
-from contextlib import contextmanager
+import os
+import pickle
+import shutil
+import signal
+import tempfile
+import threading
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +41,14 @@ from .information import EntropyEstimate, EntropyReport
 _REQUIRED = ("location_id", "observed", "predicted")
 # Suffixes numpy decompresses when it is handed a path.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# The file size from which the ids are read in a forked child: on a 2-CPU
+# x86-64 Linux host, a fork and its pipe cost 5-9 ms, and load_csv took
+# about as long either way on a 1 MB file (about 30 ms).
+_FORK_BYTES = 1 << 20
+# Rows formatted per write, so that no range of rows becomes one string.
+# Formatting one chunk takes far longer than a fork, so the writer splits
+# the rows into no more ranges than it has chunks.
+_CHUNK_ROWS = 1 << 16
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -194,43 +208,71 @@ def _read_columns(
     removing underscores; what it does read matches the row parser bit for
     bit.
 
-    Both reads take the path, which numpy parses in large blocks; from the
-    handle fh it parses line by line. Two guards keep the handle's result:
-    numpy decompresses a path named *.gz, *.bz2, *.xz or *.lzma, so such a
-    file is read from fh; and numpy opens a path with universal newlines,
-    so a quoted CR or CRLF in an id or timestamp reads as LF. Every cell
-    that changes then holds a LF, and every id of a run equals its head, so
-    if a run head or a timestamp holds a LF the text is read again from fh.
-    The numbers read the same either way.
+    The ids (and timestamps) and the numbers are read separately, each by
+    numpy from the path, which it parses in large blocks; from the handle fh
+    it parses line by line. numpy decompresses a path named *.gz, *.bz2,
+    *.xz or *.lzma, so such a file is read from a handle (see _read_ids for
+    the second guard). numpy holds the GIL while it parses, so where there
+    is more than one worker (see _workers) and the file holds at least
+    _FORK_BYTES, the ids are read in a forked child while this process
+    reads the numbers. An error of the id read wins over one of the number
+    read, as when the id read runs first, here.
     """
-    source = fh if path.suffix in _COMPRESSED else str(path)
-
-    def read(source, usecols, dtype):
-        if source is fh:
-            fh.seek(0)
-        return np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
-                          skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2,
-                          encoding="utf-8-sig")
-
     text_cols = [columns["location_id"]]
     if "timestamp" in columns:
         text_cols.append(columns["timestamp"])
+    fork = _workers() > 1 and os.fstat(fh.fileno()).st_size >= _FORK_BYTES
+    with _in_child(_read_ids, path, text_cols, skip, fork=fork) as ids:
+        fh.seek(0)
+        source = fh if path.suffix in _COMPRESSED else str(path)
+        try:
+            numbers = _loadtxt(source, skip, (columns["observed"],
+                                              columns["predicted"]),
+                               np.float64)
+        except ValueError:
+            ids()
+            raise
+        location_ids, bounds, order, stamps = ids()
+    return Dataset(location_ids, bounds, np.take(numbers.T, order, axis=1),
+                   stamps)
+
+
+def _read_ids(
+    path: Path, text_cols: list[int], skip: int
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[str, ...] | None]:
+    """The location ids of the data records of path, in order of first
+    appearance, their bounds, the record order that groups them (as _group
+    returns them), and the stripped timestamps in that order, or None when
+    text_cols names only the id column.
+
+    numpy opens a path with universal newlines, so a quoted CR or CRLF in an
+    id or timestamp reads as LF. Every cell that changes then holds a LF,
+    and every id of a run equals its head, so if a run head or a timestamp
+    holds a LF the text is read again from a handle. Any handle is opened
+    here, as a forked child shares its parent's file offsets.
+    """
 
     def read_text(source):
         # Variable-width strings keep trailing NULs, which a fixed-width
         # str column drops, and need less memory for short ids. Runs of
         # equal raw ids start at `starts`.
-        text = read(source, text_cols, np.dtypes.StringDType())
+        text = _loadtxt(source, skip, text_cols, np.dtypes.StringDType())
         ids = text[:, 0]
         starts = np.concatenate(
             ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
         return text, starts
 
-    text, starts = read_text(source)
-    if source is not fh and any(
-            np.strings.count(cells, "\n").any()
-            for cells in (text[starts, 0], *text[:, 1:].T)):
-        text, starts = read_text(fh)
+    def read_handle():
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return read_text(fh)
+
+    if path.suffix in _COMPRESSED:
+        text, starts = read_handle()
+    else:
+        text, starts = read_text(str(path))
+        if any(np.strings.count(cells, "\n").any()
+               for cells in (text[starts, 0], *text[:, 1:].T)):
+            text, starts = read_handle()
 
     # Run heads that strip to the same id are one location. Only the heads
     # become Python strings.
@@ -241,12 +283,93 @@ def _read_columns(
     stamps = None
     if len(text_cols) == 2:
         stamps = tuple(map(str.strip, text[order, 1].tolist()))
-    del text  # before the numbers are read, to lower peak memory
+    return location_ids, bounds, order, stamps
 
-    numbers = read(source, (columns["observed"], columns["predicted"]),
-                   np.float64)
-    return Dataset(location_ids, bounds, np.take(numbers.T, order, axis=1),
-                   stamps)
+
+def _loadtxt(source: TextIO | str, skip: int, usecols: Sequence[int],
+             dtype: Any) -> np.ndarray:
+    """The columns usecols of the records after the first skip lines of
+    source, a path or a handle at its start."""
+    return np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
+                      skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2,
+                      encoding="utf-8-sig")
+
+
+def _workers() -> int:
+    """The processes a CSV read or write may use: the CPUs this process may
+    run on. 1 where os.fork or os.sched_getaffinity is missing, or while
+    another Python thread runs, since a forked child could wait forever on
+    a lock that thread held."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _in_child(
+    fn: Callable[..., Any], *args: Any, fork: bool = True
+) -> Iterator[Callable[[], Any]]:
+    """Call fn(*args) in a forked child process while the with block runs.
+
+    Yields a function that waits for the child and returns fn's result or
+    raises fn's exception, which the child pickles into a pipe. A child
+    that ends without sending them raises ChildProcessError. However the
+    block is left, a child still running is killed, and the child is
+    reaped. With fork false, fn runs here, before the block, and its
+    exception leaves the with statement.
+    """
+    if not fork:
+        value = fn(*args)
+        yield lambda: value
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, fn(*args))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            # Never return into the parent's code, nor run its exit hooks.
+            os._exit(status)
+    os.close(write_end)
+    reaped = False
+
+    def result() -> Any:
+        nonlocal reaped
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = (f"was killed by signal {-code}" if code < 0
+                   else f"exited with status {code}")
+            raise ChildProcessError(
+                f"worker process {pid} {how} before it sent its result")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    try:
+        with open(read_end, "rb") as pipe:
+            yield result
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _read_rows(
@@ -305,23 +428,57 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     Floats are written with repr, so a round trip reproduces the dataset
     exactly. Ids and timestamps are quoted as csv.QUOTE_MINIMAL quotes
     them; load_csv strips their surrounding whitespace.
+
+    repr holds the GIL, so the rows are split into contiguous ranges, one
+    per worker (see _workers) but no more than one per _CHUNK_ROWS rows.
+    This process writes the first range; each forked child writes its
+    range to an unnamed temporary file in the output's directory, which is
+    then appended in order. The bytes do not depend on the number of
+    workers.
     """
+    path = Path(path)
+    n = dataset.n_total
+    parts = min(_workers(), -(-n // _CHUNK_ROWS))
+    cuts = [n * i // parts for i in range(parts + 1)]
+    header = "location_id,observed,predicted\n"
+    if dataset.timestamps is not None:
+        header = "timestamp," + header
+    with path.open("wb") as out, ExitStack() as stack:
+        spools = []
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            spool = stack.enter_context(
+                tempfile.TemporaryFile(dir=path.parent))
+            spools.append((spool, stack.enter_context(
+                _in_child(_write_rows, dataset, start, stop, spool))))
+        out.write(header.encode())
+        _write_rows(dataset, 0, cuts[1], out)
+        for spool, done in spools:
+            done()
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
+
+
+def _write_rows(
+    dataset: Dataset, start: int, stop: int, out: BinaryIO
+) -> None:
+    """Write the records of rows start:stop of dataset to out, UTF-8
+    encoded, at most _CHUNK_ROWS rows at a time, and flush it."""
     stamps = dataset.timestamps
-    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        header = "location_id,observed,predicted"
-        if stamps is not None:
-            header = "timestamp," + header
-        fh.write(header + "\n")
-        for loc, rows in dataset.rows():
-            loc = _quote(loc)
-            obs = dataset.observed[rows].tolist()
-            pred = dataset.predicted[rows].tolist()
+    for loc, rows in dataset.rows():
+        first, last = max(rows.start, start), min(rows.stop, stop)
+        loc = _quote(loc)
+        for a in range(first, last, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, last)
+            obs = dataset.observed[a:b].tolist()
+            pred = dataset.predicted[a:b].tolist()
             if stamps is None:
-                fh.writelines(f"{loc},{o!r},{p!r}\n"
-                              for o, p in zip(obs, pred))
+                lines = (f"{loc},{o!r},{p!r}\n" for o, p in zip(obs, pred))
             else:
-                fh.writelines(f"{_quote(t)},{loc},{o!r},{p!r}\n"
-                              for t, o, p in zip(stamps[rows], obs, pred))
+                lines = (f"{_quote(t)},{loc},{o!r},{p!r}\n"
+                         for t, o, p in zip(stamps[a:b], obs, pred))
+            out.write("".join(lines).encode())
+    # A forked child ends in os._exit, which flushes no buffer.
+    out.flush()
 
 
 def _quote(text: str) -> str:

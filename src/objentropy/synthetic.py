@@ -78,9 +78,21 @@ class SyntheticModel:
             raise InvalidModel("base medians must be > 0")
 
     def medians(self) -> tuple[float, ...]:
-        if isinstance(self.base_median, (int, float)):
-            return (float(self.base_median),) * self.n_locations
-        return tuple(float(m) for m in self.base_median)
+        """One base median per location. A 0-d value, a numpy scalar
+        included, is every location's; anything but a number or a flat
+        sequence of numbers raises InvalidModel."""
+        try:
+            values = np.asarray(self.base_median)
+        except ValueError:  # a ragged sequence
+            values = None
+        if values is None or values.dtype.kind not in "iuf" or values.ndim > 1:
+            raise InvalidModel(
+                "base_median must be a number or a sequence of numbers, got "
+                f"{self.base_median!r}"
+            )
+        if values.ndim == 0:
+            return (float(values),) * self.n_locations
+        return tuple(map(float, values.tolist()))
 
 
 @dataclass(frozen=True)

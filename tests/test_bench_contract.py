@@ -9,6 +9,7 @@ breaks `perfbench/run.py --trace 1` without failing any other test.
 import collections
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,15 +146,17 @@ def test_diagnose_commands_under_counters(tmp_path, capsys):
 def test_load_csv_reads_benchmark_input_from_the_path(tmp_path, monkeypatch):
     """numpy parses a path in large blocks and an open handle line by line,
     so both columnar reads of a benchmark input take the path, and none
-    falls back to the row parser."""
+    falls back to the row parser. The id read runs in a forked child, as in
+    a benchmark-sized file, so the spy logs each call to a file."""
     inputs = _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
     data = tmp_path / "flows.csv"
     inputs.write_csv(inputs.Shape(3, 50, "laplace", 0.5, 0.02), 5, data)
-    sources = []
+    log = tmp_path / "loadtxt.log"
     loadtxt = np.loadtxt
 
     def spy(source, *args, **kwargs):
-        sources.append(type(source))
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {type(source).__name__}\n")
         return loadtxt(source, *args, **kwargs)
 
     def fallback(*args):
@@ -161,6 +164,10 @@ def test_load_csv_reads_benchmark_input_from_the_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", spy)
     monkeypatch.setattr(oio, "_read_rows", fallback)
+    monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+    monkeypatch.setattr(oio, "_workers", lambda: 2)
     dataset = oio.load_csv(data)
-    assert sources == [str, str]
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [source for _, source in calls] == ["str", "str"]
+    assert len({pid for pid, _ in calls}) == 2
     assert dataset.n_total == 150 and len(dataset.location_ids) == 3

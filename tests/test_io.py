@@ -3,10 +3,14 @@
 import gzip
 import json
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from objentropy import io as oio
@@ -255,6 +259,17 @@ class TestLoaderEquivalence:
         assert str(err.value) == (
             f"{f} is not UTF-8 text: cannot decode byte 0xff")
 
+    def test_id_read_error_wins(self, tmp_path):
+        """The id read gives up at the short row on line 2; the number read
+        gets past it to a byte that is not UTF-8. As when the id read runs
+        first, the row parser reports the short row."""
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"observed,predicted,location_id\n1,2\n"
+                      + b"3,4,A\n" * 20000 + b"5,\xff6,A\n")
+        with pytest.raises(UnparseableNumber) as err:
+            load_csv(f)
+        assert str(err.value) == f"{f} line 2: row has too few columns"
+
     def test_blank_data_is_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "\n   \n\n")
@@ -262,7 +277,10 @@ class TestLoaderEquivalence:
             load_csv(f)
         assert str(err.value) == f"{f} has a header but no data rows"
 
-    @settings(max_examples=60, deadline=None)
+    # TestLoaderEquivalenceInChild runs this test too, which hypothesis
+    # would flag: the two executors must give the same results.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(st.lists(
         st.tuples(
             st.sampled_from(["A", " A", "A ", "B", "#b", '"c,d"', '"e""f"']),
@@ -280,6 +298,101 @@ class TestLoaderEquivalence:
         with pytest.MonkeyPatch.context() as mp:
             reference = _load_by(f, mp, "rows")
             _assert_identical(_load_by(f, mp, "columns"), reference)
+
+
+class TestLoaderEquivalenceInChild(TestLoaderEquivalence):
+    """Every loader case again, with the id read in a forked child while
+    this process reads the numbers, as in a large file on a host with more
+    than one CPU."""
+
+    @pytest.fixture(autouse=True)
+    def _fork_every_read(self, monkeypatch):
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: 2)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _killed_in_child(original):
+    """original, except that in a forked child it kills its own process."""
+    parent = os.getpid()
+
+    def run(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args)
+    return run
+
+
+class TestWorkerLifecycle:
+    """A forked worker never outlives the read or write that started it."""
+
+    @pytest.fixture(autouse=True)
+    def _fork_everything(self, monkeypatch):
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(oio, "_workers", lambda: 3)
+
+    def test_killed_id_reader_is_an_error(self, tmp_path, monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\nB,3,4\n")
+        monkeypatch.setattr(oio, "_read_ids", _killed_in_child(oio._read_ids))
+        with pytest.raises(ChildProcessError, match=(
+                r"^worker process \d+ was killed by signal 9 before it "
+                r"sent its result$")):
+            load_csv(f)
+        _assert_no_child_left()
+
+    def test_killed_row_writer_is_an_error(self, tmp_path, monkeypatch):
+        ds = Dataset(("A", "B"), [0, 2, 3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        monkeypatch.setattr(oio, "_write_rows",
+                            _killed_in_child(oio._write_rows))
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            write_dataset_csv(ds, tmp_path / "d.csv")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_parent_error_kills_a_running_child(self, tmp_path, monkeypatch,
+                                                error):
+        """The id read would take a minute; the parent's number read fails
+        at once, and the child is killed and reaped without waiting."""
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\n")
+
+        def fail(*args):
+            raise error("number read interrupted")
+
+        monkeypatch.setattr(oio, "_read_ids", lambda *args: time.sleep(60))
+        monkeypatch.setattr(oio, "_loadtxt", fail)
+        start = time.monotonic()
+        with pytest.raises(error):
+            load_csv(f)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_child_exception_is_raised_here(self):
+        """A child's exception arrives pickled, with its type and text."""
+        with oio._in_child(int, "x") as result:
+            with pytest.raises(ValueError, match="invalid literal"):
+                result()
+        _assert_no_child_left()
+
+
+def test_one_worker_while_another_thread_runs():
+    """A forked child keeps no thread but the one that forked it, so a lock
+    held by another thread would never be released in it."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert oio._workers() == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 _FLOATS = st.one_of(
@@ -321,6 +434,27 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         write_dataset_csv(ds, path)
         _assert_identical(load_csv(path), ds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_datasets(), st.integers(1, 5))
+    @example(Dataset(("a",), [0, 2], [[1.0, 2.0], [3.0, 4.0]],
+                     ("t1", "t,2")), 1)
+    def test_bytes_do_not_depend_on_workers(self, tmp_path_factory, ds,
+                                            chunk):
+        """One, two or three workers, each range written `chunk` rows at a
+        time, write the same bytes; the example has fewer rows than
+        workers."""
+        folder = tmp_path_factory.mktemp("w")
+        written = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oio, "_CHUNK_ROWS", chunk)
+            for workers in (1, 2, 3):
+                mp.setattr(oio, "_workers", lambda: workers)
+                write_dataset_csv(ds, folder / f"{workers}.csv")
+                written.append((folder / f"{workers}.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+        assert sorted(p.name for p in folder.iterdir()) == [
+            "1.csv", "2.csv", "3.csv"]
 
     def test_synth_round_trip_is_exact(self, tmp_path):
         model = SyntheticModel("multiplicative-log-laplace", 0.5,

@@ -51,6 +51,23 @@ class TestSyntheticModel:
             SyntheticModel("additive-normal", 1.0, base_median=(1.0, 2.0),
                            n_locations=3)
 
+    @pytest.mark.parametrize("median", [
+        np.int64(3), np.float32(2.0), np.array(2.5), 3, 2.5])
+    def test_scalar_median_of_any_numeric_type(self, median):
+        """Any 0-d number is every location's median, as float() reads it."""
+        model = SyntheticModel("additive-normal", 1.0, base_median=median,
+                               n_locations=2)
+        assert model.medians() == (float(median),) * 2
+
+    @pytest.mark.parametrize("median", [
+        "2", ["1", "2"], None, (1.0, [2.0, 3.0]), [[1.0, 2.0]], True])
+    def test_non_numeric_median_is_an_invalid_model(self, median):
+        with pytest.raises(InvalidModel) as err:
+            SyntheticModel("additive-normal", 1.0, base_median=median,
+                           n_locations=2)
+        assert str(err.value).startswith(
+            "base_median must be a number or a sequence of numbers, got ")
+
     def test_optimal_objective_map(self):
         """Zero inflation selects the zero-inflated row of the matching
         objective; the catalog has none for additive errors, so no
