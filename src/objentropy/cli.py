@@ -201,12 +201,10 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
         threshold = check_threshold(args.threshold)
         sizes = check_subsamples(args.sizes, args.replicates, args.seed)
     dataset = load_csv(args.input)
-    curves = [convergence_curve(dataset, spec, sizes,
-                                replicates=args.replicates,
-                                seed=args.seed,
-                                threshold=threshold,
-                                with_replacement=args.bootstrap)
-              for spec in specs]
+    curves = convergence_curve(dataset, specs, sizes,
+                               replicates=args.replicates, seed=args.seed,
+                               threshold=threshold,
+                               with_replacement=args.bootstrap)
     _emit(format_convergence(curves, args.format), args.out)
 
 

@@ -86,37 +86,42 @@ def check_subsamples(
 
 def convergence_curve(
     dataset: Dataset,
-    spec: ObjectiveSpec,
+    specs: Sequence[ObjectiveSpec],
     sizes: Sequence[int],
     replicates: int = 1,
     seed: int = 0,
     threshold: float = DEFAULT_ZERO_THRESHOLD,
     with_replacement: bool = False,
-) -> ConvergenceCurve:
-    """Entropy of seeded subsamples at each size, in-sample.
+) -> tuple[ConvergenceCurve, ...]:
+    """Entropy of seeded subsamples at each size, in-sample: one curve per
+    objective, in the order of specs.
 
-    Subsampling is without replacement by default; pass with_replacement
-    for a bootstrap flavor, where a pair drawn twice is scored twice. Fully
-    deterministic given the seed: draws occur in (size ascending, replicate
-    ascending) order from one generator.
+    Each subsample is drawn once and every objective scores it, so the
+    curves rest on the same evidence. Subsampling is without replacement
+    by default; pass with_replacement for a bootstrap flavor, where a pair
+    drawn twice is scored twice. Fully deterministic given the seed: draws
+    occur in (size ascending, replicate ascending) order from one
+    generator, so a curve is the same whichever objectives come with it.
     """
     sizes = check_subsamples(sizes, replicates, seed, dataset.n_total)
+    if not specs:
+        raise EmptyInput("no objectives given")
 
     rng = np.random.default_rng(seed)
-    raw: list[tuple[int, int, float]] = []
-    for size in sizes:
-        for rep in range(1, replicates + 1):
-            idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
-            sub = dataset.take(np.sort(idx))
-            h = evaluate_objective(spec, sub, sub, threshold).h_bits
-            raw.append((size, rep, h))
-    tail = raw[-min(5, len(raw)):]
-    reference = float(np.mean([h for _, _, h in tail]))
-    points = tuple(
-        ConvergencePoint(size, rep, h, abs(h - reference))
-        for size, rep, h in raw
-    )
-    return ConvergenceCurve(spec.name, reference, points)
+    draws = [(size, rep) for size in sizes for rep in range(1, replicates + 1)]
+    rows = []
+    for size, _ in draws:
+        idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
+        sub = dataset.take(np.sort(idx))
+        rows.append([evaluate_objective(spec, sub, sub, threshold).h_bits
+                     for spec in specs])
+    curves = []
+    for spec, column in zip(specs, zip(*rows)):
+        reference = float(np.mean(column[-5:]))
+        curves.append(ConvergenceCurve(spec.name, reference, tuple(
+            ConvergencePoint(size, rep, x, abs(x - reference))
+            for (size, rep), x in zip(draws, column))))
+    return tuple(curves)
 
 
 def per_location_entropy(

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInput,
     InvalidCoverage,
     NegativeSigma,
+    NonFiniteValue,
     NonPositiveMedian,
     OrderingViolation,
     ZeroSampleCount,
@@ -167,11 +168,11 @@ def adjust_expectation_lognormal(median: float, sigma: float) -> float:
 
     sigma is the standard deviation of the natural-log-scale errors.
     """
-    if not median > 0:
-        raise NonPositiveMedian(f"median must be > 0, got {median}")
-    if sigma < 0:
-        raise NegativeSigma(f"sigma must be >= 0, got {sigma}")
-    return median * math.exp(0.5 * sigma * sigma)
+    if not 0 < median < math.inf:
+        raise NonPositiveMedian(f"median must be finite and > 0, got {median}")
+    if not 0 <= sigma < math.inf:
+        raise NegativeSigma(f"sigma must be finite and >= 0, got {sigma}")
+    return median * _exp(0.5 * sigma * sigma)
 
 
 def prediction_interval(
@@ -185,20 +186,30 @@ def prediction_interval(
     multiplicative: (center / exp(sigma z), center * exp(sigma z)) for a
     median center on the original scale; additive: (center - sigma z,
     center + sigma z) for an expectation center. z is the standard-normal
-    quantile at (1 + coverage) / 2.
+    quantile at (1 + coverage) / 2. center and sigma must be finite; a
+    bound may overflow to an infinity.
     """
-    if sigma < 0:
-        raise NegativeSigma(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise NegativeSigma(f"sigma must be finite and >= 0, got {sigma}")
     if not (0.0 < coverage < 1.0):
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage}")
     if style not in ("multiplicative", "additive"):
         raise InvalidCoverage(f"unknown interval style {style!r}")
     z = NormalDist().inv_cdf(0.5 * (1.0 + coverage))
     if style == "multiplicative":
-        if not center > 0:
-            raise NonPositiveMedian(
-                f"multiplicative interval requires center > 0, got {center}"
-            )
-        factor = math.exp(sigma * z)
+        if not 0 < center < math.inf:
+            raise NonPositiveMedian("multiplicative interval requires a "
+                                    f"finite center > 0, got {center}")
+        factor = _exp(sigma * z)
         return center / factor, center * factor
+    if not math.isfinite(center):
+        raise NonFiniteValue(f"center must be finite, got {center}")
     return center - sigma * z, center + sigma * z
+
+
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

@@ -10,7 +10,6 @@ human tables round to two decimals.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
 
@@ -67,7 +66,7 @@ def load_csv(path: str | Path) -> Dataset:
     read as written, whatever its name ends in: nothing is decompressed.
 
     The header, the check for data rows and the row parser read an open
-    handle; the columnar read hands numpy the path (see _read_columns).
+    handle; the columnar read hands numpy the path (see _loadtxt).
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
     required column is absent or a column it reads is named twice,
@@ -83,7 +82,7 @@ def load_csv(path: str | Path) -> Dataset:
         if not any(line.strip() for line in fh):
             raise EmptyFile(f"{path} has a header but no data rows")
         try:
-            return _read_columns(fh, path, columns, header_lines)
+            return _read_columns(path, columns, header_lines)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -198,9 +197,8 @@ def _group(
     return tuple(codes), bounds, order
 
 
-def _read_columns(
-    fh: TextIO, path: Path, columns: Mapping[str, int], skip: int
-) -> Dataset:
+def _read_columns(path: Path, columns: Mapping[str, int], skip: int
+                  ) -> Dataset:
     """Columnar parse of the data records.
 
     numpy raises ValueError on a record it cannot read, such as a short
@@ -208,27 +206,21 @@ def _read_columns(
     removing underscores; what it does read matches the row parser bit for
     bit.
 
-    The ids (and timestamps) and the numbers are read separately, each by
-    numpy from the path, which it parses in large blocks; from the handle fh
-    it parses line by line. numpy decompresses a path named *.gz, *.bz2,
-    *.xz or *.lzma, so such a file is read from a handle (see _read_ids for
-    the second guard). numpy holds the GIL while it parses, so where there
-    is more than one worker (see _workers) and the file holds at least
-    _FORK_BYTES, the ids are read in a forked child while this process
-    reads the numbers. An error of the id read wins over one of the number
-    read, as when the id read runs first, here.
+    The ids (and timestamps) and the numbers are read separately (see
+    _loadtxt). numpy holds the GIL while it parses, so where there is more
+    than one worker (see _workers) and the file holds at least _FORK_BYTES,
+    the ids are read in a forked child while this process reads the
+    numbers. An error of the id read wins over one of the number read, as
+    when the id read runs first, here.
     """
     text_cols = [columns["location_id"]]
     if "timestamp" in columns:
         text_cols.append(columns["timestamp"])
-    fork = _workers() > 1 and os.fstat(fh.fileno()).st_size >= _FORK_BYTES
+    fork = _workers() > 1 and path.stat().st_size >= _FORK_BYTES
     with _in_child(_read_ids, path, text_cols, skip, fork=fork) as ids:
-        fh.seek(0)
-        source = fh if path.suffix in _COMPRESSED else str(path)
         try:
-            numbers = _loadtxt(source, skip, (columns["observed"],
-                                              columns["predicted"]),
-                               np.float64)
+            numbers = _loadtxt(path, skip, (columns["observed"],
+                                            columns["predicted"]), np.float64)
         except ValueError:
             ids()
             raise
@@ -248,31 +240,24 @@ def _read_ids(
     numpy opens a path with universal newlines, so a quoted CR or CRLF in an
     id or timestamp reads as LF. Every cell that changes then holds a LF,
     and every id of a run equals its head, so if a run head or a timestamp
-    holds a LF the text is read again from a handle. Any handle is opened
-    here, as a forked child shares its parent's file offsets.
+    holds a LF the text is read again from a handle.
     """
 
-    def read_text(source):
+    def read_text(handle=False):
         # Variable-width strings keep trailing NULs, which a fixed-width
         # str column drops, and need less memory for short ids. Runs of
         # equal raw ids start at `starts`.
-        text = _loadtxt(source, skip, text_cols, np.dtypes.StringDType())
+        text = _loadtxt(path, skip, text_cols, np.dtypes.StringDType(),
+                        handle)
         ids = text[:, 0]
         starts = np.concatenate(
             ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
         return text, starts
 
-    def read_handle():
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            return read_text(fh)
-
-    if path.suffix in _COMPRESSED:
-        text, starts = read_handle()
-    else:
-        text, starts = read_text(str(path))
-        if any(np.strings.count(cells, "\n").any()
-               for cells in (text[starts, 0], *text[:, 1:].T)):
-            text, starts = read_handle()
+    text, starts = read_text()
+    if any(np.strings.count(cells, "\n").any()
+           for cells in (text[starts, 0], *text[:, 1:].T)):
+        text, starts = read_text(handle=True)
 
     # Run heads that strip to the same id are one location. Only the heads
     # become Python strings.
@@ -286,13 +271,21 @@ def _read_ids(
     return location_ids, bounds, order, stamps
 
 
-def _loadtxt(source: TextIO | str, skip: int, usecols: Sequence[int],
-             dtype: Any) -> np.ndarray:
-    """The columns usecols of the records after the first skip lines of
-    source, a path or a handle at its start."""
-    return np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
-                      skiprows=skip, usecols=usecols, dtype=dtype, ndmin=2,
-                      encoding="utf-8-sig")
+def _loadtxt(path: Path, skip: int, usecols: Sequence[int], dtype: Any,
+             handle: bool = False) -> np.ndarray:
+    """The columns usecols of path's records after its first skip lines.
+
+    numpy parses a path in large blocks and a handle line by line, so the
+    path is read, unless handle is set or the name ends in a suffix numpy
+    would decompress (*.gz, *.bz2, *.xz or *.lzma). A handle is opened
+    here, as a forked child shares its parent's file offsets.
+    """
+    with (path.open(newline="", encoding="utf-8-sig")
+          if handle or path.suffix in _COMPRESSED
+          else nullcontext(str(path))) as source:
+        return np.loadtxt(source, delimiter=",", quotechar='"',
+                          comments=None, skiprows=skip, usecols=usecols,
+                          dtype=dtype, ndmin=2, encoding="utf-8-sig")
 
 
 def _workers() -> int:
@@ -500,15 +493,10 @@ _REPORT_FIELDS = (
 
 def report_records(report: EntropyReport) -> list[dict[str, Any]]:
     """Report rows as plain dicts; non-finite floats become None."""
-    records = []
-    for row in report.rows:
-        record = {}
-        for field in _REPORT_FIELDS:
-            value = getattr(row, "name" if field == "objective" else field)
-            record[field] = (_finite_or_none(value)
-                             if isinstance(value, float) else value)
-        records.append(record)
-    return records
+    return [_finite({
+        field: getattr(row, "name" if field == "objective" else field)
+        for field in _REPORT_FIELDS
+    }) for row in report.rows]
 
 
 def format_report(report: EntropyReport, fmt: str) -> str:
@@ -542,9 +530,9 @@ def format_convergence(curves: Sequence[ConvergenceCurve], fmt: str) -> str:
             "objective": c.objective,
             "size": p.size,
             "replicate": p.replicate,
-            "h_bits": _finite_or_none(p.h_bits),
-            "abs_error": _finite_or_none(p.abs_error),
-            "reference_h": _finite_or_none(c.reference_h),
+            "h_bits": p.h_bits,
+            "abs_error": p.abs_error,
+            "reference_h": c.reference_h,
         }
         for c in curves
         for p in c.points
@@ -565,7 +553,7 @@ def format_correlations(matrix: EntropyMatrix, fmt: str) -> str:
             records.append({
                 "objective_a": matrix.objectives[i],
                 "objective_b": matrix.objectives[j],
-                "correlation": _finite_or_none(float(matrix.correlations[i, j])),
+                "correlation": float(matrix.correlations[i, j]),
                 "n_locations": overlap,
             })
     fields = ("objective_a", "objective_b", "correlation", "n_locations")
@@ -573,13 +561,14 @@ def format_correlations(matrix: EntropyMatrix, fmt: str) -> str:
 
 
 def format_adjustment(record: Mapping[str, Any], fmt: str) -> str:
-    fields = tuple(record.keys())
-    return _tabular([dict(record)], fields, fmt)
+    return _tabular([record], tuple(record), fmt)
 
 
 def _tabular(
-    records: list[dict[str, Any]], fields: Sequence[str], fmt: str
+    records: Sequence[Mapping[str, Any]], fields: Sequence[str], fmt: str
 ) -> str:
+    """records in fmt, with None for each non-finite float."""
+    records = [_finite(rec) for rec in records]
     if fmt == "json":
         return _dump_json({"rows": records})
     if fmt == "csv":
@@ -591,10 +580,10 @@ def _tabular(
     return _render_table(tuple(fields), lines)
 
 
-def _finite_or_none(value: float | None) -> float | None:
-    if value is None or not math.isfinite(value):
-        return None
-    return float(value)
+def _finite(record: Mapping[str, Any]) -> dict[str, Any]:
+    """record with None for each float in it that is NaN or infinite."""
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in record.items()}
 
 
 def _cell_text(value: Any, human: bool = False) -> str:
@@ -608,12 +597,8 @@ def _cell_text(value: Any, human: bool = False) -> str:
 
 
 def _dump_csv(fields: Sequence[str], records: list[dict[str, Any]]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for rec in records:
-        writer.writerow([_cell_text(rec[f]) for f in fields])
-    return buf.getvalue()
+    rows = [fields, *([_cell_text(rec[f]) for f in fields] for rec in records)]
+    return "".join(",".join(map(_quote, row)) + "\n" for row in rows)
 
 
 def _dump_json(payload: Any) -> str:

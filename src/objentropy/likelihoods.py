@@ -321,19 +321,17 @@ def _frames(
         # Pairs outside n1: positive, or predicted above the threshold.
         outside_n1 = pred > threshold
         outside_n1 |= positive
-        n_pos, n1, n2 = [], [], []
-        for i, (a, b) in enumerate(segments):
-            p = int(np.count_nonzero(positive[a:b]))
-            outside = int(np.count_nonzero(outside_n1[a:b]))
-            n_pos.append(p)
-            n1.append(b - a - outside)
-            n2.append(outside - p)
-            if not p:
-                failed[i] = EmptyEvaluationSet(
-                    "no pairs above the zero-state threshold"
-                )
+        # Integer sums are exact in any order, so reduceat may count; no
+        # segment is empty, as a Dataset has no empty location.
+        n_pos, outside = (np.add.reduceat(mask, bounds[:-1], dtype=np.int64)
+                          for mask in (positive, outside_n1))
         del outside_n1
-        ends = np.cumsum([0, *n_pos]).tolist()
+        n1 = (np.diff(bounds) - outside).tolist()
+        n2 = (outside - n_pos).tolist()
+        for i in np.flatnonzero(n_pos == 0).tolist():
+            failed[i] = EmptyEvaluationSet(
+                "no pairs above the zero-state threshold")
+        ends = [0, *np.cumsum(n_pos).tolist()]
         segments = list(zip(ends[:-1], ends[1:]))
         obs = obs[positive]
         pred = pred[positive]

@@ -56,8 +56,9 @@ class SyntheticModel:
             raise InvalidModel(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not self.scale > 0:
-            raise InvalidModel(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise InvalidModel(
+                f"scale must be finite and > 0, got {self.scale}")
         if not (0.0 <= self.zero_inflation_rate < 1.0):
             raise InvalidModel(
                 f"zero_inflation_rate must lie in [0, 1), got "
@@ -66,16 +67,16 @@ class SyntheticModel:
         if (as_int(self.n_per_location, InvalidModel, "n_per_location") < 1
                 or as_int(self.n_locations, InvalidModel, "n_locations") < 1):
             raise InvalidModel("counts must be >= 1")
-        if self.base_log_sigma < 0:
-            raise InvalidModel("base_log_sigma must be >= 0")
+        if not 0 <= self.base_log_sigma < math.inf:
+            raise InvalidModel("base_log_sigma must be finite and >= 0")
         check_seed(self.seed, InvalidModel)
         medians = self.medians()
         if len(medians) != self.n_locations:
             raise InvalidModel(
                 f"{len(medians)} base medians for {self.n_locations} locations"
             )
-        if any(m <= 0 for m in medians):
-            raise InvalidModel("base medians must be > 0")
+        if not all(0 < m < math.inf for m in medians):
+            raise InvalidModel("base medians must be finite and > 0")
 
     def medians(self) -> tuple[float, ...]:
         """One base median per location. A 0-d value, a numpy scalar

@@ -37,7 +37,8 @@ def test_removed_names_are_not_exported():
 
 def _convergence(**kwargs):
     dataset = validate_dataset({"A": ([1.0, 2.0, 3.0], [1.5, 2.0, 2.5])})
-    return convergence_curve(dataset, CATALOG["MSE"], [2], **kwargs)
+    (curve,) = convergence_curve(dataset, [CATALOG["MSE"]], [2], **kwargs)
+    return curve
 
 
 def _model(**kwargs):

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import re
@@ -79,6 +81,19 @@ class TestRank:
         f.write_text(TABLE_ENTROPIES)
         assert main(["rank", "--from-entropies", str(f), "--base", base]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_csv_report_quotes_a_carriage_return(self, tmp_path):
+        """An objective name holding a CR reads back as one csv cell."""
+        f = tmp_path / "entropies.csv"
+        with f.open("w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("objective", "h_bits"), ("a\rb", "2.5"), ("c", "3.0")])
+        out = tmp_path / "report.csv"
+        assert main(["rank", "--from-entropies", str(f), "--format", "csv",
+                     "--out", str(out)]) == 0
+        with out.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert sorted(row[0] for row in rows) == ["a\rb", "c", "objective"]
 
     def test_from_entropies_reproduces_reference_table(self, tmp_path, capsys):
         f = tmp_path / "entropies.csv"
@@ -375,6 +390,23 @@ class TestOtherCommands:
         assert row["high"] == pytest.approx(13.92, abs=5e-3)
         assert row["expectation"] == 10.0
 
+    @pytest.mark.parametrize("center, sigma, overflows", [
+        ("1e308", "30", {"expectation", "high"}), ("1", "40", {"expectation"}),
+    ])
+    def test_adjust_overflow_is_null(self, capsys, center, sigma, overflows):
+        """Finite flags whose expectation or upper bound overflows a float
+        give null in json and an empty cell in csv and the table."""
+        out = {}
+        for fmt in ("json", "csv", "table"):
+            assert main(["adjust", "--center", center, "--sigma", sigma,
+                         "--format", fmt]) == 0
+            out[fmt] = capsys.readouterr().out
+        row = json.loads(out["json"])["rows"][0]
+        assert {key for key, v in row.items() if v is None} == overflows
+        header, cells = csv.reader(io.StringIO(out["csv"]))
+        assert {key for key, c in zip(header, cells) if not c} == overflows
+        assert "inf" not in out["table"]
+
     def test_convergence_long_format(self, tmp_path, capsys):
         data = _synth(tmp_path, **{"n-per-location": "1500"})
         capsys.readouterr()
@@ -501,9 +533,15 @@ _BAD_FLAGS = [
     ("synth", ["--base-median", "0"]), ("synth", ["--base-median", "x"]),
     ("synth", ["--base-median", "1,2"]), ("synth", ["--zero-inflation", "1"]),
     ("synth", ["--base-log-sigma", "-1"]), ("synth", ["--family", "gamma"]),
+    *[("synth", [flag, value]) for flag, value in (
+        ("--scale", "inf"), ("--base-median", "nan"), ("--base-median", "inf"),
+        ("--base-log-sigma", "nan"), ("--base-log-sigma", "inf"))],
     ("adjust", ["--sigma", "-1"]), ("adjust", ["--coverage", "2"]),
     ("adjust", ["--coverage", "0"]), ("adjust", ["--center", "-1"]),
     ("adjust", ["--center", "0"]), ("adjust", ["--style", "other"]),
+    ("adjust", ["--sigma", "nan"]), ("adjust", ["--sigma", "inf"]),
+    ("adjust", ["--center", "inf"]),
+    ("adjust", ["--style", "additive", "--center", "nan"]),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objentropy import diagnostics
-from objentropy.data import validate_dataset
+from objentropy.data import Dataset, validate_dataset
 from objentropy.diagnostics import (
     convergence_curve,
     pearson,
@@ -42,8 +42,8 @@ def _normal_dataset(n=10_000, seed=5):
 class TestConvergenceCurve:
     def test_single_full_size_has_zero_error(self):
         ds = _normal_dataset(n=500)
-        curve = convergence_curve(ds, CATALOG["MSE"], [500], replicates=1,
-                                  seed=0, threshold=1e-9)
+        (curve,) = convergence_curve(ds, [CATALOG["MSE"]], [500],
+                                     replicates=1, seed=0, threshold=1e-9)
         assert len(curve.points) == 1
         assert curve.points[0].abs_error == 0.0
         assert curve.reference_h == curve.points[0].h_bits
@@ -51,20 +51,20 @@ class TestConvergenceCurve:
     def test_size_exceeds_data(self):
         ds = _normal_dataset(n=100)
         with pytest.raises(SizeExceedsData):
-            convergence_curve(ds, CATALOG["MSE"], [200], seed=0)
+            convergence_curve(ds, [CATALOG["MSE"]], [200], seed=0)
 
     def test_sizes_must_increase(self):
         ds = _normal_dataset(n=100)
         with pytest.raises(SizeExceedsData):
-            convergence_curve(ds, CATALOG["MSE"], [50, 50], seed=0)
+            convergence_curve(ds, [CATALOG["MSE"]], [50, 50], seed=0)
         with pytest.raises(EmptyInput):
-            convergence_curve(ds, CATALOG["MSE"], [], seed=0)
+            convergence_curve(ds, [CATALOG["MSE"]], [], seed=0)
 
     def test_median_error_non_increasing(self):
         """Larger subsamples estimate the reference entropy better."""
         ds = _normal_dataset()
-        curve = convergence_curve(ds, CATALOG["MSE"], [10, 100, 1000],
-                                  replicates=15, seed=9, threshold=1e-9)
+        (curve,) = convergence_curve(ds, [CATALOG["MSE"]], [10, 100, 1000],
+                                     replicates=15, seed=9, threshold=1e-9)
         by_size = collections.defaultdict(list)
         for p in curve.points:
             by_size[p.size].append(p.abs_error)
@@ -73,8 +73,9 @@ class TestConvergenceCurve:
 
     def test_reference_near_analytic_entropy(self):
         ds = _normal_dataset()
-        curve = convergence_curve(ds, CATALOG["MSE"], [100, 1000, 4000],
-                                  replicates=5, seed=2, threshold=1e-9)
+        (curve,) = convergence_curve(ds, [CATALOG["MSE"]],
+                                     [100, 1000, 4000], replicates=5, seed=2,
+                                     threshold=1e-9)
         # 3 standard errors of a size-4000 entropy estimate
         se = math.sqrt(0.5 / 4000) / math.log(2)
         assert abs(curve.reference_h - analytic_entropy("normal", 1.0)) <= 3 * se
@@ -82,16 +83,16 @@ class TestConvergenceCurve:
     def test_bit_for_bit_determinism(self):
         ds = _normal_dataset(n=2000)
         kwargs = dict(sizes=[50, 500], replicates=4, seed=123, threshold=1e-9)
-        a = convergence_curve(ds, CATALOG["MALE"], **kwargs)
-        b = convergence_curve(ds, CATALOG["MALE"], **kwargs)
+        (a,) = convergence_curve(ds, [CATALOG["MALE"]], **kwargs)
+        (b,) = convergence_curve(ds, [CATALOG["MALE"]], **kwargs)
         assert a == b
 
     def test_bootstrap_flag_changes_draws(self):
         ds = _normal_dataset(n=300)
-        a = convergence_curve(ds, CATALOG["MSE"], [300], replicates=1, seed=1,
-                              threshold=1e-9)
-        b = convergence_curve(ds, CATALOG["MSE"], [300], replicates=1, seed=1,
-                              threshold=1e-9, with_replacement=True)
+        (a,) = convergence_curve(ds, [CATALOG["MSE"]], [300], replicates=1,
+                                 seed=1, threshold=1e-9)
+        (b,) = convergence_curve(ds, [CATALOG["MSE"]], [300], replicates=1,
+                                 seed=1, threshold=1e-9, with_replacement=True)
         assert a.points[0].h_bits != b.points[0].h_bits
 
     def test_bootstrap_scores_every_draw(self, monkeypatch):
@@ -105,14 +106,14 @@ class TestConvergenceCurve:
 
         monkeypatch.setattr(diagnostics, "evaluate_objective", recording)
         ds = _normal_dataset(n=1000)
-        convergence_curve(ds, CATALOG["MSE"], [200, 1000], replicates=2,
+        convergence_curve(ds, [CATALOG["MSE"]], [200, 1000], replicates=2,
                           seed=4, threshold=1e-9, with_replacement=True)
         assert n_evals == [200, 200, 1000, 1000]
 
     def test_without_replacement_scores_the_drawn_pairs(self):
         ds = _normal_dataset(n=600)
-        curve = convergence_curve(ds, CATALOG["MAE"], [50, 300], replicates=2,
-                                  seed=8, threshold=1e-9)
+        (curve,) = convergence_curve(ds, [CATALOG["MAE"]], [50, 300],
+                                     replicates=2, seed=8, threshold=1e-9)
         rng = np.random.default_rng(8)
         for point in curve.points:
             mask = np.zeros(ds.n_total, dtype=bool)
@@ -122,6 +123,53 @@ class TestConvergenceCurve:
             assert point.h_bits == conditional_entropy_bits(
                 fitted.loglik_nats, fitted.n_eval
             )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(sorted(CATALOG)), min_size=1,
+                       max_size=4, unique=True),
+        sizes=st.lists(st.integers(20, 400), min_size=1, max_size=3,
+                       unique=True).map(sorted),
+        replicates=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        with_replacement=st.booleans(),
+    )
+    def test_objectives_together_equal_each_alone(
+            self, names, sizes, replicates, seed, with_replacement):
+        """Scoring every objective on one draw of each subsample gives each
+        curve bit for bit as a call with that objective alone."""
+        kwargs = dict(sizes=sizes, replicates=replicates, seed=seed,
+                      with_replacement=with_replacement)
+        specs = [CATALOG[name] for name in names]
+        together = convergence_curve(_ZERO_INFLATED, specs, **kwargs)
+        alone = tuple(convergence_curve(_ZERO_INFLATED, [spec], **kwargs)[0]
+                      for spec in specs)
+        assert together == alone
+        assert [curve.objective for curve in together] == names
+
+    def test_each_subsample_is_taken_once(self, monkeypatch):
+        takes = []
+        take = Dataset.take
+
+        def counting(self, idx):
+            takes.append(len(idx))
+            return take(self, idx)
+
+        monkeypatch.setattr(Dataset, "take", counting)
+        specs = [CATALOG[name] for name in ("MSE", "MALE", "ZMALE")]
+        curves = convergence_curve(_ZERO_INFLATED, specs, [50, 500],
+                                   replicates=2, seed=3)
+        assert takes == [50, 50, 500, 500]
+        assert [len(curve.points) for curve in curves] == [4, 4, 4]
+
+    def test_no_objectives(self):
+        with pytest.raises(EmptyInput):
+            convergence_curve(_normal_dataset(n=100), [], [50])
+
+
+_ZERO_INFLATED, _ = generate(SyntheticModel(
+    "multiplicative-lognormal", 0.4, zero_inflation_rate=0.1,
+    base_median=3.0, n_per_location=300, n_locations=2, seed=11))
 
 
 def _heteroscedastic_dataset(seed=0, n=800):
