@@ -12,18 +12,18 @@ import numpy as np
 from .data import Dataset
 from .errors import (
     EmptyInput,
-    ObjentropyError,
     SizeExceedsData,
     ZeroVariance,
     as_int,
     check_seed,
 )
+from .information import conditional_entropy_bits
 from .likelihoods import (
     DEFAULT_ZERO_THRESHOLD,
     ObjectiveSpec,
-    _fitted,
+    _fit,
     _frames,
-    _score,
+    _loglik,
     evaluate_objective,
 )
 
@@ -132,31 +132,28 @@ def per_location_entropy(
     """Fit and evaluate each objective independently at each location,
     in-sample.
 
-    Each objective makes one pass over the whole dataset and reduces each
-    location's slice of it, so a cell is bit for bit the entropy of
-    `evaluate_objective` on a dataset of that location alone. Locations
-    where an objective fails (no pair above the threshold for a
-    positive-domain objective, sigma_o = 0 for NSE, or a degenerate scale)
-    become NaN cells and drop out of the pairwise correlations. A threshold
-    <= 0 fails every cell, so it raises.
+    Each objective makes one pass over the whole dataset, reduces each
+    location's slice of it, and fits and scores the column of locations at
+    once, so a cell is bit for bit the entropy of `evaluate_objective` on a
+    dataset of that location alone. Locations where an objective fails (no
+    pair above the threshold for a positive-domain objective, sigma_o = 0
+    for NSE, or a degenerate scale) become NaN cells and drop out of the
+    pairwise correlations. A threshold that is not finite and > 0 fails
+    every cell, so it raises.
     """
     if not specs:
         raise EmptyInput("no objectives given")
-    names = tuple(s.name for s in specs)
-    locations = dataset.location_ids
-    h = np.full((len(locations), len(specs)), np.nan)
+    h = np.full((len(dataset.location_ids), len(specs)), np.nan)
     for j, spec in enumerate(specs):
         frames = _frames(spec, dataset, threshold, dataset.bounds)
-        for i, frame in enumerate(frames):
-            if isinstance(frame, ObjentropyError):
-                continue
-            try:
-                h[i, j] = _score(spec, _fitted(spec, frame), frame).h_bits
-            except ObjentropyError:
-                continue
+        scale, rho = _fit(spec, frames)
+        total, n_eval = _loglik(spec, frames, scale, rho)
+        ok = scale > 0
+        ok[list(frames.errors)] = False
+        h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
     return EntropyMatrix(
-        locations=locations,
-        objectives=names,
+        locations=dataset.location_ids,
+        objectives=tuple(s.name for s in specs),
         entropies=h,
         correlations=pearson_matrix(h),
     )

@@ -71,9 +71,10 @@ class EntropyReport:
 
 
 def conditional_entropy_bits(loglik_nats: float, n: int) -> float:
-    """-loglik / (n ln 2): bits per observation. -inf maps to +inf."""
-    if n < 1:
-        raise ZeroSampleCount(f"n must be >= 1, got {n}")
+    """-loglik / (n ln 2): bits per observation. -inf maps to +inf. Takes
+    numbers or arrays alike."""
+    if np.any(n < 1):
+        raise ZeroSampleCount(f"n must be >= 1, got {np.min(n)}")
     return -loglik_nats / (n * _LN2)
 
 
@@ -82,10 +83,10 @@ def aic_adjusted_entropy(loglik_nats: float, n: int, k: int) -> float:
 
     k counts only the parameters that differ between the candidates being
     compared; parameters shared by every candidate are a constant and may
-    be omitted.
+    be omitted. Takes numbers or arrays alike.
     """
-    if n < 1:
-        raise ZeroSampleCount(f"n must be >= 1, got {n}")
+    if np.any(n < 1):
+        raise ZeroSampleCount(f"n must be >= 1, got {np.min(n)}")
     if k < 0:
         raise OrderingViolation(f"k must be >= 0, got {k}")
     return (-loglik_nats + k) / (n * _LN2)
@@ -130,7 +131,8 @@ def rank_objectives(
 
     Rank 1 is the minimum entropy (adjusted when requested); ties break
     toward fewer parameters, then name. Rows are returned worst first.
-    Zero-likelihood sentinel estimates rank last with weight 0.
+    Zero-likelihood sentinel estimates rank last with weight 0; when every
+    estimate is one, no ranking exists, so it raises.
     """
     items = list(estimates)
     if not items:
@@ -139,10 +141,16 @@ def rank_objectives(
 
     def h_used(e: EntropyEstimate) -> float:
         h = e.h_adj_bits if adjusted else e.h_bits
-        return float("inf") if e.zero_likelihood or not math.isfinite(h) else h
+        if e.zero_likelihood or not math.isfinite(h):
+            return math.inf
+        return float(h)  # ranks in float64 whatever h's type
 
     order = sorted(items, key=lambda e: (h_used(e), e.k, e.name))
     h_col = np.array([h_used(e) for e in order])
+    if not np.isfinite(h_col).any():
+        raise EmptyInput(
+            "every objective has zero likelihood: "
+            f"{', '.join(e.name for e in items)}; none can be ranked")
     weights = akaike_weights(h_col)
 
     finite = h_col[np.isfinite(h_col)]

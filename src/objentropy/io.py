@@ -581,9 +581,12 @@ def _tabular(
 
 
 def _finite(record: Mapping[str, Any]) -> dict[str, Any]:
-    """record with None for each float in it that is NaN or infinite."""
+    """record with each numpy scalar as the Python scalar it holds, and None
+    for each float in it that is NaN or infinite."""
+    plain = {key: v.item() if isinstance(v, np.generic) else v
+             for key, v in record.items()}
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
-            for key, v in record.items()}
+            for key, v in plain.items()}
 
 
 def _cell_text(value: Any, human: bool = False) -> str:

@@ -24,6 +24,9 @@ A pair is in the zero state when its observed value is at or below the
 threshold: n1 such pairs are predicted at or below it too, n2 are not.
 Positive pairs whose prediction is at or below the threshold are clamped
 up to the threshold before a positive-domain transform is applied.
+
+Fits and scores are numpy formulas over columns of dataset segments; one
+segment is a column of one.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .information import (
 from .transforms import POSITIVE_DOMAIN_KINDS, apply, log_jacobian_terms
 from .transforms import TRANSFORM_KINDS as _VALUE_KINDS
 
-_LN_2PI = math.log(2.0 * math.pi)
+_LN_2PI = float(np.log(2.0 * np.pi))
 
 # Default zero-state threshold in flow units (m^3/s); roughly 0.01 ft^3/s.
 DEFAULT_ZERO_THRESHOLD = 0.0028
@@ -64,14 +67,13 @@ DEFAULT_ZERO_THRESHOLD = 0.0028
 
 class _Family(NamedTuple):
     """A base family read through its sufficient statistic: the residuals
-    enter its scale's MLE and its log-likelihood only through
-    reduce(values(r)) and their count n. A segment's statistic is the
-    reduction of its slice of values(r)."""
+    r enter its scale's MLE and its log-likelihood only through
+    statistic(r) and their count n. fit and loglik are numpy formulas that
+    take one segment or a column of segments alike."""
 
-    values: Callable[[np.ndarray], np.ndarray]  # per residual
-    reduce: Callable[[np.ndarray], float]
-    fit: Callable[[float, int], float]  # (statistic, n) -> scale
-    loglik: Callable[[float, int, float], float]  # (statistic, n, scale)
+    statistic: Callable[[np.ndarray], float]
+    fit: Callable[..., np.ndarray]  # (statistic, n) -> scale
+    loglik: Callable[..., np.ndarray]  # (statistic, n, scale)
     scale_name: str
 
 
@@ -79,26 +81,21 @@ _FAMILIES: dict[str, _Family] = {
     # sigma = sqrt(sum r^2 / n);
     # loglik = -n ln sigma - (n/2) ln(2 pi) - sum r^2 / (2 sigma^2).
     "normal": _Family(
-        lambda r: r * r, np.add.reduce, lambda s, n: math.sqrt(s / n),
-        lambda s, n, sigma: (-n * math.log(sigma) - 0.5 * n * _LN_2PI
+        lambda r: np.add.reduce(r * r), lambda s, n: np.sqrt(s / n),
+        lambda s, n, sigma: (-n * np.log(sigma) - 0.5 * n * _LN_2PI
                              - s / (2.0 * sigma * sigma)), "sigma"),
     # b = sum |r| / n; loglik = -n ln(2b) - sum |r| / b.
     "laplace": _Family(
-        np.abs, np.add.reduce, lambda s, n: s / n,
-        lambda s, n, b: -n * math.log(2.0 * b) - s / b, "b"),
+        lambda r: np.add.reduce(np.abs(r)), lambda s, n: s / n,
+        lambda s, n, b: -n * np.log(2.0 * b) - s / b, "b"),
     # a = max |r|; the density is 1/(2a) on [-a, a], so loglik =
     # -n ln(2a) while every |r| <= a, else -inf (zero likelihood).
     # Densities above 1 make positive values legitimate.
     "uniform": _Family(
-        np.abs, lambda v: np.maximum.reduce(v, initial=0.0), lambda s, n: s,
-        lambda s, n, a: -n * math.log(2.0 * a) if s <= a else float("-inf"),
+        lambda r: np.maximum.reduce(np.abs(r), initial=0.0), lambda s, n: s,
+        lambda s, n, a: np.where(s <= a, -n * np.log(2.0 * a), -np.inf),
         "the bound"),
 }
-
-
-def _statistic(family: str, residuals: np.ndarray) -> float:
-    fam = _FAMILIES[family]
-    return float(fam.reduce(fam.values(residuals)))
 
 
 BASE_FAMILIES = tuple(_FAMILIES)
@@ -199,9 +196,10 @@ def resolve_objectives(selection: str | list[str]) -> list[ObjectiveSpec]:
 
 
 def check_threshold(threshold: float) -> float:
-    """threshold, once it is a zero-state threshold: > 0."""
-    if not threshold > 0:
-        raise NonPositiveThreshold(f"threshold must be > 0, got {threshold}")
+    """threshold, once it is a zero-state threshold: finite and > 0."""
+    if not 0 < threshold < math.inf:
+        raise NonPositiveThreshold(
+            f"threshold must be finite and > 0, got {threshold}")
     return threshold
 
 
@@ -212,33 +210,33 @@ def fit_scale(family: str, residuals: np.ndarray) -> float:
     sqrt(mean r^2) (normal), b = mean |r| (laplace), or the bound
     a = max |r| (uniform)."""
     r = np.asarray(residuals, dtype=np.float64)
-    return _fit(family, _statistic(family, r), r.size)
+    if r.size == 0:
+        raise EmptyInput("residuals are empty")
+    fam = _FAMILIES[family]
+    scale = float(fam.fit(fam.statistic(r), r.size))
+    if scale == 0.0:
+        raise _degenerate(family)
+    return scale
 
 
 def loglik(family: str, residuals: np.ndarray, scale: float) -> float:
     """Log-likelihood of residuals under a base family at a scale; -inf
     when a residual lies beyond a uniform bound (zero likelihood)."""
     r = np.asarray(residuals, dtype=np.float64)
-    return _loglik(family, _statistic(family, r), r.size, scale)
-
-
-def _fit(family: str, statistic: float, n: int) -> float:
-    if n == 0:
-        raise EmptyInput("residuals are empty")
+    _check_scale(family, scale)
     fam = _FAMILIES[family]
-    scale = fam.fit(statistic, n)
-    if scale == 0.0:
-        raise DegenerateScale(
-            f"all residuals are zero; {fam.scale_name} is undefined"
-        )
-    return scale
+    return float(fam.loglik(fam.statistic(r), r.size, scale))
 
 
-def _loglik(family: str, statistic: float, n: int, scale: float) -> float:
-    fam = _FAMILIES[family]
+def _degenerate(family: str) -> DegenerateScale:
+    return DegenerateScale(f"all residuals are zero; "
+                           f"{_FAMILIES[family].scale_name} is undefined")
+
+
+def _check_scale(family: str, scale: float) -> None:
     if not scale > 0:
-        raise NonPositiveScale(f"{fam.scale_name} must be > 0, got {scale}")
-    return float(fam.loglik(statistic, n, scale))
+        raise NonPositiveScale(
+            f"{_FAMILIES[family].scale_name} must be > 0, got {scale}")
 
 
 def fit_binomial_rate(n1: int, n2: int) -> float:
@@ -254,14 +252,21 @@ def loglik_binomial(n1: int, n2: int, rho: float) -> float:
     Returns -inf when successes (or failures) occur at a fitted rate of
     exactly zero (or one), i.e. the zero-likelihood sentinel.
     """
+    _check_rate(rho)
+    return float(_binomial(n1, n2, rho))
+
+
+def _check_rate(rho: float) -> None:
     if not (0.0 <= rho <= 1.0):
         raise InvalidProbability(f"rho must lie in [0, 1], got {rho}")
-    total = 0.0
-    if n1:
-        total += float("-inf") if rho == 0.0 else n1 * math.log(rho)
-    if n2:
-        total += float("-inf") if rho == 1.0 else n2 * math.log(1.0 - rho)
-    return total
+
+
+def _binomial(n1, n2, rho):
+    """n1 ln(rho) + n2 ln(1 - rho) of each segment: a count of 0 adds 0,
+    whatever rho is."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0, 0 ln 0
+        return (np.where(n1 > 0, n1 * np.log(rho), 0.0)
+                + np.where(n2 > 0, n2 * np.log(1.0 - rho), 0.0))
 
 
 def _sigma_o(dataset: Dataset) -> np.ndarray:
@@ -276,18 +281,19 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
     return sigma
 
 
-class _Frame(NamedTuple):
-    """One dataset segment seen through one objective: the count of
-    transformed residuals over the objective's support and their base
-    family's statistic, the log-Jacobian summed over its observed values,
-    and the zero-state counts n1 and n2 (both 0 where the transform's
-    domain is not positive)."""
+class _Frames(NamedTuple):
+    """Dataset segments seen through one objective, as columns: the count n
+    of transformed residuals over the objective's support and their base
+    family's statistic, the log-Jacobian summed over their observed values,
+    and the zero-state counts n1 and n2 (0 where the transform's domain is
+    not positive). errors maps each failed segment to its error."""
 
-    n: int
-    statistic: float
-    log_jacobian: float
-    n1: int
-    n2: int
+    n: np.ndarray
+    statistic: np.ndarray
+    log_jacobian: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    errors: dict[int, ObjentropyError]
 
 
 def _frames(
@@ -295,11 +301,12 @@ def _frames(
     dataset: Dataset,
     threshold: float,
     bounds: Sequence[int],
-) -> list[_Frame | ObjentropyError]:
-    """The frame of each segment bounds[i]:bounds[i + 1] of dataset at a
-    zero-state threshold, or the error that segment fails with: no pair
-    above the threshold, or a location with sigma_o = 0. bounds run from 0
-    to n along location boundaries.
+) -> _Frames:
+    """The frames of the segments bounds[i]:bounds[i + 1] of dataset at a
+    zero-state threshold. A segment fails with no pair above the threshold,
+    or with a location whose sigma_o = 0; such an NSE segment also carries
+    log-Jacobian -inf, the zero-likelihood sentinel. bounds run from 0 to n
+    along location boundaries.
 
     Each per-pair array is built once over the whole dataset, and each
     segment reduces its contiguous slice with the same numpy reduction a
@@ -309,10 +316,9 @@ def _frames(
     check_threshold(threshold)
     kind = spec.transform_kind
     obs, pred = dataset.observed, dataset.predicted
-    bounds = [int(b) for b in bounds]
-    segments = list(zip(bounds[:-1], bounds[1:]))
-    failed: dict[int, ObjentropyError] = {}
-    n1 = n2 = [0] * len(segments)
+    n = np.diff(bounds)
+    n1 = n2 = np.zeros_like(n)
+    errors: dict[int, ObjentropyError] = {}
     # Each per-value array is reduced to per-segment sums and dropped
     # before the next one is formed, and obs is dropped once transformed,
     # so fewer n-value arrays are alive at once: this lowers peak memory.
@@ -326,18 +332,16 @@ def _frames(
         n_pos, outside = (np.add.reduceat(mask, bounds[:-1], dtype=np.int64)
                           for mask in (positive, outside_n1))
         del outside_n1
-        n1 = (np.diff(bounds) - outside).tolist()
-        n2 = (outside - n_pos).tolist()
-        for i in np.flatnonzero(n_pos == 0).tolist():
-            failed[i] = EmptyEvaluationSet(
+        n1, n2, n = n - outside, outside - n_pos, n_pos
+        for i in np.flatnonzero(n == 0).tolist():
+            errors[i] = EmptyEvaluationSet(
                 "no pairs above the zero-state threshold")
-        ends = [0, *np.cumsum(n_pos).tolist()]
-        segments = list(zip(ends[:-1], ends[1:]))
         obs = obs[positive]
         pred = pred[positive]
         del positive
         np.maximum(pred, threshold, out=pred)
-        log_jacobian = _segment_sums(log_jacobian_terms(kind, obs), segments)
+        log_jacobian = _per_segment(np.add.reduce,
+                                    log_jacobian_terms(kind, obs), n)
         residuals = apply(kind, obs)
         del obs
         residuals -= apply(kind, pred)
@@ -345,53 +349,61 @@ def _frames(
     elif kind == "per-location-scale":
         sigma = _sigma_o(dataset)
         zero = sigma == 0
-        if zero.any():
-            ids = dataset.location_ids
-            edges = np.searchsorted(dataset.bounds, bounds).tolist()
-            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-                bad = [ids[k] for k in range(lo, hi) if zero[k]]
-                if bad:
-                    failed[i] = DomainViolation(
-                        f"sigma_o must be > 0 wherever used as a divisor; "
-                        f"location {min(bad)!r} has sigma_o = 0.0"
-                    )
-            # Failed segments are not reduced; 1.0 keeps ln and division
-            # finite and silent on their pairs.
-            sigma[zero] = 1.0
+        ids = dataset.location_ids
+        segment = np.searchsorted(bounds, dataset.bounds[:-1], "right") - 1
+        # By id: a segment's error names its least location.
+        for k in sorted(np.flatnonzero(zero).tolist(), key=ids.__getitem__):
+            errors.setdefault(int(segment[k]), DomainViolation(
+                f"sigma_o must be > 0 wherever used as a divisor; "
+                f"location {ids[k]!r} has sigma_o = 0.0"))
+        # 1.0 keeps ln and division finite and silent on failed segments.
+        sigma[zero] = 1.0
         sigma = sigma[dataset.location_codes]
-        terms = np.log(sigma)
-        np.negative(terms, out=terms)
-        log_jacobian = _segment_sums(terms, segments)
-        del terms
+        log_jacobian = -_per_segment(np.add.reduce, np.log(sigma), n)
+        log_jacobian[list(errors)] = -np.inf
         residuals = obs - pred
         residuals /= sigma
         del sigma
     else:  # identity
-        log_jacobian = [0.0] * len(segments)
+        log_jacobian = np.zeros(n.size)
         residuals = obs - pred
-    fam = _FAMILIES[spec.base_family]
-    values = fam.values(residuals)
-    del residuals
-    return [
-        failed[i] if i in failed else _Frame(
-            b - a, float(fam.reduce(values[a:b])), log_jacobian[i],
-            n1[i], n2[i])
-        for i, (a, b) in enumerate(segments)
-    ]
+    statistic = _per_segment(_FAMILIES[spec.base_family].statistic,
+                             residuals, n)
+    return _Frames(n, statistic, log_jacobian, n1, n2, errors)
 
 
-def _segment_sums(terms: np.ndarray, segments: list[tuple[int, int]]
-                  ) -> list[float]:
-    return [float(np.add.reduce(terms[a:b])) for a, b in segments]
+def _per_segment(reduce: Callable[[np.ndarray], float], values: np.ndarray,
+                 n: np.ndarray) -> np.ndarray:
+    """reduce of each consecutive slice of values, of lengths n."""
+    ends = [0, *np.cumsum(n).tolist()]
+    return np.array([reduce(values[a:b]) for a, b in zip(ends, ends[1:])],
+                    dtype=np.float64)
 
 
-def _fitted(spec: ObjectiveSpec, frame: _Frame) -> FittedParams:
-    """Maximum-likelihood parameters of spec on frame."""
-    scale = _fit(spec.base_family, frame.statistic, frame.n)
-    rho = None
-    if spec.zero_inflated and frame.n1 + frame.n2 > 0:
-        rho = fit_binomial_rate(frame.n1, frame.n2)
-    return FittedParams(scale=scale, rho=rho)
+def _fit(spec: ObjectiveSpec, frames: _Frames
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood scale and zero-state rate rho of spec on each
+    segment of frames: scale is 0 where every residual is zero, and rho is
+    NaN where the segment has no zero state."""
+    with np.errstate(invalid="ignore"):  # 0/0: no pairs, or no zero state
+        return (_FAMILIES[spec.base_family].fit(frames.statistic, frames.n),
+                frames.n1 / (frames.n1 + frames.n2))
+
+
+def _loglik(spec: ObjectiveSpec, frames: _Frames, scale, rho
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """spec's total log-likelihood at scale and rho on each segment of
+    frames, and the count of pairs each total covers."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # at scale 0
+        total = _FAMILIES[spec.base_family].loglik(
+            frames.statistic, frames.n, scale) + frames.log_jacobian
+    if not spec.zero_inflated:
+        return total, frames.n
+    binomial = _binomial(frames.n1, frames.n2, rho)
+    # NaN where a zero state meets rho = NaN: training never saw one, so
+    # the fitted mixture assigns it no probability.
+    return (np.where(np.isnan(binomial), -np.inf, total + binomial),
+            frames.n + frames.n1 + frames.n2)
 
 
 def evaluate_objective(
@@ -406,12 +418,16 @@ def evaluate_objective(
     and an error raised on either side names the objective.
     """
     try:
-        (frame,) = _frames(spec, train, threshold, (0, train.n_total))
-        if not isinstance(frame, _Frame):
-            raise frame
-        params = _fitted(spec, frame)
+        frames = _frames(spec, train, threshold, (0, train.n_total))
+        for error in frames.errors.values():
+            raise error
+        (scale,), (rho,) = _fit(spec, frames)
+        if scale == 0:
+            raise _degenerate(spec.base_family)
+        params = FittedParams(float(scale), float(rho) if spec.zero_inflated
+                              and not math.isnan(rho) else None)
         if test is train:
-            return _score(spec, params, frame)
+            return _estimate(spec, params, frames)
         return score_objective(spec, params, test, threshold)
     except ObjentropyError as exc:
         raise type(exc)(f"objective {spec.name}: {exc}") from exc
@@ -431,38 +447,25 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    (frame,) = _frames(spec, test, threshold, (0, test.n_total))
-    if isinstance(frame, DomainViolation):
-        frame = _Frame(test.n_total, 0.0, float("-inf"), 0, 0)
-    elif not isinstance(frame, _Frame):
-        raise frame
-    return _score(spec, params, frame)
+    frames = _frames(spec, test, threshold, (0, test.n_total))
+    for error in frames.errors.values():
+        if not isinstance(error, DomainViolation):
+            raise error
+    _check_scale(spec.base_family, params.scale)
+    if spec.zero_inflated and params.rho is not None:
+        _check_rate(params.rho)
+    return _estimate(spec, params, frames)
 
 
-def _score(
-    spec: ObjectiveSpec, params: FittedParams, frame: _Frame
+def _estimate(
+    spec: ObjectiveSpec, params: FittedParams, frames: _Frames
 ) -> EntropyEstimate:
-    total = _loglik(spec.base_family, frame.statistic, frame.n, params.scale)
-    total += frame.log_jacobian
-    n_eval = frame.n
-    n_zero = frame.n1 + frame.n2
-    if spec.zero_inflated:
-        n_eval += n_zero
-        if n_zero:
-            if params.rho is None:
-                # Zero state never seen in training: the fitted mixture
-                # assigns it no probability.
-                total = float("-inf")
-            else:
-                total += loglik_binomial(frame.n1, frame.n2, params.rho)
+    """spec's estimate at params on the one segment of frames."""
+    rho = math.nan if params.rho is None else params.rho
+    (total,), (n_eval,) = _loglik(spec, frames, params.scale, rho)
+    total, n_eval = float(total), int(n_eval)
     return EntropyEstimate(
-        name=spec.name,
-        k=spec.k,
-        h_bits=conditional_entropy_bits(total, n_eval),
-        h_adj_bits=aic_adjusted_entropy(total, n_eval, spec.k),
-        loglik_nats=total,
-        n_eval=n_eval,
-        excluded=0 if spec.zero_inflated else n_zero,
-        zero_likelihood=not math.isfinite(total),
-        params=params,
-    )
+        spec.name, spec.k, conditional_entropy_bits(total, n_eval),
+        aic_adjusted_entropy(total, n_eval, spec.k), total, n_eval,
+        excluded=int(frames.n[0] + frames.n1[0] + frames.n2[0]) - n_eval,
+        zero_likelihood=not math.isfinite(total), params=params)

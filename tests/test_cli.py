@@ -225,7 +225,7 @@ class TestRank:
     def test_empty_support_names_the_objective_once(self, tmp_path, capsys):
         data = _synth(tmp_path)
         capsys.readouterr()
-        rc = main(["rank", "--input", str(data), "--threshold", "inf",
+        rc = main(["rank", "--input", str(data), "--threshold", "1e300",
                    "--objectives", "MSE,MSLE"])
         assert (rc, capsys.readouterr().err) == (2, (
             "error: objective MSLE: no pairs above the zero-state "
@@ -325,6 +325,20 @@ class TestRank:
         assert (nse["weight"], nse["zero_likelihood"]) == (0.0, True)
         assert nse["rank"] > max(r["rank"] for r in rows
                                  if not r["zero_likelihood"])
+
+    def test_every_objective_a_sentinel_is_data_error(self, tmp_path,
+                                                      capsys):
+        """When every objective scores zero likelihood on the held-out
+        pairs, the error names them and says why."""
+        f = tmp_path / "stamped.csv"
+        f.write_text("timestamp,location_id,observed,predicted\n"
+                     "2021-01-01,A,1,1.5\n2021-01-02,A,2,1.5\n"
+                     "2021-01-03,A,5,1\n2021-01-04,A,5,1\n")
+        rc = main(["rank", "--input", str(f), "--split", "time:0.5",
+                   "--objectives", "NSE,U"])
+        assert (rc, capsys.readouterr().err) == (2, (
+            "error: every objective has zero likelihood: NSE, U; none can "
+            "be ranked\n"))
 
 
 class TestDeterminism:
@@ -512,7 +526,8 @@ _VALID_FLAGS = {
 }
 _SHARED_BAD = [["--objectives", ","], ["--objectives", "RMSE"],
                ["--objectives", "MSE,MSE"], ["--threshold", "0"],
-               ["--threshold", "-1"], ["--threshold", "nan"]]
+               ["--threshold", "-1"], ["--threshold", "nan"],
+               ["--threshold", "inf"]]
 _SEEDS_BAD = [["--seed", "-1"], ["--seed", str(2 ** 64)]]
 _BAD_FLAGS = [
     *[("rank", flags) for flags in _SHARED_BAD + _SEEDS_BAD],

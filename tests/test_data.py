@@ -155,12 +155,12 @@ class TestPartitionZeroState:
 
     def test_non_positive_threshold(self):
         ds = validate_dataset({"A": ([1, 2], [1, 3]), "B": ([1, 2], [2, 1])})
-        for threshold in (0.0, -1.0, float("nan")):
+        for threshold in (0.0, -1.0, float("nan"), float("inf")):
             for spec in CATALOG.values():
                 with pytest.raises(NonPositiveThreshold):
                     evaluate_objective(spec, ds, ds, threshold)
             with pytest.raises(NonPositiveThreshold,
-                               match="threshold must be > 0"):
+                               match="threshold must be finite and > 0"):
                 per_location_entropy(ds, list(CATALOG.values()), threshold)
 
     def test_partition_is_disjoint_and_exhaustive(self):

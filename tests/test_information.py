@@ -206,6 +206,17 @@ class TestRankObjectives:
         assert dead.weight == 0.0
         assert dead.noise_fraction is None
 
+    def test_all_sentinels_name_every_objective(self):
+        """With every estimate a zero-likelihood sentinel no weight exists;
+        the error names each objective and the cause."""
+        with pytest.raises(EmptyInput) as err:
+            rank_objectives([
+                _estimate("U", float("inf"), zero_likelihood=True),
+                _estimate("NSE", float("inf"), zero_likelihood=True),
+            ])
+        assert str(err.value) == ("every objective has zero likelihood: "
+                                  "U, NSE; none can be ranked")
+
     def test_noise_fraction_against_best(self):
         report = rank_objectives([_estimate("A", 6.95), _estimate("B", 11.62)])
         b = [r for r in report.rows if r.name == "B"][0]

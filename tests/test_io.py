@@ -510,6 +510,22 @@ class TestReportFormats:
         assert payload["aic_adjusted"] is True
         assert len(payload["rows"]) == 10
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+    def test_numpy_scalars_write_as_python_scalars(self, fmt, kind):
+        """An estimate that holds numpy scalars writes the bytes of the one
+        that holds the Python scalars they equal."""
+        def report(real, integer):
+            return rank_objectives([
+                EntropyEstimate("A", integer(1), real(1.5), real(1.5),
+                                real(-3.0), integer(2)),
+                EntropyEstimate("B", integer(2), real(2.5), real(2.5))])
+
+        numeric = (report(float, kind) if kind is np.int64
+                   else report(kind, int))
+        assert format_report(numeric, fmt) == format_report(
+            report(float, int), fmt)
+
     def test_records_null_out_non_finite(self):
         est = EntropyEstimate(name="DEAD", k=1, h_bits=float("inf"),
                               h_adj_bits=float("inf"),

@@ -1,7 +1,7 @@
 """Tests for the objective catalog: fits, log-likelihoods, and evaluation."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from objentropy.errors import (
     UnknownObjective,
 )
 from objentropy.information import (
+    EntropyEstimate,
     aic_adjusted_entropy,
     conditional_entropy_bits,
     rank_objectives,
@@ -33,6 +34,7 @@ from objentropy.likelihoods import (
     CATALOG,
     FittedParams,
     ObjectiveSpec,
+    _FAMILIES,
     _sigma_o,
     evaluate_objective,
     fit_binomial_rate,
@@ -694,3 +696,58 @@ class TestInvariants:
         test = validate_dataset({"A": ([0.0, 1.0, 2.0], [0.5, 1.0, 1.5])})
         fitted = evaluate_objective(get_objective("ZMALE"), train, test)
         assert fitted.zero_likelihood
+
+
+class TestColumnFormulas:
+    """A family's fit and log-likelihood are numpy formulas over columns of
+    segments; each entry of a column is bit for bit the entry computed
+    alone, so one segment, scored as a column of one, gives the same
+    figures as it does among many."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(BASE_FAMILIES),
+           st.lists(st.tuples(st.floats(0, 1e6), st.integers(1, 10 ** 6),
+                              st.floats(1e-6, 1e6)),
+                    min_size=1, max_size=40))
+    def test_a_column_equals_its_entries(self, family, rows):
+        fam = _FAMILIES[family]
+        s, n, scale = (np.array(column) for column in zip(*rows))
+        fits = np.array([fam.fit(*row[:2]) for row in rows])
+        logliks = np.array([fam.loglik(*row) for row in rows])
+        assert fam.fit(s, n).tobytes() == fits.tobytes()
+        assert fam.loglik(s, n, scale).tobytes() == logliks.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(BASE_FAMILIES),
+           st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+                    min_size=1, max_size=10),
+           st.floats(1e-3, 1e3))
+    def test_public_helpers_equal_the_column_entries(self, family, segments,
+                                                     scale):
+        fam = _FAMILIES[family]
+        s = np.array([fam.statistic(np.array(seg)) for seg in segments])
+        n = np.array([len(seg) for seg in segments])
+        fits, logliks = fam.fit(s, n), fam.loglik(s, n, scale)
+        for seg, fit, ll in zip(segments, fits, logliks):
+            assert loglik(family, seg, scale) == ll
+            if fit == 0:
+                with pytest.raises(DegenerateScale):
+                    fit_scale(family, seg)
+            else:
+                assert fit_scale(family, seg) == fit
+
+    @pytest.mark.parametrize("mode", ["random", "location"])
+    def test_estimates_hold_python_scalars(self, mode):
+        """Every figure of an estimate is a built-in scalar, so no numpy
+        scalar reaches a report."""
+        train, test = TestOutOfSampleNSE._split(mode)
+        for spec in CATALOG.values():
+            fitted = evaluate_objective(spec, train, train)
+            for estimate in (fitted, evaluate_objective(spec, train, test),
+                             score_objective(spec, fitted.params, test)):
+                figures = [getattr(estimate, f.name)
+                           for f in fields(EntropyEstimate)]
+                *figures, params = figures
+                figures += [params.scale, params.rho]
+                assert {type(x) for x in figures} <= {
+                    str, int, float, bool, type(None)}, spec.name
