@@ -282,3 +282,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cli_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

@@ -145,9 +145,16 @@ class Dataset:
             raise LengthMismatch(
                 f"positions outside [0, {self.n_total}) requested"
             )
-        codes = self.location_codes[idx]
-        idx = idx[np.argsort(codes, kind="stable")]
-        counts = np.bincount(codes, minlength=len(self.location_ids))
+        if (idx[1:] < idx[:-1]).any():
+            codes = self.location_codes[idx]
+            idx = idx[np.argsort(codes, kind="stable")]
+            counts = np.bincount(codes, minlength=len(self.location_ids))
+            del codes
+        else:
+            # Sorted positions, as subset and a sorted draw give, are
+            # grouped by location already: a stable sort by location would
+            # be the identity, and each location's count is a search.
+            counts = np.diff(np.searchsorted(idx, self.bounds))
         kept = np.flatnonzero(counts)
         return Dataset(
             tuple(map(self.location_ids.__getitem__, kept.tolist())),
@@ -237,8 +244,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     if spec.mode == "random":
         mask = _held_out(dataset.n_total, spec, "pairs")
     elif spec.mode == "location":
-        mask = _held_out(len(dataset.location_ids), spec,
-                         "locations")[dataset.location_codes]
+        mask = np.repeat(_held_out(len(dataset.location_ids), spec,
+                                   "locations"), np.diff(dataset.bounds))
     else:
         mask = _time_mask(dataset, spec)
     if not mask.any() or mask.all():

@@ -115,6 +115,8 @@ def convergence_curve(
         sub = dataset.take(np.sort(idx))
         rows.append([evaluate_objective(spec, sub, sub, threshold).h_bits
                      for spec in specs])
+        # So that two subsamples are never alive at once.
+        del idx, sub
     curves = []
     for spec, column in zip(specs, zip(*rows)):
         reference = float(np.mean(column[-5:]))

@@ -184,17 +184,35 @@ def _records(reader: Any) -> Iterator[tuple[int, list[str]]]:
 
 def _group(
     heads: list[str], lengths: int | np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
     """Group runs of records by location: run j holds lengths[j] records
     (or `lengths`, an int) of the stripped id heads[j]. Returns the ids in
     order of first appearance, their bounds, and the record order that lists
-    each location's records together, in file order."""
+    each location's records together, in file order, or None when the file
+    is grouped: when each location's records are one block already."""
     codes: dict[str, int] = {}
-    run_codes = [codes.setdefault(head, len(codes)) for head in heads]
-    record_codes = np.repeat(run_codes, lengths)
-    order = np.argsort(record_codes, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(record_codes))))
+    run_codes = np.array([codes.setdefault(head, len(codes)) for head in heads],
+                         dtype=np.int64)
+    # Each location's count, exact as a float below 2**53 records.
+    counts = np.bincount(run_codes, np.broadcast_to(lengths, run_codes.shape))
+    bounds = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
+    # Codes count up in order of first appearance, so where they never fall
+    # each location's runs are adjacent.
+    if not (run_codes[1:] < run_codes[:-1]).any():
+        return tuple(codes), bounds, None
+    order = np.argsort(np.repeat(run_codes, lengths), kind="stable")
     return tuple(codes), bounds, order
+
+
+def _pairs(numbers: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """The (n, 2) observed and predicted numbers of n records as a
+    C-contiguous (2, n) pairs array, records in order (as _group returns
+    it). Each row is written once, so the only other per-record array made
+    is one column's gather when order is given."""
+    pairs = np.empty(numbers.shape[::-1])
+    for row, column in zip(pairs, numbers.T):
+        row[...] = column if order is None else column[order]
+    return pairs
 
 
 def _read_columns(path: Path, columns: Mapping[str, int], skip: int
@@ -225,17 +243,20 @@ def _read_columns(path: Path, columns: Mapping[str, int], skip: int
             ids()
             raise
         location_ids, bounds, order, stamps = ids()
-    return Dataset(location_ids, bounds, np.take(numbers.T, order, axis=1),
-                   stamps)
+    pairs = _pairs(numbers, order)
+    del numbers, order
+    return Dataset(location_ids, bounds, pairs, stamps)
 
 
 def _read_ids(
     path: Path, text_cols: list[int], skip: int
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, tuple[str, ...] | None]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None,
+           tuple[str, ...] | None]:
     """The location ids of the data records of path, in order of first
-    appearance, their bounds, the record order that groups them (as _group
-    returns them), and the stripped timestamps in that order, or None when
-    text_cols names only the id column.
+    appearance, their bounds, the record order that groups them, or None
+    when the file is grouped (as _group returns them), and the stripped
+    timestamps in that order, or None when text_cols names only the id
+    column.
 
     numpy opens a path with universal newlines, so a quoted CR or CRLF in an
     id or timestamp reads as LF. Every cell that changes then holds a LF,
@@ -267,7 +288,8 @@ def _read_ids(
     )
     stamps = None
     if len(text_cols) == 2:
-        stamps = tuple(map(str.strip, text[order, 1].tolist()))
+        cells = text[:, 1] if order is None else text[order, 1]
+        stamps = tuple(map(str.strip, cells.tolist()))
     return location_ids, bounds, order, stamps
 
 
@@ -386,12 +408,10 @@ def _read_rows(
     if not locs:
         raise EmptyFile(f"{path} has a header but no data rows")
     location_ids, bounds, order = _group(locs, 1)
-    return Dataset(
-        location_ids,
-        bounds,
-        np.take(np.array(numbers).T, order, axis=1),
-        tuple(map(stamps.__getitem__, order.tolist())) if has_time else None,
-    )
+    if has_time and order is not None:
+        stamps = list(map(stamps.__getitem__, order.tolist()))
+    return Dataset(location_ids, bounds, _pairs(np.array(numbers), order),
+                   stamps if has_time else None)
 
 
 def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:

@@ -319,9 +319,10 @@ def _frames(
     n = np.diff(bounds)
     n1 = n2 = np.zeros_like(n)
     errors: dict[int, ObjentropyError] = {}
-    # Each per-value array is reduced to per-segment sums and dropped
-    # before the next one is formed, and obs is dropped once transformed,
-    # so fewer n-value arrays are alive at once: this lowers peak memory.
+    # At most two per-pair float arrays are alive at once beside the
+    # dataset's: each per-pair array is reduced to per-segment sums and
+    # dropped before the next one is formed, and the positive pairs'
+    # values are transformed in place, the residuals in obs's buffer.
     if kind in POSITIVE_DOMAIN_KINDS:
         positive = obs > threshold
         # Pairs outside n1: positive, or predicted above the threshold.
@@ -337,15 +338,14 @@ def _frames(
             errors[i] = EmptyEvaluationSet(
                 "no pairs above the zero-state threshold")
         obs = obs[positive]
+        log_jacobian = _per_segment(np.add.reduce,
+                                    log_jacobian_terms(kind, obs), n)
         pred = pred[positive]
         del positive
         np.maximum(pred, threshold, out=pred)
-        log_jacobian = _per_segment(np.add.reduce,
-                                    log_jacobian_terms(kind, obs), n)
-        residuals = apply(kind, obs)
-        del obs
-        residuals -= apply(kind, pred)
-        del pred
+        residuals = apply(kind, obs, out=obs)
+        residuals -= apply(kind, pred, out=pred)
+        del obs, pred
     elif kind == "per-location-scale":
         sigma = _sigma_o(dataset)
         zero = sigma == 0
@@ -358,12 +358,14 @@ def _frames(
                 f"location {ids[k]!r} has sigma_o = 0.0"))
         # 1.0 keeps ln and division finite and silent on failed segments.
         sigma[zero] = 1.0
-        sigma = sigma[dataset.location_codes]
-        log_jacobian = -_per_segment(np.add.reduce, np.log(sigma), n)
+        # ln sigma_o is summed over pairs, as the pairwise sum's bits need,
+        # but each location divides its own slice: no per-pair sigma_o.
+        log_jacobian = -_per_segment(
+            np.add.reduce, np.repeat(np.log(sigma), np.diff(dataset.bounds)), n)
         log_jacobian[list(errors)] = -np.inf
         residuals = obs - pred
-        residuals /= sigma
-        del sigma
+        for s, (_, rows) in zip(sigma.tolist(), dataset.rows()):
+            residuals[rows] /= s
     else:  # identity
         log_jacobian = np.zeros(n.size)
         residuals = obs - pred

@@ -30,6 +30,9 @@ _POWERS = {"identity": 1.0, "natural-log": 0.0, "square-root": 0.5,
 
 TRANSFORM_KINDS = tuple(_POWERS)
 POSITIVE_DOMAIN_KINDS = frozenset(k for k, lam in _POWERS.items() if lam != 1)
+# The ufunc of each power: bit for bit what ndarray's `**` gives at that λ
+# (a copy, np.sqrt and 1.0 / y), and ln y at λ = 0.
+_MAPS = {1.0: np.positive, 0.0: np.log, 0.5: np.sqrt, -1.0: np.reciprocal}
 
 
 def _power(kind: str, values: np.ndarray) -> float:
@@ -59,12 +62,13 @@ def _log_jacobian(y: np.ndarray, lam: float) -> np.ndarray:
     return t
 
 
-def apply(kind: str, values: np.ndarray) -> np.ndarray:
-    """Elementwise v(y) = y^λ, or ln y at λ = 0, as a new array: ndarray's
-    `**` makes λ = 1, ½ and −1 a copy, `np.sqrt` and `1.0 / y` bit for bit."""
+def apply(kind: str, values: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise v(y) = y^λ, or ln y at λ = 0, by its ufunc in _MAPS.
+    As numpy's ufuncs do, it writes into out and returns it when out is
+    given (values itself transforms in place), else returns a new array."""
     v = np.asarray(values, dtype=np.float64)
-    lam = _power(kind, v)
-    return np.log(v) if lam == 0 else v ** lam
+    return _MAPS[_power(kind, v)](v, out=out)
 
 
 def log_jacobian_terms(kind: str, observed: np.ndarray) -> np.ndarray:

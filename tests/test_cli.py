@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +388,27 @@ class TestDeterminism:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("module", ["objentropy", "objentropy.cli"])
+    def test_python_m_runs_the_cli(self, capsys, module):
+        """`python -m objentropy` (or `objentropy.cli`) prints what main
+        prints and exits with its code."""
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["adjust", "--center", "1", "--sigma", "0.5"]
+
+        def run(*flags):
+            return subprocess.run([sys.executable, "-m", module, *flags],
+                                  capture_output=True, text=True, env=env)
+
+        capsys.readouterr()
+        assert main(argv) == 0
+        ok = run(*argv)
+        assert (ok.returncode, ok.stdout) == (0, capsys.readouterr().out)
+        bad = run(*argv, "--sigma-typo", "1")
+        assert bad.returncode == 1
+        assert bad.stderr.startswith("usage error:")
+
     def test_adjust_example_values(self, capsys):
         capsys.readouterr()
         rc = main(["adjust", "--center", "10", "--sigma", "0.5",

@@ -250,11 +250,14 @@ class TestTake:
         ds = _dataset(n=30, locations=5, seed=2)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            idx = rng.choice(ds.n_total, size=int(rng.integers(1, 200)))
-            taken, reference = ds.take(idx), _take_reference(ds, idx)
-            assert taken.location_ids == reference.location_ids
-            np.testing.assert_array_equal(taken.bounds, reference.bounds)
-            np.testing.assert_array_equal(taken.pairs, reference.pairs)
+            draw = rng.choice(ds.n_total, size=int(rng.integers(1, 200)))
+            # Sorted positions give non-decreasing codes, which take keeps
+            # in place without a sort.
+            for idx in (draw, np.sort(draw)):
+                taken, reference = ds.take(idx), _take_reference(ds, idx)
+                assert taken.location_ids == reference.location_ids
+                np.testing.assert_array_equal(taken.bounds, reference.bounds)
+                np.testing.assert_array_equal(taken.pairs, reference.pairs)
 
     def test_subset_is_take_of_the_kept_positions(self):
         ds = _dataset(n=20, locations=3, timestamps=True)

@@ -144,6 +144,7 @@ _LOADER_CASES = {
     "whitespace-only lines": (_HEADER + "A,1,2\n   \n\t\nB,3,4\n", "rows"),
     "blank cells": (_HEADER + "A,1,2\n , ,\nB,3,4\n", "rows"),
     "padded ids": (_HEADER + "  A ,1,2\nA,3,4\n\tB,5,6\nA\t,7,8\n", "columns"),
+    "adjacent padded ids": (_HEADER + " A,1,2\nA,3,4\nB,5,6\n", "columns"),
     "hash ids": (_HEADER + "#A,1,2\nB,3,4\n#A,5,6\n", "columns"),
     "quoted ids": (_HEADER + '"A,B",1,2\n"x""y",3,4\n"A,B",5,6\n"p\nq",7,8\n',
                    "columns"),
@@ -169,6 +170,11 @@ _LOADER_CASES = {
     "lone cr": ("location_id,observed,predicted\rA,1,2\rB,3,4\rA,5,6\r",
                 "columns"),
 }
+# The cases that list some location's records apart, so that the load
+# gathers each location's records by a record order.
+_UNGROUPED = {"interleaved", "padded ids", "hash ids", "quoted ids",
+              "extra columns", "timestamps", "quoted crlf ids",
+              "quoted cr ids", "lone cr"}
 
 
 class TestLoaderEquivalence:
@@ -182,6 +188,25 @@ class TestLoaderEquivalence:
         reference = _load_by(f, monkeypatch, "rows")
         _assert_identical(_load_by(f, monkeypatch, parser), reference)
         _assert_identical(load_csv(f), reference)
+
+    @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+    def test_only_ungrouped_files_are_reordered(self, case, tmp_path,
+                                                monkeypatch):
+        """The pairs are gathered by a record order where a location's
+        records lie apart, and copied as read where the file is grouped."""
+        f = tmp_path / "d.csv"
+        f.write_bytes(_LOADER_CASES[case][0].encode("utf-8"))
+        orders = []
+        pairs = oio._pairs
+
+        def recorded(numbers, order):
+            orders.append(order)
+            return pairs(numbers, order)
+
+        monkeypatch.setattr(oio, "_pairs", recorded)
+        load_csv(f)
+        (order,) = orders
+        assert (order is not None) == (case in _UNGROUPED)
 
     def test_quoted_crlf_and_lf_ids_stay_apart(self, tmp_path, monkeypatch):
         """Read from the path, numpy turns the CRLF into LF, and the two ids

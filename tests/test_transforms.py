@@ -49,6 +49,22 @@ class TestApply:
             assert v is not y
             np.testing.assert_array_equal(v, expected, strict=True)
 
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_out_is_bit_for_bit_the_new_array(self, kind):
+        """apply into out, values itself included, writes the bits of the
+        new array it returns without out; without out, values is left as
+        it was."""
+        y = np.random.default_rng(13).lognormal(0.0, 40.0, 100_000)
+        kept = y.copy()
+        with np.errstate(over="ignore"):  # 1/y of a subnormal y
+            expected = apply(kind, y.copy())
+            assert y.tobytes() == kept.tobytes()
+            elsewhere = np.empty_like(y)
+            assert apply(kind, y, out=elsewhere) is elsewhere
+            assert y.tobytes() == kept.tobytes()
+            assert apply(kind, y, out=y) is y
+        assert y.tobytes() == expected.tobytes() == elsewhere.tobytes()
+
     def test_domain_violations(self):
         for kind in POSITIVE_DOMAIN_KINDS:
             for run in (apply, log_jacobian_terms, log_jacobian_sum):
