@@ -134,25 +134,29 @@ def per_location_entropy(
     """Fit and evaluate each objective independently at each location,
     in-sample.
 
-    Each objective makes one pass over the whole dataset, reduces each
-    location's slice of it, and fits and scores the column of locations at
-    once, so a cell is bit for bit the entropy of `evaluate_objective` on a
-    dataset of that location alone. Locations where an objective fails (no
-    pair above the threshold for a positive-domain objective, sigma_o = 0
-    for NSE, or a degenerate scale) become NaN cells and drop out of the
-    pairwise correlations. A threshold that is not finite and > 0 fails
-    every cell, so it raises.
+    Each transform makes one pass over the whole dataset, shared by every
+    objective that uses it. Each location's slice of that pass is reduced
+    to each objective's family statistic, and each objective fits and
+    scores the column of locations at once, so a cell is bit for bit the
+    entropy of `evaluate_objective` on a dataset of that location alone.
+    Locations where an objective fails (no pair above the threshold for a
+    positive-domain objective, sigma_o = 0 for NSE, or a degenerate scale)
+    become NaN cells and drop out of the pairwise correlations. A
+    threshold that is not finite and > 0 fails every cell, so it raises.
     """
     if not specs:
         raise EmptyInput("no objectives given")
     h = np.full((len(dataset.location_ids), len(specs)), np.nan)
-    for j, spec in enumerate(specs):
-        frames = _frames(spec, dataset, threshold, dataset.bounds)
-        scale, rho = _fit(spec, frames)
-        total, n_eval = _loglik(spec, frames, scale, rho)
-        ok = scale > 0
-        ok[list(frames.errors)] = False
-        h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
+    for kind in dict.fromkeys(s.transform_kind for s in specs):
+        columns = [j for j, s in enumerate(specs) if s.transform_kind == kind]
+        frames = _frames([specs[j] for j in columns], dataset, threshold,
+                         dataset.bounds)
+        for j in columns:
+            scale, rho = _fit(specs[j], frames)
+            total, n_eval = _loglik(specs[j], frames, scale, rho)
+            ok = scale > 0
+            ok[list(frames.errors)] = False
+            h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
     return EntropyMatrix(
         locations=dataset.location_ids,
         objectives=tuple(s.name for s in specs),

@@ -71,10 +71,6 @@ class NonPositiveScale(ObjentropyError):
     """Scale parameter must be strictly positive."""
 
 
-class NoZeroState(ObjentropyError):
-    """Binomial rate requested but no zero-state pairs exist."""
-
-
 class InvalidProbability(ObjentropyError):
     """Probability outside [0, 1]."""
 

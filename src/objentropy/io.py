@@ -100,19 +100,24 @@ def load_entropies(path: str | Path) -> list[EntropyEstimate]:
     absent or empty). Raises load_csv's errors for a missing header,
     column or number, NonFiniteValue for an h_bits that is NaN or
     infinite, OrderingViolation for a negative k, and UnknownObjective
-    for an objective listed twice, each naming the line."""
+    for a blank objective or one listed twice, each naming the line."""
     path = Path(path)
     estimates = []
+    seen = set()
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         columns = _columns(reader, path, ("objective", "h_bits"), "k")
         for line_no, row in _records(reader):
             name = _cell(row, columns["objective"], path, line_no).strip()
-            if any(e.name == name for e in estimates):
+            if not name:
+                raise UnknownObjective(
+                    f"{path} line {line_no}: objective is blank")
+            if name in seen:
                 raise UnknownObjective(
                     f"{path} line {line_no}: objective {name!r} is listed "
                     "twice"
                 )
+            seen.add(name)
             h = _parse_number(row, columns["h_bits"], path, line_no)
             if not math.isfinite(h):
                 raise NonFiniteValue(

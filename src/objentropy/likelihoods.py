@@ -26,7 +26,9 @@ Positive pairs whose prediction is at or below the threshold are clamped
 up to the threshold before a positive-domain transform is applied.
 
 Fits and scores are numpy formulas over columns of dataset segments; one
-segment is a column of one.
+segment is a column of one. Objectives that share a transform share one
+pass over the pairs: one residual array per transform, reduced to each of
+their families' statistics.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .errors import (
     InvalidProbability,
     NonPositiveScale,
     NonPositiveThreshold,
-    NoZeroState,
     ObjentropyError,
     UnknownObjective,
 )
@@ -205,29 +206,6 @@ def check_threshold(threshold: float) -> float:
 
 # --- fits and log-likelihoods (nats) ---
 
-def fit_scale(family: str, residuals: np.ndarray) -> float:
-    """Maximum-likelihood scale of a base family on residuals: sigma =
-    sqrt(mean r^2) (normal), b = mean |r| (laplace), or the bound
-    a = max |r| (uniform)."""
-    r = np.asarray(residuals, dtype=np.float64)
-    if r.size == 0:
-        raise EmptyInput("residuals are empty")
-    fam = _FAMILIES[family]
-    scale = float(fam.fit(fam.statistic(r), r.size))
-    if scale == 0.0:
-        raise _degenerate(family)
-    return scale
-
-
-def loglik(family: str, residuals: np.ndarray, scale: float) -> float:
-    """Log-likelihood of residuals under a base family at a scale; -inf
-    when a residual lies beyond a uniform bound (zero likelihood)."""
-    r = np.asarray(residuals, dtype=np.float64)
-    _check_scale(family, scale)
-    fam = _FAMILIES[family]
-    return float(fam.loglik(fam.statistic(r), r.size, scale))
-
-
 def _degenerate(family: str) -> DegenerateScale:
     return DegenerateScale(f"all residuals are zero; "
                            f"{_FAMILIES[family].scale_name} is undefined")
@@ -237,23 +215,6 @@ def _check_scale(family: str, scale: float) -> None:
     if not scale > 0:
         raise NonPositiveScale(
             f"{_FAMILIES[family].scale_name} must be > 0, got {scale}")
-
-
-def fit_binomial_rate(n1: int, n2: int) -> float:
-    """Zero-state success probability rho = n1 / (n1 + n2)."""
-    if n1 + n2 == 0:
-        raise NoZeroState("no zero-state pairs; the mixture degenerates")
-    return n1 / (n1 + n2)
-
-
-def loglik_binomial(n1: int, n2: int, rho: float) -> float:
-    """n1 ln(rho) + n2 ln(1 - rho), with the 0 ln 0 = 0 convention.
-
-    Returns -inf when successes (or failures) occur at a fitted rate of
-    exactly zero (or one), i.e. the zero-likelihood sentinel.
-    """
-    _check_rate(rho)
-    return float(_binomial(n1, n2, rho))
 
 
 def _check_rate(rho: float) -> None:
@@ -282,14 +243,15 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
 
 
 class _Frames(NamedTuple):
-    """Dataset segments seen through one objective, as columns: the count n
-    of transformed residuals over the objective's support and their base
-    family's statistic, the log-Jacobian summed over their observed values,
-    and the zero-state counts n1 and n2 (0 where the transform's domain is
-    not positive). errors maps each failed segment to its error."""
+    """Dataset segments seen through one transform, as columns: the count n
+    of transformed residuals over the transform's support, each requested
+    base family's statistic of them by family name, the log-Jacobian summed
+    over their observed values, and the zero-state counts n1 and n2 (0
+    where the transform's domain is not positive). errors maps each failed
+    segment to its error."""
 
     n: np.ndarray
-    statistic: np.ndarray
+    statistic: dict[str, np.ndarray]
     log_jacobian: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
@@ -297,24 +259,26 @@ class _Frames(NamedTuple):
 
 
 def _frames(
-    spec: ObjectiveSpec,
+    specs: Sequence[ObjectiveSpec],
     dataset: Dataset,
     threshold: float,
     bounds: Sequence[int],
 ) -> _Frames:
     """The frames of the segments bounds[i]:bounds[i + 1] of dataset at a
-    zero-state threshold. A segment fails with no pair above the threshold,
-    or with a location whose sigma_o = 0; such an NSE segment also carries
-    log-Jacobian -inf, the zero-likelihood sentinel. bounds run from 0 to n
-    along location boundaries.
+    zero-state threshold, for objectives that share one transform. A
+    segment fails with no pair above the threshold, or with a location
+    whose sigma_o = 0; such an NSE segment also carries log-Jacobian -inf,
+    the zero-likelihood sentinel. bounds run from 0 to n along location
+    boundaries.
 
     Each per-pair array is built once over the whole dataset, and each
     segment reduces its contiguous slice with the same numpy reduction a
     dataset of that segment alone would use, so a segment's frame is bit
-    for bit the frame of that segment alone.
+    for bit the frame of that segment alone. The one residual array is
+    reduced to each family's statistic in turn.
     """
     check_threshold(threshold)
-    kind = spec.transform_kind
+    (kind,) = {spec.transform_kind for spec in specs}
     obs, pred = dataset.observed, dataset.predicted
     n = np.diff(bounds)
     n1 = n2 = np.zeros_like(n)
@@ -369,8 +333,9 @@ def _frames(
     else:  # identity
         log_jacobian = np.zeros(n.size)
         residuals = obs - pred
-    statistic = _per_segment(_FAMILIES[spec.base_family].statistic,
-                             residuals, n)
+    statistic = {family: _per_segment(_FAMILIES[family].statistic,
+                                      residuals, n)
+                 for family in dict.fromkeys(s.base_family for s in specs)}
     return _Frames(n, statistic, log_jacobian, n1, n2, errors)
 
 
@@ -387,8 +352,9 @@ def _fit(spec: ObjectiveSpec, frames: _Frames
     """Maximum-likelihood scale and zero-state rate rho of spec on each
     segment of frames: scale is 0 where every residual is zero, and rho is
     NaN where the segment has no zero state."""
+    family = spec.base_family
     with np.errstate(invalid="ignore"):  # 0/0: no pairs, or no zero state
-        return (_FAMILIES[spec.base_family].fit(frames.statistic, frames.n),
+        return (_FAMILIES[family].fit(frames.statistic[family], frames.n),
                 frames.n1 / (frames.n1 + frames.n2))
 
 
@@ -396,9 +362,10 @@ def _loglik(spec: ObjectiveSpec, frames: _Frames, scale, rho
             ) -> tuple[np.ndarray, np.ndarray]:
     """spec's total log-likelihood at scale and rho on each segment of
     frames, and the count of pairs each total covers."""
+    family = spec.base_family
     with np.errstate(divide="ignore", invalid="ignore"):  # at scale 0
-        total = _FAMILIES[spec.base_family].loglik(
-            frames.statistic, frames.n, scale) + frames.log_jacobian
+        total = _FAMILIES[family].loglik(
+            frames.statistic[family], frames.n, scale) + frames.log_jacobian
     if not spec.zero_inflated:
         return total, frames.n
     binomial = _binomial(frames.n1, frames.n2, rho)
@@ -420,7 +387,7 @@ def evaluate_objective(
     and an error raised on either side names the objective.
     """
     try:
-        frames = _frames(spec, train, threshold, (0, train.n_total))
+        frames = _frames((spec,), train, threshold, (0, train.n_total))
         for error in frames.errors.values():
             raise error
         (scale,), (rho,) = _fit(spec, frames)
@@ -449,7 +416,7 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    frames = _frames(spec, test, threshold, (0, test.n_total))
+    frames = _frames((spec,), test, threshold, (0, test.n_total))
     for error in frames.errors.values():
         if not isinstance(error, DomainViolation):
             raise error

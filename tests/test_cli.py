@@ -129,6 +129,7 @@ class TestRank:
         ("MSE,1,abc", "cannot parse 'abc' as a number"),
         ("MSE,x,1.0", "cannot parse 'x' as a number"),
         ("MSE,1", "row has too few columns"),
+        (",1,2.0", "objective is blank"),
     ])
     def test_from_entropies_rejects_bad_cells(self, tmp_path, capsys, row,
                                               what):

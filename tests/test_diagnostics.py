@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objentropy import diagnostics
+from objentropy import diagnostics, likelihoods
 from objentropy.data import Dataset, validate_dataset
 from objentropy.diagnostics import (
     convergence_curve,
@@ -252,6 +252,28 @@ class TestPerLocationEntropy:
         assert np.isnan(h[[row["flat"], row["single"]]][:, nse]).all()
         assert np.isnan(h[row["below"], positive]).all()
         assert np.isnan(h[row["exact"]]).all()
+
+    def test_one_pass_per_transform(self, monkeypatch):
+        """The objectives that share a transform share its pass: all ten
+        catalog objectives transform the observed and the predicted values
+        once per positive-domain transform, and take its log-Jacobian
+        once."""
+        calls = collections.Counter()
+
+        def counting(name, run):
+            def counted(kind, *args, **kwargs):
+                calls[name, kind] += 1
+                return run(kind, *args, **kwargs)
+            return counted
+
+        for name in ("apply", "log_jacobian_terms"):
+            monkeypatch.setattr(likelihoods, name,
+                                counting(name, getattr(likelihoods, name)))
+        assert (_ZERO_INFLATED.observed <= DEFAULT_ZERO_THRESHOLD).any()
+        per_location_entropy(_ZERO_INFLATED, list(CATALOG.values()))
+        assert calls == {(name, kind): count for kind in POSITIVE_DOMAIN_KINDS
+                         for name, count in (("apply", 2),
+                                             ("log_jacobian_terms", 1))}
 
     def test_single_location_unit_diagonal(self):
         ds = _normal_dataset(n=200)

@@ -108,6 +108,19 @@ class TestLoadCsv:
         (estimate,) = load_entropies(f)
         assert (estimate.name, estimate.k, estimate.h_bits) == ("MSE", 1, 2.5)
 
+    def test_load_entropies_checks_repeats_in_linear_time(self, tmp_path):
+        """A repeated objective is looked up among the names seen so far,
+        not among every estimate read: 20,000 distinct rows load in well
+        under the 9 s that a scan of the estimates per row took."""
+        f = tmp_path / "e.csv"
+        f.write_text("objective,h_bits\n"
+                     + "".join(f"O{i},{i}\n" for i in range(20_000)))
+        start = time.perf_counter()
+        estimates = load_entropies(f)
+        assert time.perf_counter() - start < 2
+        assert [e.name for e in estimates[::9_999]] == ["O0", "O9999",
+                                                         "O19998"]
+
 
 def _load_by(path, monkeypatch, parser):
     """load_csv forced onto one parser: "columns" fails the test if the

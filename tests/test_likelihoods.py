@@ -14,11 +14,9 @@ from objentropy.errors import (
     DegenerateScale,
     DomainViolation,
     EmptyEvaluationSet,
-    EmptyInput,
     InvalidModel,
     InvalidProbability,
     NonPositiveScale,
-    NoZeroState,
     ObjentropyError,
     UnknownObjective,
 )
@@ -35,13 +33,10 @@ from objentropy.likelihoods import (
     FittedParams,
     ObjectiveSpec,
     _FAMILIES,
+    _binomial,
     _sigma_o,
     evaluate_objective,
-    fit_binomial_rate,
-    fit_scale,
     get_objective,
-    loglik,
-    loglik_binomial,
     resolve_objectives,
     score_objective,
 )
@@ -49,84 +44,116 @@ from objentropy.likelihoods import (
 E = math.e
 
 
+# The identity objective of each family: its residuals are o - p.
+_BY_FAMILY = {"normal": "MSE", "laplace": "MAE", "uniform": "U"}
+
+
+def _fit_scale(family, residuals):
+    """family's column fit, on one segment of residuals."""
+    fam = _FAMILIES[family]
+    r = np.asarray(residuals, dtype=np.float64)
+    return float(fam.fit(fam.statistic(r), r.size))
+
+
+def _loglik(family, residuals, scale):
+    """family's column log-likelihood at scale, on one segment of
+    residuals."""
+    fam = _FAMILIES[family]
+    r = np.asarray(residuals, dtype=np.float64)
+    return float(fam.loglik(fam.statistic(r), r.size, scale))
+
+
+def _assert_degenerate(family, message):
+    """A family's fit is 0 on all-zero residuals, and fitting its identity
+    objective where every prediction is exact raises message."""
+    assert _fit_scale(family, [0, 0]) == 0.0
+    exact = validate_dataset({"A": ([1.0, 2.0], [1.0, 2.0])})
+    with pytest.raises(DegenerateScale, match=message):
+        evaluate_objective(get_objective(_BY_FAMILY[family]), exact, exact)
+
+
+def _zero_state(n1, n2):
+    """Two positive pairs, n1 zero-state pairs predicted in the zero state
+    and n2 predicted above it."""
+    return validate_dataset({"A": ([0.0] * (n1 + n2) + [1.0, 2.0],
+                                   [0.0] * n1 + [1.0] * n2 + [2.0, 1.0])})
+
+
 class TestScaleFits:
     def test_normal(self):
-        assert fit_scale("normal", [3, -4, 0]) == pytest.approx(
+        assert _fit_scale("normal", [3, -4, 0]) == pytest.approx(
             math.sqrt(25 / 3))
-        assert fit_scale("normal", [1, -1]) == 1.0
+        assert _fit_scale("normal", [1, -1]) == 1.0
 
     def test_normal_degenerate(self):
-        with pytest.raises(DegenerateScale, match="sigma is undefined"):
-            fit_scale("normal", [0, 0])
+        _assert_degenerate("normal", "sigma is undefined")
 
     def test_laplace(self):
-        assert fit_scale("laplace", [1, -1]) == 1.0
-        assert fit_scale("laplace", [2, 0, 4]) == 2.0
+        assert _fit_scale("laplace", [1, -1]) == 1.0
+        assert _fit_scale("laplace", [2, 0, 4]) == 2.0
 
     def test_laplace_degenerate(self):
-        with pytest.raises(DegenerateScale, match="b is undefined"):
-            fit_scale("laplace", [0])
+        _assert_degenerate("laplace", "b is undefined")
 
     def test_uniform(self):
-        assert fit_scale("uniform", [0.5, -0.25]) == 0.5
-        assert fit_scale("uniform", [-3, 2]) == 3.0
+        assert _fit_scale("uniform", [0.5, -0.25]) == 0.5
+        assert _fit_scale("uniform", [-3, 2]) == 3.0
 
     def test_uniform_degenerate(self):
-        with pytest.raises(DegenerateScale, match="the bound is undefined"):
-            fit_scale("uniform", [0, 0])
-        with pytest.raises(EmptyInput, match="residuals are empty"):
-            fit_scale("uniform", [])
+        _assert_degenerate("uniform", "the bound is undefined")
 
     def test_binomial_rate(self):
-        assert fit_binomial_rate(3, 1) == 0.75
-        assert fit_binomial_rate(0, 2) == 0.0
-        assert fit_binomial_rate(5, 0) == 1.0
+        zmale = get_objective("ZMALE")
+        for (n1, n2), rho in (((3, 1), 0.75), ((0, 2), 0.0), ((5, 0), 1.0)):
+            ds = _zero_state(n1, n2)
+            assert evaluate_objective(zmale, ds, ds).params.rho == rho
 
-    def test_binomial_no_zero_state(self):
-        with pytest.raises(NoZeroState):
-            fit_binomial_rate(0, 0)
+
+def _frozen(name, raw, scale, rho=None):
+    ds = validate_dataset(raw)
+    return score_objective(get_objective(name), FittedParams(scale, rho), ds)
 
 
 class TestLoglikKernels:
     def test_normal(self):
-        assert loglik("normal", [1, -1], 1.0) == pytest.approx(
+        assert _loglik("normal", [1, -1], 1.0) == pytest.approx(
             -math.log(2 * math.pi) - 1, abs=1e-12
         )
-        assert loglik("normal", [0], 1.0) == pytest.approx(-0.9189385,
-                                                           abs=1e-6)
+        assert _loglik("normal", [0], 1.0) == pytest.approx(-0.9189385,
+                                                            abs=1e-6)
         with pytest.raises(NonPositiveScale, match="sigma must be > 0"):
-            loglik("normal", [1], 0.0)
+            _frozen("MSE", {"A": ([1.0], [0.0])}, 0.0)
 
     def test_laplace(self):
-        assert loglik("laplace", [1, -1], 1.0) == pytest.approx(
+        assert _loglik("laplace", [1, -1], 1.0) == pytest.approx(
             -2 * math.log(2) - 2, abs=1e-12
         )
-        assert loglik("laplace", [0], 1.0) == pytest.approx(-math.log(2),
-                                                            abs=1e-12)
+        assert _loglik("laplace", [0], 1.0) == pytest.approx(-math.log(2),
+                                                             abs=1e-12)
         with pytest.raises(NonPositiveScale, match="b must be > 0"):
-            loglik("laplace", [1], 0.0)
+            _frozen("MAE", {"A": ([1.0], [0.0])}, 0.0)
 
     def test_uniform(self):
         # the density is 1/(2a) on [-a, a]; densities above one make
         # positive log-likelihoods legitimate
-        assert loglik("uniform", [0.25, -0.125], 0.25) == pytest.approx(
+        assert _loglik("uniform", [0.25, -0.125], 0.25) == pytest.approx(
             -2 * math.log(0.5), abs=1e-12
         )
-        assert loglik("uniform", [0.1], 1.0) == -math.log(2.0)
-        assert loglik("uniform", [2.0], 1.0) == float("-inf")
-        assert loglik("uniform", [], 1.0) == 0.0
+        assert _loglik("uniform", [0.1], 1.0) == -math.log(2.0)
+        assert _loglik("uniform", [2.0], 1.0) == float("-inf")
+        assert _loglik("uniform", [], 1.0) == 0.0
         with pytest.raises(NonPositiveScale, match="bound must be > 0"):
-            loglik("uniform", [1], 0.0)
+            _frozen("U", {"A": ([1.0], [0.0])}, 0.0)
 
     def test_binomial(self):
-        assert loglik_binomial(3, 1, 0.75) == pytest.approx(
+        assert float(_binomial(3, 1, 0.75)) == pytest.approx(
             3 * math.log(0.75) + math.log(0.25), abs=1e-12
         )
-        assert loglik_binomial(2, 2, 0.5) == pytest.approx(4 * math.log(0.5))
-        assert loglik_binomial(0, 5, 0.0) == 0.0  # 0 ln 0 = 0
-        assert loglik_binomial(1, 0, 0.0) == float("-inf")
+        assert float(_binomial(2, 2, 0.5)) == pytest.approx(4 * math.log(0.5))
+        assert float(_binomial(0, 5, 0.0)) == 0.0  # 0 ln 0 = 0
+        assert float(_binomial(1, 0, 0.0)) == float("-inf")
         with pytest.raises(InvalidProbability):
-            loglik_binomial(1, 1, 1.5)
+            _frozen("ZMALE", {"A": ([0.0, 1.0], [0.0, 2.0])}, 1.0, rho=1.5)
 
 
 class TestCatalog:
@@ -373,10 +400,10 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         residuals = rng.normal(0, 2, 400)
         for family in BASE_FAMILIES:
-            scale = fit_scale(family, residuals)
-            best = loglik(family, residuals, scale)
-            assert loglik(family, residuals, scale * 1.01) < best
-            assert loglik(family, residuals, scale * 0.99) < best
+            scale = _fit_scale(family, residuals)
+            best = _loglik(family, residuals, scale)
+            assert _loglik(family, residuals, scale * 1.01) < best
+            assert _loglik(family, residuals, scale * 0.99) < best
 
     def test_nse_equals_mse_single_location(self):
         """Scaling by one location's sigma_o cancels exactly against the
@@ -453,10 +480,10 @@ class TestInvariants:
             with pytest.raises(DegenerateScale):
                 evaluate_objective(nse, ds, ds)
             return
-        scale = fit_scale("normal", residuals)
+        scale = _fit_scale("normal", residuals)
         got = evaluate_objective(nse, ds, ds)
         assert got.params.scale == scale
-        assert got.loglik_nats == (loglik("normal", residuals, scale)
+        assert got.loglik_nats == (_loglik("normal", residuals, scale)
                                    - float(np.sum(np.log(lookup))))
 
     @settings(max_examples=60, deadline=None)
@@ -569,7 +596,7 @@ class TestInvariants:
 
         zmale = _in_sample("ZMALE", {"A": (obs, pred)})
         male = _in_sample("MALE", {"A": (obs, pred)})
-        binom = loglik_binomial(n1, n2, fit_binomial_rate(n1, n2))
+        binom = float(_binomial(n1, n2, n1 / (n1 + n2)))
         assert zmale.loglik_nats == pytest.approx(
             binom + male.loglik_nats, abs=1e-12 * abs(zmale.loglik_nats)
         )
@@ -722,19 +749,25 @@ class TestColumnFormulas:
            st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
                     min_size=1, max_size=10),
            st.floats(1e-3, 1e3))
-    def test_public_helpers_equal_the_column_entries(self, family, segments,
-                                                     scale):
+    def test_one_segment_scores_as_its_column_entry(self, family, segments,
+                                                    scale):
+        """A segment of residuals r, as a dataset of observed r and
+        predicted 0, is fitted and scored by the family's identity
+        objective as its entry of the column of segments."""
         fam = _FAMILIES[family]
         s = np.array([fam.statistic(np.array(seg)) for seg in segments])
         n = np.array([len(seg) for seg in segments])
         fits, logliks = fam.fit(s, n), fam.loglik(s, n, scale)
+        spec = get_objective(_BY_FAMILY[family])
         for seg, fit, ll in zip(segments, fits, logliks):
-            assert loglik(family, seg, scale) == ll
+            ds = validate_dataset({"A": (seg, [0.0] * len(seg))})
+            assert score_objective(spec, FittedParams(scale),
+                                   ds).loglik_nats == ll
             if fit == 0:
                 with pytest.raises(DegenerateScale):
-                    fit_scale(family, seg)
+                    evaluate_objective(spec, ds, ds)
             else:
-                assert fit_scale(family, seg) == fit
+                assert evaluate_objective(spec, ds, ds).params.scale == fit
 
     @pytest.mark.parametrize("mode", ["random", "location"])
     def test_estimates_hold_python_scalars(self, mode):

@@ -14,6 +14,7 @@ import pytest
 
 from objentropy import io as oio
 from objentropy.data import validate_dataset
+from objentropy.diagnostics import per_location_entropy
 from objentropy.likelihoods import CATALOG, evaluate_objective
 from objentropy.transforms import POSITIVE_DOMAIN_KINDS
 
@@ -91,6 +92,19 @@ def test_positive_domain_objective_holds_two_arrays(name):
     def make(n):
         dataset = _dataset(n, locations=1, zeros=True)
         return lambda: evaluate_objective(spec, dataset, dataset), n
+
+    _assert_per_pair(make, 2 * FLOAT + 1)
+
+
+def test_correlate_holds_two_arrays():
+    """per_location_entropy over every catalog objective holds, for each
+    transform's shared pass, at most two float arrays of its pairs and
+    the one-byte mask that picks the positive ones."""
+    specs = list(CATALOG.values())
+
+    def make(n):
+        dataset = _dataset(n, locations=4, zeros=True)
+        return lambda: per_location_entropy(dataset, specs), n
 
     _assert_per_pair(make, 2 * FLOAT + 1)
 
