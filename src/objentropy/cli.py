@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -33,13 +34,16 @@ from .io import (
     format_report,
     load_csv,
     load_entropies,
+    reduce_csv,
     write_dataset_csv,
 )
 from .likelihoods import (
     CATALOG,
     DEFAULT_ZERO_THRESHOLD,
     check_threshold,
+    evaluate_in_sample,
     evaluate_objective,
+    location_frames,
     resolve_objectives,
 )
 from .synthetic import FAMILIES, SyntheticModel, generate
@@ -186,9 +190,15 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     if args.from_entropies is not None:
         estimates, adjusted = load_entropies(args.from_entropies), False
     else:
-        train, test = split(load_csv(args.input), split_spec)
-        estimates = [evaluate_objective(spec, train, test, threshold)
-                     for spec in specs]
+        # In sample, each location's frames suffice: stream them.
+        blocks = None if split_spec.mode != "none" else reduce_csv(
+            args.input, partial(location_frames, specs, threshold=threshold))
+        if blocks is not None:
+            estimates = evaluate_in_sample(specs, blocks)
+        else:
+            train, test = split(load_csv(args.input), split_spec)
+            estimates = [evaluate_objective(spec, train, test, threshold)
+                         for spec in specs]
         adjusted = args.aic == "on"
     report = rank_objectives(estimates, adjusted=adjusted,
                              descriptions=_DESCRIPTIONS)

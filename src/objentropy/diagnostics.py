@@ -149,8 +149,7 @@ def per_location_entropy(
     h = np.full((len(dataset.location_ids), len(specs)), np.nan)
     for kind in dict.fromkeys(s.transform_kind for s in specs):
         columns = [j for j, s in enumerate(specs) if s.transform_kind == kind]
-        frames = _frames([specs[j] for j in columns], dataset, threshold,
-                         dataset.bounds)
+        frames = _frames([specs[j] for j in columns], dataset, threshold)
         for j in columns:
             scale, rho = _fit(specs[j], frames)
             total, n_eval = _loglik(specs[j], frames, scale, rho)

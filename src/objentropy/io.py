@@ -30,6 +30,7 @@ from .errors import (
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
+    ObjentropyError,
     OrderingViolation,
     UndecodableFile,
     UnknownObjective,
@@ -48,6 +49,11 @@ _FORK_BYTES = 1 << 20
 # Formatting one chunk takes far longer than a fork, so the writer splits
 # the rows into no more ranges than it has chunks.
 _CHUNK_ROWS = 1 << 16
+# Bytes of records that reduce_csv parses at a time: what a block holds
+# does not grow with the file.
+_BLOCK_BYTES = 1 << 20
+# How numpy reads CSV text, from a path or from a list of lines.
+_CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -92,6 +98,190 @@ def load_csv(path: str | Path) -> Dataset:
             reader = csv.reader(fh)
             next(reader)
             return _read_rows(reader, columns, path)
+
+
+def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
+               ) -> list[Any] | None:
+    """reduce(block) of each block of whole locations of the CSV file at
+    path, in file order, where each block is a Dataset of those locations
+    as load_csv reads them, without timestamps; or None where the file is
+    to be read whole, by load_csv. The file's dataset is never held.
+
+    The input alone decides: None for a `"` in the records, as a quoted
+    cell may span lines; for a location whose records lie apart; for a
+    record numpy rejects or a value a Dataset rejects, so that load_csv's
+    row parse or error holds; and for a file without data rows. The header
+    is read as load_csv reads it, and raises its errors.
+
+    Where the file holds at least _FORK_BYTES, its records are cut into one
+    contiguous range per worker (see _workers): this process reduces the
+    first range and a forked child each other one, and only what reduce
+    returns crosses a pipe. Each range takes whole locations (see _runs)
+    and parses about _BLOCK_BYTES at a time, carrying the location in
+    progress at a block's end, parsed, into the next block; so a block
+    holds about _BLOCK_BYTES of records plus at most one location.
+    """
+    path = Path(path)
+    with _open_text(path) as fh:
+        columns = _columns(csv.reader(fh), path, _REQUIRED, "timestamp")
+    text_cols = [columns["location_id"]]
+    if "timestamp" in columns:
+        text_cols.append(columns["timestamp"])
+    layout = (text_cols, (columns["observed"], columns["predicted"]))
+    with path.open("rb") as fh:
+        header = fh.readline()
+        start, end = fh.tell(), os.fstat(fh.fileno()).st_size
+        # A quote or a lone CR could make the header's record more or less
+        # than its first line.
+        if b'"' in header or b"\r" in header.rstrip(b"\r\n") or start == end:
+            return None
+        ranges = _workers() if end >= _FORK_BYTES else 1
+        cuts = [start, *(_line_start(fh, start + (end - start) * i // ranges)
+                         for i in range(1, ranges)), end]
+    ids: list[str] = []
+    blocks: list[Any] = []
+    with ExitStack() as stack:
+        children = [stack.enter_context(
+            _in_child(_reduce_range, path, layout, cuts, k, reduce))
+            for k in range(1, ranges)]
+        for part in (lambda: _reduce_range(path, layout, cuts, 0, reduce),
+                     *children):
+            taken = part()
+            if taken is None:
+                return None
+            ids += taken[0]
+            blocks += taken[1]
+    if not ids or len(set(ids)) < len(ids):
+        return None
+    return blocks
+
+
+def _line_start(fh: BinaryIO, offset: int) -> int:
+    """The first line start of fh at or after offset, which is > 0."""
+    fh.seek(offset - 1)
+    fh.readline()
+    return fh.tell()
+
+
+def _reduce_range(
+    path: Path, layout: tuple[list[int], tuple[int, int]], cuts: list[int],
+    k: int, reduce: Callable[[Dataset], Any],
+) -> tuple[list[str], list[Any]] | None:
+    """The ids of the locations that range k of cuts takes (see _runs), in
+    order, and reduce of each block of them; None where the range shows
+    that the file is to be read whole: an id that appears again after
+    another location's, or what load_csv would parse by row or reject."""
+    ids: list[str] = []
+    blocks: list[Any] = []
+    seen: set[str] = set()
+    location: tuple[str, list[np.ndarray]] | None = None  # in progress
+
+    def flush(complete: list[tuple[str, list[np.ndarray]]]) -> None:
+        if complete:
+            names = [name for name, _ in complete]
+            counts = [sum(map(len, parts)) for _, parts in complete]
+            pairs = np.concatenate(
+                [part.T for _, parts in complete for part in parts], axis=1)
+            blocks.append(reduce(Dataset(
+                tuple(names), np.cumsum([0, *counts]), pairs)))
+            ids.extend(names)
+
+    try:
+        with path.open("rb") as fh:
+            for runs in _runs(fh, layout, cuts, k):
+                complete = []
+                for name, numbers in runs:
+                    if location is not None and location[0] == name:
+                        location[1].append(numbers)
+                        continue
+                    if name in seen:
+                        return None
+                    seen.add(name)
+                    if location is not None:
+                        complete.append(location)
+                    location = (name, [numbers])
+                flush(complete)
+        flush([] if location is None else [location])
+    except (ValueError, ObjentropyError):
+        return None
+    return ids, blocks
+
+
+def _runs(
+    fh: BinaryIO, layout: tuple[list[int], tuple[int, int]], cuts: list[int],
+    k: int,
+) -> Iterator[list[tuple[str, np.ndarray]]]:
+    """For each block that range k parses, the runs of records it takes,
+    as (stripped id, (n, 2) observed and predicted numbers) pairs.
+
+    Range k reads the records of bytes cuts[k]:cuts[k + 1], and after them
+    the records of the location in progress there. Every range but the
+    first skips its first location, which the range before it finishes.
+    So in a grouped file each location is taken whole, by one range.
+    """
+    regions = [(cuts[k], cuts[k + 1], False)]
+    if k + 2 < len(cuts):
+        regions.append((cuts[k + 1], cuts[-1], True))
+    skipping = k > 0
+    first = tail = None
+    for lo, hi, overrun in regions:
+        for names, lengths, numbers in _parse_blocks(fh, lo, hi, layout):
+            taken = []
+            ends = np.cumsum(lengths).tolist()
+            for name, a, b in zip(names, [0, *ends], ends):
+                if overrun:
+                    tail = name if tail is None else tail
+                    if name != tail:
+                        yield taken
+                        return
+                if skipping:
+                    first = name if first is None else first
+                    if name == first:
+                        continue
+                    skipping = False
+                taken.append((name, numbers[a:b]))
+            yield taken
+
+
+def _parse_blocks(
+    fh: BinaryIO, lo: int, hi: int, layout: tuple[list[int], tuple[int, int]],
+) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """The records of bytes lo:hi of fh, two line starts, parsed about
+    _BLOCK_BYTES at a time. For each block that holds records: the
+    stripped ids of its runs of records with one id, their lengths, and
+    the (n, 2) observed and predicted numbers.
+
+    Each block is a list of lines for np.loadtxt, which parses it as it
+    parses a path, except that a lone CR raises ValueError. So do a `"`, a
+    byte that is not UTF-8, and what numpy rejects from a path.
+    """
+    text_cols, number_cols = layout
+    fh.seek(lo)
+    left, rest = hi - lo, b""
+    while left > 0 and (chunk := fh.read(min(_BLOCK_BYTES, left))):
+        left -= len(chunk)
+        data = rest + chunk
+        cut = len(data) if left == 0 else data.rfind(b"\n") + 1
+        data, rest = data[:cut], data[cut:]
+        if b'"' in data:
+            raise ValueError("a quoted cell may span lines")
+        text = data.decode("utf-8")
+        if not text.strip("\r\n"):
+            continue
+        lines = text.split("\n")
+        ids = np.loadtxt(lines, usecols=text_cols,
+                         dtype=np.dtypes.StringDType(), **_CSV)[:, 0]
+        numbers = np.loadtxt(lines, usecols=number_cols, dtype=np.float64,
+                             **_CSV)
+        del text, lines
+        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        names = [name.strip() for name in ids[[0, *starts]].tolist()]
+        # Runs whose ids strip alike are one run.
+        kept = [i for i, name in enumerate(names)
+                if i == 0 or name != names[i - 1]]
+        bounds = [0, *starts.tolist(), len(ids)]
+        yield ([names[i] for i in kept],
+               np.diff([bounds[i] for i in [*kept, len(names)]]), numbers)
 
 
 def load_entropies(path: str | Path) -> list[EntropyEstimate]:
@@ -310,9 +500,8 @@ def _loadtxt(path: Path, skip: int, usecols: Sequence[int], dtype: Any,
     with (path.open(newline="", encoding="utf-8-sig")
           if handle or path.suffix in _COMPRESSED
           else nullcontext(str(path))) as source:
-        return np.loadtxt(source, delimiter=",", quotechar='"',
-                          comments=None, skiprows=skip, usecols=usecols,
-                          dtype=dtype, ndmin=2, encoding="utf-8-sig")
+        return np.loadtxt(source, skiprows=skip, usecols=usecols, dtype=dtype,
+                          encoding="utf-8-sig", **_CSV)
 
 
 def _workers() -> int:

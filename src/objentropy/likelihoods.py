@@ -29,13 +29,22 @@ Fits and scores are numpy formulas over columns of dataset segments; one
 segment is a column of one. Objectives that share a transform share one
 pass over the pairs: one residual array per transform, reduced to each of
 their families' statistics.
+
+Every float total follows one rule: reduce each location's slice with
+numpy, then take the `math.fsum` of the locations' partials (U's maximum
+of them; counts are integer sums). The fsum is exactly rounded, so a total
+does not depend on the order of the locations, nor on how they are
+grouped: blocks of whole locations reduced apart (see `location_frames`)
+give a whole dataset's bits, and a one-location segment keeps its
+partial's bits.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,13 +75,25 @@ _LN_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
+def _fsum(partials: Iterable[float]) -> float:
+    """The exactly rounded sum of partials; inf where it overflows, which
+    only a statistic's non-negative partials can do."""
+    try:
+        return math.fsum(partials)
+    except OverflowError:
+        return math.inf
+
+
 class _Family(NamedTuple):
     """A base family read through its sufficient statistic: the residuals
     r enter its scale's MLE and its log-likelihood only through
-    statistic(r) and their count n. fit and loglik are numpy formulas that
-    take one segment or a column of segments alike."""
+    statistic(r) and their count n. statistic reduces r's last axis, total
+    combines the statistics of locations into a segment's, and fit and
+    loglik are numpy formulas that take one segment or a column of segments
+    alike."""
 
-    statistic: Callable[[np.ndarray], float]
+    statistic: Callable[[np.ndarray], np.ndarray]
+    total: Callable[[list[float]], float]
     fit: Callable[..., np.ndarray]  # (statistic, n) -> scale
     loglik: Callable[..., np.ndarray]  # (statistic, n, scale)
     scale_name: str
@@ -82,18 +103,21 @@ _FAMILIES: dict[str, _Family] = {
     # sigma = sqrt(sum r^2 / n);
     # loglik = -n ln sigma - (n/2) ln(2 pi) - sum r^2 / (2 sigma^2).
     "normal": _Family(
-        lambda r: np.add.reduce(r * r), lambda s, n: np.sqrt(s / n),
+        lambda r: np.add.reduce(r * r, axis=-1), _fsum,
+        lambda s, n: np.sqrt(s / n),
         lambda s, n, sigma: (-n * np.log(sigma) - 0.5 * n * _LN_2PI
                              - s / (2.0 * sigma * sigma)), "sigma"),
     # b = sum |r| / n; loglik = -n ln(2b) - sum |r| / b.
     "laplace": _Family(
-        lambda r: np.add.reduce(np.abs(r)), lambda s, n: s / n,
+        lambda r: np.add.reduce(np.abs(r), axis=-1), _fsum,
+        lambda s, n: s / n,
         lambda s, n, b: -n * np.log(2.0 * b) - s / b, "b"),
     # a = max |r|; the density is 1/(2a) on [-a, a], so loglik =
     # -n ln(2a) while every |r| <= a, else -inf (zero likelihood).
     # Densities above 1 make positive values legitimate.
     "uniform": _Family(
-        lambda r: np.maximum.reduce(np.abs(r), initial=0.0), lambda s, n: s,
+        lambda r: np.maximum.reduce(np.abs(r), axis=-1, initial=0.0), max,
+        lambda s, n: s,
         lambda s, n, a: np.where(s <= a, -n * np.log(2.0 * a), -np.inf),
         "the bound"),
 }
@@ -243,12 +267,12 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
 
 
 class _Frames(NamedTuple):
-    """Dataset segments seen through one transform, as columns: the count n
-    of transformed residuals over the transform's support, each requested
-    base family's statistic of them by family name, the log-Jacobian summed
-    over their observed values, and the zero-state counts n1 and n2 (0
-    where the transform's domain is not positive). errors maps each failed
-    segment to its error."""
+    """Dataset locations, or a segment of them, seen through one transform,
+    as columns: the count n of transformed residuals over the transform's
+    support, each requested base family's statistic of them by family
+    name, the log-Jacobian summed over their observed values, and the
+    zero-state counts n1 and n2 (0 where the transform's domain is not
+    positive). errors maps each failed location or segment to its error."""
 
     n: np.ndarray
     statistic: dict[str, np.ndarray]
@@ -259,32 +283,30 @@ class _Frames(NamedTuple):
 
 
 def _frames(
-    specs: Sequence[ObjectiveSpec],
-    dataset: Dataset,
-    threshold: float,
-    bounds: Sequence[int],
+    specs: Sequence[ObjectiveSpec], dataset: Dataset, threshold: float,
 ) -> _Frames:
-    """The frames of the segments bounds[i]:bounds[i + 1] of dataset at a
-    zero-state threshold, for objectives that share one transform. A
-    segment fails with no pair above the threshold, or with a location
-    whose sigma_o = 0; such an NSE segment also carries log-Jacobian -inf,
-    the zero-likelihood sentinel. bounds run from 0 to n along location
-    boundaries.
+    """The frame of each location of dataset at a zero-state threshold,
+    for objectives that share one transform. A location fails where NSE's
+    sigma_o = 0, and then carries log-Jacobian -inf, the zero-likelihood
+    sentinel. A location with no pair above the threshold has n = 0; only
+    a segment with none fails for it (see _total).
 
     Each per-pair array is built once over the whole dataset, and each
-    segment reduces its contiguous slice with the same numpy reduction a
-    dataset of that segment alone would use, so a segment's frame is bit
-    for bit the frame of that segment alone. The one residual array is
-    reduced to each family's statistic in turn.
+    location reduces its contiguous slice with the same numpy reduction a
+    dataset of that location alone would use (see _per_location), so a
+    location's frame is bit for bit the frame of that location alone. The
+    one residual array is reduced to each family's statistic in turn. A
+    segment of locations is never reduced as one slice: its float totals
+    are the fsum of its locations' partials (see _total).
     """
     check_threshold(threshold)
     (kind,) = {spec.transform_kind for spec in specs}
     obs, pred = dataset.observed, dataset.predicted
-    n = np.diff(bounds)
+    n = np.diff(dataset.bounds)
     n1 = n2 = np.zeros_like(n)
     errors: dict[int, ObjentropyError] = {}
     # At most two per-pair float arrays are alive at once beside the
-    # dataset's: each per-pair array is reduced to per-segment sums and
+    # dataset's: each per-pair array is reduced to per-location sums and
     # dropped before the next one is formed, and the positive pairs'
     # values are transformed in place, the residuals in obs's buffer.
     if kind in POSITIVE_DOMAIN_KINDS:
@@ -293,17 +315,14 @@ def _frames(
         outside_n1 = pred > threshold
         outside_n1 |= positive
         # Integer sums are exact in any order, so reduceat may count; no
-        # segment is empty, as a Dataset has no empty location.
-        n_pos, outside = (np.add.reduceat(mask, bounds[:-1], dtype=np.int64)
+        # location is empty.
+        n_pos, outside = (np.add.reduceat(mask, dataset.bounds[:-1],
+                                          dtype=np.int64)
                           for mask in (positive, outside_n1))
         del outside_n1
         n1, n2, n = n - outside, outside - n_pos, n_pos
-        for i in np.flatnonzero(n == 0).tolist():
-            errors[i] = EmptyEvaluationSet(
-                "no pairs above the zero-state threshold")
         obs = obs[positive]
-        log_jacobian = _per_segment(np.add.reduce,
-                                    log_jacobian_terms(kind, obs), n)
+        log_jacobian = _per_location(_sum, log_jacobian_terms(kind, obs), n)
         pred = pred[positive]
         del positive
         np.maximum(pred, threshold, out=pred)
@@ -313,38 +332,101 @@ def _frames(
     elif kind == "per-location-scale":
         sigma = _sigma_o(dataset)
         zero = sigma == 0
-        ids = dataset.location_ids
-        segment = np.searchsorted(bounds, dataset.bounds[:-1], "right") - 1
-        # By id: a segment's error names its least location.
-        for k in sorted(np.flatnonzero(zero).tolist(), key=ids.__getitem__):
-            errors.setdefault(int(segment[k]), DomainViolation(
+        for k in np.flatnonzero(zero).tolist():
+            errors[k] = DomainViolation(
                 f"sigma_o must be > 0 wherever used as a divisor; "
-                f"location {ids[k]!r} has sigma_o = 0.0"))
-        # 1.0 keeps ln and division finite and silent on failed segments.
+                f"location {dataset.location_ids[k]!r} has sigma_o = 0.0")
+        # 1.0 keeps ln and division finite and silent on failed locations.
         sigma[zero] = 1.0
         # ln sigma_o is summed over pairs, as the pairwise sum's bits need,
         # but each location divides its own slice: no per-pair sigma_o.
-        log_jacobian = -_per_segment(
-            np.add.reduce, np.repeat(np.log(sigma), np.diff(dataset.bounds)), n)
-        log_jacobian[list(errors)] = -np.inf
+        log_jacobian = -_per_location(_sum, np.repeat(np.log(sigma), n), n)
+        log_jacobian[zero] = -np.inf
         residuals = obs - pred
         for s, (_, rows) in zip(sigma.tolist(), dataset.rows()):
             residuals[rows] /= s
     else:  # identity
         log_jacobian = np.zeros(n.size)
         residuals = obs - pred
-    statistic = {family: _per_segment(_FAMILIES[family].statistic,
-                                      residuals, n)
+    statistic = {family: _per_location(_FAMILIES[family].statistic,
+                                       residuals, n)
                  for family in dict.fromkeys(s.base_family for s in specs)}
     return _Frames(n, statistic, log_jacobian, n1, n2, errors)
 
 
-def _per_segment(reduce: Callable[[np.ndarray], float], values: np.ndarray,
-                 n: np.ndarray) -> np.ndarray:
-    """reduce of each consecutive slice of values, of lengths n."""
-    ends = [0, *np.cumsum(n).tolist()]
-    return np.array([reduce(values[a:b]) for a, b in zip(ends, ends[1:])],
-                    dtype=np.float64)
+def _sum(values: np.ndarray) -> np.ndarray:
+    return np.add.reduce(values, axis=-1)
+
+
+# Values gathered into one array by _per_location: its working memory does
+# not grow with the pairs.
+_GATHER = 1 << 12
+
+
+def _per_location(reduce: Callable[[np.ndarray], np.ndarray],
+                  values: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """reduce of each consecutive slice of values, of lengths n, where
+    reduce reduces the last axis of a 2-D array.
+
+    numpy reduces each row of a C-contiguous 2-D array as it reduces that
+    row alone, so the slices of one length are gathered as the rows of one
+    array, at most _GATHER values at a time: one call per length, not per
+    slice, and each result has the bits of its slice reduced alone.
+    """
+    starts = np.cumsum(n) - n
+    out = np.empty(n.size)
+    # The slices by length: those of one length are adjacent in order.
+    order = np.argsort(n, kind="stable")
+    edges = [0, *(np.flatnonzero(np.diff(n[order])) + 1).tolist(), n.size]
+    for first, end in zip(edges, edges[1:]):
+        length = int(n[order[first]])
+        step = max(1, _GATHER // max(length, 1))
+        for i in range(first, end, step):
+            rows = order[i:min(i + step, end)]
+            if rows.size == 1:  # a view, however long the slice
+                start = int(starts[rows[0]])
+                block = values[np.newaxis, start:start + length]
+            else:
+                block = values[starts[rows, np.newaxis] + np.arange(length)]
+            out[rows] = reduce(block)
+    return out
+
+
+def _total(parts: Sequence[_Frames], location_ids: Sequence[str]) -> _Frames:
+    """The frame of one segment from its locations' frames, which parts
+    hold in order and location_ids names. Each float total is the fsum of
+    the locations' partials (U's statistic is their maximum) and each count
+    their integer sum, so the total does not depend on their order or on
+    how parts groups them. The segment fails with no pair over the
+    transform's support, or with the error of its least failed location
+    id."""
+
+    def total(combine: Callable[[list[float]], float],
+              columns: Iterable[np.ndarray]) -> np.ndarray:
+        return np.array([combine(np.concatenate(list(columns)).tolist())])
+
+    failed: dict[str, ObjentropyError] = {}
+    offset = 0
+    for part in parts:
+        failed.update((location_ids[offset + i], error)
+                      for i, error in part.errors.items())
+        offset += part.n.size
+    n = sum(int(part.n.sum()) for part in parts)
+    errors: dict[int, ObjentropyError] = {}
+    if failed:
+        errors[0] = failed[min(failed)]
+    elif n == 0:
+        errors[0] = EmptyEvaluationSet(
+            "no pairs above the zero-state threshold")
+    return _Frames(
+        np.array([n]),
+        {family: total(_FAMILIES[family].total,
+                       (part.statistic[family] for part in parts))
+         for family in parts[0].statistic},
+        total(_fsum, (part.log_jacobian for part in parts)),
+        np.array([sum(int(part.n1.sum()) for part in parts)]),
+        np.array([sum(int(part.n2.sum()) for part in parts)]),
+        errors)
 
 
 def _fit(spec: ObjectiveSpec, frames: _Frames
@@ -375,6 +457,27 @@ def _loglik(spec: ObjectiveSpec, frames: _Frames, scale, rho
             frames.n + frames.n1 + frames.n2)
 
 
+def _fitted(spec: ObjectiveSpec, frames: _Frames) -> FittedParams:
+    """spec's fitted parameters on the one segment of frames. Raises the
+    segment's error, or DegenerateScale where every residual is zero."""
+    for error in frames.errors.values():
+        raise error
+    (scale,), (rho,) = _fit(spec, frames)
+    if scale == 0:
+        raise _degenerate(spec.base_family)
+    return FittedParams(float(scale), float(rho) if spec.zero_inflated
+                        and not math.isnan(rho) else None)
+
+
+@contextmanager
+def _named(spec: ObjectiveSpec) -> Iterator[None]:
+    """The block, with each error it raises naming spec's objective."""
+    try:
+        yield
+    except ObjentropyError as exc:
+        raise type(exc)(f"objective {spec.name}: {exc}") from exc
+
+
 def evaluate_objective(
     spec: ObjectiveSpec,
     train: Dataset,
@@ -386,20 +489,46 @@ def evaluate_objective(
     frame is scored as it is. The result carries the fitted parameters,
     and an error raised on either side names the objective.
     """
-    try:
-        frames = _frames((spec,), train, threshold, (0, train.n_total))
-        for error in frames.errors.values():
-            raise error
-        (scale,), (rho,) = _fit(spec, frames)
-        if scale == 0:
-            raise _degenerate(spec.base_family)
-        params = FittedParams(float(scale), float(rho) if spec.zero_inflated
-                              and not math.isnan(rho) else None)
+    with _named(spec):
+        frames = _total([_frames((spec,), train, threshold)],
+                        train.location_ids)
+        params = _fitted(spec, frames)
         if test is train:
             return _estimate(spec, params, frames)
         return score_objective(spec, params, test, threshold)
-    except ObjentropyError as exc:
-        raise type(exc)(f"objective {spec.name}: {exc}") from exc
+
+
+def location_frames(
+    specs: Sequence[ObjectiveSpec],
+    dataset: Dataset,
+    threshold: float = DEFAULT_ZERO_THRESHOLD,
+) -> tuple[tuple[str, ...], dict[str, _Frames]]:
+    """dataset's location ids, and its locations' frames for each transform
+    of specs: what `evaluate_in_sample` needs of a block of whole
+    locations. It grows with the locations, not with the pairs."""
+    kinds = dict.fromkeys(spec.transform_kind for spec in specs)
+    return dataset.location_ids, {
+        kind: _frames([s for s in specs if s.transform_kind == kind],
+                      dataset, threshold)
+        for kind in kinds}
+
+
+def evaluate_in_sample(
+    specs: Sequence[ObjectiveSpec],
+    blocks: Sequence[tuple[tuple[str, ...], dict[str, _Frames]]],
+) -> list[EntropyEstimate]:
+    """Each objective of specs fitted and scored in sample on every
+    location of blocks, the `location_frames` of blocks of whole locations
+    at one threshold: bit for bit what evaluate_objective(spec, d, d) gives,
+    or raises, on the dataset d of those locations, in any order."""
+    ids = [i for block_ids, _ in blocks for i in block_ids]
+    estimates = []
+    for spec in specs:
+        with _named(spec):
+            frames = _total([kinds[spec.transform_kind] for _, kinds in blocks],
+                            ids)
+            estimates.append(_estimate(spec, _fitted(spec, frames), frames))
+    return estimates
 
 
 def score_objective(
@@ -416,7 +545,7 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    frames = _frames((spec,), test, threshold, (0, test.n_total))
+    frames = _total([_frames((spec,), test, threshold)], test.location_ids)
     for error in frames.errors.values():
         if not isinstance(error, DomainViolation):
             raise error

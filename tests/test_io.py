@@ -1,18 +1,22 @@
 """Tests for CSV ingestion, dataset writing, and report serialization."""
 
+import contextlib
 import gzip
+import io
 import json
 import math
 import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from objentropy import cli
 from objentropy import io as oio
 from objentropy.data import Dataset
 from objentropy.errors import (
@@ -347,6 +351,118 @@ class TestLoaderEquivalenceInChild(TestLoaderEquivalence):
     def _fork_every_read(self, monkeypatch):
         monkeypatch.setattr(oio, "_FORK_BYTES", 0)
         monkeypatch.setattr(oio, "_workers", lambda: 2)
+
+
+# The loader cases that rank reads whole: a quote, a location whose records
+# lie apart, or a record that numpy rejects.
+_READ_WHOLE = _UNGROUPED | {
+    case for case, (body, _) in _LOADER_CASES.items() if '"' in body} | {
+    "whitespace-only lines", "blank cells", "underscore digits"}
+
+
+def _rank(path, fmt="json", objectives="all"):
+    """rank --split none of the file at path: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["rank", "--input", str(path), "--format", fmt,
+                         "--objectives", objectives])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _rank_both(path, mp, workers, fmt="json", objectives="all"):
+    """rank's output on path read whole; its output streamed in `workers`
+    ranges of 8-byte blocks, so that each location spans blocks and
+    ranges; and whether it streamed."""
+    mp.setattr(cli, "reduce_csv", lambda *args: None)
+    whole = _rank(path, fmt, objectives)
+    streamed = []
+
+    def spy(*args):
+        blocks = oio.reduce_csv(*args)
+        streamed.append(blocks is not None)
+        return blocks
+
+    mp.setattr(cli, "reduce_csv", spy)
+    mp.setattr(oio, "_BLOCK_BYTES", 8)
+    mp.setattr(oio, "_FORK_BYTES", 0)
+    mp.setattr(oio, "_workers", lambda: workers)
+    return whole, _rank(path, fmt, objectives), streamed == [True]
+
+
+class TestStreamedRank:
+    """rank --split none streams a grouped file's locations; its report,
+    or its error and exit code, is that of the whole read."""
+
+    # NSE fails on most of these small files; MSE, MAE and U rank them.
+    @pytest.mark.parametrize("objectives", ["all", "MSE,MAE,U"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+    def test_loader_cases(self, case, workers, objectives, tmp_path,
+                          monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_bytes(_LOADER_CASES[case][0].encode("utf-8"))
+        whole, streamed, took_stream = _rank_both(f, monkeypatch, workers,
+                                                  objectives=objectives)
+        assert streamed == whole
+        assert took_stream == (case not in _READ_WHOLE)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_formats(self, fmt, tmp_path, monkeypatch):
+        model = SyntheticModel("multiplicative-log-laplace", 0.5,
+                               zero_inflation_rate=0.05, n_per_location=9,
+                               n_locations=5, seed=4)
+        f = tmp_path / "d.csv"
+        write_dataset_csv(generate(model)[0], f)
+        for workers in (1, 2, 3):
+            whole, streamed, took_stream = _rank_both(f, monkeypatch,
+                                                      workers, fmt)
+            assert whole[0] == 0 and streamed == whole and took_stream
+
+    # The files of TestLoaderEquivalence.test_random_files_match_row_parser.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["A", " A", "A ", "B", "#b", '"c,d"', '"e""f"']),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(["", "\n", "\r\n"]),
+        ),
+        min_size=1, max_size=40,
+    ), st.sampled_from([1, 2, 3]))
+    def test_random_files(self, tmp_path_factory, rows, workers):
+        f = tmp_path_factory.mktemp("rank") / "d.csv"
+        f.write_text(_HEADER + "".join(
+            f"{loc},{o!r},{p!r}\n{gap}" for loc, o, p, gap in rows
+        ), newline="")
+        # Extreme floats overflow; numpy's warnings are not what is compared.
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            whole, streamed, _ = _rank_both(f, mp, workers)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("body", [
+        _HEADER + "A,1,2\nA,3,5\nB,x,3\n",
+        _HEADER + "A,1,2\nA,3,5\n\nB,3\n",
+        "location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n",
+        _HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n",
+        _HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n",
+    ], ids=["number", "short row", "short of a timestamp", "nan",
+            "not utf-8"])
+    def test_malformed_files_are_the_whole_reads_errors(self, body, tmp_path,
+                                                       monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_bytes(body.encode("utf-8", "surrogateescape"))
+        whole, streamed, took_stream = _rank_both(f, monkeypatch, 2)
+        assert streamed == whole and not took_stream
+        assert whole[0] == 2 and whole[2].startswith("error: ")
+
+    def test_no_data_rows_is_the_whole_reads_error(self, tmp_path,
+                                                   monkeypatch):
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "\n\r\n")
+        whole, streamed, took_stream = _rank_both(f, monkeypatch, 2)
+        assert streamed == whole and not took_stream
+        assert whole[0] == 2 and "has a header but no data rows" in whole[2]
 
 
 def _assert_no_child_left():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from objentropy import cli
 from objentropy.data import SplitSpec, split, validate_dataset
 from objentropy.diagnostics import per_location_entropy
 from objentropy.errors import (
@@ -26,14 +27,16 @@ from objentropy.information import (
     conditional_entropy_bits,
     rank_objectives,
 )
-from objentropy.io import report_records
+from objentropy.io import report_records, write_dataset_csv
 from objentropy.likelihoods import (
     BASE_FAMILIES,
     CATALOG,
     FittedParams,
     ObjectiveSpec,
     _FAMILIES,
+    _GATHER,
     _binomial,
+    _per_location,
     _sigma_o,
     evaluate_objective,
     get_objective,
@@ -480,11 +483,55 @@ class TestInvariants:
             with pytest.raises(DegenerateScale):
                 evaluate_objective(nse, ds, ds)
             return
-        scale = _fit_scale("normal", residuals)
+        # Each total is the fsum of the locations' partials.
+        rows = [rows for _, rows in ds.rows()]
+        statistic = math.fsum(float(np.sum(residuals[r] * residuals[r]))
+                              for r in rows)
+        normal = _FAMILIES["normal"]
+        scale = float(normal.fit(statistic, ds.n_total))
         got = evaluate_objective(nse, ds, ds)
         assert got.params.scale == scale
-        assert got.loglik_nats == (_loglik("normal", residuals, scale)
-                                   - float(np.sum(np.log(lookup))))
+        assert got.loglik_nats == (
+            float(normal.loglik(statistic, ds.n_total, scale))
+            - math.fsum(float(np.sum(np.log(lookup[r]))) for r in rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_location_order_changes_nothing(self, tmp_path_factory, data):
+        """Reordering a dataset's locations, each keeping its rows in order,
+        leaves every estimate (or error) and rank's json bytes as they
+        were: each total is the fsum of the locations' partials."""
+        values = st.sampled_from([0.0, 0.001]) | st.floats(0.01, 1e4)
+        locations = data.draw(st.lists(
+            st.lists(st.tuples(values, values), min_size=2, max_size=20),
+            min_size=2, max_size=5))
+        order = data.draw(st.permutations(range(len(locations))))
+        folder = tmp_path_factory.mktemp("order")
+        outcomes = []
+        for k, ids in enumerate((range(len(locations)), order)):
+            ds = validate_dataset({f"L{i}": tuple(zip(*locations[i]))
+                                   for i in ids})
+            estimates = []
+            for spec in CATALOG.values():
+                try:
+                    estimates.append(repr(evaluate_objective(spec, ds, ds)))
+                except ObjentropyError as exc:
+                    estimates.append(repr(exc))
+            path, out = folder / f"{k}.csv", folder / f"{k}.json"
+            write_dataset_csv(ds, path)
+            code = cli.main(["rank", "--input", str(path), "--format",
+                             "json", "--out", str(out)])
+            outcomes.append((estimates, code,
+                             out.read_bytes() if code == 0 else None))
+        assert outcomes[1] == outcomes[0]
+
+    def test_fsum_overflow_is_inf(self):
+        """Two locations' sums of squares are finite, but their total
+        exceeds the largest float: it is inf, as numpy's sum gives."""
+        ds = validate_dataset({"A": ([1e154], [0.0]), "B": ([1e154], [0.0])})
+        with np.errstate(invalid="ignore"):  # the loglik's inf / inf
+            fitted = evaluate_objective(get_objective("MSE"), ds, ds)
+        assert fitted.params.scale == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("AB"),
@@ -768,6 +815,22 @@ class TestColumnFormulas:
                     evaluate_objective(spec, ds, ds)
             else:
                 assert evaluate_objective(spec, ds, ds).params.scale == fit
+
+    def test_per_location_reduces_each_slice_alone(self):
+        """Each location's partial has the bits of its slice reduced alone,
+        for slices gathered by length (some lengths more than _GATHER
+        values, some rows more than fit in one gather) and empty ones."""
+        rng = np.random.default_rng(5)
+        n = np.array([*range(1, 300), *range(1, 40), 0, 0, 511, 512, 513,
+                      4095, 4096, 4097, 4097, 25_000, *[_GATHER // 3] * 7])
+        rng.shuffle(n)
+        values = rng.normal(0.0, 1.0, int(n.sum())) * 10.0 ** rng.integers(
+            -8, 8, int(n.sum()))
+        ends = np.cumsum(n).tolist()
+        for fam in _FAMILIES.values():
+            alone = [float(fam.statistic(values[a:b]))
+                     for a, b in zip([0, *ends], ends)]
+            assert _per_location(fam.statistic, values, n).tolist() == alone
 
     @pytest.mark.parametrize("mode", ["random", "location"])
     def test_estimates_hold_python_scalars(self, mode):

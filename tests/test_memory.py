@@ -8,6 +8,7 @@ _FIXED bytes by which they may differ between the two calls.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,11 +16,19 @@ import pytest
 from objentropy import io as oio
 from objentropy.data import validate_dataset
 from objentropy.diagnostics import per_location_entropy
-from objentropy.likelihoods import CATALOG, evaluate_objective
+from objentropy.likelihoods import (
+    CATALOG,
+    evaluate_in_sample,
+    evaluate_objective,
+    location_frames,
+)
 from objentropy.transforms import POSITIVE_DOMAIN_KINDS
 
 N = 100_000
 _FIXED = 4096
+# What a streamed block of 1 MiB leaves for the rank that reads it: its
+# locations' frames, about 25 locations of 1,000 pairs here.
+_PER_BLOCK = 1 << 14
 FLOAT = np.dtype(np.float64).itemsize
 INDEX = np.dtype(np.intp).itemsize
 
@@ -121,3 +130,31 @@ def test_subset_holds_positions_and_the_new_pairs():
         return lambda: dataset.subset(mask), int(mask.sum())
 
     _assert_per_pair(make, INDEX + 2 * FLOAT + 3)
+
+
+def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
+    """rank --split none reads a grouped file in blocks, so at a fixed
+    location size its peak does not grow with the pairs. What does grow
+    is the per-location frames that each block leaves: at most
+    _PER_BLOCK bytes per block, from n to 2n pairs in blocks of 1 MiB."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    specs = list(CATALOG.values())
+    blocks = {}
+
+    def make(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(
+            _dataset(n, locations=n // 1000, zeros=True), path)
+
+        def call():
+            parts = oio.reduce_csv(path, partial(location_frames, specs))
+            blocks[n] = len(parts)
+            return evaluate_in_sample(specs, parts)
+        return call
+
+    _peak(make(1_000))
+    low, high = _peak(make(N)), _peak(make(2 * N))
+    assert blocks[2 * N] > blocks[N] > 2
+    per_block = (high - low) / (blocks[2 * N] - blocks[N])
+    assert high - low <= _PER_BLOCK * (blocks[2 * N] - blocks[N]) + _FIXED, (
+        f"{per_block:.0f} bytes per block")
