@@ -52,6 +52,11 @@ _CHUNK_ROWS = 1 << 16
 # Bytes of records that reduce_csv parses at a time: what a block holds
 # does not grow with the file.
 _BLOCK_BYTES = 1 << 20
+# The most records of one location with which reduce_csv streams a file.
+# A location is reduced whole, so a larger one would take as much memory
+# streamed as read whole, and one process would parse it, where load_csv
+# parses ids and numbers in two at once.
+_LOCATION_ROWS = 1 << 16
 # How numpy reads CSV text, from a path or from a list of lines.
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 
@@ -109,9 +114,10 @@ def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
 
     The input alone decides: None for a `"` in the records, as a quoted
     cell may span lines; for a location whose records lie apart; for a
-    record numpy rejects or a value a Dataset rejects, so that load_csv's
-    row parse or error holds; and for a file without data rows. The header
-    is read as load_csv reads it, and raises its errors.
+    location of more than _LOCATION_ROWS records; for a record numpy
+    rejects or a value a Dataset rejects, so that load_csv's row parse or
+    error holds; and for a file without data rows. The header is read as
+    load_csv reads it, and raises its errors.
 
     Where the file holds at least _FORK_BYTES, its records are cut into one
     contiguous range per worker (see _workers): this process reduces the
@@ -119,7 +125,8 @@ def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
     returns crosses a pipe. Each range takes whole locations (see _runs)
     and parses about _BLOCK_BYTES at a time, carrying the location in
     progress at a block's end, parsed, into the next block; so a block
-    holds about _BLOCK_BYTES of records plus at most one location.
+    holds about _BLOCK_BYTES of records plus at most one location, of at
+    most _LOCATION_ROWS records.
     """
     path = Path(path)
     with _open_text(path) as fh:
@@ -170,26 +177,35 @@ def _reduce_range(
     """The ids of the locations that range k of cuts takes (see _runs), in
     order, and reduce of each block of them; None where the range shows
     that the file is to be read whole: an id that appears again after
-    another location's, or what load_csv would parse by row or reject."""
+    another location's, a location too large to stream, or what load_csv
+    would parse by row or reject."""
     ids: list[str] = []
     blocks: list[Any] = []
     seen: set[str] = set()
-    location: tuple[str, list[np.ndarray]] | None = None  # in progress
+    # The locations a block completes, and the one in progress at its end,
+    # each as its id and the numbers of its runs.
+    complete: list[tuple[str, list[np.ndarray]]] = []
+    location: tuple[str, list[np.ndarray]] | None = None
 
-    def flush(complete: list[tuple[str, list[np.ndarray]]]) -> None:
-        if complete:
-            names = [name for name, _ in complete]
-            counts = [sum(map(len, parts)) for _, parts in complete]
-            pairs = np.concatenate(
-                [part.T for _, parts in complete for part in parts], axis=1)
-            blocks.append(reduce(Dataset(
-                tuple(names), np.cumsum([0, *counts]), pairs)))
-            ids.extend(names)
+    def flush() -> None:
+        names = [name for name, _ in complete]
+        bounds = np.cumsum([0, *(sum(map(len, runs)) for _, runs in complete)])
+        # The pairs are written once, in the layout a Dataset holds, and
+        # each run's numbers are dropped as they are copied.
+        pairs = np.empty((2, int(bounds[-1])))
+        at = 0
+        for _, runs in complete:
+            while runs:
+                run = runs.pop(0)
+                pairs[:, at:at + len(run)] = run.T
+                at += len(run)
+        complete.clear()
+        blocks.append(reduce(Dataset(tuple(names), bounds, pairs)))
+        ids.extend(names)
 
     try:
         with path.open("rb") as fh:
             for runs in _runs(fh, layout, cuts, k):
-                complete = []
                 for name, numbers in runs:
                     if location is not None and location[0] == name:
                         location[1].append(numbers)
@@ -200,8 +216,11 @@ def _reduce_range(
                     if location is not None:
                         complete.append(location)
                     location = (name, [numbers])
-                flush(complete)
-        flush([] if location is None else [location])
+                if complete:
+                    flush()
+        if location is not None:
+            complete.append(location)
+            flush()
     except (ValueError, ObjentropyError):
         return None
     return ids, blocks
@@ -216,27 +235,39 @@ def _runs(
 
     Range k reads the records of bytes cuts[k]:cuts[k + 1], and after them
     the records of the location in progress there. Every range but the
-    first skips its first location, which the range before it finishes.
-    So in a grouped file each location is taken whole, by one range.
+    first skips its first location, which the range before it finishes;
+    a range still skipping it at cuts[k + 1] takes nothing more. So in a
+    grouped file each location is taken whole, by one range.
+
+    Raises ValueError, as _parse_blocks does, and for a location of more
+    than _LOCATION_ROWS records, taken or skipped.
     """
     regions = [(cuts[k], cuts[k + 1], False)]
     if k + 2 < len(cuts):
         regions.append((cuts[k + 1], cuts[-1], True))
     skipping = k > 0
-    first = tail = None
+    first = tail = last = None
+    rows = 0  # of location `last` so far
     for lo, hi, overrun in regions:
-        for names, lengths, numbers in _parse_blocks(fh, lo, hi, layout):
+        for names, bounds, numbers in _parse_blocks(fh, lo, hi, layout):
             taken = []
-            ends = np.cumsum(lengths).tolist()
-            for name, a, b in zip(names, [0, *ends], ends):
+            bounds = bounds.tolist()
+            for name, a, b in zip(names, bounds, bounds[1:]):
                 if overrun:
                     tail = name if tail is None else tail
                     if name != tail:
                         yield taken
                         return
+                rows = rows + b - a if name == last else b - a
+                last = name
+                if rows > _LOCATION_ROWS:
+                    raise ValueError(f"location {name!r} is too large to "
+                                     "stream")
                 if skipping:
                     first = name if first is None else first
                     if name == first:
+                        if overrun:
+                            return
                         continue
                     skipping = False
                 taken.append((name, numbers[a:b]))
@@ -245,15 +276,16 @@ def _runs(
 
 def _parse_blocks(
     fh: BinaryIO, lo: int, hi: int, layout: tuple[list[int], tuple[int, int]],
-) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
     """The records of bytes lo:hi of fh, two line starts, parsed about
-    _BLOCK_BYTES at a time. For each block that holds records: the
-    stripped ids of its runs of records with one id, their lengths, and
-    the (n, 2) observed and predicted numbers.
+    _BLOCK_BYTES at a time. For each block that holds records: its
+    locations' stripped ids and bounds, as _group gives them, and the
+    (n, 2) observed and predicted numbers.
 
     Each block is a list of lines for np.loadtxt, which parses it as it
     parses a path, except that a lone CR raises ValueError. So do a `"`, a
-    byte that is not UTF-8, and what numpy rejects from a path.
+    byte that is not UTF-8, what numpy rejects from a path, and an id that
+    appears again after another location's within the block.
     """
     text_cols, number_cols = layout
     fh.seek(lo)
@@ -274,14 +306,10 @@ def _parse_blocks(
         numbers = np.loadtxt(lines, usecols=number_cols, dtype=np.float64,
                              **_CSV)
         del text, lines
-        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-        names = [name.strip() for name in ids[[0, *starts]].tolist()]
-        # Runs whose ids strip alike are one run.
-        kept = [i for i, name in enumerate(names)
-                if i == 0 or name != names[i - 1]]
-        bounds = [0, *starts.tolist(), len(ids)]
-        yield ([names[i] for i in kept],
-               np.diff([bounds[i] for i in [*kept, len(names)]]), numbers)
+        names, bounds, order = _group_ids(ids, _run_starts(ids))
+        if order is not None:
+            raise ValueError("a location's records lie apart")
+        yield names, bounds, numbers
 
 
 def load_entropies(path: str | Path) -> list[EntropyEstimate]:
@@ -399,6 +427,21 @@ def _group(
     return tuple(codes), bounds, order
 
 
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Where the runs of equal raw ids of the column ids start."""
+    return np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+
+
+def _group_ids(
+    ids: np.ndarray, starts: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+    """_group of the column of raw ids ids, whose runs start at starts:
+    run heads that strip to the same id are one location. Only the heads
+    become Python strings."""
+    return _group([head.strip() for head in ids[starts].tolist()],
+                  np.diff(starts, append=len(ids)))
+
+
 def _pairs(numbers: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """The (n, 2) observed and predicted numbers of n records as a
     C-contiguous (2, n) pairs array, records in order (as _group returns
@@ -465,22 +508,14 @@ def _read_ids(
         # equal raw ids start at `starts`.
         text = _loadtxt(path, skip, text_cols, np.dtypes.StringDType(),
                         handle)
-        ids = text[:, 0]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-        return text, starts
+        return text, _run_starts(text[:, 0])
 
     text, starts = read_text()
     if any(np.strings.count(cells, "\n").any()
            for cells in (text[starts, 0], *text[:, 1:].T)):
         text, starts = read_text(handle=True)
 
-    # Run heads that strip to the same id are one location. Only the heads
-    # become Python strings.
-    location_ids, bounds, order = _group(
-        [head.strip() for head in text[starts, 0].tolist()],
-        np.diff(starts, append=len(text)),
-    )
+    location_ids, bounds, order = _group_ids(text[:, 0], starts)
     stamps = None
     if len(text_cols) == 2:
         cells = text[:, 1] if order is None else text[order, 1]

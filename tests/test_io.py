@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from objentropy import cli
 from objentropy import io as oio
-from objentropy.data import Dataset
+from objentropy.data import Dataset, validate_dataset
 from objentropy.errors import (
     EmptyFile,
     MissingColumn,
@@ -463,6 +463,51 @@ class TestStreamedRank:
         whole, streamed, took_stream = _rank_both(f, monkeypatch, 2)
         assert streamed == whole and not took_stream
         assert whole[0] == 2 and "has a header but no data rows" in whole[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("largest", [9, 10, 30])
+    def test_large_location_is_read_whole(self, largest, workers, tmp_path,
+                                          monkeypatch):
+        """A location of more than _LOCATION_ROWS records sends the file
+        to the whole read, whichever ranges take or skip it."""
+        monkeypatch.setattr(oio, "_LOCATION_ROWS", 9)
+        rng = np.random.default_rng(largest)
+        f = tmp_path / "d.csv"
+        write_dataset_csv(validate_dataset({
+            loc: tuple(rng.lognormal(0.0, 1.0, (2, size)))
+            for loc, size in [("A", 3), ("B", largest), ("C", 2), ("D", 5)]
+        }), f)
+        whole, streamed, took_stream = _rank_both(f, monkeypatch, workers,
+                                                  objectives="MSE,MAE,U")
+        assert whole[0] == 0 and streamed == whole
+        assert took_stream == (largest <= 9)
+
+    def test_range_inside_a_location_stops_at_its_end(self, tmp_path,
+                                                      monkeypatch):
+        """A range that lies inside the location the range before it takes
+        parses its own bytes and the block after them, not the rest of
+        that location."""
+        monkeypatch.setattr(oio, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(oio, "_LOCATION_ROWS", 1000)
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "".join(f"A,{i},1\n" for i in range(300)))
+        parsed = []
+        parse_blocks = oio._parse_blocks
+
+        def counting(*args):
+            for names, bounds, numbers in parse_blocks(*args):
+                parsed.append(len(numbers))
+                yield names, bounds, numbers
+
+        monkeypatch.setattr(oio, "_parse_blocks", counting)
+        start, end = len(_HEADER), f.stat().st_size
+        with f.open("rb") as fh:
+            cuts = [start, *(oio._line_start(fh, start + (end - start) * i // 3)
+                             for i in (1, 2)), end]
+            assert all(taken == [] for taken in
+                       oio._runs(fh, ([0], (1, 2)), cuts, 1))
+        # Its third of the 300 records, and at most 64 bytes after it.
+        assert 100 <= sum(parsed) <= 110
 
 
 def _assert_no_child_left():

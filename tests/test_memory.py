@@ -158,3 +158,26 @@ def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
     per_block = (high - low) / (blocks[2 * N] - blocks[N])
     assert high - low <= _PER_BLOCK * (blocks[2 * N] - blocks[N]) + _FIXED, (
         f"{per_block:.0f} bytes per block")
+
+
+def test_streamed_location_holds_what_the_whole_read_does(tmp_path,
+                                                           monkeypatch):
+    """A location that rank streams is held whole, but no more than when
+    the file is read whole (see the bounds above): two per-pair float
+    arrays while its parsed runs are copied into its pairs, then the pairs
+    and a frame's two arrays and mask. Here one location of every size
+    streams."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_LOCATION_ROWS", 4 * N)
+    specs = list(CATALOG.values())
+
+    def make(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(_dataset(n, locations=1, zeros=True), path)
+
+        def call():
+            blocks = oio.reduce_csv(path, partial(location_frames, specs))
+            return evaluate_in_sample(specs, blocks)
+        return call, n
+
+    _assert_per_pair(make, 2 * 2 * FLOAT + 1)
