@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .data import SplitSpec, split
+from .data import SplitSpec, split_blocks
 from .diagnostics import (
     check_subsamples,
     convergence_curve,
@@ -41,8 +41,7 @@ from .likelihoods import (
     CATALOG,
     DEFAULT_ZERO_THRESHOLD,
     check_threshold,
-    evaluate_in_sample,
-    evaluate_objective,
+    evaluate_blocks,
     location_frames,
     resolve_objectives,
 )
@@ -190,15 +189,15 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     if args.from_entropies is not None:
         estimates, adjusted = load_entropies(args.from_entropies), False
     else:
-        # In sample, each location's frames suffice: stream them.
-        blocks = None if split_spec.mode != "none" else reduce_csv(
-            args.input, partial(location_frames, specs, threshold=threshold))
-        if blocks is not None:
-            estimates = evaluate_in_sample(specs, blocks)
-        else:
-            train, test = split(load_csv(args.input), split_spec)
-            estimates = [evaluate_objective(spec, train, test, threshold)
-                         for spec in specs]
+        # Each side's location frames suffice. In sample, stream them.
+        frames = partial(location_frames, specs, threshold=threshold)
+        train = None if split_spec.mode != "none" else reduce_csv(
+            args.input, frames)
+        test = None
+        if train is None:
+            train, test = split_blocks(load_csv(args.input), split_spec,
+                                       frames)
+        estimates = evaluate_blocks(specs, train, test)
         adjusted = args.aic == "on"
     report = rank_objectives(estimates, adjusted=adjusted,
                              descriptions=_DESCRIPTIONS)

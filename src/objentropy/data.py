@@ -11,7 +11,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,6 +241,50 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     """
     if spec.mode == "none":
         return SplitResult(dataset, dataset)
+    mask = _test_mask(dataset, spec)
+    return SplitResult(dataset.subset(~mask), dataset.subset(mask))
+
+
+# Pairs of a block of whole locations that split_blocks reduces at a time:
+# what a block holds does not grow with the dataset.
+_BLOCK_PAIRS = 1 << 16
+
+
+def split_blocks(
+    dataset: Dataset, spec: SplitSpec, reduce: Callable[[Dataset], Any],
+) -> tuple[list[Any], list[Any] | None]:
+    """reduce(part) of each part of split(dataset, spec) that holds pairs,
+    in storage order: for the train side, and for the test side or, in
+    sample (mode "none"), None, where the one part is the whole dataset.
+
+    A part is one side's pairs of a block: a run of consecutive whole
+    locations of at most _BLOCK_PAIRS pairs, or one location of more. The
+    held-out mask is drawn once, as split draws it. Beside dataset, only
+    the mask, one part and what reduce returns are held, never a side
+    whole.
+    """
+    if spec.mode == "none":
+        return [reduce(dataset)], None
+    mask = _test_mask(dataset, spec)
+    sides: tuple[list[Any], list[Any]] = ([], [])
+    bounds = dataset.bounds.tolist()
+    first = 0
+    for i in range(1, len(bounds)):
+        if (i < len(bounds) - 1
+                and bounds[i + 1] - bounds[first] <= _BLOCK_PAIRS):
+            continue
+        lo, hi = bounds[first], bounds[i]
+        held = mask[lo:hi]
+        for reduced, side in zip(sides, (~held, held)):
+            if side.any():
+                reduced.append(reduce(dataset.take(np.flatnonzero(side) + lo)))
+        first = i
+    return sides
+
+
+def _test_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
+    """The mask of the pairs that spec, a mode other than "none", holds out
+    of dataset; neither side may be empty."""
     if spec.mode == "random":
         mask = _held_out(dataset.n_total, spec, "pairs")
     elif spec.mode == "location":
@@ -253,7 +297,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
             f"test_fraction {spec.test_fraction} leaves an empty side on "
             f"{dataset.n_total} pairs"
         )
-    return SplitResult(dataset.subset(~mask), dataset.subset(mask))
+    return mask
 
 
 def _held_out(n: int, spec: SplitSpec, unit: str) -> np.ndarray:

@@ -45,10 +45,11 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # x86-64 Linux host, a fork and its pipe cost 5-9 ms, and load_csv took
 # about as long either way on a 1 MB file (about 30 ms).
 _FORK_BYTES = 1 << 20
-# Rows formatted per write, so that no range of rows becomes one string.
-# Formatting one chunk takes far longer than a fork, so the writer splits
-# the rows into no more ranges than it has chunks.
-_CHUNK_ROWS = 1 << 16
+# Rows formatted per write, so that no range of rows becomes one string:
+# a chunk's floats, lines, text and bytes take about 1.7 MB. Formatting
+# one chunk takes longer than a fork (about 16 ms against 5-9 ms), so the
+# writer splits the rows into no more ranges than it has chunks.
+_CHUNK_ROWS = 1 << 13
 # Bytes of records that reduce_csv parses at a time: what a block holds
 # does not grow with the file.
 _BLOCK_BYTES = 1 << 20
@@ -303,12 +304,14 @@ def _parse_blocks(
         lines = text.split("\n")
         ids = np.loadtxt(lines, usecols=text_cols,
                          dtype=np.dtypes.StringDType(), **_CSV)[:, 0]
-        numbers = np.loadtxt(lines, usecols=number_cols, dtype=np.float64,
-                             **_CSV)
-        del text, lines
+        # An ungrouped block is rejected before its numbers are parsed.
         names, bounds, order = _group_ids(ids, _run_starts(ids))
         if order is not None:
             raise ValueError("a location's records lie apart")
+        del ids
+        numbers = np.loadtxt(lines, usecols=number_cols, dtype=np.float64,
+                             **_CSV)
+        del text, lines
         yield names, bounds, numbers
 
 

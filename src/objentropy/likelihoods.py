@@ -259,7 +259,8 @@ def _sigma_o(dataset: Dataset) -> np.ndarray:
     population standard deviation of the location's observed values,
     exactly 0 where they are all equal (np.std can leave a few ULPs)."""
     observed = dataset.observed
-    sigma = np.array([np.std(observed[rows]) for _, rows in dataset.rows()])
+    sigma = _per_location(lambda block: np.std(block, axis=-1), observed,
+                          np.diff(dataset.bounds))
     starts = dataset.bounds[:-1]
     sigma[np.maximum.reduceat(observed, starts)
           == np.minimum.reduceat(observed, starts)] = 0.0
@@ -485,17 +486,20 @@ def evaluate_objective(
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyEstimate:
     """Fit the objective on train (NSE on train's sigma_o), then score it
-    on test with `score_objective`; in sample (`test is train`) the fitted
-    frame is scored as it is. The result carries the fitted parameters,
-    and an error raised on either side names the objective.
+    on test as `score_objective` does; in sample (`test is train`) the
+    fitted frame is scored as it is. The result carries the fitted
+    parameters, and an error raised on either side names the objective.
+    It is `evaluate_blocks` of one block on each side.
     """
+    # Checked first, so that a bad threshold names the objective, as every
+    # error from either side does.
     with _named(spec):
-        frames = _total([_frames((spec,), train, threshold)],
-                        train.location_ids)
-        params = _fitted(spec, frames)
-        if test is train:
-            return _estimate(spec, params, frames)
-        return score_objective(spec, params, test, threshold)
+        check_threshold(threshold)
+    (estimate,) = evaluate_blocks(
+        (spec,), [location_frames((spec,), train, threshold)],
+        None if test is train
+        else [location_frames((spec,), test, threshold)])
+    return estimate
 
 
 def location_frames(
@@ -504,8 +508,8 @@ def location_frames(
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> tuple[tuple[str, ...], dict[str, _Frames]]:
     """dataset's location ids, and its locations' frames for each transform
-    of specs: what `evaluate_in_sample` needs of a block of whole
-    locations. It grows with the locations, not with the pairs."""
+    of specs: what `evaluate_blocks` needs of a block of whole locations.
+    It grows with the locations, not with the pairs."""
     kinds = dict.fromkeys(spec.transform_kind for spec in specs)
     return dataset.location_ids, {
         kind: _frames([s for s in specs if s.transform_kind == kind],
@@ -513,21 +517,33 @@ def location_frames(
         for kind in kinds}
 
 
-def evaluate_in_sample(
+_Blocks = Sequence[tuple[tuple[str, ...], dict[str, _Frames]]]
+
+
+def evaluate_blocks(
     specs: Sequence[ObjectiveSpec],
-    blocks: Sequence[tuple[tuple[str, ...], dict[str, _Frames]]],
+    train: _Blocks,
+    test: _Blocks | None = None,
 ) -> list[EntropyEstimate]:
-    """Each objective of specs fitted and scored in sample on every
-    location of blocks, the `location_frames` of blocks of whole locations
-    at one threshold: bit for bit what evaluate_objective(spec, d, d) gives,
-    or raises, on the dataset d of those locations, in any order."""
-    ids = [i for block_ids, _ in blocks for i in block_ids]
+    """Each objective of specs fitted on every location of train and
+    scored on every location of test at the fitted parameters, or in
+    sample on train where test is None. Both are the `location_frames` of
+    blocks of whole locations at one threshold, so this is bit for bit
+    what evaluate_objective(spec, a, b) gives, or raises, on the datasets
+    a and b of those locations, however they are blocked or ordered."""
+    train_ids = [i for block_ids, _ in train for i in block_ids]
+    test_ids = None if test is None else [
+        i for block_ids, _ in test for i in block_ids]
     estimates = []
     for spec in specs:
+        kind = spec.transform_kind
         with _named(spec):
-            frames = _total([kinds[spec.transform_kind] for _, kinds in blocks],
-                            ids)
-            estimates.append(_estimate(spec, _fitted(spec, frames), frames))
+            frames = _total([kinds[kind] for _, kinds in train], train_ids)
+            params = _fitted(spec, frames)
+            estimates.append(
+                _estimate(spec, params, frames) if test is None
+                else _scored(spec, params, _total(
+                    [kinds[kind] for _, kinds in test], test_ids)))
     return estimates
 
 
@@ -545,7 +561,15 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    frames = _total([_frames((spec,), test, threshold)], test.location_ids)
+    return _scored(spec, params, _total([_frames((spec,), test, threshold)],
+                                        test.location_ids))
+
+
+def _scored(spec: ObjectiveSpec, params: FittedParams, frames: _Frames
+            ) -> EntropyEstimate:
+    """spec's estimate at frozen params on the one segment of frames.
+    Raises the segment's error but a failed sigma_o, which scores as the
+    zero-likelihood sentinel, and for params out of their range."""
     for error in frames.errors.values():
         if not isinstance(error, DomainViolation):
             raise error

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, validate_dataset
+from .data import Dataset
 from .errors import InvalidModel, NonPositiveScale, as_int, check_seed
 from .likelihoods import BASE_FAMILIES, CATALOG
 
@@ -141,25 +141,32 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
     Per location, in a fixed draw order: base flows (the predictions), then
     errors, then independent zero-forcing masks for observed and predicted.
     Each location uses a child seed spawned from the model seed, so
-    locations are independent streams.
+    locations are independent streams. Each location is drawn straight
+    into its columns of the dataset's pairs; beside them, only one
+    location's draws are held.
     """
     children = np.random.SeedSequence(model.seed).spawn(model.n_locations)
     medians = model.medians()
-    raw = {}
     n = model.n_per_location
     p = model.zero_inflation_rate
     kind, family = _ERRORS[model.family]
+    pairs = np.empty((2, n * model.n_locations))
     for i in range(model.n_locations):
         rng = np.random.default_rng(children[i])
-        pred = rng.lognormal(
+        obs, pred = pairs[:, i * n:(i + 1) * n]
+        pred[...] = rng.lognormal(
             mean=math.log(medians[i]), sigma=model.base_log_sigma, size=n
         )
         eps = getattr(rng, family)(0.0, model.scale, size=n)
-        obs = pred + eps if kind == "identity" else pred * np.exp(eps)
+        if kind == "identity":
+            np.add(pred, eps, out=obs)
+        else:
+            np.multiply(pred, np.exp(eps, out=eps), out=obs)
+        del eps
         if p > 0:
             obs[rng.random(n) < p] = 0.0
             pred[rng.random(n) < p] = 0.0
-        raw[f"loc{i + 1:03d}"] = (obs, pred)
     truth = SyntheticTruth(model.family, optimal_objective(model),
                            analytic_entropy(family, model.scale))
-    return validate_dataset(raw), truth
+    ids = tuple(f"loc{i + 1:03d}" for i in range(model.n_locations))
+    return Dataset(ids, np.arange(0, pairs.shape[1] + 1, n), pairs), truth

@@ -482,6 +482,34 @@ class TestStreamedRank:
         assert whole[0] == 0 and streamed == whole
         assert took_stream == (largest <= 9)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_block_parses_no_number(self, workers, tmp_path,
+                                                monkeypatch):
+        """A block whose ids come back after another location's is
+        rejected from its ids alone: a range parses its first block's ids
+        and none of its numbers before the file goes to load_csv. A child
+        still parsing when the first range gives up is killed, so the
+        second range may log nothing."""
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "".join(f"{'AB'[i % 2]},{i},1\n"
+                                       for i in range(200)))
+        log = tmp_path / "loadtxt.log"
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, dtype=float, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{np.dtype(dtype).kind}\n")
+            return loadtxt(source, *args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: workers)
+        assert oio.reduce_csv(f, len) is None
+        # StringDType's kind is "T"; numbers are float64, kind "f".
+        kinds = log.read_text().split()
+        assert kinds[0] == "T" and set(kinds) == {"T"}
+        assert len(kinds) <= workers
+
     def test_range_inside_a_location_stops_at_its_end(self, tmp_path,
                                                       monkeypatch):
         """A range that lies inside the location the range before it takes

@@ -1,7 +1,9 @@
 """Tests for the objective catalog: fits, log-likelihoods, and evaluation."""
 
 import math
+import re
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from objentropy import cli
-from objentropy.data import SplitSpec, split, validate_dataset
+from objentropy import data as odata
+from objentropy.data import (
+    Dataset,
+    SplitSpec,
+    split,
+    split_blocks,
+    validate_dataset,
+)
 from objentropy.diagnostics import per_location_entropy
 from objentropy.errors import (
     DegenerateScale,
@@ -38,8 +47,10 @@ from objentropy.likelihoods import (
     _binomial,
     _per_location,
     _sigma_o,
+    evaluate_blocks,
     evaluate_objective,
     get_objective,
+    location_frames,
     resolve_objectives,
     score_objective,
 )
@@ -318,6 +329,22 @@ class TestSigmaO:
         mean = sum(obs) / len(obs)
         var = sum((x - mean) ** 2 for x in obs) / len(obs)
         assert sigma == pytest.approx(np.sqrt(var), rel=1e-12)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 1.0, 682.841751481729])
+                             | st.floats(-1e6, 1e6), min_size=1, max_size=4),
+                    min_size=1, max_size=20))
+    @example([[1.5] * 5000, list(np.linspace(0.0, 1.0, 5000)), [2.0, 3.0]])
+    def test_each_location_has_the_bits_of_its_slice(self, locations):
+        """sigma_o of a location is np.std of its observed values alone,
+        bit for bit, however many locations share its length; and exactly
+        0 where they are all equal."""
+        ds = validate_dataset({f"L{i}": (obs, obs)
+                               for i, obs in enumerate(locations)})
+        assert _sigma_o(ds).tolist() == [
+            0.0 if min(obs) == max(obs) else float(np.std(np.array(obs)))
+            for obs in locations]
 
 
 class TestOutOfSampleNSE:
@@ -847,3 +874,79 @@ class TestColumnFormulas:
                 figures += [params.scale, params.rho]
                 assert {type(x) for x in figures} <= {
                     str, int, float, bool, type(None)}, spec.name
+
+
+def _outcomes(evaluate):
+    """evaluate(spec) of each catalog objective, or the error it raises,
+    as text that holds every float's bits."""
+    outcomes = []
+    for spec in CATALOG.values():
+        try:
+            outcomes.append(repr(evaluate(spec)))
+        except ObjentropyError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def _assert_blocked_equals_split(ds, split_spec, size):
+    """Every objective fitted and scored on location frames folded over
+    blocks of at most size pairs gives, or raises, what evaluate_objective
+    gives on split(ds, split_spec)."""
+    frames = partial(location_frames, list(CATALOG.values()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odata, "_BLOCK_PAIRS", size)
+        try:
+            train, test = split(ds, split_spec)
+        except ObjentropyError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                split_blocks(ds, split_spec, frames)
+            return None
+        blocks = split_blocks(ds, split_spec, frames)
+    expected = _outcomes(lambda spec: evaluate_objective(spec, train, test))
+    assert _outcomes(
+        lambda spec: evaluate_blocks([spec], *blocks)[0]) == expected
+    return expected
+
+
+class TestBlockedOutOfSample:
+    """rank's out-of-sample path scores location frames folded over blocks
+    of whole locations: bit for bit evaluate_objective on split's sides."""
+
+    _VALUES = st.sampled_from([0.0, 0.001, 1.0]) | st.floats(0.01, 1e4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_blocking_equals_the_split(self, data):
+        locations = data.draw(st.lists(
+            st.lists(st.tuples(self._VALUES, self._VALUES,
+                               st.integers(1, 28)), min_size=1, max_size=15),
+            min_size=1, max_size=6))
+        rows = [row for location in locations for row in location]
+        obs, pred, days = zip(*rows)
+        ds = Dataset(tuple(f"L{i}" for i in range(len(locations))),
+                     np.cumsum([0, *map(len, locations)]), [obs, pred],
+                     tuple(f"2021-02-{day:02d}" for day in days))
+        split_spec = SplitSpec(
+            data.draw(st.sampled_from(["random", "location", "time"])),
+            data.draw(st.sampled_from([0.2, 0.5, 0.7])),
+            data.draw(st.integers(0, 2 ** 64 - 1)))
+        _assert_blocked_equals_split(
+            ds, split_spec, data.draw(st.integers(1, ds.n_total + 1)))
+
+    @pytest.mark.parametrize("size", [1, 4, 7, 1 << 16])
+    def test_one_sided_location_and_test_side_sigma_o_zero(self, size):
+        """C's later half, its test side under a time split, is constant:
+        NSE scores the zero-likelihood sentinel there. Under the location
+        split, each location lies wholly on one side."""
+        obs = [1.0, 2.0, 4.0, 3.0, 3.0, 5.0, 1.0, 2.0, 1.0, 2.0, 5.0, 5.0]
+        pred = [1.5, 2.5, 3.0, 3.5, 2.0, 4.0, 1.5, 2.5, 1.5, 2.5, 4.0, 4.5]
+        ds = Dataset(("A", "B", "C"), [0, 4, 8, 12], [obs, pred],
+                     tuple(f"2021-03-0{day}" for day in (1, 2, 3, 4) * 3))
+        by_time = _assert_blocked_equals_split(
+            ds, SplitSpec("time", 0.5), size)
+        assert by_time[list(CATALOG).index("NSE")].count(
+            "zero_likelihood=True") == 1
+        for seed in range(4):
+            _assert_blocked_equals_split(
+                ds, SplitSpec("location", 0.34, seed), size)
+        _assert_blocked_equals_split(ds, SplitSpec("random", 0.3, 5), size)

@@ -13,15 +13,17 @@ from functools import partial
 import numpy as np
 import pytest
 
+from objentropy import cli
 from objentropy import io as oio
 from objentropy.data import validate_dataset
 from objentropy.diagnostics import per_location_entropy
 from objentropy.likelihoods import (
     CATALOG,
-    evaluate_in_sample,
+    evaluate_blocks,
     evaluate_objective,
     location_frames,
 )
+from objentropy.synthetic import SyntheticModel, generate
 from objentropy.transforms import POSITIVE_DOMAIN_KINDS
 
 N = 100_000
@@ -149,7 +151,7 @@ def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
         def call():
             parts = oio.reduce_csv(path, partial(location_frames, specs))
             blocks[n] = len(parts)
-            return evaluate_in_sample(specs, parts)
+            return evaluate_blocks(specs, parts)
         return call
 
     _peak(make(1_000))
@@ -177,7 +179,66 @@ def test_streamed_location_holds_what_the_whole_read_does(tmp_path,
 
         def call():
             blocks = oio.reduce_csv(path, partial(location_frames, specs))
-            return evaluate_in_sample(specs, blocks)
+            return evaluate_blocks(specs, blocks)
         return call, n
 
     _assert_per_pair(make, 2 * 2 * FLOAT + 1)
+
+
+def test_generate_draws_into_the_pairs():
+    """generate draws each location into its columns of the dataset's
+    pairs: beside them it holds one location's draws, which do not grow
+    with the locations, and the two-byte finite mask and one-byte column
+    check that a Dataset is validated with."""
+
+    def make(n):
+        model = SyntheticModel("multiplicative-log-laplace", 0.3,
+                               zero_inflation_rate=0.05,
+                               n_per_location=min(n, 25_000),
+                               n_locations=max(1, n // 25_000), seed=1)
+        return lambda: generate(model), n
+
+    _assert_per_pair(make, 2 * FLOAT + 3)
+
+
+# What formatting one chunk of _CHUNK_ROWS rows may hold: its numbers as
+# Python floats, its lines, and its text and bytes.
+_CHUNK_BYTES = 1 << 21
+
+
+def test_write_holds_one_chunk(tmp_path, monkeypatch):
+    """write_dataset_csv formats a bounded chunk of rows at a time: its
+    peak does not grow from n to 2n pairs, and stays within a chunk."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    peaks = []
+    for n in (1_000, N, 2 * N):
+        dataset = _dataset(n, zeros=True)
+        peaks.append(_peak(
+            lambda: oio.write_dataset_csv(dataset, tmp_path / f"{n}.csv")))
+    _, low, high = peaks
+    assert high - low <= _FIXED
+    assert high <= _CHUNK_BYTES, f"{high} bytes"
+
+
+def test_out_of_sample_rank_holds_the_mask_not_the_sides(tmp_path,
+                                                          monkeypatch):
+    """rank --split random, above its loaded dataset, holds the held-out
+    mask and the permutation it is drawn from, then one block of whole
+    locations at a time and its locations' frames: no copy of the train
+    or test side. Locations have 1,000 pairs, so their frames add a little
+    under a byte per pair."""
+    specs = list(CATALOG.values())
+
+    def make(n):
+        dataset = _dataset(n, locations=max(1, n // 1000), zeros=True)
+
+        def call():
+            monkeypatch.setattr(cli, "load_csv", lambda path: dataset)
+            return cli.main(["rank", "--input", "loaded", "--split",
+                             "random:0.3", "--objectives",
+                             ",".join(spec.name for spec in specs),
+                             "--format", "json",
+                             "--out", str(tmp_path / "rank.json")])
+        return call, n
+
+    _assert_per_pair(make, INDEX + 1 + 1)
