@@ -41,7 +41,7 @@ from .likelihoods import (
     CATALOG,
     DEFAULT_ZERO_THRESHOLD,
     check_threshold,
-    evaluate_blocks,
+    evaluate_objective,
     location_frames,
     resolve_objectives,
 )
@@ -193,11 +193,12 @@ def _cmd_rank(args: argparse.Namespace) -> None:
         frames = partial(location_frames, specs, threshold=threshold)
         train = None if split_spec.mode != "none" else reduce_csv(
             args.input, frames)
-        test = None
+        test = train
         if train is None:
             train, test = split_blocks(load_csv(args.input), split_spec,
                                        frames)
-        estimates = evaluate_blocks(specs, train, test)
+        estimates = [evaluate_objective(spec, train, test, threshold)
+                     for spec in specs]
         adjusted = args.aic == "on"
     report = rank_objectives(estimates, adjusted=adjusted,
                              descriptions=_DESCRIPTIONS)

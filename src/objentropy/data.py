@@ -245,17 +245,20 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     return SplitResult(dataset.subset(~mask), dataset.subset(mask))
 
 
-# Pairs of a block of whole locations that split_blocks reduces at a time:
-# what a block holds does not grow with the dataset.
+# The most pairs of a block of whole locations that is reduced at a time,
+# by split_blocks here and by io.reduce_csv as it reads a file: what a
+# block holds does not grow with the dataset. A larger location is a
+# block of its own.
 _BLOCK_PAIRS = 1 << 16
 
 
 def split_blocks(
     dataset: Dataset, spec: SplitSpec, reduce: Callable[[Dataset], Any],
-) -> tuple[list[Any], list[Any] | None]:
+) -> tuple[list[Any], list[Any]]:
     """reduce(part) of each part of split(dataset, spec) that holds pairs,
-    in storage order: for the train side, and for the test side or, in
-    sample (mode "none"), None, where the one part is the whole dataset.
+    in storage order, for the train side and for the test side. In sample
+    (mode "none") the one part is the whole dataset, and both sides are
+    the same list, as split gives the same dataset twice.
 
     A part is one side's pairs of a block: a run of consecutive whole
     locations of at most _BLOCK_PAIRS pairs, or one location of more. The
@@ -264,7 +267,8 @@ def split_blocks(
     whole.
     """
     if spec.mode == "none":
-        return [reduce(dataset)], None
+        whole = [reduce(dataset)]
+        return whole, whole
     mask = _test_mask(dataset, spec)
     sides: tuple[list[Any], list[Any]] = ([], [])
     bounds = dataset.bounds.tolist()

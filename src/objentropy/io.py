@@ -24,7 +24,7 @@ from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .data import Dataset
+from .data import _BLOCK_PAIRS, Dataset
 from .diagnostics import ConvergenceCurve, EntropyMatrix
 from .errors import (
     EmptyFile,
@@ -53,11 +53,12 @@ _CHUNK_ROWS = 1 << 13
 # Bytes of records that reduce_csv parses at a time: what a block holds
 # does not grow with the file.
 _BLOCK_BYTES = 1 << 20
-# The most records of one location with which reduce_csv streams a file.
-# A location is reduced whole, so a larger one would take as much memory
-# streamed as read whole, and one process would parse it, where load_csv
-# parses ids and numbers in two at once.
-_LOCATION_ROWS = 1 << 16
+# The most records of one location with which reduce_csv streams a file:
+# the bound on a block of whole locations. A location is reduced whole,
+# so a larger one would take as much memory streamed as read whole, and
+# one process would parse it, where load_csv parses ids and numbers in
+# two at once.
+_LOCATION_ROWS = _BLOCK_PAIRS
 # How numpy reads CSV text, from a path or from a list of lines.
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 

@@ -479,27 +479,32 @@ def _named(spec: ObjectiveSpec) -> Iterator[None]:
         raise type(exc)(f"objective {spec.name}: {exc}") from exc
 
 
+# The location frames of blocks of whole locations (see location_frames).
+_Blocks = Sequence[tuple[tuple[str, ...], dict[str, _Frames]]]
+
+
 def evaluate_objective(
     spec: ObjectiveSpec,
-    train: Dataset,
-    test: Dataset,
+    train: Dataset | _Blocks,
+    test: Dataset | _Blocks,
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyEstimate:
     """Fit the objective on train (NSE on train's sigma_o), then score it
     on test as `score_objective` does; in sample (`test is train`) the
     fitted frame is scored as it is. The result carries the fitted
     parameters, and an error raised on either side names the objective.
-    It is `evaluate_blocks` of one block on each side.
+
+    Each side is a dataset, or the `location_frames` of blocks of whole
+    locations at threshold: either gives the same bits, or raises the
+    same error, however the locations are blocked or ordered.
     """
-    # Checked first, so that a bad threshold names the objective, as every
-    # error from either side does.
     with _named(spec):
         check_threshold(threshold)
-    (estimate,) = evaluate_blocks(
-        (spec,), [location_frames((spec,), train, threshold)],
-        None if test is train
-        else [location_frames((spec,), test, threshold)])
-    return estimate
+        frames = _segment(spec, train, threshold)
+        params = _fitted(spec, frames)
+        if test is train:
+            return _estimate(spec, params, frames)
+        return _scored(spec, params, _segment(spec, test, threshold))
 
 
 def location_frames(
@@ -508,8 +513,8 @@ def location_frames(
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> tuple[tuple[str, ...], dict[str, _Frames]]:
     """dataset's location ids, and its locations' frames for each transform
-    of specs: what `evaluate_blocks` needs of a block of whole locations.
-    It grows with the locations, not with the pairs."""
+    of specs: what `evaluate_objective` needs of a block of whole
+    locations. It grows with the locations, not with the pairs."""
     kinds = dict.fromkeys(spec.transform_kind for spec in specs)
     return dataset.location_ids, {
         kind: _frames([s for s in specs if s.transform_kind == kind],
@@ -517,34 +522,14 @@ def location_frames(
         for kind in kinds}
 
 
-_Blocks = Sequence[tuple[tuple[str, ...], dict[str, _Frames]]]
-
-
-def evaluate_blocks(
-    specs: Sequence[ObjectiveSpec],
-    train: _Blocks,
-    test: _Blocks | None = None,
-) -> list[EntropyEstimate]:
-    """Each objective of specs fitted on every location of train and
-    scored on every location of test at the fitted parameters, or in
-    sample on train where test is None. Both are the `location_frames` of
-    blocks of whole locations at one threshold, so this is bit for bit
-    what evaluate_objective(spec, a, b) gives, or raises, on the datasets
-    a and b of those locations, however they are blocked or ordered."""
-    train_ids = [i for block_ids, _ in train for i in block_ids]
-    test_ids = None if test is None else [
-        i for block_ids, _ in test for i in block_ids]
-    estimates = []
-    for spec in specs:
-        kind = spec.transform_kind
-        with _named(spec):
-            frames = _total([kinds[kind] for _, kinds in train], train_ids)
-            params = _fitted(spec, frames)
-            estimates.append(
-                _estimate(spec, params, frames) if test is None
-                else _scored(spec, params, _total(
-                    [kinds[kind] for _, kinds in test], test_ids)))
-    return estimates
+def _segment(spec: ObjectiveSpec, side: Dataset | _Blocks, threshold: float
+             ) -> _Frames:
+    """The frame of spec's transform on every location of side, a dataset
+    or the location frames of blocks, as one segment."""
+    if isinstance(side, Dataset):
+        side = [location_frames((spec,), side, threshold)]
+    return _total([kinds[spec.transform_kind] for _, kinds in side],
+                  [i for block_ids, _ in side for i in block_ids])
 
 
 def score_objective(
@@ -561,8 +546,7 @@ def score_objective(
     evaluated series; where a location's sigma_o is 0, test gets the
     zero-likelihood sentinel, as an out-of-support uniform bound does.
     """
-    return _scored(spec, params, _total([_frames((spec,), test, threshold)],
-                                        test.location_ids))
+    return _scored(spec, params, _segment(spec, test, threshold))
 
 
 def _scored(spec: ObjectiveSpec, params: FittedParams, frames: _Frames

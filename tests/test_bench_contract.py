@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-import objentropy
 from objentropy import cli
 from objentropy import io as oio
 from objentropy.data import Dataset
@@ -82,9 +81,7 @@ def test_rank_under_tracer(tmp_path, capsys):
 
 def test_counters_read_the_evaluations(tmp_path, capsys):
     """The benchmark's evaluate_objective counters sum the n_eval and
-    zero-likelihood flags of the rows rank reports. rank folds location
-    frames through evaluate_blocks, so the evaluations counted are
-    evaluate_objective's of the same split, which rank's rows equal."""
+    zero-likelihood flags of the rows rank reports."""
     data = tmp_path / "d.csv"
     _synth(data, "--family", "multiplicative-log-laplace", "--scale", "0.4",
            "--zero-inflation", "0.05", "--seed", "7")
@@ -93,17 +90,9 @@ def test_counters_read_the_evaluations(tmp_path, capsys):
     with run.Tracer(run.COUNTERS) as tracer:
         rc = cli.main(["rank", "--input", str(data), "--split", "random:0.5",
                        "--format", "json", "--out", str(out)])
-        train, test = objentropy.split(objentropy.load_csv(data),
-                                       objentropy.SplitSpec("random", 0.5))
-        estimates = {spec.name: objentropy.evaluate_objective(spec, train,
-                                                              test)
-                     for spec in objentropy.CATALOG.values()}
     capsys.readouterr()
     assert rc == 0
     rows = json.loads(out.read_text())["rows"]
-    assert [(row["n_eval"], row["zero_likelihood"]) for row in rows] == [
-        (estimates[row["objective"]].n_eval,
-         estimates[row["objective"]].zero_likelihood) for row in rows]
     flagged = sum(row["zero_likelihood"] for row in rows)
     assert flagged > 0
     counts = tracer.counts

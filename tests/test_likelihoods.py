@@ -47,7 +47,6 @@ from objentropy.likelihoods import (
     _binomial,
     _per_location,
     _sigma_o,
-    evaluate_blocks,
     evaluate_objective,
     get_objective,
     location_frames,
@@ -904,7 +903,7 @@ def _assert_blocked_equals_split(ds, split_spec, size):
         blocks = split_blocks(ds, split_spec, frames)
     expected = _outcomes(lambda spec: evaluate_objective(spec, train, test))
     assert _outcomes(
-        lambda spec: evaluate_blocks([spec], *blocks)[0]) == expected
+        lambda spec: evaluate_objective(spec, *blocks)) == expected
     return expected
 
 

@@ -19,7 +19,6 @@ from objentropy.data import validate_dataset
 from objentropy.diagnostics import per_location_entropy
 from objentropy.likelihoods import (
     CATALOG,
-    evaluate_blocks,
     evaluate_objective,
     location_frames,
 )
@@ -151,7 +150,8 @@ def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
         def call():
             parts = oio.reduce_csv(path, partial(location_frames, specs))
             blocks[n] = len(parts)
-            return evaluate_blocks(specs, parts)
+            return [evaluate_objective(spec, parts, parts)
+                    for spec in specs]
         return call
 
     _peak(make(1_000))
@@ -179,7 +179,8 @@ def test_streamed_location_holds_what_the_whole_read_does(tmp_path,
 
         def call():
             blocks = oio.reduce_csv(path, partial(location_frames, specs))
-            return evaluate_blocks(specs, blocks)
+            return [evaluate_objective(spec, blocks, blocks)
+                    for spec in specs]
         return call, n
 
     _assert_per_pair(make, 2 * 2 * FLOAT + 1)
