@@ -2,23 +2,27 @@
 
 Input schema: header row with location_id, observed, predicted, plus an
 optional timestamp column that is ignored for scoring and kept for
-time-based splits. Machine-readable outputs (csv, json) carry full float
-precision through repr, so the two formats hold identical numeric values;
-human tables round to two decimals.
+time-based splits. One block reader parses the data records (see
+_parse_blocks): load_csv keeps every record, and reduce_csv streams a
+grouped file's locations. Machine-readable outputs (csv, json) carry full
+float precision through repr, so the two formats hold identical numeric
+values; human tables round to two decimals.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 import os
 import pickle
+import re
 import shutil
 import signal
 import tempfile
 import threading
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
 
@@ -39,28 +43,27 @@ from .errors import (
 from .information import EntropyEstimate, EntropyReport
 
 _REQUIRED = ("location_id", "observed", "predicted")
-# Suffixes numpy decompresses when it is handed a path.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# The file size from which the ids are read in a forked child: on a 2-CPU
-# x86-64 Linux host, a fork and its pipe cost 5-9 ms, and load_csv took
-# about as long either way on a 1 MB file (about 30 ms).
+# The file size from which a CSV read cuts its records into one range per
+# worker: on a 2-CPU x86-64 Linux host, a fork and its pipe cost 5-9 ms,
+# and a 1 MB file loaded in about 30 ms either way.
 _FORK_BYTES = 1 << 20
 # Rows formatted per write, so that no range of rows becomes one string:
 # a chunk's floats, lines, text and bytes take about 1.7 MB. Formatting
 # one chunk takes longer than a fork (about 16 ms against 5-9 ms), so the
 # writer splits the rows into no more ranges than it has chunks.
 _CHUNK_ROWS = 1 << 13
-# Bytes of records that reduce_csv parses at a time: what a block holds
-# does not grow with the file.
+# Bytes of records parsed at a time.
 _BLOCK_BYTES = 1 << 20
 # The most records of one location with which reduce_csv streams a file:
-# the bound on a block of whole locations. A location is reduced whole,
-# so a larger one would take as much memory streamed as read whole, and
-# one process would parse it, where load_csv parses ids and numbers in
-# two at once.
+# a location is reduced whole, so a larger one would take as much memory
+# as a load, and one process would parse what a load shares out.
 _LOCATION_ROWS = _BLOCK_PAIRS
-# How numpy reads CSV text, from a path or from a list of lines.
+# How numpy reads a block of CSV records, as a list of lines.
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+_LONE_CR = re.compile(r"\r(?!\n)")
+_CONTENT = re.compile(r"[^\r\n]")
+# A line with its LF, or a last line without one.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -72,14 +75,18 @@ def load_csv(path: str | Path) -> Dataset:
     header; it names at least location_id, observed and predicted, plus an
     optional timestamp column, in any order; further columns are ignored.
     There are no comment lines: `#` is an ordinary character. Records that
-    are empty or hold only whitespace are skipped. Location ids and timestamps are stripped of
-    surrounding whitespace, and every number is parsed as `float()` parses
-    it. Rows are grouped by location id, locations in order of first
-    appearance and rows in file order within each location. The file is
-    read as written, whatever its name ends in: nothing is decompressed.
+    are empty or hold only whitespace are skipped. Location ids and
+    timestamps are stripped of surrounding whitespace, and every number is
+    parsed as `float()` parses it. Rows are grouped by location id,
+    locations in order of first appearance and rows in file order within
+    each location. The file is read as written, whatever its name ends in:
+    nothing is decompressed.
 
-    The header, the check for data rows and the row parser read an open
-    handle; the columnar read hands numpy the path (see _loadtxt).
+    The records are parsed by block (see _parse_blocks), a range per
+    process, and each process spools its numbers to an unnamed temporary
+    file read into the pairs. Where numpy rejects a record, the row parser
+    reads the file: it raises the line-numbered error or reads what
+    float() accepts.
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
     required column is absent or a column it reads is named twice,
@@ -88,74 +95,87 @@ def load_csv(path: str | Path) -> Dataset:
     """
     path = Path(path)
     with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        columns = _columns(reader, path, _REQUIRED, "timestamp")
-        header_lines = reader.line_num
-        # Checked here because numpy only warns on input without data.
-        if not any(line.strip() for line in fh):
-            raise EmptyFile(f"{path} has a header but no data rows")
+        columns, cuts = _layout(fh, path)
         try:
-            return _read_columns(path, columns, header_lines)
+            return _load_blocks(path, columns, cuts)
         except UnicodeDecodeError:
             raise
         except ValueError:
-            # A cell numpy cannot read: parse by row, which either raises
-            # the line-numbered error or reads what float() accepts.
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
             return _read_rows(reader, columns, path)
 
 
+def _load_blocks(path: Path, columns: Mapping[str, int], cuts: list[int]
+                 ) -> Dataset:
+    """The dataset of path's records in the ranges of cuts, as load_csv
+    reads them; their runs are grouped once, over the file. Raises
+    EmptyFile without a record, and what _parse_blocks raises."""
+    with ExitStack() as stack:
+        spools = [stack.enter_context(tempfile.TemporaryFile())
+                  for _ in cuts[1:]]
+        # Where children can parse every range, this process parses none,
+        # so that no block's line strings leave it fragmented memory.
+        blocks = [block for part in _ranges(_load_range, cuts, path, columns,
+                                            spools, here=len(spools) == 1)
+                  for block in part]
+        if not blocks:
+            raise EmptyFile(f"{path} has a header but no data rows")
+        lengths = np.concatenate([runs for _, runs, _ in blocks])
+        pairs = np.empty((2, int(lengths.sum())))
+        at = 0
+        for spool in spools:
+            spool.seek(0)
+            while chunk := spool.read(_BLOCK_PAIRS * 16):
+                numbers = np.frombuffer(chunk).reshape(-1, 2)
+                pairs[:, at:at + len(numbers)] = numbers.T
+                at += len(numbers)
+    # Python strings are made once every block's lines are gone.
+    heads = [head.strip() for heads, _, _ in blocks for head in heads.tolist()]
+    stamps = None if blocks[0][2] is None else [
+        stamp.strip() for _, _, stamps in blocks for stamp in stamps.tolist()]
+    return _dataset(heads, lengths, pairs, stamps)
+
+
+def _load_range(
+    path: Path, columns: Mapping[str, int], spools: list[BinaryIO],
+    cuts: list[int], k: int,
+) -> list[list[np.ndarray | None]]:
+    """The raw run ids, run lengths and raw timestamps of each block of
+    range k of cuts (see _parse_blocks); the blocks' (m, 2) numbers go to
+    spools[k], which is flushed."""
+    blocks = []
+    with path.open("rb") as fh:
+        for *block, numbers in _parse_blocks(fh, cuts[k], cuts[k + 1],
+                                             columns):
+            blocks.append(block)
+            spools[k].write(numbers)
+    # A forked child ends in os._exit, which flushes no buffer.
+    spools[k].flush()
+    return blocks
+
+
 def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
                ) -> list[Any] | None:
     """reduce(block) of each block of whole locations of the CSV file at
-    path, in file order, where each block is a Dataset of those locations
-    as load_csv reads them, without timestamps; or None where the file is
-    to be read whole, by load_csv. The file's dataset is never held.
-
-    The input alone decides: None for a `"` in the records, as a quoted
-    cell may span lines; for a location whose records lie apart; for a
-    location of more than _LOCATION_ROWS records; for a record numpy
-    rejects or a value a Dataset rejects, so that load_csv's row parse or
-    error holds; and for a file without data rows. The header is read as
-    load_csv reads it, and raises its errors.
-
-    Where the file holds at least _FORK_BYTES, its records are cut into one
-    contiguous range per worker (see _workers): this process reduces the
-    first range and a forked child each other one, and only what reduce
-    returns crosses a pipe. Each range takes whole locations (see _runs)
-    and parses about _BLOCK_BYTES at a time, carrying the location in
-    progress at a block's end, parsed, into the next block; so a block
-    holds about _BLOCK_BYTES of records plus at most one location, of at
-    most _LOCATION_ROWS records.
+    path, in file order, a block being a Dataset of those locations as
+    load_csv reads them, without timestamps; or None where the file is to
+    be loaded, as the input alone decides: for a location whose records lie
+    apart or that holds more than _LOCATION_ROWS records, for what load_csv
+    would parse by row or reject, and for a file without data rows. The
+    header is read as load_csv reads it, and raises its errors. Each range
+    of records (see _ranges) takes whole locations (see _runs), a block at
+    a time, carrying the location in progress at a block's end into the
+    next; only what reduce returns crosses a pipe.
     """
     path = Path(path)
     with _open_text(path) as fh:
-        columns = _columns(csv.reader(fh), path, _REQUIRED, "timestamp")
-    text_cols = [columns["location_id"]]
-    if "timestamp" in columns:
-        text_cols.append(columns["timestamp"])
-    layout = (text_cols, (columns["observed"], columns["predicted"]))
-    with path.open("rb") as fh:
-        header = fh.readline()
-        start, end = fh.tell(), os.fstat(fh.fileno()).st_size
-        # A quote or a lone CR could make the header's record more or less
-        # than its first line.
-        if b'"' in header or b"\r" in header.rstrip(b"\r\n") or start == end:
-            return None
-        ranges = _workers() if end >= _FORK_BYTES else 1
-        cuts = [start, *(_line_start(fh, start + (end - start) * i // ranges)
-                         for i in range(1, ranges)), end]
+        columns, cuts = _layout(fh, path)
     ids: list[str] = []
     blocks: list[Any] = []
-    with ExitStack() as stack:
-        children = [stack.enter_context(
-            _in_child(_reduce_range, path, layout, cuts, k, reduce))
-            for k in range(1, ranges)]
-        for part in (lambda: _reduce_range(path, layout, cuts, 0, reduce),
-                     *children):
-            taken = part()
+    with closing(_ranges(_reduce_range, cuts, path, columns, reduce)) as parts:
+        for taken in parts:
             if taken is None:
                 return None
             ids += taken[0]
@@ -165,16 +185,67 @@ def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
     return blocks
 
 
-def _line_start(fh: BinaryIO, offset: int) -> int:
-    """The first line start of fh at or after offset, which is > 0."""
-    fh.seek(offset - 1)
-    fh.readline()
-    return fh.tell()
+def _ranges(fn: Callable[..., Any], cuts: list[int], *args: Any,
+            here: bool = True) -> Iterator[Any]:
+    """fn(*args, cuts, k) for each range k of cuts, in order: this process
+    runs the first where here is true, and a forked child each other one,
+    killed where the iteration stops before its result."""
+    with ExitStack() as stack:
+        children = [stack.enter_context(_in_child(fn, *args, cuts, k))
+                    for k in range(here, len(cuts) - 1)]
+        if here:
+            yield fn(*args, cuts, 0)
+        for child in children:
+            yield child()
+
+
+def _layout(fh: TextIO, path: Path) -> tuple[dict[str, int], list[int]]:
+    """The columns of the header of fh, path opened by _open_text (see
+    _columns), and the byte offsets that cut the records after it into one
+    range per worker (see _workers) where the file holds _FORK_BYTES, else
+    one, each inner cut at the last record end before an even share."""
+    lines: list[str] = []
+    columns = _columns(csv.reader(lines.append(line) or line for line in fh),
+                       path, _REQUIRED, "timestamp")
+    with path.open("rb") as raw:
+        # The header's record is the lines the csv module read for it,
+        # after a byte-order mark, if any.
+        cuts = [len("".join(lines).encode())]
+        if raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8:
+            cuts[0] += len(codecs.BOM_UTF8)
+        end = os.fstat(raw.fileno()).st_size
+        ranges = _workers() if end >= _FORK_BYTES else 1
+        for i in range(1, ranges):
+            offset = cuts[0] + (end - cuts[0]) * i // ranges
+            raw.seek(at := cuts[-1])
+            rest = b""
+            while at < offset and (
+                    chunk := raw.read(min(_BLOCK_BYTES, offset - at))):
+                at += len(chunk)
+                rest += chunk
+                rest = rest[_last_end(rest):]
+            cuts.append(at - len(rest))
+    return columns, [*cuts, end]
+
+
+def _last_end(data: bytes) -> int:
+    """One past the last record end of data, records from its start, or 0:
+    the last CR or LF with an even count of `"` before it, so outside quotes
+    (see _lines). A CR cut from its LF leaves a blank line."""
+    quotes = data.count(b'"') if b'"' in data else 0
+    end = len(data)
+    while (at := max(data.rfind(b"\n", 0, end),
+                     data.rfind(b"\r", 0, end))) >= 0:
+        quotes -= data.count(b'"', at, end)
+        if quotes % 2 == 0:
+            return at + 1
+        end = at
+    return 0
 
 
 def _reduce_range(
-    path: Path, layout: tuple[list[int], tuple[int, int]], cuts: list[int],
-    k: int, reduce: Callable[[Dataset], Any],
+    path: Path, columns: Mapping[str, int], reduce: Callable[[Dataset], Any],
+    cuts: list[int], k: int,
 ) -> tuple[list[str], list[Any]] | None:
     """The ids of the locations that range k of cuts takes (see _runs), in
     order, and reduce of each block of them; None where the range shows
@@ -207,7 +278,7 @@ def _reduce_range(
 
     try:
         with path.open("rb") as fh:
-            for runs in _runs(fh, layout, cuts, k):
+            for runs in _runs(fh, columns, cuts, k):
                 for name, numbers in runs:
                     if location is not None and location[0] == name:
                         location[1].append(numbers)
@@ -229,20 +300,15 @@ def _reduce_range(
 
 
 def _runs(
-    fh: BinaryIO, layout: tuple[list[int], tuple[int, int]], cuts: list[int],
-    k: int,
+    fh: BinaryIO, columns: Mapping[str, int], cuts: list[int], k: int,
 ) -> Iterator[list[tuple[str, np.ndarray]]]:
     """For each block that range k parses, the runs of records it takes,
-    as (stripped id, (n, 2) observed and predicted numbers) pairs.
-
-    Range k reads the records of bytes cuts[k]:cuts[k + 1], and after them
-    the records of the location in progress there. Every range but the
-    first skips its first location, which the range before it finishes;
-    a range still skipping it at cuts[k + 1] takes nothing more. So in a
-    grouped file each location is taken whole, by one range.
-
-    Raises ValueError, as _parse_blocks does, and for a location of more
-    than _LOCATION_ROWS records, taken or skipped.
+    as (stripped id, (n, 2) observed and predicted numbers) pairs: the
+    records of bytes cuts[k]:cuts[k + 1] and of the location in progress
+    there. Every range but the first skips its first location, which the
+    range before it finishes, so each location of a grouped file is taken
+    whole, by one range. Raises ValueError, as _parse_blocks does for a
+    grouped file, and for a location of more than _LOCATION_ROWS records.
     """
     regions = [(cuts[k], cuts[k + 1], False)]
     if k + 2 < len(cuts):
@@ -251,10 +317,12 @@ def _runs(
     first = tail = last = None
     rows = 0  # of location `last` so far
     for lo, hi, overrun in regions:
-        for names, bounds, numbers in _parse_blocks(fh, lo, hi, layout):
+        for heads, lengths, _, numbers in _parse_blocks(fh, lo, hi, columns,
+                                                        grouped=True):
             taken = []
-            bounds = bounds.tolist()
-            for name, a, b in zip(names, bounds, bounds[1:]):
+            ends = np.cumsum(lengths).tolist()
+            for name, a, b in zip(map(str.strip, heads.tolist()), [0, *ends],
+                                  ends):
                 if overrun:
                     tail = name if tail is None else tail
                     if name != tail:
@@ -277,43 +345,83 @@ def _runs(
 
 
 def _parse_blocks(
-    fh: BinaryIO, lo: int, hi: int, layout: tuple[list[int], tuple[int, int]],
-) -> Iterator[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
-    """The records of bytes lo:hi of fh, two line starts, parsed about
-    _BLOCK_BYTES at a time. For each block that holds records: its
-    locations' stripped ids and bounds, as _group gives them, and the
-    (n, 2) observed and predicted numbers.
-
-    Each block is a list of lines for np.loadtxt, which parses it as it
-    parses a path, except that a lone CR raises ValueError. So do a `"`, a
-    byte that is not UTF-8, what numpy rejects from a path, and an id that
-    appears again after another location's within the block.
-    """
-    text_cols, number_cols = layout
+    fh: BinaryIO, lo: int, hi: int, columns: Mapping[str, int],
+    grouped: bool = False,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]]:
+    """For each block of about _BLOCK_BYTES of bytes lo:hi of fh, two record
+    starts, cut at its last record end (see _last_end), that holds records:
+    the raw id and length of each run of records with equal raw ids, the
+    raw timestamps or None, as numpy strings, and the (m, 2) numbers.
+    np.loadtxt reads the lines (see _lines) as the row parser reads the
+    records, or raises ValueError, as does, where grouped, a block whose
+    runs do not group (see _group), before its numbers are parsed. A byte
+    that is not UTF-8 raises UnicodeDecodeError after the records before
+    it."""
+    text_cols = [columns[name] for name in ("location_id", "timestamp")
+                 if name in columns]
     fh.seek(lo)
     left, rest = hi - lo, b""
-    while left > 0 and (chunk := fh.read(min(_BLOCK_BYTES, left))):
-        left -= len(chunk)
+    while left > 0 or rest:
+        chunk = fh.read(min(_BLOCK_BYTES, left))
+        left = left - len(chunk) if chunk else 0
         data = rest + chunk
-        cut = len(data) if left == 0 else data.rfind(b"\n") + 1
-        data, rest = data[:cut], data[cut:]
-        if b'"' in data:
-            raise ValueError("a quoted cell may span lines")
-        text = data.decode("utf-8")
-        if not text.strip("\r\n"):
+        del chunk
+        cut = len(data) if left == 0 else _last_end(data)
+        try:
+            text = str(memoryview(data)[:cut], "utf-8")
+        except UnicodeDecodeError as exc:
+            # The records before the byte make a block; the next raises.
+            if not (cut := _last_end(data[:exc.start])):
+                raise
+            text = str(memoryview(data)[:cut], "utf-8")
+        # The bytes and then the text go as soon as the lines are made.
+        rest = data[cut:]
+        del data
+        lines = _lines(text)
+        del text
+        if not lines:
             continue
-        lines = text.split("\n")
+        # A new StringDType for each parse: numpy 2.4 fails to free the
+        # strings of an array whose dtype a later parse reuses.
         ids = np.loadtxt(lines, usecols=text_cols,
-                         dtype=np.dtypes.StringDType(), **_CSV)[:, 0]
-        # An ungrouped block is rejected before its numbers are parsed.
-        names, bounds, order = _group_ids(ids, _run_starts(ids))
-        if order is not None:
+                         dtype=np.dtypes.StringDType(), **_CSV)
+        starts = np.flatnonzero(ids[1:, 0] != ids[:-1, 0]) + 1
+        heads = ids[np.r_[0, starts], 0]
+        if grouped and _group(list(map(str.strip, heads.tolist())),
+                              1)[2] is not None:
             raise ValueError("a location's records lie apart")
-        del ids
-        numbers = np.loadtxt(lines, usecols=number_cols, dtype=np.float64,
-                             **_CSV)
-        del text, lines
-        yield names, bounds, numbers
+        numbers = np.loadtxt(lines, usecols=(columns["observed"],
+                                             columns["predicted"]),
+                             dtype=np.float64, **_CSV)
+        del lines
+        yield (heads, np.diff(starts, prepend=0, append=len(ids)),
+               ids[:, 1].copy() if len(text_cols) == 2 else None, numbers)
+        del ids, heads, numbers
+
+
+def _lines(text: str) -> list[str]:
+    """text, whole records, as lines that numpy reads as the csv module
+    does ([] for none): each lone CR outside quotes, a record end, made a
+    LF, and where text holds a `"`, each LF kept, as numpy joins a quoted
+    cell's lines as given. Counting `"` tells a record end from a quoted
+    line end where each opens a cell, closes one or doubles inside one, as
+    the csv module writes them; any other raises ValueError, so that the
+    row parser reads the file."""
+    quoted = '"' in text
+    # Outside quotes: the even parts.
+    parts = text.split('"') if quoted else [text]
+    for i in range(0, len(parts), 2):
+        part = parts[i]
+        if part and (i > 0 and part[0] not in ",\r\n"
+                     or i + 1 < len(parts) and part[-1] not in ",\r\n"):
+            raise ValueError('a `"` that neither opens nor closes a cell')
+    if "\r" in text and _LONE_CR.search(text):
+        parts[::2] = [_LONE_CR.sub("\n", part) for part in parts[::2]]
+        text = '"'.join(parts)
+    del parts
+    if not _CONTENT.search(text):
+        return []
+    return _LINE.findall(text) if quoted else text.split("\n")
 
 
 def load_entropies(path: str | Path) -> list[EntropyEstimate]:
@@ -431,116 +539,25 @@ def _group(
     return tuple(codes), bounds, order
 
 
-def _run_starts(ids: np.ndarray) -> np.ndarray:
-    """Where the runs of equal raw ids of the column ids start."""
-    return np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-
-
-def _group_ids(
-    ids: np.ndarray, starts: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
-    """_group of the column of raw ids ids, whose runs start at starts:
-    run heads that strip to the same id are one location. Only the heads
-    become Python strings."""
-    return _group([head.strip() for head in ids[starts].tolist()],
-                  np.diff(starts, append=len(ids)))
-
-
-def _pairs(numbers: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """The (n, 2) observed and predicted numbers of n records as a
-    C-contiguous (2, n) pairs array, records in order (as _group returns
-    it). Each row is written once, so the only other per-record array made
-    is one column's gather when order is given."""
-    pairs = np.empty(numbers.shape[::-1])
-    for row, column in zip(pairs, numbers.T):
-        row[...] = column if order is None else column[order]
+def _pairs(pairs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """pairs, the (2, n) observed and predicted numbers of n records, with
+    the records put in order in place (as _group returns it): each row is
+    gathered through one copy of it. Where order is None, pairs as given."""
+    if order is not None:
+        for row in pairs:
+            row[...] = row[order]
     return pairs
 
 
-def _read_columns(path: Path, columns: Mapping[str, int], skip: int
-                  ) -> Dataset:
-    """Columnar parse of the data records.
-
-    numpy raises ValueError on a record it cannot read, such as a short
-    row, a whitespace-only line or a number float() accepts only after
-    removing underscores; what it does read matches the row parser bit for
-    bit.
-
-    The ids (and timestamps) and the numbers are read separately (see
-    _loadtxt). numpy holds the GIL while it parses, so where there is more
-    than one worker (see _workers) and the file holds at least _FORK_BYTES,
-    the ids are read in a forked child while this process reads the
-    numbers. An error of the id read wins over one of the number read, as
-    when the id read runs first, here.
-    """
-    text_cols = [columns["location_id"]]
-    if "timestamp" in columns:
-        text_cols.append(columns["timestamp"])
-    fork = _workers() > 1 and path.stat().st_size >= _FORK_BYTES
-    with _in_child(_read_ids, path, text_cols, skip, fork=fork) as ids:
-        try:
-            numbers = _loadtxt(path, skip, (columns["observed"],
-                                            columns["predicted"]), np.float64)
-        except ValueError:
-            ids()
-            raise
-        location_ids, bounds, order, stamps = ids()
-    pairs = _pairs(numbers, order)
-    del numbers, order
-    return Dataset(location_ids, bounds, pairs, stamps)
-
-
-def _read_ids(
-    path: Path, text_cols: list[int], skip: int
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None,
-           tuple[str, ...] | None]:
-    """The location ids of the data records of path, in order of first
-    appearance, their bounds, the record order that groups them, or None
-    when the file is grouped (as _group returns them), and the stripped
-    timestamps in that order, or None when text_cols names only the id
-    column.
-
-    numpy opens a path with universal newlines, so a quoted CR or CRLF in an
-    id or timestamp reads as LF. Every cell that changes then holds a LF,
-    and every id of a run equals its head, so if a run head or a timestamp
-    holds a LF the text is read again from a handle.
-    """
-
-    def read_text(handle=False):
-        # Variable-width strings keep trailing NULs, which a fixed-width
-        # str column drops, and need less memory for short ids. Runs of
-        # equal raw ids start at `starts`.
-        text = _loadtxt(path, skip, text_cols, np.dtypes.StringDType(),
-                        handle)
-        return text, _run_starts(text[:, 0])
-
-    text, starts = read_text()
-    if any(np.strings.count(cells, "\n").any()
-           for cells in (text[starts, 0], *text[:, 1:].T)):
-        text, starts = read_text(handle=True)
-
-    location_ids, bounds, order = _group_ids(text[:, 0], starts)
-    stamps = None
-    if len(text_cols) == 2:
-        cells = text[:, 1] if order is None else text[order, 1]
-        stamps = tuple(map(str.strip, cells.tolist()))
-    return location_ids, bounds, order, stamps
-
-
-def _loadtxt(path: Path, skip: int, usecols: Sequence[int], dtype: Any,
-             handle: bool = False) -> np.ndarray:
-    """The columns usecols of path's records after its first skip lines.
-
-    numpy parses a path in large blocks and a handle line by line, so the
-    path is read, unless handle is set or the name ends in a suffix numpy
-    would decompress (*.gz, *.bz2, *.xz or *.lzma). A handle is opened
-    here, as a forked child shares its parent's file offsets.
-    """
-    with (path.open(newline="", encoding="utf-8-sig")
-          if handle or path.suffix in _COMPRESSED
-          else nullcontext(str(path))) as source:
-        return np.loadtxt(source, skiprows=skip, usecols=usecols, dtype=dtype,
-                          encoding="utf-8-sig", **_CSV)
+def _dataset(heads: list[str], lengths: int | np.ndarray, pairs: np.ndarray,
+             stamps: list[str] | None) -> Dataset:
+    """The dataset of records in runs, as _group takes them, whose (2, n)
+    numbers are pairs and whose timestamps (or None) are stamps, both in
+    file order: grouped by location (see _group and _pairs)."""
+    location_ids, bounds, order = _group(heads, lengths)
+    if stamps is not None and order is not None:
+        stamps = list(map(stamps.__getitem__, order.tolist()))
+    return Dataset(location_ids, bounds, _pairs(pairs, order), stamps)
 
 
 def _workers() -> int:
@@ -555,22 +572,16 @@ def _workers() -> int:
 
 
 @contextmanager
-def _in_child(
-    fn: Callable[..., Any], *args: Any, fork: bool = True
-) -> Iterator[Callable[[], Any]]:
+def _in_child(fn: Callable[..., Any], *args: Any
+              ) -> Iterator[Callable[[], Any]]:
     """Call fn(*args) in a forked child process while the with block runs.
 
     Yields a function that waits for the child and returns fn's result or
     raises fn's exception, which the child pickles into a pipe. A child
     that ends without sending them raises ChildProcessError. However the
     block is left, a child still running is killed, and the child is
-    reaped. With fork false, fn runs here, before the block, and its
-    exception leaves the with statement.
+    reaped.
     """
-    if not fork:
-        value = fn(*args)
-        yield lambda: value
-        return
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -626,25 +637,19 @@ def _read_rows(
     """Row-by-row parse of the data records after the header."""
     has_time = "timestamp" in columns
     locs: list[str] = []
-    numbers: list[tuple[float, float]] = []
+    numbers: tuple[list[float], list[float]] = ([], [])
     stamps: list[str] = []
     for line_no, row in _records(reader):
         locs.append(_cell(row, columns["location_id"], path, line_no).strip())
-        numbers.append((
-            _parse_number(row, columns["observed"], path, line_no),
-            _parse_number(row, columns["predicted"], path, line_no),
-        ))
+        for values, name in zip(numbers, ("observed", "predicted")):
+            values.append(_parse_number(row, columns[name], path, line_no))
         if has_time:
             stamps.append(
                 _cell(row, columns["timestamp"], path, line_no).strip()
             )
     if not locs:
         raise EmptyFile(f"{path} has a header but no data rows")
-    location_ids, bounds, order = _group(locs, 1)
-    if has_time and order is not None:
-        stamps = list(map(stamps.__getitem__, order.tolist()))
-    return Dataset(location_ids, bounds, _pairs(np.array(numbers), order),
-                   stamps if has_time else None)
+    return _dataset(locs, 1, np.array(numbers), stamps if has_time else None)
 
 
 def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:
@@ -673,14 +678,11 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
 
     Floats are written with repr, so a round trip reproduces the dataset
     exactly. Ids and timestamps are quoted as csv.QUOTE_MINIMAL quotes
-    them; load_csv strips their surrounding whitespace.
-
-    repr holds the GIL, so the rows are split into contiguous ranges, one
-    per worker (see _workers) but no more than one per _CHUNK_ROWS rows.
-    This process writes the first range; each forked child writes its
-    range to an unnamed temporary file in the output's directory, which is
-    then appended in order. The bytes do not depend on the number of
-    workers.
+    them; load_csv strips their surrounding whitespace. repr holds the
+    GIL, so the rows are cut into ranges (see _ranges), one per worker
+    (see _workers) but no more than one per _CHUNK_ROWS rows; a forked
+    child writes its range to an unnamed temporary file in the output's
+    directory, appended in order. The bytes do not depend on the workers.
     """
     path = Path(path)
     n = dataset.n_total
@@ -690,25 +692,22 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     if dataset.timestamps is not None:
         header = "timestamp," + header
     with path.open("wb") as out, ExitStack() as stack:
-        spools = []
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            spool = stack.enter_context(
-                tempfile.TemporaryFile(dir=path.parent))
-            spools.append((spool, stack.enter_context(
-                _in_child(_write_rows, dataset, start, stop, spool))))
         out.write(header.encode())
-        _write_rows(dataset, 0, cuts[1], out)
-        for spool, done in spools:
-            done()
-            spool.seek(0)
-            shutil.copyfileobj(spool, out)
+        spools = [out, *(stack.enter_context(
+            tempfile.TemporaryFile(dir=path.parent)) for _ in cuts[2:])]
+        for spool, _ in zip(spools, _ranges(_write_rows, cuts, dataset,
+                                            spools)):
+            if spool is not out:
+                spool.seek(0)
+                shutil.copyfileobj(spool, out)
 
 
 def _write_rows(
-    dataset: Dataset, start: int, stop: int, out: BinaryIO
+    dataset: Dataset, outs: list[BinaryIO], cuts: list[int], k: int,
 ) -> None:
-    """Write the records of rows start:stop of dataset to out, UTF-8
-    encoded, at most _CHUNK_ROWS rows at a time, and flush it."""
+    """Write the records of rows cuts[k]:cuts[k + 1] of dataset to outs[k],
+    UTF-8 encoded, at most _CHUNK_ROWS rows at a time, and flush it."""
+    start, stop, out = cuts[k], cuts[k + 1], outs[k]
     stamps = dataset.timestamps
     for loc, rows in dataset.rows():
         first, last = max(rows.start, start), min(rows.stop, stop)

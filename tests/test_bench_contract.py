@@ -144,10 +144,11 @@ def test_diagnose_commands_under_counters(tmp_path, capsys):
 
 
 def test_load_csv_reads_benchmark_input_from_the_path(tmp_path, monkeypatch):
-    """numpy parses a path in large blocks and an open handle line by line,
-    so both columnar reads of a benchmark input take the path, and none
-    falls back to the row parser. The id read runs in a forked child, as in
-    a benchmark-sized file, so the spy logs each call to a file."""
+    """Each of two processes parses a range of a benchmark input's bytes,
+    handing numpy each block as a list of lines, once for the ids and once
+    for the numbers, and none falls back to the row parser. One range is
+    read in a forked child, as in a benchmark-sized file, so the spy logs
+    each call to a file."""
     inputs = _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
     data = tmp_path / "flows.csv"
     inputs.write_csv(inputs.Shape(3, 50, "laplace", 0.5, 0.02), 5, data)
@@ -168,6 +169,7 @@ def test_load_csv_reads_benchmark_input_from_the_path(tmp_path, monkeypatch):
     monkeypatch.setattr(oio, "_workers", lambda: 2)
     dataset = oio.load_csv(data)
     calls = [line.split() for line in log.read_text().splitlines()]
-    assert [source for _, source in calls] == ["str", "str"]
-    assert len({pid for pid, _ in calls}) == 2
+    assert [source for _, source in calls] == ["list"] * 4
+    assert sorted(collections.Counter(pid for pid, _ in calls).values()) == [
+        2, 2]
     assert dataset.n_total == 150 and len(dataset.location_ids) == 3

@@ -4,12 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from objentropy.data import (
     Dataset,
     SplitSpec,
+    _held_out,
     split,
     validate_dataset,
 )
@@ -306,6 +307,22 @@ class TestSplit:
         second = split(ds, spec)
         np.testing.assert_array_equal(first.test.observed, second.test.observed)
         np.testing.assert_array_equal(first.train.observed, second.train.observed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 200_000), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 64 - 1))
+    @example(1_000_003, 0.3, 12345)
+    def test_held_out_draws_permutation_positions(self, n, fraction, seed):
+        """The int32 shuffle holds out the positions permutation(n) draws,
+        and the same units for locations as for pairs."""
+        n_test = int(round(fraction * n))
+        if not 1 <= n_test < n:
+            return
+        spec = SplitSpec("random", fraction, seed)
+        expected = np.zeros(n, dtype=bool)
+        expected[np.random.default_rng(seed).permutation(n)[:n_test]] = True
+        for unit in ("pairs", "locations"):
+            np.testing.assert_array_equal(_held_out(n, spec, unit), expected)
 
     @settings(max_examples=80, deadline=None)
     @given(_timestamped_datasets(),

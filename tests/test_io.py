@@ -10,6 +10,7 @@ import signal
 import threading
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from objentropy.io import (
     report_records,
     write_dataset_csv,
 )
-from objentropy.likelihoods import CATALOG, evaluate_objective
+from objentropy.likelihoods import CATALOG, evaluate_objective, location_frames
 from objentropy.synthetic import SyntheticModel, generate
 
 
@@ -131,13 +132,13 @@ def _load_by(path, monkeypatch, parser):
     columnar read gives up, "rows" skips the columnar read."""
     with monkeypatch.context() as m:
         if parser == "rows":
-            m.setattr(oio, "_read_columns", _reject)
+            m.setattr(oio, "_parse_blocks", _reject)
         else:
             m.setattr(oio, "_read_rows", _unexpected_fallback)
         return load_csv(path)
 
 
-def _reject(*args):
+def _reject(*args, **kwargs):
     raise ValueError("columnar read disabled")
 
 
@@ -353,10 +354,126 @@ class TestLoaderEquivalenceInChild(TestLoaderEquivalence):
         monkeypatch.setattr(oio, "_workers", lambda: 2)
 
 
-# The loader cases that rank reads whole: a quote, a location whose records
-# lie apart, or a record that numpy rejects.
+@st.composite
+def _csv_texts(draw):
+    """A CSV text from the loader cases' alphabet: ids that hold commas,
+    quotes, CRs, LFs, CRLFs, NULs or padding, blank lines, LF, CRLF and
+    lone-CR record ends, an optional timestamp column, and rows grouped
+    by location or interleaved."""
+    piece = st.sampled_from(["A", "b", "#", "\u00e9", ",", '"', "\r", "\n",
+                             "\r\n", "\x00", " ", "\t"])
+    cell = st.lists(piece, max_size=4).map("".join)
+    ids = draw(st.lists(cell, min_size=1, max_size=4))
+    with_time = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, len(ids) - 1), _FLOATS, _FLOATS, cell,
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.sampled_from(["", "\n", "\r\n", "\r"])),
+        min_size=1, max_size=12))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0])
+    header = ("timestamp," if with_time else "") + _HEADER[:-1]
+    text = header + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    for loc, obs, pred, stamp, end, blank in rows:
+        cells = [oio._quote(ids[loc]), repr(obs), repr(pred)]
+        if with_time:
+            cells.insert(0, oio._quote(stamp))
+        text += ",".join(cells) + end + blank
+    return text
+
+
+class TestBlockReader:
+    """load_csv's block reader gives the row parser's dataset without
+    falling back to it, at any block size and worker count, and
+    reduce_csv streams what it loads."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_csv_texts(), st.integers(1, 80), st.integers(1, 3))
+    @example(_HEADER + '"p\r\nq",1,2\r"x""y",3,4\r\n\r\n"x""y",5,6', 1, 3)
+    def test_texts_load_as_the_row_parser_reads_them(
+            self, tmp_path_factory, text, block, workers):
+        f = tmp_path_factory.mktemp("blocks") / "d.csv"
+        f.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            reference = _load_by(f, mp, "rows")
+            mp.setattr(oio, "_BLOCK_BYTES", block)
+            mp.setattr(oio, "_FORK_BYTES", 0)
+            mp.setattr(oio, "_workers", lambda: workers)
+            _assert_identical(_load_by(f, mp, "columns"), reference)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 16, 1 << 20])
+    def test_quote_inside_a_cell_is_read_by_row(self, tmp_path, monkeypatch,
+                                                workers, block):
+        """A `"` inside an unquoted cell is a character to numpy and to the
+        csv module, but counting it would take the quoted line end after it
+        for a record end; the row parser reads such a file."""
+        f = tmp_path / "d.csv"
+        f.write_text('location_id,observed,predicted,note\n'
+                     'x"y,1,2,a\nB,3,4,"p\nC,5,6,q"\nD,7,8,z\n')
+        reference = _load_by(f, monkeypatch, "rows")
+        assert reference.location_ids == ('x"y', "B", "D")
+        monkeypatch.setattr(oio, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: workers)
+        rows = []
+        read_rows = oio._read_rows
+
+        def spy(*args):
+            rows.append(True)
+            return read_rows(*args)
+
+        monkeypatch.setattr(oio, "_read_rows", spy)
+        _assert_identical(load_csv(f), reference)
+        assert rows == [True]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 64, 1 << 20])
+    def test_quoted_file_streams_the_loaded_frames(self, tmp_path,
+                                                   monkeypatch, workers,
+                                                   block):
+        """reduce_csv streams a grouped file whose ids are quoted to the
+        location frames of the dataset load_csv reads, bit for bit."""
+        rng = np.random.default_rng(5)
+        f = tmp_path / "d.csv"
+        write_dataset_csv(validate_dataset({
+            loc: tuple(rng.lognormal(0.0, 1.0, (2, size)))
+            for loc, size in [("a,b", 3), ('say "x"', 9), ("p\r\nq", 2),
+                              ("r\rs", 5), ("t\nu", 4), ("v", 7)]
+        }), f)
+        specs = list(CATALOG.values())
+        loaded = location_frames(specs, load_csv(f))
+        monkeypatch.setattr(oio, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: workers)
+        streamed = oio.reduce_csv(f, partial(location_frames, specs))
+        assert streamed is not None
+        assert _frame_columns(streamed) == _frame_columns([loaded])
+
+
+def _frame_columns(blocks):
+    """The location ids of blocks of location frames, and each transform's
+    frame columns and failed locations, over all blocks."""
+    ids = [i for block_ids, _ in blocks for i in block_ids]
+    columns = {}
+    offset = 0
+    for block_ids, frames in blocks:
+        for kind, frame in frames.items():
+            cols = columns.setdefault(kind, {"errors": {}})
+            for name, col in [("n", frame.n), ("log_jacobian",
+                                                 frame.log_jacobian),
+                              ("n1", frame.n1), ("n2", frame.n2),
+                              *frame.statistic.items()]:
+                cols[name] = cols.get(name, b"") + col.tobytes()
+            cols["errors"].update((ids[offset + i], str(error))
+                                  for i, error in frame.errors.items())
+        offset += len(block_ids)
+    return ids, columns
+
+
+# The loader cases that rank reads whole: a location whose records lie
+# apart, or a record that numpy rejects. A quoted file streams.
 _READ_WHOLE = _UNGROUPED | {
-    case for case, (body, _) in _LOADER_CASES.items() if '"' in body} | {
     "whitespace-only lines", "blank cells", "underscore digits"}
 
 
@@ -517,23 +634,24 @@ class TestStreamedRank:
         that location."""
         monkeypatch.setattr(oio, "_BLOCK_BYTES", 64)
         monkeypatch.setattr(oio, "_LOCATION_ROWS", 1000)
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: 3)
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "".join(f"A,{i},1\n" for i in range(300)))
         parsed = []
         parse_blocks = oio._parse_blocks
 
-        def counting(*args):
-            for names, bounds, numbers in parse_blocks(*args):
-                parsed.append(len(numbers))
-                yield names, bounds, numbers
+        def counting(*args, **kwargs):
+            for block in parse_blocks(*args, **kwargs):
+                parsed.append(len(block[-1]))
+                yield block
 
         monkeypatch.setattr(oio, "_parse_blocks", counting)
-        start, end = len(_HEADER), f.stat().st_size
+        with oio._open_text(f) as text:
+            _, cuts = oio._layout(text, f)
+        columns = {"location_id": 0, "observed": 1, "predicted": 2}
         with f.open("rb") as fh:
-            cuts = [start, *(oio._line_start(fh, start + (end - start) * i // 3)
-                             for i in (1, 2)), end]
-            assert all(taken == [] for taken in
-                       oio._runs(fh, ([0], (1, 2)), cuts, 1))
+            assert all(taken == [] for taken in oio._runs(fh, columns, cuts, 1))
         # Its third of the 300 records, and at most 64 bytes after it.
         assert 100 <= sum(parsed) <= 110
 
@@ -564,9 +682,12 @@ class TestWorkerLifecycle:
         monkeypatch.setattr(oio, "_workers", lambda: 3)
 
     def test_killed_id_reader_is_an_error(self, tmp_path, monkeypatch):
+        """A child that reads a range of records, ids and numbers, is
+        killed before it sends them."""
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\nB,3,4\n")
-        monkeypatch.setattr(oio, "_read_ids", _killed_in_child(oio._read_ids))
+        monkeypatch.setattr(oio, "_load_range",
+                            _killed_in_child(oio._load_range))
         with pytest.raises(ChildProcessError, match=(
                 r"^worker process \d+ was killed by signal 9 before it "
                 r"sent its result$")):
@@ -584,18 +705,41 @@ class TestWorkerLifecycle:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_parent_error_kills_a_running_child(self, tmp_path, monkeypatch,
                                                 error):
-        """The id read would take a minute; the parent's number read fails
-        at once, and the child is killed and reaped without waiting."""
+        """The children's range reads would take a minute; this process's
+        own range read, the first range of a streamed rank, fails at once,
+        and the children are killed and reaped without waiting."""
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\n")
+        parent = os.getpid()
 
-        def fail(*args):
-            raise error("number read interrupted")
+        def read(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise error("range read interrupted")
 
-        monkeypatch.setattr(oio, "_read_ids", lambda *args: time.sleep(60))
-        monkeypatch.setattr(oio, "_loadtxt", fail)
+        monkeypatch.setattr(oio, "_reduce_range", read)
         start = time.monotonic()
         with pytest.raises(error):
+            oio.reduce_csv(f, len)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_first_range_error_kills_the_other_children(self, tmp_path,
+                                                        monkeypatch):
+        """load_csv reads every range in a child; the first range's error
+        is raised here at once, and the children still reading are killed
+        and reaped without waiting."""
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\nB,3,4\n")
+
+        def read(path, columns, spools, cuts, k):
+            if k:
+                time.sleep(60)
+            raise RuntimeError("range read failed")
+
+        monkeypatch.setattr(oio, "_load_range", read)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="range read failed"):
             load_csv(f)
         assert time.monotonic() - start < 30
         _assert_no_child_left()
