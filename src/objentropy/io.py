@@ -218,29 +218,36 @@ def _layout(fh: TextIO, path: Path) -> tuple[dict[str, int], list[int]]:
         for i in range(1, ranges):
             offset = cuts[0] + (end - cuts[0]) * i // ranges
             raw.seek(at := cuts[-1])
-            rest = b""
+            cut, odd = at, False
             while at < offset and (
                     chunk := raw.read(min(_BLOCK_BYTES, offset - at))):
+                found, odd = _last_end(chunk, odd)
+                cut = at + found if found else cut
                 at += len(chunk)
-                rest += chunk
-                rest = rest[_last_end(rest):]
-            cuts.append(at - len(rest))
+            cuts.append(cut)
     return columns, [*cuts, end]
 
 
-def _last_end(data: bytes) -> int:
-    """One past the last record end of data, records from its start, or 0:
-    the last CR or LF with an even count of `"` before it, so outside quotes
-    (see _lines). A CR cut from its LF leaves a blank line."""
-    quotes = data.count(b'"') if b'"' in data else 0
-    end = len(data)
-    while (at := max(data.rfind(b"\n", 0, end),
-                     data.rfind(b"\r", 0, end))) >= 0:
-        quotes -= data.count(b'"', at, end)
-        if quotes % 2 == 0:
-            return at + 1
-        end = at
-    return 0
+def _last_end(data: bytes, odd: bool = False) -> tuple[int, bool]:
+    """One past the last record end of data, or 0, and whether the count
+    of `"` is odd at data's end, odd being whether it is odd at its start,
+    counted from a record start. A record end is a CR or LF where the count
+    is even, so outside quotes (see _lines); a CR cut from its LF leaves a
+    blank line. The search walks back a quote at a time and looks for a
+    line end only where the count is even, so it reads each byte a bounded
+    number of times."""
+    odd_end = (odd + data.count(b'"')) % 2 == 1
+    odd, end = odd_end, len(data)
+    while True:
+        quote = data.rfind(b'"', 0, end)
+        if not odd:
+            at = data.rfind(b"\n", quote + 1, end)
+            at = max(at, data.rfind(b"\r", max(at, quote) + 1, end))
+            if at >= 0:
+                return at + 1, odd_end
+        if quote < 0:
+            return 0, odd_end
+        odd, end = not odd, quote
 
 
 def _reduce_range(
@@ -360,22 +367,28 @@ def _parse_blocks(
     text_cols = [columns[name] for name in ("location_id", "timestamp")
                  if name in columns]
     fh.seek(lo)
-    left, rest = hi - lo, b""
-    while left > 0 or rest:
+    # The bytes read after the last cut, which hold no record end, and
+    # whether they hold an odd count of `"`: each chunk is searched once.
+    left, held, odd = hi - lo, [], False
+    while left > 0 or held:
         chunk = fh.read(min(_BLOCK_BYTES, left))
         left = left - len(chunk) if chunk else 0
-        data = rest + chunk
-        del chunk
-        cut = len(data) if left == 0 else _last_end(data)
+        cut, odd = _last_end(chunk, odd)
+        held.append(chunk)
+        if left and not cut:
+            continue
+        data = b"".join(held)
+        end = len(data) - len(chunk) + cut if left else len(data)
+        del chunk, held[:]
         try:
-            text = str(memoryview(data)[:cut], "utf-8")
+            text = str(memoryview(data)[:end], "utf-8")
         except UnicodeDecodeError as exc:
             # The records before the byte make a block; the next raises.
-            if not (cut := _last_end(data[:exc.start])):
+            if not (end := _last_end(data[:exc.start])[0]):
                 raise
-            text = str(memoryview(data)[:cut], "utf-8")
+            text = str(memoryview(data)[:end], "utf-8")
         # The bytes and then the text go as soon as the lines are made.
-        rest = data[cut:]
+        held = [data[end:]] if end < len(data) else []
         del data
         lines = _lines(text)
         del text
@@ -764,15 +777,9 @@ def format_report(report: EntropyReport, fmt: str) -> str:
     lines = []
     for row in report.rows:
         h = row.h_adj_bits if report.adjusted else row.h_bits
-        lines.append((
-            row.name,
-            row.description,
-            str(row.k),
-            "inf" if not math.isfinite(h) else f"{h:.2f}",
-            f"{row.weight:.2f}",
-            str(row.rank),
-            str(row.excluded),
-        ))
+        lines.append((row.name, row.description, str(row.k),
+                      "inf" if not math.isfinite(h) else f"{h:.2f}",
+                      f"{row.weight:.2f}", str(row.rank), str(row.excluded)))
     return _render_table(header, lines)
 
 
@@ -796,12 +803,10 @@ def format_convergence(curves: Sequence[ConvergenceCurve], fmt: str) -> str:
 
 def format_correlations(matrix: EntropyMatrix, fmt: str) -> str:
     records = []
+    finite = np.isfinite(matrix.entropies)
     for i in range(len(matrix.objectives)):
         for j in range(i + 1, len(matrix.objectives)):
-            overlap = int((
-                np.isfinite(matrix.entropies[:, i])
-                & np.isfinite(matrix.entropies[:, j])
-            ).sum())
+            overlap = int((finite[:, i] & finite[:, j]).sum())
             records.append({
                 "objective_a": matrix.objectives[i],
                 "objective_b": matrix.objectives[j],
@@ -861,14 +866,8 @@ def _dump_json(payload: Any) -> str:
 
 
 def _render_table(header: tuple[str, ...], lines: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in header]
-    for line in lines:
-        for i, cell in enumerate(line):
-            widths[i] = max(widths[i], len(cell))
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for line in lines:
-        out.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-        )
-    return "\n".join(out) + "\n"
+    widths = [max(map(len, column)) for column in zip(header, *lines)]
+    rule = tuple("-" * w for w in widths)
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        + "\n" for line in (header, rule, *lines))

@@ -427,6 +427,54 @@ class TestBlockReader:
         _assert_identical(load_csv(f), reference)
         assert rows == [True]
 
+    @given(st.lists(st.sampled_from([b"a", b",", b'"', b"\r", b"\n"]),
+                    max_size=30).map(b"".join), st.booleans())
+    def test_last_end_is_the_last_line_end_outside_quotes(self, data, odd):
+        """_last_end gives one past the last CR or LF with an even count
+        of `"` before it, counted from a start at parity odd, and the
+        parity at data's end."""
+        ends = [i + 1 for i in range(len(data)) if data[i:i + 1] in b"\r\n"
+                and (odd + data[:i].count(b'"')) % 2 == 0]
+        assert oio._last_end(data, odd) == (
+            ends[-1] if ends else 0, (odd + data.count(b'"')) % 2 == 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stray_quote_in_a_large_file_reaches_the_row_parser_in_time(
+            self, tmp_path, monkeypatch, workers):
+        """After a `"` inside an unquoted cell, the quote count takes no
+        line end for a record end; the search for one looks at each byte a
+        bounded number of times, so a file of several blocks reaches the
+        row parser in about the time the row parser takes."""
+        rng = np.random.default_rng(2)
+        f = tmp_path / "d.csv"
+        write_dataset_csv(validate_dataset({
+            f"L{i}": tuple(rng.lognormal(0.0, 1.0, (2, 3000)))
+            for i in range(40)}), f)
+        data = f.read_bytes()
+        at = data.index(b"\nL1,") + 1
+        f.write_bytes(data[:at] + b'x"y' + data[at + 2:])
+        assert len(data) > 4 * oio._BLOCK_BYTES
+        start = time.perf_counter()
+        reference = _load_by(f, monkeypatch, "rows")
+        row_seconds = time.perf_counter() - start
+        assert reference.location_ids[:3] == ("L0", 'x"y', "L1")
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: workers)
+        rows = []
+        read_rows = oio._read_rows
+
+        def spy(*args):
+            rows.append(True)
+            return read_rows(*args)
+
+        monkeypatch.setattr(oio, "_read_rows", spy)
+        start = time.perf_counter()
+        loaded = load_csv(f)
+        seconds = time.perf_counter() - start
+        _assert_identical(loaded, reference)
+        assert rows == [True]
+        assert seconds < 3 * row_seconds + 1.0
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 64, 1 << 20])
     def test_quoted_file_streams_the_loaded_frames(self, tmp_path,
