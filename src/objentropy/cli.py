@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .data import SplitSpec, split_blocks
+from .data import SplitSpec
 from .diagnostics import (
     check_subsamples,
     convergence_curve,
@@ -35,6 +35,7 @@ from .io import (
     load_csv,
     load_entropies,
     reduce_csv,
+    split_csv,
     write_dataset_csv,
 )
 from .likelihoods import (
@@ -45,7 +46,7 @@ from .likelihoods import (
     location_frames,
     resolve_objectives,
 )
-from .synthetic import FAMILIES, SyntheticModel, generate
+from .synthetic import FAMILIES, SyntheticModel, layout, truth
 
 _DESCRIPTIONS = {name: spec.description for name, spec in CATALOG.items()}
 
@@ -195,8 +196,7 @@ def _cmd_rank(args: argparse.Namespace) -> None:
             args.input, frames)
         test = train
         if train is None:
-            train, test = split_blocks(load_csv(args.input), split_spec,
-                                       frames)
+            train, test = split_csv(args.input, split_spec, frames)
         estimates = [evaluate_objective(spec, train, test, threshold)
                      for spec in specs]
         adjusted = args.aic == "on"
@@ -242,14 +242,16 @@ def _cmd_synth(args: argparse.Namespace) -> None:
             n_locations=args.locations,
             seed=args.seed,
         )
-    dataset, truth = generate(model)
-    write_dataset_csv(dataset, args.out)
+    # Each location is drawn where its rows are written, one at a time.
+    drawn = layout(model)
+    write_dataset_csv(drawn, args.out)
+    known = truth(model)
     sys.stdout.write(json.dumps({
         "out": str(args.out),
-        "n_total": dataset.n_total,
-        "family": truth.family,
-        "optimal_objective": truth.optimal_objective,
-        "error_entropy_bits": truth.error_entropy_bits,
+        "n_total": drawn.n_total,
+        "family": known.family,
+        "optimal_objective": known.optimal_objective,
+        "error_entropy_bits": known.error_entropy_bits,
     }) + "\n")
 
 

@@ -252,41 +252,81 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
 _BLOCK_PAIRS = 1 << 16
 
 
+class Layout(NamedTuple):
+    """A dataset whose pairs are read, or drawn, a range of columns at a
+    time and never held whole: its location ids and bounds, as a Dataset
+    holds them, and read(lo, hi), the (2, hi - lo) observed and predicted
+    values of its columns lo:hi. It has no timestamps."""
+
+    location_ids: tuple[str, ...]
+    bounds: np.ndarray
+    read: Callable[[int, int], np.ndarray]
+
+    @property
+    def n_total(self) -> int:
+        return int(self.bounds[-1])
+
+    @property
+    def timestamps(self) -> None:
+        return None
+
+    def block(self, first: int, last: int) -> Dataset:
+        """The dataset of locations first:last."""
+        bounds = self.bounds[first:last + 1]
+        return Dataset(self.location_ids[first:last], bounds - bounds[0],
+                       self.read(int(bounds[0]), int(bounds[-1])))
+
+
 def split_blocks(
-    dataset: Dataset, spec: SplitSpec, reduce: Callable[[Dataset], Any],
+    dataset: Dataset | Layout, spec: SplitSpec,
+    reduce: Callable[[Dataset], Any],
 ) -> tuple[list[Any], list[Any]]:
     """reduce(part) of each part of split(dataset, spec) that holds pairs,
     in storage order, for the train side and for the test side. In sample
-    (mode "none") the one part is the whole dataset, and both sides are
-    the same list, as split gives the same dataset twice.
+    (mode "none") both sides are the same list, as split gives the same
+    dataset twice.
 
-    A part is one side's pairs of a block: a run of consecutive whole
-    locations of at most _BLOCK_PAIRS pairs, or one location of more. The
-    held-out mask is drawn once, as split draws it. Beside dataset, only
-    the mask, one part and what reduce returns are held, never a side
-    whole.
+    A block is a run of consecutive whole locations of at most
+    _BLOCK_PAIRS pairs, or one location of more, and a part is one side's
+    pairs of a block; in sample, a loaded dataset is one part, and each
+    block of a layout is one. The held-out mask is drawn once, as split
+    draws it, before any block is read. Beside a loaded dataset, or of a
+    layout, only the mask, one part (while a layout's is taken, its block
+    too) and what reduce returns are held, never a side whole.
     """
-    if spec.mode == "none":
+    loaded = isinstance(dataset, Dataset)
+    if loaded and spec.mode == "none":
         whole = [reduce(dataset)]
         return whole, whole
-    mask = _test_mask(dataset, spec)
-    sides: tuple[list[Any], list[Any]] = ([], [])
+    mask = None if spec.mode == "none" else _test_mask(dataset, spec)
     bounds = dataset.bounds.tolist()
+
+    def part(first: int, last: int, side: np.ndarray) -> Dataset:
+        """The pairs of block first:last that side keeps: a loaded
+        dataset's, taken from it, or a layout's, read for each part, so
+        that the block is dropped before its part is reduced."""
+        if loaded:
+            return dataset.take(np.flatnonzero(side) + bounds[first])
+        block = dataset.block(first, last)
+        return block if side.all() else block.take(np.flatnonzero(side))
+
+    sides: tuple[list[Any], list[Any]] = ([], [])
     first = 0
     for i in range(1, len(bounds)):
         if (i < len(bounds) - 1
                 and bounds[i + 1] - bounds[first] <= _BLOCK_PAIRS):
             continue
         lo, hi = bounds[first], bounds[i]
-        held = mask[lo:hi]
+        # In sample, a layout's blocks are all train side.
+        held = np.zeros(hi - lo, bool) if mask is None else mask[lo:hi]
         for reduced, side in zip(sides, (~held, held)):
             if side.any():
-                reduced.append(reduce(dataset.take(np.flatnonzero(side) + lo)))
+                reduced.append(reduce(part(first, i, side)))
         first = i
-    return sides
+    return sides if mask is not None else (sides[0], sides[0])
 
 
-def _test_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
+def _test_mask(dataset: Dataset | Layout, spec: SplitSpec) -> np.ndarray:
     """The mask of the pairs that spec, a mode other than "none", holds out
     of dataset; neither side may be empty."""
     if spec.mode == "random":
@@ -322,7 +362,7 @@ def _held_out(n: int, spec: SplitSpec, unit: str) -> np.ndarray:
     return mask
 
 
-def _time_mask(dataset: Dataset, spec: SplitSpec) -> np.ndarray:
+def _time_mask(dataset: Dataset | Layout, spec: SplitSpec) -> np.ndarray:
     """Each location's last round(test_fraction * n) pairs in the order of
     their ISO-8601 timestamps; pairs at the same time keep storage order."""
     stamps = dataset.timestamps

@@ -3,7 +3,8 @@
 Input schema: header row with location_id, observed, predicted, plus an
 optional timestamp column that is ignored for scoring and kept for
 time-based splits. One block reader parses the data records (see
-_parse_blocks): load_csv keeps every record, and reduce_csv streams a
+_parse_blocks): load_csv keeps every record, split_csv folds a grouped
+file's records from where the load spools them, and reduce_csv streams a
 grouped file's locations. Machine-readable outputs (csv, json) carry full
 float precision through repr, so the two formats hold identical numeric
 values; human tables round to two decimals.
@@ -24,13 +25,16 @@ import tempfile
 import threading
 from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence, TextIO
+from typing import (
+    Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO,
+)
 
 import numpy as np
 
-from .data import _BLOCK_PAIRS, Dataset
+from .data import _BLOCK_PAIRS, Dataset, Layout, SplitSpec, split_blocks
 from .diagnostics import ConvergenceCurve, EntropyMatrix
 from .errors import (
+    DegenerateSplit,
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
@@ -54,6 +58,8 @@ _FORK_BYTES = 1 << 20
 _CHUNK_ROWS = 1 << 13
 # Bytes of records parsed at a time.
 _BLOCK_BYTES = 1 << 20
+# Bytes a record's observed and predicted float64 numbers take in a spool.
+_PAIR_BYTES = 16
 # The most records of one location with which reduce_csv streams a file:
 # a location is reduced whole, so a larger one would take as much memory
 # as a load, and one process would parse what a load shares out.
@@ -84,58 +90,118 @@ def load_csv(path: str | Path) -> Dataset:
 
     The records are parsed by block (see _parse_blocks), a range per
     process, and each process spools its numbers to an unnamed temporary
-    file read into the pairs. Where numpy rejects a record, the row parser
-    reads the file: it raises the line-numbered error or reads what
-    float() accepts.
+    file, gathered into the pairs (see _spool). Where numpy rejects a
+    record, the row parser reads the file: it raises the line-numbered
+    error or reads what float() accepts.
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
     required column is absent or a column it reads is named twice,
     UnparseableNumber, naming the line, for a short row or a cell that is
     not a number, and UndecodableFile for a byte that is not UTF-8.
     """
+    return _read_csv(path, _loaded)
+
+
+def split_csv(path: str | Path, spec: SplitSpec,
+              reduce: Callable[[Dataset], Any]) -> tuple[list[Any], list[Any]]:
+    """split_blocks(load_csv(path), spec, reduce): the same sides, or the
+    same error. Unless spec splits by time, a grouped file without
+    timestamps is not gathered: its layout, whose read reads the spooled
+    numbers (see _spool), is split, a block of whole locations at a time.
+    Where its held-out mask leaves a side empty, the load's error, if it
+    raises one, comes first."""
+    def split(parsed: _Spooled | Dataset) -> tuple[list[Any], list[Any]]:
+        if (isinstance(parsed, _Spooled) and parsed.order is None
+                and parsed.stamps is None and spec.mode != "time"):
+            try:
+                return split_blocks(Layout(parsed.location_ids, parsed.bounds,
+                                           parsed.read), spec, reduce)
+            except DegenerateSplit:
+                # Only the mask raises it, before any block is read; the
+                # load's check of every value comes before the mask.
+                pass
+        return split_blocks(_loaded(parsed), spec, reduce)
+    return _read_csv(path, split)
+
+
+def _read_csv(path: str | Path, use: Callable[[_Spooled | Dataset], Any]
+              ) -> Any:
+    """use of path's records parsed to spools (see _spool), while the
+    spools are open, or, where numpy rejects a record, of the dataset the
+    row parser reads."""
     path = Path(path)
-    with _open_text(path) as fh:
+    with _open_text(path) as fh, ExitStack() as stack:
         columns, cuts = _layout(fh, path)
         try:
-            return _load_blocks(path, columns, cuts)
+            parsed = _spool(path, columns, cuts, stack)
         except UnicodeDecodeError:
             raise
         except ValueError:
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            return _read_rows(reader, columns, path)
+            parsed = _read_rows(reader, columns, path)
+        return use(parsed)
 
 
-def _load_blocks(path: Path, columns: Mapping[str, int], cuts: list[int]
-                 ) -> Dataset:
-    """The dataset of path's records in the ranges of cuts, as load_csv
-    reads them; their runs are grouped once, over the file. Raises
-    EmptyFile without a record, and what _parse_blocks raises."""
-    with ExitStack() as stack:
-        spools = [stack.enter_context(tempfile.TemporaryFile())
-                  for _ in cuts[1:]]
-        # Where children can parse every range, this process parses none,
-        # so that no block's line strings leave it fragmented memory.
-        blocks = [block for part in _ranges(_load_range, cuts, path, columns,
-                                            spools, here=len(spools) == 1)
-                  for block in part]
-        if not blocks:
-            raise EmptyFile(f"{path} has a header but no data rows")
-        lengths = np.concatenate([runs for _, runs, _ in blocks])
-        pairs = np.empty((2, int(lengths.sum())))
-        at = 0
-        for spool in spools:
-            spool.seek(0)
-            while chunk := spool.read(_BLOCK_PAIRS * 16):
-                numbers = np.frombuffer(chunk).reshape(-1, 2)
-                pairs[:, at:at + len(numbers)] = numbers.T
-                at += len(numbers)
+class _Spooled(NamedTuple):
+    """A file's records as _spool parses them: the location ids, bounds
+    and record order that group their runs (see _group), their stripped
+    timestamps or None, and read(lo, hi), the (2, hi - lo) numbers of
+    records lo:hi in file order."""
+
+    location_ids: tuple[str, ...]
+    bounds: np.ndarray
+    order: np.ndarray | None
+    stamps: list[str] | None
+    read: Callable[[int, int], np.ndarray]
+
+
+def _loaded(parsed: _Spooled | Dataset) -> Dataset:
+    """The dataset of parsed records: all their numbers read, and grouped
+    by location (see _dataset)."""
+    if isinstance(parsed, Dataset):
+        return parsed
+    ids, bounds, order, stamps, read = parsed
+    return _dataset(ids, bounds, order, read(0, int(bounds[-1])), stamps)
+
+
+def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
+           stack: ExitStack) -> _Spooled:
+    """path's records in the ranges of cuts, parsed a range per process
+    (see _ranges), each range's numbers spooled to an unnamed temporary
+    file that stack closes; their runs are grouped once, over the file.
+    Raises EmptyFile without a record, and what _parse_blocks raises."""
+    spools = [stack.enter_context(tempfile.TemporaryFile())
+              for _ in cuts[1:]]
+    # Where children can parse every range, this process parses none,
+    # so that no block's line strings leave it fragmented memory.
+    parts = list(_ranges(_load_range, cuts, path, columns, spools,
+                         here=len(spools) == 1))
+    blocks = [block for part in parts for block in part]
+    if not blocks:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    # The record each spool starts at, and one past the last.
+    starts = np.cumsum([0, *(sum(int(runs.sum()) for _, runs, _ in part)
+                             for part in parts)]).tolist()
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        pairs = np.empty((2, hi - lo))
+        for spool, start, stop in zip(spools, starts, starts[1:]):
+            first, last = max(lo, start), min(hi, stop)
+            spool.seek((first - start) * _PAIR_BYTES)
+            for at in range(first, last, _BLOCK_PAIRS):
+                take = min(_BLOCK_PAIRS, last - at)
+                numbers = np.frombuffer(spool.read(take * _PAIR_BYTES))
+                pairs[:, at - lo:at - lo + take] = numbers.reshape(-1, 2).T
+        return pairs
+
     # Python strings are made once every block's lines are gone.
     heads = [head.strip() for heads, _, _ in blocks for head in heads.tolist()]
     stamps = None if blocks[0][2] is None else [
         stamp.strip() for _, _, stamps in blocks for stamp in stamps.tolist()]
-    return _dataset(heads, lengths, pairs, stamps)
+    lengths = np.concatenate([runs for _, runs, _ in blocks])
+    return _Spooled(*_group(heads, lengths), stamps, read)
 
 
 def _load_range(
@@ -161,13 +227,14 @@ def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
     """reduce(block) of each block of whole locations of the CSV file at
     path, in file order, a block being a Dataset of those locations as
     load_csv reads them, without timestamps; or None where the file is to
-    be loaded, as the input alone decides: for a location whose records lie
-    apart or that holds more than _LOCATION_ROWS records, for what load_csv
-    would parse by row or reject, and for a file without data rows. The
-    header is read as load_csv reads it, and raises its errors. Each range
-    of records (see _ranges) takes whole locations (see _runs), a block at
-    a time, carrying the location in progress at a block's end into the
-    next; only what reduce returns crosses a pipe.
+    be read whole (see split_csv), as the input alone decides: for a
+    location whose records lie apart or that holds more than
+    _LOCATION_ROWS records, for what load_csv would parse by row or
+    reject, and for a file without data rows. The header is read as
+    load_csv reads it, and raises its errors. Each range of records (see
+    _ranges) takes whole locations (see _runs), a block at a time,
+    carrying the location in progress at a block's end into the next;
+    only what reduce returns crosses a pipe.
     """
     path = Path(path)
     with _open_text(path) as fh:
@@ -562,12 +629,13 @@ def _pairs(pairs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return pairs
 
 
-def _dataset(heads: list[str], lengths: int | np.ndarray, pairs: np.ndarray,
+def _dataset(location_ids: tuple[str, ...], bounds: np.ndarray,
+             order: np.ndarray | None, pairs: np.ndarray,
              stamps: list[str] | None) -> Dataset:
-    """The dataset of records in runs, as _group takes them, whose (2, n)
-    numbers are pairs and whose timestamps (or None) are stamps, both in
-    file order: grouped by location (see _group and _pairs)."""
-    location_ids, bounds, order = _group(heads, lengths)
+    """The dataset of records whose runs group as _group gives location_ids,
+    bounds and order, whose (2, n) numbers are pairs and whose timestamps
+    (or None) are stamps, both in file order: grouped by location (see
+    _pairs)."""
     if stamps is not None and order is not None:
         stamps = list(map(stamps.__getitem__, order.tolist()))
     return Dataset(location_ids, bounds, _pairs(pairs, order), stamps)
@@ -662,7 +730,8 @@ def _read_rows(
             )
     if not locs:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return _dataset(locs, 1, np.array(numbers), stamps if has_time else None)
+    return _dataset(*_group(locs, 1), np.array(numbers),
+                    stamps if has_time else None)
 
 
 def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:
@@ -686,8 +755,8 @@ def _parse_number(
         ) from None
 
 
-def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset in the same schema load_csv ingests.
+def write_dataset_csv(dataset: Dataset | Layout, path: str | Path) -> None:
+    """Write a dataset, or a layout's, in the same schema load_csv ingests.
 
     Floats are written with repr, so a round trip reproduces the dataset
     exactly. Ids and timestamps are quoted as csv.QUOTE_MINIMAL quotes
@@ -695,7 +764,10 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     GIL, so the rows are cut into ranges (see _ranges), one per worker
     (see _workers) but no more than one per _CHUNK_ROWS rows; a forked
     child writes its range to an unnamed temporary file in the output's
-    directory, appended in order. The bytes do not depend on the workers.
+    directory, appended in order. Each range reads the columns of its rows
+    a location at a time, so a layout's pairs are never held whole, and
+    a location cut by a range's end is read in both. The bytes do not
+    depend on the workers.
     """
     path = Path(path)
     n = dataset.n_total
@@ -716,25 +788,30 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 def _write_rows(
-    dataset: Dataset, outs: list[BinaryIO], cuts: list[int], k: int,
+    dataset: Dataset | Layout, outs: list[BinaryIO], cuts: list[int], k: int,
 ) -> None:
     """Write the records of rows cuts[k]:cuts[k + 1] of dataset to outs[k],
     UTF-8 encoded, at most _CHUNK_ROWS rows at a time, and flush it."""
     start, stop, out = cuts[k], cuts[k + 1], outs[k]
     stamps = dataset.timestamps
-    for loc, rows in dataset.rows():
-        first, last = max(rows.start, start), min(rows.stop, stop)
+    bounds = dataset.bounds.tolist()
+    for loc, lo, hi in zip(dataset.location_ids, bounds, bounds[1:]):
+        first, last = max(lo, start), min(hi, stop)
+        if first >= last:
+            continue
+        pairs = (dataset.pairs[:, first:last] if isinstance(dataset, Dataset)
+                 else dataset.read(first, last))
         loc = _quote(loc)
         for a in range(first, last, _CHUNK_ROWS):
             b = min(a + _CHUNK_ROWS, last)
-            obs = dataset.observed[a:b].tolist()
-            pred = dataset.predicted[a:b].tolist()
+            obs, pred = pairs[:, a - first:b - first].tolist()
             if stamps is None:
                 lines = (f"{loc},{o!r},{p!r}\n" for o, p in zip(obs, pred))
             else:
                 lines = (f"{_quote(t)},{loc},{o!r},{p!r}\n"
                          for t, o, p in zip(stamps[a:b], obs, pred))
             out.write("".join(lines).encode())
+        del pairs
     # A forked child ends in os._exit, which flushes no buffer.
     out.flush()
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Layout
 from .errors import InvalidModel, NonPositiveScale, as_int, check_seed
 from .likelihoods import BASE_FAMILIES, CATALOG
 
@@ -30,6 +30,8 @@ _ERRORS = {
     "multiplicative-log-laplace": ("natural-log", "laplace"),
 }
 FAMILIES = tuple(_ERRORS)
+# Values of one kind drawn at a time into a location's columns.
+_DRAW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,35 +140,70 @@ def optimal_objective(model: SyntheticModel) -> str | None:
 def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
     """Draw a dataset from the model; bit-identical for identical models.
 
-    Per location, in a fixed draw order: base flows (the predictions), then
-    errors, then independent zero-forcing masks for observed and predicted.
-    Each location uses a child seed spawned from the model seed, so
-    locations are independent streams. Each location is drawn straight
-    into its columns of the dataset's pairs; beside them, only one
-    location's draws are held.
+    It is layout(model)'s dataset: each location is drawn straight into
+    its columns of the dataset's pairs, a piece at a time (see _draw), so
+    beside them only a piece of draws is held.
     """
-    children = np.random.SeedSequence(model.seed).spawn(model.n_locations)
-    medians = model.medians()
+    return layout(model).block(0, model.n_locations), truth(model)
+
+
+def truth(model: SyntheticModel) -> SyntheticTruth:
+    """What the generator knows of the data it draws from model."""
+    family = _ERRORS[model.family][1]
+    return SyntheticTruth(model.family, optimal_objective(model),
+                          analytic_entropy(family, model.scale))
+
+
+def layout(model: SyntheticModel) -> Layout:
+    """The dataset generate draws from model, as a layout whose read draws
+    each location that the columns it reads touch, whole, one at a time
+    (see _draw), and returns those columns of them.
+
+    Location i is "loc" and i + 1 in three or more digits. Per location,
+    in a fixed draw order: base flows (the predictions), then errors, then
+    independent zero-forcing masks for observed and predicted. Location i
+    draws from child i of the model seed's SeedSequence, so locations are
+    independent streams, and a location reads the same whichever columns
+    are read around it.
+    """
     n = model.n_per_location
-    p = model.zero_inflation_rate
-    kind, family = _ERRORS[model.family]
-    pairs = np.empty((2, n * model.n_locations))
-    for i in range(model.n_locations):
-        rng = np.random.default_rng(children[i])
-        obs, pred = pairs[:, i * n:(i + 1) * n]
-        pred[...] = rng.lognormal(
-            mean=math.log(medians[i]), sigma=model.base_log_sigma, size=n
-        )
-        eps = getattr(rng, family)(0.0, model.scale, size=n)
-        if kind == "identity":
-            np.add(pred, eps, out=obs)
-        else:
-            np.multiply(pred, np.exp(eps, out=eps), out=obs)
-        del eps
-        if p > 0:
-            obs[rng.random(n) < p] = 0.0
-            pred[rng.random(n) < p] = 0.0
-    truth = SyntheticTruth(model.family, optimal_objective(model),
-                           analytic_entropy(family, model.scale))
+    medians = model.medians()
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        first, last = lo // n, -(-hi // n)
+        pairs = np.empty((2, (last - first) * n))
+        for i in range(first, last):
+            _draw(model, i, medians[i],
+                  pairs[:, (i - first) * n:(i - first + 1) * n])
+        return pairs[:, lo - first * n:hi - first * n]
+
     ids = tuple(f"loc{i + 1:03d}" for i in range(model.n_locations))
-    return Dataset(ids, np.arange(0, pairs.shape[1] + 1, n), pairs), truth
+    return Layout(ids, np.arange(0, n * model.n_locations + 1, n), read)
+
+
+def _draw(model: SyntheticModel, i: int, median: float, out: np.ndarray
+          ) -> None:
+    """Draw location i of model, of base median median, into out, its
+    (2, n_per_location) observed and predicted values, _DRAW values of a
+    kind at a time: a numpy Generator draws the same values in pieces as
+    in one call."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(model.seed, spawn_key=(i,)))
+    kind, family = _ERRORS[model.family]
+    n = model.n_per_location
+    pieces = [(a, min(a + _DRAW, n)) for a in range(0, n, _DRAW)]
+    obs, pred = out
+    for a, b in pieces:
+        pred[a:b] = rng.lognormal(mean=math.log(median),
+                                  sigma=model.base_log_sigma, size=b - a)
+    for a, b in pieces:
+        eps = getattr(rng, family)(0.0, model.scale, size=b - a)
+        if kind == "identity":
+            np.add(pred[a:b], eps, out=obs[a:b])
+        else:
+            np.multiply(pred[a:b], np.exp(eps, out=eps), out=obs[a:b])
+    p = model.zero_inflation_rate
+    if p > 0:
+        for values in (obs, pred):
+            for a, b in pieces:
+                values[a:b][rng.random(b - a) < p] = 0.0

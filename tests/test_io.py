@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from objentropy import cli
+from objentropy import data as odata
 from objentropy import io as oio
-from objentropy.data import Dataset, validate_dataset
+from objentropy.data import Dataset, Layout, split_blocks, validate_dataset
 from objentropy.errors import (
     EmptyFile,
     MissingColumn,
@@ -525,12 +526,13 @@ _READ_WHOLE = _UNGROUPED | {
     "whitespace-only lines", "blank cells", "underscore digits"}
 
 
-def _rank(path, fmt="json", objectives="all"):
-    """rank --split none of the file at path: exit code, stdout, stderr."""
+def _rank(path, fmt="json", objectives="all", split="none", seed=0):
+    """rank of the file at path: exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["rank", "--input", str(path), "--format", fmt,
-                         "--objectives", objectives])
+                         "--objectives", objectives, "--split", split,
+                         "--seed", str(seed)])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -702,6 +704,136 @@ class TestStreamedRank:
             assert all(taken == [] for taken in oio._runs(fh, columns, cuts, 1))
         # Its third of the 300 records, and at most 64 bytes after it.
         assert 100 <= sum(parsed) <= 110
+
+
+def _split_both(path, mp, split, workers, fmt="json", seed=0,
+                objectives="all", block=8):
+    """rank --split's output on path loaded whole and split; its output
+    split from the spooled numbers, read in `workers` ranges of blocks of
+    `block` bytes; and whether that split folded a layout without
+    loading. In sample, streaming is patched off in both, so that the
+    split is the fallback's."""
+    mp.setattr(cli, "reduce_csv", lambda *args: None)
+    mp.setattr(cli, "split_csv", lambda path, spec, reduce: split_blocks(
+        load_csv(path), spec, reduce))
+    loaded = _rank(path, fmt, objectives, split, seed)
+    sources = []
+
+    def spy(dataset, *args):
+        sources.append(type(dataset))
+        return split_blocks(dataset, *args)
+
+    mp.setattr(oio, "split_blocks", spy)
+    mp.setattr(cli, "split_csv", oio.split_csv)
+    mp.setattr(oio, "_BLOCK_BYTES", block)
+    mp.setattr(oio, "_FORK_BYTES", 0)
+    mp.setattr(oio, "_workers", lambda: workers)
+    return (loaded, _rank(path, fmt, objectives, split, seed),
+            sources == [Layout])
+
+
+_SPLITS = ["none", "random:0.3", "random:0.8", "location:0.5"]
+
+
+class TestSpooledSplit:
+    """rank --split random|location, and the in-sample fallback, fold a
+    grouped file's spooled numbers a block of whole locations at a time;
+    the report, or the error and exit code, is that of the loaded file
+    split."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.sampled_from(_SPLITS), st.integers(0, 3), st.integers(1, 3),
+           st.integers(1, 64), st.sampled_from(["json", "csv", "table"]),
+           st.sampled_from(["all", "MSE,MAE,U,MSLE,ZMALE"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example([3, 7, 2, 9, 1, 6], "location:0.5", 1, 3, 5, "csv",
+             "MSE,MAE,U,MSLE,ZMALE", 7)
+    @example([3, 7, 2, 9, 1, 6], "random:0.3", 2, 2, 1, "table", "all", 8)
+    def test_grouped_files(self, tmp_path_factory, sizes, split, seed,
+                           workers, block, fmt, objectives, draw):
+        """Locations above and below a block of 5 pairs, so that blocks
+        hold one location or several, read from spools in chunks of 3.
+        NSE fails on a location of one pair; the other objectives rank
+        most of these files."""
+        rng = np.random.default_rng(draw)
+        ids = ["A", 'q"x', "c,d", "B", " e", "F"]
+        f = tmp_path_factory.mktemp("split") / "d.csv"
+        obs, pred = rng.lognormal(0.0, 1.0, (2, sum(sizes)))
+        obs[rng.random(obs.size) < 0.1] = 0.0
+        bounds = np.cumsum([0, *sizes])
+        write_dataset_csv(validate_dataset({
+            ids[i]: (obs[lo:hi], pred[lo:hi]) for i, (lo, hi)
+            in enumerate(zip(bounds[:-1], bounds[1:]))}), f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS", 5)
+            mp.setattr(oio, "_BLOCK_PAIRS", 3)
+            loaded, spooled, folded = _split_both(f, mp, split, workers, fmt,
+                                                  seed, objectives, block)
+        assert spooled == loaded
+        assert folded or loaded[0] == 2
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("body", [
+        _HEADER + "A,1,2\nA,3,5\nB,x,3\n",
+        _HEADER + "A,1,2\nA,3,5\n\nB,3\n",
+        _HEADER + "A,1,2\nA,1_000,5\nB,2,3\nB,4,1\n",
+        _HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n",
+        _HEADER,
+        _HEADER + "\n\r\n",
+    ], ids=["number", "short row", "underscore digits", "not utf-8",
+            "header only", "no data rows"])
+    def test_pinned_files(self, body, split, tmp_path, monkeypatch):
+        """A file numpy rejects is read by the row parser and split loaded;
+        its error, or its report, is the load's."""
+        f = tmp_path / "d.csv"
+        f.write_bytes(body.encode("utf-8", "surrogateescape"))
+        loaded, spooled, folded = _split_both(f, monkeypatch, split, 2,
+                                              objectives="MSE,MAE,U")
+        assert spooled == loaded and not folded
+        assert loaded[0] == (0 if "1_000" in body else 2)
+
+    @pytest.mark.parametrize("split", ["random:0.1", "location:0.1"])
+    def test_load_error_before_an_empty_side(self, split, tmp_path,
+                                             monkeypatch):
+        """The held-out mask is drawn before the spooled numbers are read,
+        but where it leaves a side empty, the loaded dataset's error about
+        a NaN comes first, as it does when the file is loaded."""
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n")
+        loaded, spooled, _ = _split_both(f, monkeypatch, split, 2)
+        assert spooled == loaded
+        assert loaded[0] == 2 and "NaN" in loaded[2]
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_nan_in_a_later_block(self, split, tmp_path, monkeypatch):
+        """A NaN in a block after the first raises the load's error, naming
+        the first location that holds one."""
+        monkeypatch.setattr(odata, "_BLOCK_PAIRS", 2)
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n"
+                     "C,inf,1\nC,2,2\nD,nan,3\nD,1,1\n")
+        loaded, spooled, folded = _split_both(f, monkeypatch, split, 2)
+        assert spooled == loaded and folded
+        assert loaded[0] == 2 and "'C' contains NaN" in loaded[2]
+
+    @pytest.mark.parametrize("split", [*_SPLITS, "time:0.5"])
+    @pytest.mark.parametrize("body, grouped", [
+        (_HEADER + "A,1,2\nB,3,5\nA,2,3\nB,1,1\n", False),
+        ("timestamp," + _HEADER + "2020-01-02,A,1,2\n2020-01-01,A,3,5\n"
+         "2020-01-01,B,2,3\n2020-01-02,B,1,1\n", False),
+        (_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n", True),
+    ], ids=["ungrouped", "timestamped", "grouped"])
+    def test_what_is_loaded(self, body, grouped, split, tmp_path,
+                            monkeypatch):
+        """An ungrouped or a timestamped file, or a split by time, is
+        loaded and split as before."""
+        f = tmp_path / "d.csv"
+        f.write_text(body)
+        loaded, spooled, folded = _split_both(f, monkeypatch, split, 2,
+                                              objectives="MSE,MAE,U")
+        assert spooled == loaded
+        assert folded == (grouped and split != "time:0.5")
 
 
 def _assert_no_child_left():

@@ -7,6 +7,8 @@ grow with the pairs (file buffers, per-location arrays) drop out, up to
 _FIXED bytes by which they may differ between the two calls.
 """
 
+import gc
+import json
 import tracemalloc
 from functools import partial
 
@@ -15,7 +17,12 @@ import pytest
 
 from objentropy import cli
 from objentropy import io as oio
-from objentropy.data import SplitSpec, _held_out, validate_dataset
+from objentropy.data import (
+    SplitSpec,
+    _held_out,
+    split_blocks,
+    validate_dataset,
+)
 from objentropy.diagnostics import per_location_entropy
 from objentropy.likelihoods import (
     CATALOG,
@@ -30,6 +37,10 @@ _FIXED = 4096
 # What a streamed block of 1 MiB leaves for the rank that reads it: its
 # locations' frames, about 25 locations of 1,000 pairs here.
 _PER_BLOCK = 1 << 14
+# What a part of a block of a split (at most 65,536 pairs, one side's pairs
+# of about 65 locations of 1,000 here) leaves for the rank that folds it:
+# its locations' frames.
+_PER_PART = 1 << 16
 FLOAT = np.dtype(np.float64).itemsize
 INDEX = np.dtype(np.intp).itemsize
 
@@ -52,12 +63,25 @@ def _peak(fn):
             tracemalloc.stop()
 
 
-def _assert_per_pair(make, bound):
-    """make(n) returns a call and the pairs it handles; its peak grows by at
-    most bound bytes per pair from n to 2n pairs. A first small call warms
-    up what is built once per process."""
-    _peak(make(1_000)[0])
-    (low, n_low), (high, n_high) = [(_peak(call), pairs) for call, pairs
+def _cli_peak(argv):
+    """The peak of cli.main(argv), as _peak takes it; the command must exit
+    0, so that no bound is met by a command that failed. The garbage of
+    earlier commands (argparse's parsers hold reference cycles) is
+    collected first."""
+    gc.collect()
+    codes = []
+    peak = _peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0], f"{argv[0]} exited {codes}"
+    return peak
+
+
+def _assert_per_pair(make, bound, peak=_peak):
+    """make(n) returns what peak measures (by default a call) and the
+    pairs it handles; its peak grows by at most bound bytes per pair from
+    n to 2n pairs. A first small call warms up what is built once per
+    process."""
+    peak(make(1_000)[0])
+    (low, n_low), (high, n_high) = [(peak(call), pairs) for call, pairs
                                     in (make(N), make(2 * N))]
     assert high - low <= bound * (n_high - n_low) + _FIXED, (
         f"{(high - low) / (n_high - n_low):.2f} bytes per pair")
@@ -227,22 +251,93 @@ def test_out_of_sample_rank_holds_the_mask_not_the_sides(tmp_path,
     mask and the permutation it is drawn from, then one block of whole
     locations at a time and its locations' frames: no copy of the train
     or test side. Locations have 1,000 pairs, so their frames add a little
-    under a byte per pair."""
+    under a byte per pair. The file's spooled split is patched off: rank
+    splits the dataset loaded for its --input, as it does a file that is
+    loaded."""
     specs = list(CATALOG.values())
+    datasets = {}
+    monkeypatch.setattr(cli, "split_csv", lambda path, spec, reduce: (
+        split_blocks(datasets[path], spec, reduce)))
+    out = tmp_path / "rank.json"
 
     def make(n):
-        dataset = _dataset(n, locations=max(1, n // 1000), zeros=True)
+        datasets[str(n)] = _dataset(n, locations=max(1, n // 1000),
+                                    zeros=True)
+        return ["rank", "--input", str(n), "--split", "random:0.3",
+                "--objectives", ",".join(spec.name for spec in specs),
+                "--format", "json", "--out", str(out)], n
 
-        def call():
-            monkeypatch.setattr(cli, "load_csv", lambda path: dataset)
-            return cli.main(["rank", "--input", "loaded", "--split",
-                             "random:0.3", "--objectives",
-                             ",".join(spec.name for spec in specs),
-                             "--format", "json",
-                             "--out", str(tmp_path / "rank.json")])
-        return call, n
+    _assert_per_pair(make, INDEX + 1 + 1, _cli_peak)
+    assert json.loads(out.read_text())["rows"]
 
-    _assert_per_pair(make, INDEX + 1 + 1)
+
+@pytest.mark.parametrize("split, per_pair", [("random:0.3", 4 + 1),
+                                             ("none", 0)])
+def test_spooled_split_holds_the_mask_and_the_positions(tmp_path, monkeypatch,
+                                                        split, per_pair):
+    """rank --split random folds a grouped file's spooled numbers a block
+    of whole locations at a time (io.split_csv): from n to 2n pairs its
+    peak grows by at most the held-out mask and the int32 positions it is
+    drawn from, 5 bytes per pair, and the frames each part of a block
+    leaves, at most _PER_PART bytes, with no pairs of the whole file. In
+    sample, where streaming gives up (here at every location, of 1,000
+    pairs), the fold holds no mask. Blocks of 64 KiB of records keep the
+    parse's peak below the fold's."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(oio, "_LOCATION_ROWS", 10)
+    specs = list(CATALOG.values())
+    parts = []
+    frames = cli.location_frames
+
+    def counted(*args, **kwargs):
+        parts.append(True)
+        return frames(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "location_frames", counted)
+    out = tmp_path / "rank.json"
+
+    def argv(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(
+            _dataset(n, locations=n // 1000, zeros=True), path)
+        return ["rank", "--input", str(path), "--split", split,
+                "--objectives", ",".join(spec.name for spec in specs),
+                "--format", "json", "--out", str(out)]
+
+    _cli_peak(argv(1_000))
+    peaks, counts = [], []
+    for n in (N, 2 * N):
+        call = argv(n)
+        parts.clear()
+        peaks.append(_cli_peak(call))
+        counts.append(len(parts))
+    assert json.loads(out.read_text())["rows"]
+    assert counts[1] > counts[0] > 1
+    growth = peaks[1] - peaks[0] - per_pair * N
+    assert growth <= _PER_PART * (counts[1] - counts[0]) + _FIXED, (
+        f"{growth / (counts[1] - counts[0]):.0f} bytes per part above the "
+        "mask")
+
+
+def test_synth_holds_one_location(tmp_path, monkeypatch):
+    """synth draws each location where its rows are written, one at a
+    time, so at a fixed location size its peak does not grow with the
+    number of locations. Small chunks of rows keep the peak at a
+    location's draws, whose size is fixed, and not at a chunk's text,
+    whose length varies with the digits drawn."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_CHUNK_ROWS", 1 << 8)
+
+    def argv(locations):
+        return ["synth", "--family", "multiplicative-log-laplace",
+                "--scale", "0.3", "--zero-inflation", "0.05",
+                "--n-per-location", "10000", "--locations", str(locations),
+                "--seed", "1", "--out", str(tmp_path / f"{locations}.csv")]
+
+    _cli_peak(argv(1))
+    low, high = _cli_peak(argv(4)), _cli_peak(argv(8))
+    assert high - low <= _FIXED, f"{high - low} bytes"
 
 
 def test_held_out_draw_holds_four_bytes_per_pair():

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from objentropy import synthetic
 from objentropy.data import validate_dataset
 from objentropy.errors import InvalidModel, NonPositiveScale
 from objentropy.information import conditional_entropy_bits, rank_objectives
 from objentropy.likelihoods import CATALOG, evaluate_objective, score_objective
 from objentropy.synthetic import (
+    FAMILIES,
     SyntheticModel,
     analytic_entropy,
     generate,
@@ -94,6 +98,40 @@ class TestGenerate:
         np.testing.assert_array_equal(a.observed, b.observed)
         np.testing.assert_array_equal(a.predicted, b.predicted)
         assert a.location_ids == b.location_ids
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.sampled_from([0.0, 0.3]),
+           st.integers(1, 40), st.integers(1, 4), st.integers(1, 50),
+           st.data())
+    def test_layout_reads_the_draws_of_whole_calls(self, family, rate, n,
+                                                   locations, piece, data):
+        """generate, and the layout's read of any columns, give the values
+        that one call per kind and location draws from child i of the
+        seed's SeedSequence, whatever the size of the pieces drawn."""
+        model = SyntheticModel(family, 0.5, zero_inflation_rate=rate,
+                               base_median=tuple(range(1, locations + 1)),
+                               n_per_location=n, n_locations=locations,
+                               seed=data.draw(st.integers(0, 2 ** 64 - 1)))
+        kind, base = synthetic._ERRORS[family]
+        whole = []
+        for i, child in enumerate(
+                np.random.SeedSequence(model.seed).spawn(locations)):
+            rng = np.random.default_rng(child)
+            pred = rng.lognormal(math.log(i + 1), 1.0, size=n)
+            eps = getattr(rng, base)(0.0, 0.5, size=n)
+            obs = pred + eps if kind == "identity" else pred * np.exp(eps)
+            if rate:
+                obs[rng.random(n) < rate] = 0.0
+                pred[rng.random(n) < rate] = 0.0
+            whole.append(np.stack([obs, pred]))
+        whole = np.concatenate(whole, axis=1)
+        lo = data.draw(st.integers(0, n * locations - 1))
+        hi = data.draw(st.integers(lo + 1, n * locations))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthetic, "_DRAW", piece)
+            assert generate(model)[0].pairs.tobytes() == whole.tobytes()
+            assert (synthetic.layout(model).read(lo, hi).tobytes()
+                    == whole[:, lo:hi].tobytes())
 
     def test_additive_normal_residual_scale(self):
         model = SyntheticModel("additive-normal", 1.0, n_per_location=50_000,
