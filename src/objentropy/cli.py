@@ -32,9 +32,8 @@ from .io import (
     format_convergence,
     format_correlations,
     format_report,
-    load_csv,
     load_entropies,
-    reduce_csv,
+    read_csv,
     split_csv,
     write_dataset_csv,
 )
@@ -190,13 +189,9 @@ def _cmd_rank(args: argparse.Namespace) -> None:
     if args.from_entropies is not None:
         estimates, adjusted = load_entropies(args.from_entropies), False
     else:
-        # Each side's location frames suffice. In sample, stream them.
-        frames = partial(location_frames, specs, threshold=threshold)
-        train = None if split_spec.mode != "none" else reduce_csv(
-            args.input, frames)
-        test = train
-        if train is None:
-            train, test = split_csv(args.input, split_spec, frames)
+        # Each side's location frames suffice.
+        train, test = split_csv(args.input, split_spec, partial(
+            location_frames, specs, threshold=threshold))
         estimates = [evaluate_objective(spec, train, test, threshold)
                      for spec in specs]
         adjusted = args.aic == "on"
@@ -210,11 +205,10 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
         specs = resolve_objectives(args.objectives)
         threshold = check_threshold(args.threshold)
         sizes = check_subsamples(args.sizes, args.replicates, args.seed)
-    dataset = load_csv(args.input)
-    curves = convergence_curve(dataset, specs, sizes,
-                               replicates=args.replicates, seed=args.seed,
-                               threshold=threshold,
-                               with_replacement=args.bootstrap)
+    curves = read_csv(args.input, partial(
+        convergence_curve, specs=specs, sizes=sizes,
+        replicates=args.replicates, seed=args.seed, threshold=threshold,
+        with_replacement=args.bootstrap))
     _emit(format_convergence(curves, args.format), args.out)
 
 
@@ -224,8 +218,8 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
         if len(specs) < 2:
             raise UsageError("correlate requires at least two objectives")
         threshold = check_threshold(args.threshold)
-    dataset = load_csv(args.input)
-    matrix = per_location_entropy(dataset, specs, threshold=threshold)
+    matrix = read_csv(args.input, partial(per_location_entropy, specs=specs,
+                                          threshold=threshold))
     _emit(format_correlations(matrix, args.format), args.out)
 
 

@@ -64,13 +64,7 @@ class Dataset:
         if not counts.all():
             empty = ids[int(np.flatnonzero(counts == 0)[0])]
             raise EmptyInput(f"location {empty!r} has no pairs")
-        finite = np.isfinite(pairs).all(axis=0)
-        if not finite.all():
-            first = int(np.flatnonzero(~finite)[0])
-            loc = ids[int(np.searchsorted(bounds, first, side="right")) - 1]
-            raise NonFiniteValue(
-                f"location {loc!r} contains NaN or infinite values"
-            )
+        _check_finite(ids, bounds, pairs)
         if self.timestamps is not None:
             stamps = tuple(self.timestamps)
             if len(stamps) != n:
@@ -138,13 +132,7 @@ class Dataset:
         its pairs in the order idx lists them; locations stay in storage
         order, and those left with no pairs are dropped.
         """
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise DegenerateSplit("take needs a non-empty 1-D index array")
-        if idx.min() < 0 or idx.max() >= self.n_total:
-            raise LengthMismatch(
-                f"positions outside [0, {self.n_total}) requested"
-            )
+        idx = _positions(idx, self.n_total)
         if (idx[1:] < idx[:-1]).any():
             codes = self.location_codes[idx]
             idx = idx[np.argsort(codes, kind="stable")]
@@ -155,14 +143,46 @@ class Dataset:
             # grouped by location already: a stable sort by location would
             # be the identity, and each location's count is a search.
             counts = np.diff(np.searchsorted(idx, self.bounds))
-        kept = np.flatnonzero(counts)
-        return Dataset(
-            tuple(map(self.location_ids.__getitem__, kept.tolist())),
-            np.concatenate(([0], np.cumsum(counts[kept]))),
-            np.take(self.pairs, idx, axis=1),
-            None if self.timestamps is None
-            else tuple(map(self.timestamps.__getitem__, idx.tolist())),
+        return _taken(self.location_ids, counts,
+                      np.take(self.pairs, idx, axis=1),
+                      None if self.timestamps is None
+                      else tuple(map(self.timestamps.__getitem__,
+                                     idx.tolist())))
+
+
+def _check_finite(location_ids: tuple[str, ...], bounds: np.ndarray,
+                  pairs: np.ndarray, lo: int = 0) -> None:
+    """Raise NonFiniteValue, naming the location of the first one, where
+    pairs, columns lo: of a dataset with location_ids and bounds, hold a
+    NaN or infinite value."""
+    finite = np.isfinite(pairs).all(axis=0)
+    if not finite.all():
+        first = lo + int(np.flatnonzero(~finite)[0])
+        loc = location_ids[int(np.searchsorted(bounds, first, "right")) - 1]
+        raise NonFiniteValue(
+            f"location {loc!r} contains NaN or infinite values"
         )
+
+
+def _positions(idx: np.ndarray, n_total: int) -> np.ndarray:
+    """idx as a non-empty 1-D array of positions in [0, n_total)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise DegenerateSplit("take needs a non-empty 1-D index array")
+    if idx.min() < 0 or idx.max() >= n_total:
+        raise LengthMismatch(f"positions outside [0, {n_total}) requested")
+    return idx
+
+
+def _taken(location_ids: tuple[str, ...], counts: np.ndarray,
+           pairs: np.ndarray, timestamps: tuple[str, ...] | None = None
+           ) -> Dataset:
+    """The dataset of pairs, counts[i] of them, in order, taken from
+    location i of location_ids; locations that keep none are dropped."""
+    kept = np.flatnonzero(counts)
+    return Dataset(tuple(map(location_ids.__getitem__, kept.tolist())),
+                   np.concatenate(([0], np.cumsum(counts[kept]))), pairs,
+                   timestamps)
 
 
 @dataclass(frozen=True)
@@ -245,11 +265,15 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
     return SplitResult(dataset.subset(~mask), dataset.subset(mask))
 
 
-# The most pairs of a block of whole locations that is reduced at a time,
-# by split_blocks here and by io.reduce_csv as it reads a file: what a
+# The most pairs of a block of whole locations that split_blocks reduces
+# at a time, and of the columns a layout's check reads at a time: what a
 # block holds does not grow with the dataset. A larger location is a
 # block of its own.
 _BLOCK_PAIRS = 1 << 16
+# The most columns a layout's take reads at a time: a sparse draw reads
+# little more than its positions, and a dense one holds at most this many
+# pairs beside them.
+_TAKE_PAIRS = 1 << 13
 
 
 class Layout(NamedTuple):
@@ -275,6 +299,34 @@ class Layout(NamedTuple):
         bounds = self.bounds[first:last + 1]
         return Dataset(self.location_ids[first:last], bounds - bounds[0],
                        self.read(int(bounds[0]), int(bounds[-1])))
+
+    def check(self) -> None:
+        """Raise NonFiniteValue, as a Dataset of these pairs does, where a
+        value is NaN or infinite: read _BLOCK_PAIRS columns at a time."""
+        n = self.n_total
+        for lo in range(0, n, _BLOCK_PAIRS):
+            _check_finite(self.location_ids, self.bounds,
+                          self.read(lo, min(lo + _BLOCK_PAIRS, n)), lo)
+
+    def take(self, idx: np.ndarray) -> Dataset:
+        """Dataset.take of the pairs at positions idx, which must be in
+        ascending order, as a sorted draw gives them (a position listed
+        twice gives two pairs). The positions within _TAKE_PAIRS columns
+        of a run's first are gathered from one read of those columns."""
+        idx = _positions(idx, self.n_total)
+        if (idx[1:] < idx[:-1]).any():
+            raise LengthMismatch("a layout takes positions in ascending "
+                                 "order")
+        pairs = np.empty((2, idx.size))
+        at = 0
+        while at < idx.size:
+            lo = int(idx[at])
+            end = int(np.searchsorted(idx, lo + _TAKE_PAIRS))
+            pairs[:, at:end] = self.read(lo, int(idx[end - 1]) + 1)[
+                :, idx[at:end] - lo]
+            at = end
+        return _taken(self.location_ids,
+                      np.diff(np.searchsorted(idx, self.bounds)), pairs)
 
 
 def split_blocks(

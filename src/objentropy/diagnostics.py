@@ -5,11 +5,12 @@ correlation across objectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Layout, SplitSpec, split_blocks
 from .errors import (
     EmptyInput,
     SizeExceedsData,
@@ -85,7 +86,7 @@ def check_subsamples(
 
 
 def convergence_curve(
-    dataset: Dataset,
+    dataset: Dataset | Layout,
     specs: Sequence[ObjectiveSpec],
     sizes: Sequence[int],
     replicates: int = 1,
@@ -102,7 +103,13 @@ def convergence_curve(
     drawn twice is scored twice. Fully deterministic given the seed: draws
     occur in (size ascending, replicate ascending) order from one
     generator, so a curve is the same whichever objectives come with it.
+
+    A layout is read twice over: every value is checked first (see
+    Layout.check), so a NaN that no draw picks fails as a dataset of the
+    same pairs does; then each sorted draw is read from it (Layout.take).
     """
+    if isinstance(dataset, Layout):
+        dataset.check()
     sizes = check_subsamples(sizes, replicates, seed, dataset.n_total)
     if not specs:
         raise EmptyInput("no objectives given")
@@ -127,14 +134,16 @@ def convergence_curve(
 
 
 def per_location_entropy(
-    dataset: Dataset,
+    dataset: Dataset | Layout,
     specs: Sequence[ObjectiveSpec],
     threshold: float = DEFAULT_ZERO_THRESHOLD,
 ) -> EntropyMatrix:
     """Fit and evaluate each objective independently at each location,
     in-sample.
 
-    Each transform makes one pass over the whole dataset, shared by every
+    A dataset is scored whole; a layout a block of whole locations at a
+    time (see split_blocks), whose rows of entropies are stacked. Each
+    transform makes one pass over the data scored, shared by every
     objective that uses it. Each location's slice of that pass is reduced
     to each objective's family statistic, and each objective fits and
     scores the column of locations at once, so a cell is bit for bit the
@@ -146,6 +155,21 @@ def per_location_entropy(
     """
     if not specs:
         raise EmptyInput("no objectives given")
+    blocks, _ = split_blocks(dataset, SplitSpec("none"),
+                             partial(_entropies, specs, threshold))
+    h = np.concatenate(blocks)
+    return EntropyMatrix(
+        locations=dataset.location_ids,
+        objectives=tuple(s.name for s in specs),
+        entropies=h,
+        correlations=pearson_matrix(h),
+    )
+
+
+def _entropies(specs: Sequence[ObjectiveSpec], threshold: float,
+               dataset: Dataset) -> np.ndarray:
+    """The (location, objective) entropies of per_location_entropy of
+    dataset."""
     h = np.full((len(dataset.location_ids), len(specs)), np.nan)
     for kind in dict.fromkeys(s.transform_kind for s in specs):
         columns = [j for j, s in enumerate(specs) if s.transform_kind == kind]
@@ -156,12 +180,7 @@ def per_location_entropy(
             ok = scale > 0
             ok[list(frames.errors)] = False
             h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
-    return EntropyMatrix(
-        locations=dataset.location_ids,
-        objectives=tuple(s.name for s in specs),
-        entropies=h,
-        correlations=pearson_matrix(h),
-    )
+    return h
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,11 +3,11 @@
 Input schema: header row with location_id, observed, predicted, plus an
 optional timestamp column that is ignored for scoring and kept for
 time-based splits. One block reader parses the data records (see
-_parse_blocks): load_csv keeps every record, split_csv folds a grouped
-file's records from where the load spools them, and reduce_csv streams a
-grouped file's locations. Machine-readable outputs (csv, json) carry full
-float precision through repr, so the two formats hold identical numeric
-values; human tables round to two decimals.
+_parse_blocks) and spools their numbers: load_csv gathers every record,
+while read_csv hands a grouped file on as the layout of its spooled
+numbers, which split_csv folds. Machine-readable outputs (csv, json)
+carry full float precision through repr, so the two formats hold
+identical numeric values; human tables round to two decimals.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import (
     Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO,
@@ -38,7 +38,6 @@ from .errors import (
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
-    ObjentropyError,
     OrderingViolation,
     UndecodableFile,
     UnknownObjective,
@@ -60,10 +59,6 @@ _CHUNK_ROWS = 1 << 13
 _BLOCK_BYTES = 1 << 20
 # Bytes a record's observed and predicted float64 numbers take in a spool.
 _PAIR_BYTES = 16
-# The most records of one location with which reduce_csv streams a file:
-# a location is reduced whole, so a larger one would take as much memory
-# as a load, and one process would parse what a load shares out.
-_LOCATION_ROWS = _BLOCK_PAIRS
 # How numpy reads a block of CSV records, as a list of lines.
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 _LONE_CR = re.compile(r"\r(?!\n)")
@@ -99,41 +94,59 @@ def load_csv(path: str | Path) -> Dataset:
     UnparseableNumber, naming the line, for a short row or a cell that is
     not a number, and UndecodableFile for a byte that is not UTF-8.
     """
-    return _read_csv(path, _loaded)
+    return _parse_csv(path, _loaded, stamps=True)
+
+
+def read_csv(path: str | Path, use: Callable[[Dataset | Layout], Any]
+             ) -> Any:
+    """use(data) of the CSV file at path, read as load_csv reads it, while
+    data is open: the Layout of a grouped file's numbers, whose read reads
+    them where the load spools them (see _spool), so that they are not
+    gathered; or, where the file is not grouped or numpy rejects a record,
+    the dataset load_csv gives, though perhaps without timestamps, which
+    only load_csv keeps from the block reader. Raises load_csv's errors,
+    but a NaN or infinite value only where use reads it (see
+    Layout.check)."""
+    def laid_out(parsed: _Spooled | Dataset) -> Any:
+        if isinstance(parsed, _Spooled) and parsed.order is None:
+            return use(Layout(parsed.location_ids, parsed.bounds,
+                              parsed.read))
+        return use(_loaded(parsed))
+    return _parse_csv(path, laid_out)
 
 
 def split_csv(path: str | Path, spec: SplitSpec,
               reduce: Callable[[Dataset], Any]) -> tuple[list[Any], list[Any]]:
     """split_blocks(load_csv(path), spec, reduce): the same sides, or the
-    same error. Unless spec splits by time, a grouped file without
-    timestamps is not gathered: its layout, whose read reads the spooled
-    numbers (see _spool), is split, a block of whole locations at a time.
-    Where its held-out mask leaves a side empty, the load's error, if it
-    raises one, comes first."""
-    def split(parsed: _Spooled | Dataset) -> tuple[list[Any], list[Any]]:
-        if (isinstance(parsed, _Spooled) and parsed.order is None
-                and parsed.stamps is None and spec.mode != "time"):
-            try:
-                return split_blocks(Layout(parsed.location_ids, parsed.bounds,
-                                           parsed.read), spec, reduce)
-            except DegenerateSplit:
-                # Only the mask raises it, before any block is read; the
-                # load's check of every value comes before the mask.
-                pass
-        return split_blocks(_loaded(parsed), spec, reduce)
-    return _read_csv(path, split)
+    same error. Unless spec splits by time, the file is read by read_csv,
+    so a grouped file's layout is split a block of whole locations at a
+    time; where its held-out mask leaves a side empty, the load's error
+    about a value, if it raises one, comes first."""
+    if spec.mode == "time":
+        return split_blocks(load_csv(path), spec, reduce)
+
+    def split(data: Dataset | Layout) -> tuple[list[Any], list[Any]]:
+        try:
+            return split_blocks(data, spec, reduce)
+        except DegenerateSplit:
+            # Only the mask raises it, before any block is read; the
+            # load's check of every value comes before the mask.
+            if isinstance(data, Layout):
+                data.check()
+            raise
+    return read_csv(path, split)
 
 
-def _read_csv(path: str | Path, use: Callable[[_Spooled | Dataset], Any]
-              ) -> Any:
-    """use of path's records parsed to spools (see _spool), while the
-    spools are open, or, where numpy rejects a record, of the dataset the
-    row parser reads."""
+def _parse_csv(path: str | Path, use: Callable[[_Spooled | Dataset], Any],
+               stamps: bool = False) -> Any:
+    """use of path's records parsed to spools (see _spool), with their
+    timestamps where stamps is true, while the spools are open, or, where
+    numpy rejects a record, of the dataset the row parser reads."""
     path = Path(path)
     with _open_text(path) as fh, ExitStack() as stack:
         columns, cuts = _layout(fh, path)
         try:
-            parsed = _spool(path, columns, cuts, stack)
+            parsed = _spool(path, columns, cuts, stack, stamps)
         except UnicodeDecodeError:
             raise
         except ValueError:
@@ -167,16 +180,18 @@ def _loaded(parsed: _Spooled | Dataset) -> Dataset:
 
 
 def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
-           stack: ExitStack) -> _Spooled:
+           stack: ExitStack, stamps: bool) -> _Spooled:
     """path's records in the ranges of cuts, parsed a range per process
     (see _ranges), each range's numbers spooled to an unnamed temporary
     file that stack closes; their runs are grouped once, over the file.
-    Raises EmptyFile without a record, and what _parse_blocks raises."""
+    Their timestamps are kept where stamps is true, else only parsed, so
+    that a record without one raises as in a load. Raises EmptyFile
+    without a record, and what _parse_blocks raises."""
     spools = [stack.enter_context(tempfile.TemporaryFile())
               for _ in cuts[1:]]
     # Where children can parse every range, this process parses none,
     # so that no block's line strings leave it fragmented memory.
-    parts = list(_ranges(_load_range, cuts, path, columns, spools,
+    parts = list(_ranges(_load_range, cuts, path, columns, spools, stamps,
                          here=len(spools) == 1))
     blocks = [block for part in parts for block in part]
     if not blocks:
@@ -198,57 +213,28 @@ def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
 
     # Python strings are made once every block's lines are gone.
     heads = [head.strip() for heads, _, _ in blocks for head in heads.tolist()]
-    stamps = None if blocks[0][2] is None else [
+    kept = None if blocks[0][2] is None else [
         stamp.strip() for _, _, stamps in blocks for stamp in stamps.tolist()]
     lengths = np.concatenate([runs for _, runs, _ in blocks])
-    return _Spooled(*_group(heads, lengths), stamps, read)
+    return _Spooled(*_group(heads, lengths), kept, read)
 
 
 def _load_range(
     path: Path, columns: Mapping[str, int], spools: list[BinaryIO],
-    cuts: list[int], k: int,
+    stamps: bool, cuts: list[int], k: int,
 ) -> list[list[np.ndarray | None]]:
-    """The raw run ids, run lengths and raw timestamps of each block of
-    range k of cuts (see _parse_blocks); the blocks' (m, 2) numbers go to
-    spools[k], which is flushed."""
+    """The raw run ids, run lengths and, where stamps is true, raw
+    timestamps (else None) of each block of range k of cuts (see
+    _parse_blocks); the blocks' (m, 2) numbers go to spools[k], which is
+    flushed."""
     blocks = []
     with path.open("rb") as fh:
         for *block, numbers in _parse_blocks(fh, cuts[k], cuts[k + 1],
-                                             columns):
+                                             columns, stamps):
             blocks.append(block)
             spools[k].write(numbers)
     # A forked child ends in os._exit, which flushes no buffer.
     spools[k].flush()
-    return blocks
-
-
-def reduce_csv(path: str | Path, reduce: Callable[[Dataset], Any]
-               ) -> list[Any] | None:
-    """reduce(block) of each block of whole locations of the CSV file at
-    path, in file order, a block being a Dataset of those locations as
-    load_csv reads them, without timestamps; or None where the file is to
-    be read whole (see split_csv), as the input alone decides: for a
-    location whose records lie apart or that holds more than
-    _LOCATION_ROWS records, for what load_csv would parse by row or
-    reject, and for a file without data rows. The header is read as
-    load_csv reads it, and raises its errors. Each range of records (see
-    _ranges) takes whole locations (see _runs), a block at a time,
-    carrying the location in progress at a block's end into the next;
-    only what reduce returns crosses a pipe.
-    """
-    path = Path(path)
-    with _open_text(path) as fh:
-        columns, cuts = _layout(fh, path)
-    ids: list[str] = []
-    blocks: list[Any] = []
-    with closing(_ranges(_reduce_range, cuts, path, columns, reduce)) as parts:
-        for taken in parts:
-            if taken is None:
-                return None
-            ids += taken[0]
-            blocks += taken[1]
-    if not ids or len(set(ids)) < len(ids):
-        return None
     return blocks
 
 
@@ -317,120 +303,18 @@ def _last_end(data: bytes, odd: bool = False) -> tuple[int, bool]:
         odd, end = not odd, quote
 
 
-def _reduce_range(
-    path: Path, columns: Mapping[str, int], reduce: Callable[[Dataset], Any],
-    cuts: list[int], k: int,
-) -> tuple[list[str], list[Any]] | None:
-    """The ids of the locations that range k of cuts takes (see _runs), in
-    order, and reduce of each block of them; None where the range shows
-    that the file is to be read whole: an id that appears again after
-    another location's, a location too large to stream, or what load_csv
-    would parse by row or reject."""
-    ids: list[str] = []
-    blocks: list[Any] = []
-    seen: set[str] = set()
-    # The locations a block completes, and the one in progress at its end,
-    # each as its id and the numbers of its runs.
-    complete: list[tuple[str, list[np.ndarray]]] = []
-    location: tuple[str, list[np.ndarray]] | None = None
-
-    def flush() -> None:
-        names = [name for name, _ in complete]
-        bounds = np.cumsum([0, *(sum(map(len, runs)) for _, runs in complete)])
-        # The pairs are written once, in the layout a Dataset holds, and
-        # each run's numbers are dropped as they are copied.
-        pairs = np.empty((2, int(bounds[-1])))
-        at = 0
-        for _, runs in complete:
-            while runs:
-                run = runs.pop(0)
-                pairs[:, at:at + len(run)] = run.T
-                at += len(run)
-        complete.clear()
-        blocks.append(reduce(Dataset(tuple(names), bounds, pairs)))
-        ids.extend(names)
-
-    try:
-        with path.open("rb") as fh:
-            for runs in _runs(fh, columns, cuts, k):
-                for name, numbers in runs:
-                    if location is not None and location[0] == name:
-                        location[1].append(numbers)
-                        continue
-                    if name in seen:
-                        return None
-                    seen.add(name)
-                    if location is not None:
-                        complete.append(location)
-                    location = (name, [numbers])
-                if complete:
-                    flush()
-        if location is not None:
-            complete.append(location)
-            flush()
-    except (ValueError, ObjentropyError):
-        return None
-    return ids, blocks
-
-
-def _runs(
-    fh: BinaryIO, columns: Mapping[str, int], cuts: list[int], k: int,
-) -> Iterator[list[tuple[str, np.ndarray]]]:
-    """For each block that range k parses, the runs of records it takes,
-    as (stripped id, (n, 2) observed and predicted numbers) pairs: the
-    records of bytes cuts[k]:cuts[k + 1] and of the location in progress
-    there. Every range but the first skips its first location, which the
-    range before it finishes, so each location of a grouped file is taken
-    whole, by one range. Raises ValueError, as _parse_blocks does for a
-    grouped file, and for a location of more than _LOCATION_ROWS records.
-    """
-    regions = [(cuts[k], cuts[k + 1], False)]
-    if k + 2 < len(cuts):
-        regions.append((cuts[k + 1], cuts[-1], True))
-    skipping = k > 0
-    first = tail = last = None
-    rows = 0  # of location `last` so far
-    for lo, hi, overrun in regions:
-        for heads, lengths, _, numbers in _parse_blocks(fh, lo, hi, columns,
-                                                        grouped=True):
-            taken = []
-            ends = np.cumsum(lengths).tolist()
-            for name, a, b in zip(map(str.strip, heads.tolist()), [0, *ends],
-                                  ends):
-                if overrun:
-                    tail = name if tail is None else tail
-                    if name != tail:
-                        yield taken
-                        return
-                rows = rows + b - a if name == last else b - a
-                last = name
-                if rows > _LOCATION_ROWS:
-                    raise ValueError(f"location {name!r} is too large to "
-                                     "stream")
-                if skipping:
-                    first = name if first is None else first
-                    if name == first:
-                        if overrun:
-                            return
-                        continue
-                    skipping = False
-                taken.append((name, numbers[a:b]))
-            yield taken
-
-
 def _parse_blocks(
     fh: BinaryIO, lo: int, hi: int, columns: Mapping[str, int],
-    grouped: bool = False,
+    stamps: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]]:
     """For each block of about _BLOCK_BYTES of bytes lo:hi of fh, two record
     starts, cut at its last record end (see _last_end), that holds records:
     the raw id and length of each run of records with equal raw ids, the
-    raw timestamps or None, as numpy strings, and the (m, 2) numbers.
-    np.loadtxt reads the lines (see _lines) as the row parser reads the
-    records, or raises ValueError, as does, where grouped, a block whose
-    runs do not group (see _group), before its numbers are parsed. A byte
-    that is not UTF-8 raises UnicodeDecodeError after the records before
-    it."""
+    raw timestamps, where columns has them and stamps is true, or None, as
+    numpy strings, and the (m, 2) numbers. np.loadtxt reads the lines (see
+    _lines) as the row parser reads the records, timestamps too, or raises
+    ValueError. A byte that is not UTF-8 raises UnicodeDecodeError after
+    the records before it."""
     text_cols = [columns[name] for name in ("location_id", "timestamp")
                  if name in columns]
     fh.seek(lo)
@@ -467,15 +351,13 @@ def _parse_blocks(
                          dtype=np.dtypes.StringDType(), **_CSV)
         starts = np.flatnonzero(ids[1:, 0] != ids[:-1, 0]) + 1
         heads = ids[np.r_[0, starts], 0]
-        if grouped and _group(list(map(str.strip, heads.tolist())),
-                              1)[2] is not None:
-            raise ValueError("a location's records lie apart")
         numbers = np.loadtxt(lines, usecols=(columns["observed"],
                                              columns["predicted"]),
                              dtype=np.float64, **_CSV)
         del lines
         yield (heads, np.diff(starts, prepend=0, append=len(ids)),
-               ids[:, 1].copy() if len(text_cols) == 2 else None, numbers)
+               ids[:, 1].copy() if stamps and len(text_cols) == 2 else None,
+               numbers)
         del ids, heads, numbers
 
 

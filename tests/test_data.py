@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from objentropy import data as odata
 from objentropy.data import (
     Dataset,
+    Layout,
     SplitSpec,
     _held_out,
     split,
@@ -279,6 +281,50 @@ class TestTake:
             ds.take([])
         with pytest.raises(DegenerateSplit):
             ds.subset(np.zeros(5, dtype=bool))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 89), min_size=1, max_size=60),
+           st.integers(1, 40), st.integers(1, 10))
+    def test_layout_take_reads_a_sorted_draw(self, draw, chunk, per_read):
+        """A layout's take of sorted positions, repeats and all, is the
+        dataset's, read a chunk of columns at a time."""
+        ds = _dataset(n=30, locations=3, seed=4)
+        reads = []
+
+        def read(lo, hi):
+            reads.append(hi - lo)
+            return ds.pairs[:, lo:hi].copy()
+
+        idx = np.sort(draw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_TAKE_PAIRS", chunk)
+            taken = Layout(ds.location_ids, ds.bounds, read).take(idx)
+        reference = ds.take(idx)
+        assert taken.location_ids == reference.location_ids
+        assert taken.bounds.tolist() == reference.bounds.tolist()
+        assert taken.pairs.tobytes() == reference.pairs.tobytes()
+        assert max(reads) <= chunk
+        layout = Layout(ds.location_ids, ds.bounds, read)
+        with pytest.raises(LengthMismatch):
+            layout.take(idx[::-1] if len(set(draw)) > 1 else [90])
+
+    def test_layout_check_names_the_first_location(self):
+        """A layout's check reads every value, a block at a time, and
+        raises a dataset's error about the first that is not finite."""
+        pairs = _dataset(n=4, locations=3).pairs.copy()
+        pairs[1, 6] = np.inf
+        pairs[0, 10] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS", 5)
+            layout = Layout(("A", "B", "C"), [0, 4, 8, 12],
+                            lambda lo, hi: pairs[:, lo:hi])
+            with pytest.raises(NonFiniteValue, match="location 'B'"):
+                layout.check()
+            pairs[1, 6] = 1.0
+            with pytest.raises(NonFiniteValue, match="location 'C'"):
+                layout.check()
+            pairs[0, 10] = 1.0
+            layout.check()
 
 
 class TestSplit:

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from objentropy import cli
 from objentropy import data as odata
 from objentropy import io as oio
-from objentropy.data import Dataset, Layout, split_blocks, validate_dataset
+from objentropy.data import (
+    Dataset,
+    Layout,
+    SplitSpec,
+    split_blocks,
+    validate_dataset,
+)
 from objentropy.errors import (
     EmptyFile,
     MissingColumn,
@@ -145,6 +151,10 @@ def _reject(*args, **kwargs):
 
 def _unexpected_fallback(*args):
     raise AssertionError("columnar read fell back to the row parser")
+
+
+def _unexpected_gather(*args):
+    raise AssertionError("a grouped file's spooled numbers were gathered")
 
 
 def _assert_identical(a, b):
@@ -385,8 +395,8 @@ def _csv_texts(draw):
 
 class TestBlockReader:
     """load_csv's block reader gives the row parser's dataset without
-    falling back to it, at any block size and worker count, and
-    reduce_csv streams what it loads."""
+    falling back to it, at any block size and worker count, and split_csv
+    folds what it loads."""
 
     @settings(max_examples=120, deadline=None)
     @given(_csv_texts(), st.integers(1, 80), st.integers(1, 3))
@@ -481,8 +491,9 @@ class TestBlockReader:
     def test_quoted_file_streams_the_loaded_frames(self, tmp_path,
                                                    monkeypatch, workers,
                                                    block):
-        """reduce_csv streams a grouped file whose ids are quoted to the
-        location frames of the dataset load_csv reads, bit for bit."""
+        """split_csv folds a grouped file whose ids are quoted, in sample,
+        to the location frames of the dataset load_csv reads, bit for bit,
+        without gathering its pairs."""
         rng = np.random.default_rng(5)
         f = tmp_path / "d.csv"
         write_dataset_csv(validate_dataset({
@@ -495,8 +506,9 @@ class TestBlockReader:
         monkeypatch.setattr(oio, "_BLOCK_BYTES", block)
         monkeypatch.setattr(oio, "_FORK_BYTES", 0)
         monkeypatch.setattr(oio, "_workers", lambda: workers)
-        streamed = oio.reduce_csv(f, partial(location_frames, specs))
-        assert streamed is not None
+        monkeypatch.setattr(oio, "_loaded", _unexpected_gather)
+        streamed, _ = oio.split_csv(f, SplitSpec("none"),
+                                    partial(location_frames, specs))
         assert _frame_columns(streamed) == _frame_columns([loaded])
 
 
@@ -521,44 +533,57 @@ def _frame_columns(blocks):
 
 
 # The loader cases that rank reads whole: a location whose records lie
-# apart, or a record that numpy rejects. A quoted file streams.
+# apart, or a record that numpy rejects. A quoted file is folded.
 _READ_WHOLE = _UNGROUPED | {
     "whitespace-only lines", "blank cells", "underscore digits"}
 
 
-def _rank(path, fmt="json", objectives="all", split="none", seed=0):
-    """rank of the file at path: exit code, stdout, stderr."""
+def _main(argv):
+    """cli.main(argv): exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["rank", "--input", str(path), "--format", fmt,
-                         "--objectives", objectives, "--split", split,
-                         "--seed", str(seed)])
+        code = cli.main([str(arg) for arg in argv])
     return code, out.getvalue(), err.getvalue()
 
 
-def _rank_both(path, mp, workers, fmt="json", objectives="all"):
-    """rank's output on path read whole; its output streamed in `workers`
-    ranges of 8-byte blocks, so that each location spans blocks and
-    ranges; and whether it streamed."""
-    mp.setattr(cli, "reduce_csv", lambda *args: None)
-    whole = _rank(path, fmt, objectives)
-    streamed = []
+def _rank(path, fmt="json", objectives="all", split="none", seed=0):
+    """rank's argv for the file at path."""
+    return ["rank", "--input", path, "--format", fmt, "--objectives",
+            objectives, "--split", split, "--seed", seed]
 
-    def spy(*args):
-        blocks = oio.reduce_csv(*args)
-        streamed.append(blocks is not None)
-        return blocks
 
-    mp.setattr(cli, "reduce_csv", spy)
-    mp.setattr(oio, "_BLOCK_BYTES", 8)
+def _cli_both(argv, mp, workers, block=8):
+    """cli.main(argv)'s exit code, stdout and stderr with its input loaded
+    whole by load_csv; the same with its input read by read_csv in
+    `workers` ranges of blocks of `block` bytes; and whether read_csv
+    handed the command a layout of the spooled numbers, and nothing
+    else."""
+    mp.setattr(cli, "read_csv", lambda path, use: use(load_csv(path)))
+    mp.setattr(cli, "split_csv", lambda path, spec, reduce: split_blocks(
+        load_csv(path), spec, reduce))
+    loaded = _main(argv)
+    sources = []
+    read_csv = oio.read_csv
+
+    def spy(path, use):
+        def seen(data):
+            sources.append(type(data))
+            return use(data)
+        return read_csv(path, seen)
+
+    mp.setattr(oio, "read_csv", spy)
+    mp.setattr(cli, "read_csv", spy)
+    mp.setattr(cli, "split_csv", oio.split_csv)
+    mp.setattr(oio, "_BLOCK_BYTES", block)
     mp.setattr(oio, "_FORK_BYTES", 0)
     mp.setattr(oio, "_workers", lambda: workers)
-    return whole, _rank(path, fmt, objectives), streamed == [True]
+    return loaded, _main(argv), sources == [Layout]
 
 
 class TestStreamedRank:
-    """rank --split none streams a grouped file's locations; its report,
-    or its error and exit code, is that of the whole read."""
+    """rank --split none folds a grouped file's spooled numbers a block of
+    whole locations at a time; its report, or its error and exit code, is
+    that of the whole read."""
 
     # NSE fails on most of these small files; MSE, MAE and U rank them.
     @pytest.mark.parametrize("objectives", ["all", "MSE,MAE,U"])
@@ -568,8 +593,8 @@ class TestStreamedRank:
                           monkeypatch):
         f = tmp_path / "d.csv"
         f.write_bytes(_LOADER_CASES[case][0].encode("utf-8"))
-        whole, streamed, took_stream = _rank_both(f, monkeypatch, workers,
-                                                  objectives=objectives)
+        whole, streamed, took_stream = _split_both(
+            f, monkeypatch, "none", workers, objectives=objectives)
         assert streamed == whole
         assert took_stream == (case not in _READ_WHOLE)
 
@@ -581,8 +606,8 @@ class TestStreamedRank:
         f = tmp_path / "d.csv"
         write_dataset_csv(generate(model)[0], f)
         for workers in (1, 2, 3):
-            whole, streamed, took_stream = _rank_both(f, monkeypatch,
-                                                      workers, fmt)
+            whole, streamed, took_stream = _split_both(f, monkeypatch,
+                                                       "none", workers, fmt)
             assert whole[0] == 0 and streamed == whole and took_stream
 
     # The files of TestLoaderEquivalence.test_random_files_match_row_parser.
@@ -604,30 +629,34 @@ class TestStreamedRank:
         # Extreme floats overflow; numpy's warnings are not what is compared.
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            whole, streamed, _ = _rank_both(f, mp, workers)
+            whole, streamed, _ = _split_both(f, mp, "none", workers)
         assert streamed == whole
 
-    @pytest.mark.parametrize("body", [
-        _HEADER + "A,1,2\nA,3,5\nB,x,3\n",
-        _HEADER + "A,1,2\nA,3,5\n\nB,3\n",
-        "location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n",
-        _HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n",
-        _HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n",
+    @pytest.mark.parametrize("body, folds", [
+        (_HEADER + "A,1,2\nA,3,5\nB,x,3\n", False),
+        (_HEADER + "A,1,2\nA,3,5\n\nB,3\n", False),
+        ("location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n",
+         False),
+        (_HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n", True),
+        (_HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n", False),
     ], ids=["number", "short row", "short of a timestamp", "nan",
             "not utf-8"])
-    def test_malformed_files_are_the_whole_reads_errors(self, body, tmp_path,
+    def test_malformed_files_are_the_whole_reads_errors(self, body, folds,
+                                                       tmp_path,
                                                        monkeypatch):
+        """What numpy rejects is read by the row parser, which raises; a
+        NaN is parsed and raises where its block is folded."""
         f = tmp_path / "d.csv"
         f.write_bytes(body.encode("utf-8", "surrogateescape"))
-        whole, streamed, took_stream = _rank_both(f, monkeypatch, 2)
-        assert streamed == whole and not took_stream
+        whole, streamed, took_stream = _split_both(f, monkeypatch, "none", 2)
+        assert streamed == whole and took_stream == folds
         assert whole[0] == 2 and whole[2].startswith("error: ")
 
     def test_no_data_rows_is_the_whole_reads_error(self, tmp_path,
                                                    monkeypatch):
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "\n\r\n")
-        whole, streamed, took_stream = _rank_both(f, monkeypatch, 2)
+        whole, streamed, took_stream = _split_both(f, monkeypatch, "none", 2)
         assert streamed == whole and not took_stream
         assert whole[0] == 2 and "has a header but no data rows" in whole[2]
 
@@ -635,75 +664,75 @@ class TestStreamedRank:
     @pytest.mark.parametrize("largest", [9, 10, 30])
     def test_large_location_is_read_whole(self, largest, workers, tmp_path,
                                           monkeypatch):
-        """A location of more than _LOCATION_ROWS records sends the file
-        to the whole read, whichever ranges take or skip it."""
-        monkeypatch.setattr(oio, "_LOCATION_ROWS", 9)
+        """A location of more than _BLOCK_PAIRS pairs is read whole, as a
+        block of its own, whichever ranges parse it; the other blocks hold
+        whole locations up to _BLOCK_PAIRS pairs."""
+        monkeypatch.setattr(odata, "_BLOCK_PAIRS", 9)
         rng = np.random.default_rng(largest)
         f = tmp_path / "d.csv"
         write_dataset_csv(validate_dataset({
             loc: tuple(rng.lognormal(0.0, 1.0, (2, size)))
             for loc, size in [("A", 3), ("B", largest), ("C", 2), ("D", 5)]
         }), f)
-        whole, streamed, took_stream = _rank_both(f, monkeypatch, workers,
-                                                  objectives="MSE,MAE,U")
-        assert whole[0] == 0 and streamed == whole
-        assert took_stream == (largest <= 9)
+        blocks = []
+        frames = cli.location_frames
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_interleaved_block_parses_no_number(self, workers, tmp_path,
-                                                monkeypatch):
-        """A block whose ids come back after another location's is
-        rejected from its ids alone: a range parses its first block's ids
-        and none of its numbers before the file goes to load_csv. A child
-        still parsing when the first range gives up is killed, so the
-        second range may log nothing."""
+        def spy(specs, block, **kwargs):
+            blocks.append(block.location_ids)
+            return frames(specs, block, **kwargs)
+
+        monkeypatch.setattr(cli, "location_frames", spy)
+        whole, streamed, took_stream = _split_both(
+            f, monkeypatch, "none", workers, objectives="MSE,MAE,U")
+        assert whole[0] == 0 and streamed == whole and took_stream
+        # The loaded file is one block; the fold's follow it.
+        assert blocks == [("A", "B", "C", "D"), ("A",), ("B",), ("C", "D")]
+
+
+    def test_large_location_is_parsed_once(self, tmp_path, monkeypatch):
+        """A location of more than _BLOCK_PAIRS rows is parsed by numpy
+        once: two loadtxt calls, for the ids and the numbers, of its one
+        block of bytes."""
+        monkeypatch.setattr(oio, "_workers", lambda: 1)
         f = tmp_path / "d.csv"
-        f.write_text(_HEADER + "".join(f"{'AB'[i % 2]},{i},1\n"
-                                       for i in range(200)))
-        log = tmp_path / "loadtxt.log"
-        loadtxt = np.loadtxt
-
-        def spy(source, *args, dtype=float, **kwargs):
-            with log.open("a") as fh:
-                fh.write(f"{np.dtype(dtype).kind}\n")
-            return loadtxt(source, *args, dtype=dtype, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", spy)
-        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
-        monkeypatch.setattr(oio, "_workers", lambda: workers)
-        assert oio.reduce_csv(f, len) is None
-        # StringDType's kind is "T"; numbers are float64, kind "f".
-        kinds = log.read_text().split()
-        assert kinds[0] == "T" and set(kinds) == {"T"}
-        assert len(kinds) <= workers
-
-    def test_range_inside_a_location_stops_at_its_end(self, tmp_path,
-                                                      monkeypatch):
-        """A range that lies inside the location the range before it takes
-        parses its own bytes and the block after them, not the rest of
-        that location."""
-        monkeypatch.setattr(oio, "_BLOCK_BYTES", 64)
-        monkeypatch.setattr(oio, "_LOCATION_ROWS", 1000)
-        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
-        monkeypatch.setattr(oio, "_workers", lambda: 3)
-        f = tmp_path / "d.csv"
-        f.write_text(_HEADER + "".join(f"A,{i},1\n" for i in range(300)))
-        parsed = []
+        f.write_text(_HEADER + "".join(f"A,{i % 7 + 1},{i % 5 + 1}\n"
+                                       for i in range(odata._BLOCK_PAIRS + 9)))
+        blocks, loadtxt = [], np.loadtxt
         parse_blocks = oio._parse_blocks
 
         def counting(*args, **kwargs):
             for block in parse_blocks(*args, **kwargs):
-                parsed.append(len(block[-1]))
+                blocks.append(block)
                 yield block
 
+        def spy(*args, **kwargs):
+            calls.append(True)
+            return loadtxt(*args, **kwargs)
+
+        calls = []
+        monkeypatch.setattr(np, "loadtxt", spy)
         monkeypatch.setattr(oio, "_parse_blocks", counting)
-        with oio._open_text(f) as text:
-            _, cuts = oio._layout(text, f)
-        columns = {"location_id": 0, "observed": 1, "predicted": 2}
-        with f.open("rb") as fh:
-            assert all(taken == [] for taken in oio._runs(fh, columns, cuts, 1))
-        # Its third of the 300 records, and at most 64 bytes after it.
-        assert 100 <= sum(parsed) <= 110
+        code, out, err = _main(_rank(f, objectives="MSE,MAE"))
+        assert (code, err) == (0, "") and json.loads(out)["rows"]
+        assert f.stat().st_size < oio._BLOCK_BYTES
+        assert (len(blocks), len(calls)) == (1, 2)
+
+    def test_stray_quote_is_parsed_by_block_once(self, tmp_path,
+                                                 monkeypatch):
+        """A `"` inside an unquoted cell sends the file to the row parser
+        after one attempt to read its block's lines."""
+        monkeypatch.setattr(oio, "_workers", lambda: 1)
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + 'x"y,1,2\nx"y,3,5\nB,2,3\nB,1,4\n')
+        attempts, rows = [], []
+        lines, read_rows = oio._lines, oio._read_rows
+        monkeypatch.setattr(oio, "_lines", lambda text: attempts.append(
+            True) or lines(text))
+        monkeypatch.setattr(oio, "_read_rows", lambda *args: rows.append(
+            True) or read_rows(*args))
+        code, out, err = _main(_rank(f, objectives="MSE,MAE"))
+        assert (code, err) == (0, "") and json.loads(out)["rows"]
+        assert attempts == rows == [True]
 
 
 def _split_both(path, mp, split, workers, fmt="json", seed=0,
@@ -711,25 +740,9 @@ def _split_both(path, mp, split, workers, fmt="json", seed=0,
     """rank --split's output on path loaded whole and split; its output
     split from the spooled numbers, read in `workers` ranges of blocks of
     `block` bytes; and whether that split folded a layout without
-    loading. In sample, streaming is patched off in both, so that the
-    split is the fallback's."""
-    mp.setattr(cli, "reduce_csv", lambda *args: None)
-    mp.setattr(cli, "split_csv", lambda path, spec, reduce: split_blocks(
-        load_csv(path), spec, reduce))
-    loaded = _rank(path, fmt, objectives, split, seed)
-    sources = []
-
-    def spy(dataset, *args):
-        sources.append(type(dataset))
-        return split_blocks(dataset, *args)
-
-    mp.setattr(oio, "split_blocks", spy)
-    mp.setattr(cli, "split_csv", oio.split_csv)
-    mp.setattr(oio, "_BLOCK_BYTES", block)
-    mp.setattr(oio, "_FORK_BYTES", 0)
-    mp.setattr(oio, "_workers", lambda: workers)
-    return (loaded, _rank(path, fmt, objectives, split, seed),
-            sources == [Layout])
+    loading (see _cli_both)."""
+    return _cli_both(_rank(path, fmt, objectives, split, seed), mp, workers,
+                     block)
 
 
 _SPLITS = ["none", "random:0.3", "random:0.8", "location:0.5"]
@@ -821,19 +834,203 @@ class TestSpooledSplit:
     @pytest.mark.parametrize("body, grouped", [
         (_HEADER + "A,1,2\nB,3,5\nA,2,3\nB,1,1\n", False),
         ("timestamp," + _HEADER + "2020-01-02,A,1,2\n2020-01-01,A,3,5\n"
-         "2020-01-01,B,2,3\n2020-01-02,B,1,1\n", False),
+         "2020-01-01,B,2,3\n2020-01-02,B,1,1\n", True),
         (_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n", True),
     ], ids=["ungrouped", "timestamped", "grouped"])
     def test_what_is_loaded(self, body, grouped, split, tmp_path,
                             monkeypatch):
-        """An ungrouped or a timestamped file, or a split by time, is
-        loaded and split as before."""
+        """An ungrouped file, or a split by time, is loaded and split as
+        before. A grouped file is folded whether or not it has timestamps,
+        which only a split by time reads."""
         f = tmp_path / "d.csv"
         f.write_text(body)
         loaded, spooled, folded = _split_both(f, monkeypatch, split, 2,
                                               objectives="MSE,MAE,U")
         assert spooled == loaded
         assert folded == (grouped and split != "time:0.5")
+
+
+    @pytest.mark.parametrize("split", [*_SPLITS, "time:0.5"])
+    def test_stamps_are_kept_for_a_time_split_only(self, split, tmp_path,
+                                                   monkeypatch):
+        """The workers parse every timestamp, but send them only to a time
+        split, which loads the file; the other splits fold it."""
+        kept = []
+        load_range = oio._load_range
+
+        def spy(*args):
+            blocks = load_range(*args)
+            kept.append({stamps is not None for _, _, stamps in blocks})
+            return blocks
+
+        monkeypatch.setattr(oio, "_load_range", spy)
+        f = tmp_path / "d.csv"
+        f.write_text("timestamp," + _HEADER + "".join(
+            f"2020-01-{day:02d},{loc},{day},{day % 3 + 1}\n"
+            for loc in "ABC" for day in range(1, 9)))
+        # One worker parses in this process, where the spy sees it.
+        loaded, spooled, folded = _split_both(f, monkeypatch, split, 1,
+                                              objectives="MSE,MAE,U")
+        assert loaded[0] == 0 and spooled == loaded
+        assert folded == (split != "time:0.5")
+        # The loaded path's read, then the spooled one's blocks.
+        assert kept == [{True}, {split == "time:0.5"}]
+
+    @pytest.mark.parametrize("split", [*_SPLITS, "time:0.5"])
+    def test_record_without_its_timestamp(self, split, tmp_path,
+                                          monkeypatch):
+        """A record that lacks its timestamp cell is the load's
+        line-numbered error, though no stamp is kept."""
+        f = tmp_path / "d.csv"
+        f.write_text("location_id,observed,predicted,timestamp\n"
+                     "A,1,2,2020-01-01\nA,3,4,2020-01-02\nB,5,6\n")
+        loaded, spooled, folded = _split_both(f, monkeypatch, split, 2)
+        assert spooled == loaded and not folded
+        assert loaded[0] == 2 and "line 4: row has too few columns" in (
+            loaded[2])
+
+
+# correlate, and convergence with and without --bootstrap, as argv after
+# --input: --objectives, --format and --seed are appended.
+_DIAGNOSE = {
+    "correlate": ["correlate"],
+    "convergence": ["convergence", "--sizes", "1,5", "--replicates", "2"],
+    "bootstrap": ["convergence", "--sizes", "1,5", "--replicates", "2",
+                  "--bootstrap"],
+}
+
+
+def _diagnose(command, path, fmt="json", objectives="MSE,MAE,U", seed=0):
+    argv = [*_DIAGNOSE[command][:1], "--input", path,
+            *_DIAGNOSE[command][1:], "--format", fmt,
+            "--objectives", objectives]
+    return argv + ["--seed", seed] if command != "correlate" else argv
+
+
+class TestFoldedDiagnostics:
+    """correlate and convergence read a grouped file's spooled numbers, as
+    rank does; the report, or the error and exit code, is that of the
+    loaded file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.sampled_from(sorted(_DIAGNOSE)), st.integers(0, 3),
+           st.integers(1, 3), st.integers(1, 64),
+           st.sampled_from(["json", "csv", "table"]),
+           st.sampled_from(["all", "MSE,MAE,U,MSLE,ZMALE"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example([3, 7, 2, 9, 1, 6], "bootstrap", 1, 3, 5, "csv",
+             "MSE,MAE,U,MSLE,ZMALE", 7)
+    @example([3, 7, 2, 9, 1, 6], "correlate", 2, 2, 1, "table", "all", 8)
+    @example([3, 7, 2, 9, 1, 6], "convergence", 3, 2, 9, "json", "all", 9)
+    def test_grouped_files(self, tmp_path_factory, sizes, command, seed,
+                           workers, block, fmt, objectives, draw):
+        """TestSpooledSplit's files: blocks of whole locations of up to 5
+        pairs, spool reads of 3 pairs, and draws read 2 pairs at a time."""
+        rng = np.random.default_rng(draw)
+        ids = ["A", 'q"x', "c,d", "B", " e", "F"]
+        f = tmp_path_factory.mktemp("diagnose") / "d.csv"
+        obs, pred = rng.lognormal(0.0, 1.0, (2, sum(sizes)))
+        obs[rng.random(obs.size) < 0.1] = 0.0
+        bounds = np.cumsum([0, *sizes])
+        write_dataset_csv(validate_dataset({
+            ids[i]: (obs[lo:hi], pred[lo:hi]) for i, (lo, hi)
+            in enumerate(zip(bounds[:-1], bounds[1:]))}), f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS", 5)
+            mp.setattr(odata, "_TAKE_PAIRS", 2)
+            mp.setattr(oio, "_BLOCK_PAIRS", 3)
+            loaded, spooled, folded = _cli_both(
+                _diagnose(command, f, fmt, objectives, seed), mp, workers,
+                block)
+        assert spooled == loaded and folded
+
+    @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
+    @pytest.mark.parametrize("body", [
+        _HEADER + "A,1,2\nA,3,5\nB,x,3\n",
+        _HEADER + "A,1,2\nA,3,5\n\nB,3\n",
+        _HEADER + "A,1,2\nA,1_000,5\nB,2,3\nB,4,1\nB,3,2\n",
+        _HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n",
+        _HEADER,
+        _HEADER + "\n\r\n",
+    ], ids=["number", "short row", "underscore digits", "not utf-8",
+            "header only", "no data rows"])
+    def test_pinned_files(self, body, command, tmp_path, monkeypatch):
+        """A file numpy rejects is read by the row parser and loaded; its
+        error, or its report, is the load's."""
+        f = tmp_path / "d.csv"
+        f.write_bytes(body.encode("utf-8", "surrogateescape"))
+        loaded, spooled, folded = _cli_both(_diagnose(command, f), monkeypatch,
+                                            2)
+        assert spooled == loaded and not folded
+        assert loaded[0] == (0 if "1_000" in body else 2)
+
+    @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
+    def test_nan_in_a_later_block(self, command, tmp_path, monkeypatch):
+        """A NaN in a block after the first raises the load's error, naming
+        the first location that holds one."""
+        monkeypatch.setattr(odata, "_BLOCK_PAIRS", 2)
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n"
+                     "C,inf,1\nC,2,2\nD,nan,3\nD,1,1\n")
+        loaded, spooled, folded = _cli_both(_diagnose(command, f), monkeypatch,
+                                            2)
+        assert spooled == loaded and folded
+        assert loaded[0] == 2 and "'C' contains NaN" in loaded[2]
+
+    @pytest.mark.parametrize("command", ["convergence", "bootstrap"])
+    def test_nan_that_no_draw_picks(self, command, tmp_path, monkeypatch):
+        """Every value is checked before the draws, so a NaN that no draw
+        reads fails the command, as it fails the load."""
+        monkeypatch.setattr(odata, "_BLOCK_PAIRS", 4)
+        argv = _diagnose(command, tmp_path / "d.csv")
+        sizes = argv.index("--sizes") + 1
+        argv[sizes:sizes + 3] = ["2", "--replicates", "1"]
+        # The positions the seed draws, replaced or not, of 12 pairs.
+        drawn = np.random.default_rng(0).choice(
+            12, size=2, replace=command == "bootstrap")
+        nan = min(set(range(12)) - set(drawn.tolist()))
+        values = [f"{i % 5 + 1},{i % 3 + 1}" for i in range(12)]
+        values[nan] = "nan,1"
+        (tmp_path / "d.csv").write_text(_HEADER + "".join(
+            f"{'ABC'[i // 4]},{v}\n" for i, v in enumerate(values)))
+        loaded, spooled, folded = _cli_both(argv, monkeypatch, 2)
+        assert spooled == loaded and folded
+        assert loaded[0] == 2 and "contains NaN" in loaded[2]
+
+    @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
+    def test_timestamped_file_is_folded(self, command, tmp_path,
+                                        monkeypatch):
+        """A grouped file with a timestamp column is folded; its stamps are
+        not read."""
+        f = tmp_path / "d.csv"
+        f.write_text("timestamp," + _HEADER + "".join(
+            f"2020-01-{day:02d},{loc},{day},{day % 3 + 1}\n"
+            for loc in "ABC" for day in range(1, 9)))
+        loaded, spooled, folded = _cli_both(_diagnose(command, f), monkeypatch,
+                                            2)
+        assert loaded[0] == 0 and spooled == loaded and folded
+
+    @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
+    def test_grouped_file_is_never_loaded(self, command, tmp_path,
+                                          monkeypatch):
+        """Neither command calls load_csv on a grouped file, nor gathers
+        its spooled numbers."""
+        model = SyntheticModel("multiplicative-log-laplace", 0.5,
+                               zero_inflation_rate=0.05, n_per_location=20,
+                               n_locations=6, seed=4)
+        f = tmp_path / "d.csv"
+        write_dataset_csv(generate(model)[0], f)
+
+        def forbidden(*args):
+            raise AssertionError("the file was loaded")
+
+        monkeypatch.setattr(oio, "load_csv", forbidden)
+        monkeypatch.setattr(oio, "_loaded", forbidden)
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_workers", lambda: 2)
+        code, out, err = _main(_diagnose(command, f))
+        assert (code, err) == (0, "") and json.loads(out)["rows"]
 
 
 def _assert_no_child_left():
@@ -885,22 +1082,21 @@ class TestWorkerLifecycle:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_parent_error_kills_a_running_child(self, tmp_path, monkeypatch,
                                                 error):
-        """The children's range reads would take a minute; this process's
-        own range read, the first range of a streamed rank, fails at once,
-        and the children are killed and reaped without waiting."""
-        f = tmp_path / "d.csv"
-        f.write_text(_HEADER + "A,1,2\n")
+        """The children's range writes would take a minute; this process's
+        own range write, the first range of a write, fails at once, and the
+        children are killed and reaped without waiting."""
+        ds = Dataset(("A", "B"), [0, 2, 3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         parent = os.getpid()
 
-        def read(*args):
+        def write(*args):
             if os.getpid() != parent:
                 time.sleep(60)
-            raise error("range read interrupted")
+            raise error("range write interrupted")
 
-        monkeypatch.setattr(oio, "_reduce_range", read)
+        monkeypatch.setattr(oio, "_write_rows", write)
         start = time.monotonic()
         with pytest.raises(error):
-            oio.reduce_csv(f, len)
+            write_dataset_csv(ds, tmp_path / "d.csv")
         assert time.monotonic() - start < 30
         _assert_no_child_left()
 
@@ -912,7 +1108,7 @@ class TestWorkerLifecycle:
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\nB,3,4\n")
 
-        def read(path, columns, spools, cuts, k):
+        def read(path, columns, spools, stamps, cuts, k):
             if k:
                 time.sleep(60)
             raise RuntimeError("range read failed")

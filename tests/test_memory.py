@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from objentropy import cli
+from objentropy import data as odata
 from objentropy import io as oio
 from objentropy.data import (
     SplitSpec,
@@ -34,8 +35,8 @@ from objentropy.transforms import POSITIVE_DOMAIN_KINDS
 
 N = 100_000
 _FIXED = 4096
-# What a streamed block of 1 MiB leaves for the rank that reads it: its
-# locations' frames, about 25 locations of 1,000 pairs here.
+# What a folded block of 16,384 pairs leaves for the rank that reads it:
+# its locations' frames, 16 locations of 1,000 pairs here.
 _PER_BLOCK = 1 << 14
 # What a part of a block of a split (at most 65,536 pairs, one side's pairs
 # of about 65 locations of 1,000 here) leaves for the rank that folds it:
@@ -158,11 +159,13 @@ def test_subset_holds_positions_and_the_new_pairs():
 
 
 def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
-    """rank --split none reads a grouped file in blocks, so at a fixed
-    location size its peak does not grow with the pairs. What does grow
-    is the per-location frames that each block leaves: at most
-    _PER_BLOCK bytes per block, from n to 2n pairs in blocks of 1 MiB."""
+    """rank --split none folds a grouped file's spooled numbers in blocks
+    of whole locations, so at a fixed location size its peak does not grow
+    with the pairs. What does grow is the per-location frames that each
+    block leaves: at most _PER_BLOCK bytes per block, from n to 2n pairs
+    in blocks of 16,384 pairs."""
     monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(odata, "_BLOCK_PAIRS", 1 << 14)
     specs = list(CATALOG.values())
     blocks = {}
 
@@ -172,7 +175,8 @@ def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
             _dataset(n, locations=n // 1000, zeros=True), path)
 
         def call():
-            parts = oio.reduce_csv(path, partial(location_frames, specs))
+            parts, _ = oio.split_csv(path, SplitSpec("none"),
+                                     partial(location_frames, specs))
             blocks[n] = len(parts)
             return [evaluate_objective(spec, parts, parts)
                     for spec in specs]
@@ -188,13 +192,11 @@ def test_streamed_rank_holds_blocks_not_pairs(tmp_path, monkeypatch):
 
 def test_streamed_location_holds_what_the_whole_read_does(tmp_path,
                                                            monkeypatch):
-    """A location that rank streams is held whole, but no more than when
-    the file is read whole (see the bounds above): two per-pair float
-    arrays while its parsed runs are copied into its pairs, then the pairs
-    and a frame's two arrays and mask. Here one location of every size
-    streams."""
+    """A location that rank folds is held whole, as a block of its own,
+    but no more than when the file is read whole (see the bounds above):
+    its pairs, read back from the spool, and a frame's two arrays and
+    mask."""
     monkeypatch.setattr(oio, "_workers", lambda: 1)
-    monkeypatch.setattr(oio, "_LOCATION_ROWS", 4 * N)
     specs = list(CATALOG.values())
 
     def make(n):
@@ -202,12 +204,76 @@ def test_streamed_location_holds_what_the_whole_read_does(tmp_path,
         oio.write_dataset_csv(_dataset(n, locations=1, zeros=True), path)
 
         def call():
-            blocks = oio.reduce_csv(path, partial(location_frames, specs))
+            blocks, _ = oio.split_csv(path, SplitSpec("none"),
+                                      partial(location_frames, specs))
             return [evaluate_objective(spec, blocks, blocks)
                     for spec in specs]
         return call, n
 
     _assert_per_pair(make, 2 * 2 * FLOAT + 1)
+
+
+# What correlate keeps of a location beyond its block: its id, its run in
+# the spooled parse and its row of entropies.
+_PER_LOCATION = 1 << 10
+
+
+def test_correlate_holds_locations_not_pairs(tmp_path, monkeypatch):
+    """correlate folds a grouped file's spooled numbers a block of whole
+    locations at a time, keeping each block's rows of entropies: at a
+    fixed location size its peak grows with the locations, by at most
+    _PER_LOCATION bytes each, and not with the pairs (16 bytes each, or
+    16,000 per location of 1,000 pairs, were they loaded)."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
+    specs = list(CATALOG.values())
+    out = tmp_path / "correlate.json"
+
+    def argv(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(
+            _dataset(n, locations=n // 1000, zeros=True), path)
+        return ["correlate", "--input", str(path), "--objectives",
+                ",".join(spec.name for spec in specs), "--format", "json",
+                "--out", str(out)]
+
+    _cli_peak(argv(1_000))
+    low, high = _cli_peak(argv(N)), _cli_peak(argv(2 * N))
+    assert json.loads(out.read_text())["rows"]
+    locations = (2 * N - N) // 1000
+    assert high - low <= _PER_LOCATION * locations + _FIXED, (
+        f"{(high - low) / locations:.0f} bytes per location")
+
+
+@pytest.mark.parametrize("draw, per_pair", [("", INDEX), ("--bootstrap", 0)])
+def test_convergence_holds_the_draw_not_the_pairs(tmp_path, monkeypatch,
+                                                  draw, per_pair):
+    """convergence checks a grouped file's spooled numbers a block at a
+    time and reads each sorted draw from them, so at fixed sizes its peak
+    grows by at most the positions numpy's choice without replacement
+    permutes, INDEX bytes per pair of the input, and by nothing with
+    replacement. Locations of 10,000 pairs keep what grows with the
+    locations within _FIXED, and checks of 4,096 pairs at a time keep the
+    check's peak below the permutation's."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(odata, "_BLOCK_PAIRS", 1 << 12)
+    out = tmp_path / "convergence.json"
+
+    def argv(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(
+            _dataset(n, locations=n // 10_000, zeros=True), path)
+        return ["convergence", "--input", str(path), "--sizes", "5000",
+                "--replicates", "2", "--objectives", "MSE,MALE,ZMALE",
+                *([draw] if draw else []), "--format", "json",
+                "--out", str(out)]
+
+    _cli_peak(argv(10_000))
+    low, high = _cli_peak(argv(N)), _cli_peak(argv(2 * N))
+    assert json.loads(out.read_text())["rows"]
+    assert high - low <= per_pair * N + _FIXED, (
+        f"{(high - low) / N:.2f} bytes per pair")
 
 
 def test_generate_draws_into_the_pairs():
@@ -280,12 +346,10 @@ def test_spooled_split_holds_the_mask_and_the_positions(tmp_path, monkeypatch,
     peak grows by at most the held-out mask and the int32 positions it is
     drawn from, 5 bytes per pair, and the frames each part of a block
     leaves, at most _PER_PART bytes, with no pairs of the whole file. In
-    sample, where streaming gives up (here at every location, of 1,000
-    pairs), the fold holds no mask. Blocks of 64 KiB of records keep the
+    sample, the fold holds no mask. Blocks of 64 KiB of records keep the
     parse's peak below the fold's."""
     monkeypatch.setattr(oio, "_workers", lambda: 1)
     monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
-    monkeypatch.setattr(oio, "_LOCATION_ROWS", 10)
     specs = list(CATALOG.values())
     parts = []
     frames = cli.location_frames
@@ -353,17 +417,18 @@ def test_held_out_draw_holds_four_bytes_per_pair():
 
 
 def test_streamed_block_drops_its_bytes_and_text(tmp_path, monkeypatch):
-    """reduce_csv drops a block's bytes once they are decoded and its text
-    once it is split into lines, before numpy parses them, and its ids and
-    numbers before the next block is read. Streaming a file several blocks
-    long then peaks at a block's text beside its lines, which take about
-    2.3 bytes per byte of these 42-byte rows, plus the numbers of a block
-    that the location in progress still holds: within 4.5 blocks' bytes.
-    It peaked at 6.2 while the bytes and text lived through both parses."""
+    """The block reader drops a block's bytes once they are decoded and
+    its text once it is split into lines, before numpy parses them, and
+    its ids and numbers before the next block is read. Folding a file
+    several blocks long in sample then peaks at a block's text beside its
+    lines, which take about 2.3 bytes per byte of these 42-byte rows:
+    within 4.5 blocks' bytes. It peaked at 6.2 while the bytes and text
+    lived through both parses."""
     monkeypatch.setattr(oio, "_workers", lambda: 1)
     path = tmp_path / "d.csv"
     oio.write_dataset_csv(_dataset(2 * N, locations=2 * N // 1000), path)
     assert path.stat().st_size > 4 * oio._BLOCK_BYTES
-    peak = _peak(lambda: oio.reduce_csv(path, lambda block: block.n_total))
+    peak = _peak(lambda: oio.split_csv(path, SplitSpec("none"),
+                                       lambda block: block.n_total))
     assert peak <= 4.5 * oio._BLOCK_BYTES, (
         f"{peak / oio._BLOCK_BYTES:.2f} blocks")
