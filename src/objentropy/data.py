@@ -105,6 +105,11 @@ class Dataset:
         arr.setflags(write=False)
         return arr
 
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """The (2, hi - lo) view of columns lo:hi of pairs: the read a
+        Layout answers."""
+        return self.pairs[:, lo:hi]
+
     def rows(self) -> Iterator[tuple[str, slice]]:
         """Each location id with the slice of the columns it owns."""
         bounds = self.bounds.tolist()
@@ -266,9 +271,9 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
 
 
 # The most pairs of a block of whole locations that split_blocks reduces
-# at a time, and of the columns a layout's check reads at a time: what a
-# block holds does not grow with the dataset. A larger location is a
-# block of its own.
+# at a time, and of the columns that a part split_blocks gathers, or a
+# layout's check, reads at a time: what a block holds does not grow with
+# the dataset. A larger location is a block of its own.
 _BLOCK_PAIRS = 1 << 16
 # The most columns a layout's take reads at a time: a sparse draw reads
 # little more than its positions, and a dense one holds at most this many
@@ -293,12 +298,6 @@ class Layout(NamedTuple):
     @property
     def timestamps(self) -> None:
         return None
-
-    def block(self, first: int, last: int) -> Dataset:
-        """The dataset of locations first:last."""
-        bounds = self.bounds[first:last + 1]
-        return Dataset(self.location_ids[first:last], bounds - bounds[0],
-                       self.read(int(bounds[0]), int(bounds[-1])))
 
     def check(self) -> None:
         """Raise NonFiniteValue, as a Dataset of these pairs does, where a
@@ -340,27 +339,36 @@ def split_blocks(
 
     A block is a run of consecutive whole locations of at most
     _BLOCK_PAIRS pairs, or one location of more, and a part is one side's
-    pairs of a block; in sample, a loaded dataset is one part, and each
-    block of a layout is one. The held-out mask is drawn once, as split
-    draws it, before any block is read. Beside a loaded dataset, or of a
-    layout, only the mask, one part (while a layout's is taken, its block
-    too) and what reduce returns are held, never a side whole.
+    pairs of a block; in sample, each block is one part. The held-out mask
+    is drawn once, as split draws it, before any block is read. A part
+    that keeps its whole block reads it once; any other is gathered
+    _BLOCK_PAIRS columns at a time, each read dropped before the next. So
+    beside the dataset only the mask, one part (while it is gathered, one
+    read too) and what reduce returns are held, never a side whole.
     """
-    loaded = isinstance(dataset, Dataset)
-    if loaded and spec.mode == "none":
-        whole = [reduce(dataset)]
-        return whole, whole
     mask = None if spec.mode == "none" else _test_mask(dataset, spec)
     bounds = dataset.bounds.tolist()
 
-    def part(first: int, last: int, side: np.ndarray) -> Dataset:
-        """The pairs of block first:last that side keeps: a loaded
-        dataset's, taken from it, or a layout's, read for each part, so
-        that the block is dropped before its part is reduced."""
-        if loaded:
-            return dataset.take(np.flatnonzero(side) + bounds[first])
-        block = dataset.block(first, last)
-        return block if side.all() else block.take(np.flatnonzero(side))
+    def part(first: int, last: int, test: bool, counts: np.ndarray
+             ) -> Dataset:
+        """The pairs of block first:last on the test side if test, else on
+        the train side: counts[j] of them of location first + j."""
+        lo, hi = bounds[first], bounds[last]
+        ids = dataset.location_ids[first:last]
+        kept = int(counts.sum())
+        if kept == hi - lo:
+            return Dataset(ids, np.subtract(bounds[first:last + 1], lo),
+                           dataset.read(lo, hi))
+        pairs = np.empty((2, kept))
+        at = 0
+        for a in range(lo, hi, _BLOCK_PAIRS):
+            b = min(a + _BLOCK_PAIRS, hi)
+            piece = mask[a:b] == test
+            end = at + int(np.count_nonzero(piece))
+            np.compress(piece, dataset.read(a, b), axis=1,
+                        out=pairs[:, at:end])
+            at = end
+        return _taken(ids, counts, pairs)
 
     sides: tuple[list[Any], list[Any]] = ([], [])
     first = 0
@@ -369,11 +377,14 @@ def split_blocks(
                 and bounds[i + 1] - bounds[first] <= _BLOCK_PAIRS):
             continue
         lo, hi = bounds[first], bounds[i]
-        # In sample, a layout's blocks are all train side.
-        held = np.zeros(hi - lo, bool) if mask is None else mask[lo:hi]
-        for reduced, side in zip(sides, (~held, held)):
-            if side.any():
-                reduced.append(reduce(part(first, i, side)))
+        sizes = np.diff(bounds[first:i + 1])
+        # In sample, every block is all train side.
+        held = (np.zeros_like(sizes) if mask is None else np.add.reduceat(
+            mask[lo:hi], np.subtract(bounds[first:i], lo), dtype=np.int64))
+        for reduced, test, counts in zip(sides, (False, True),
+                                         (sizes - held, held)):
+            if counts.any():
+                reduced.append(reduce(part(first, i, test, counts)))
         first = i
     return sides if mask is not None else (sides[0], sides[0])
 

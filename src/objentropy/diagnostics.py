@@ -141,7 +141,7 @@ def per_location_entropy(
     """Fit and evaluate each objective independently at each location,
     in-sample.
 
-    A dataset is scored whole; a layout a block of whole locations at a
+    A dataset, or a layout, is scored a block of whole locations at a
     time (see split_blocks), whose rows of entropies are stacked. Each
     transform makes one pass over the data scored, shared by every
     objective that uses it. Each location's slice of that pass is reduced

@@ -681,8 +681,7 @@ def _write_rows(
         first, last = max(lo, start), min(hi, stop)
         if first >= last:
             continue
-        pairs = (dataset.pairs[:, first:last] if isinstance(dataset, Dataset)
-                 else dataset.read(first, last))
+        pairs = dataset.read(first, last)
         loc = _quote(loc)
         for a in range(first, last, _CHUNK_ROWS):
             b = min(a + _CHUNK_ROWS, last)

@@ -144,7 +144,9 @@ def generate(model: SyntheticModel) -> tuple[Dataset, SyntheticTruth]:
     its columns of the dataset's pairs, a piece at a time (see _draw), so
     beside them only a piece of draws is held.
     """
-    return layout(model).block(0, model.n_locations), truth(model)
+    laid = layout(model)
+    return (Dataset(laid.location_ids, laid.bounds,
+                    laid.read(0, laid.n_total)), truth(model))
 
 
 def truth(model: SyntheticModel) -> SyntheticTruth:

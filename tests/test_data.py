@@ -14,6 +14,7 @@ from objentropy.data import (
     SplitSpec,
     _held_out,
     split,
+    split_blocks,
     validate_dataset,
 )
 from objentropy.diagnostics import per_location_entropy
@@ -421,3 +422,48 @@ class TestSplit:
             SplitSpec("random", test_fraction=1.5)
         with pytest.raises(DegenerateSplit):
             SplitSpec("bogus")
+
+
+def _joined(parts):
+    """The location ids, bounds and pairs of parts laid side by side."""
+    if not parts:
+        return (), [0], b""
+    counts = [np.diff(part.bounds) for part in parts]
+    return (sum((part.location_ids for part in parts), ()),
+            np.cumsum([0, *np.concatenate(counts)]).tolist(),
+            np.concatenate([part.pairs for part in parts], axis=1).tobytes())
+
+
+class TestSplitBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           st.sampled_from([1, 4, 7]),
+           st.sampled_from(["none", "random", "location"]),
+           st.sampled_from([0.2, 0.5, 0.7]), st.integers(0, 2 ** 32))
+    def test_parts_of_a_dataset_and_a_layout_join_to_the_split(
+            self, sizes, block, mode, fraction, seed):
+        """A loaded dataset and a layout of its pairs are cut into the same
+        parts, which laid side by side are split's train and test sides."""
+        rng = np.random.default_rng(seed)
+        bounds = np.cumsum([0, *sizes])
+        ds = Dataset(tuple(f"L{i}" for i in range(len(sizes))), bounds,
+                     rng.lognormal(0.0, 1.0, (2, int(bounds[-1]))))
+        layout = Layout(ds.location_ids, ds.bounds,
+                        lambda lo, hi: ds.pairs[:, lo:hi].copy())
+        spec = SplitSpec(mode, None if mode == "none" else fraction, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS", block)
+            try:
+                sides = split(ds, spec)
+            except DegenerateSplit:
+                for data in (ds, layout):
+                    with pytest.raises(DegenerateSplit):
+                        split_blocks(data, spec, lambda part: part)
+                return
+            loaded = split_blocks(ds, spec, lambda part: part)
+            laid = split_blocks(layout, spec, lambda part: part)
+        for loaded_side, laid_side, side in zip(loaded, laid, sides):
+            assert ([_joined([part]) for part in loaded_side]
+                    == [_joined([part]) for part in laid_side])
+            assert _joined(loaded_side) == (
+                side.location_ids, side.bounds.tolist(), side.pairs.tobytes())

@@ -685,8 +685,8 @@ class TestStreamedRank:
         whole, streamed, took_stream = _split_both(
             f, monkeypatch, "none", workers, objectives="MSE,MAE,U")
         assert whole[0] == 0 and streamed == whole and took_stream
-        # The loaded file is one block; the fold's follow it.
-        assert blocks == [("A", "B", "C", "D"), ("A",), ("B",), ("C", "D")]
+        # The loaded file is blocked as the fold is, which follows it.
+        assert blocks == [("A",), ("B",), ("C", "D")] * 2
 
 
     def test_large_location_is_parsed_once(self, tmp_path, monkeypatch):

@@ -384,6 +384,35 @@ def test_spooled_split_holds_the_mask_and_the_positions(tmp_path, monkeypatch,
         "mask")
 
 
+def test_split_gathers_the_side_of_a_location(tmp_path, monkeypatch):
+    """rank --split random:0.3 on a grouped file of one location, larger
+    than a block, gathers each side from the spool a piece at a time: from
+    2n to 4n pairs, its peak grows by at most the train side's pairs
+    (70% of the pairs, 16 bytes each), its frame's two float arrays of
+    them, and the held-out mask (one byte per pair), with no block of the
+    location beside the side. The margin, a byte per pair, is what a
+    frame's pass holds beside its arrays: the mask that picks the
+    positive pairs, 0.7 bytes per pair. At n pairs a piece's read from the
+    spool would still set the peak."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
+    specs = list(CATALOG.values())
+    out = tmp_path / "rank.json"
+
+    def make(n):
+        path = tmp_path / f"{n}.csv"
+        oio.write_dataset_csv(_dataset(2 * n, locations=1, zeros=True),
+                              path)
+        return ["rank", "--input", str(path), "--split", "random:0.3",
+                "--objectives", ",".join(spec.name for spec in specs),
+                "--format", "json", "--out", str(out)], 2 * n
+
+    kept = 0.7
+    _assert_per_pair(make, kept * 2 * FLOAT + kept * 2 * FLOAT + 1 + 1,
+                     _cli_peak)
+    assert json.loads(out.read_text())["rows"]
+
+
 def test_synth_holds_one_location(tmp_path, monkeypatch):
     """synth draws each location where its rows are written, one at a
     time, so at a fixed location size its peak does not grow with the
