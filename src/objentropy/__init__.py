@@ -5,75 +5,64 @@ variants, ...) as likelihoods, scores each as conditional entropy in bits
 per observation, corrects for overfitting, and ranks candidates by Akaike
 weight. The objective that represents the model error in the fewest bits
 is the most informative one.
+
+Importing the package imports none of its modules: each public name is
+looked up in the module that defines it on first use (PEP 562), so a
+caller that needs only numpy-free names never imports numpy.
 """
 
-from .data import Dataset, SplitSpec, split, validate_dataset
-from .diagnostics import (
-    ConvergenceCurve,
-    EntropyMatrix,
-    convergence_curve,
-    per_location_entropy,
-)
-from .errors import ObjentropyError
-from .information import (
-    EntropyEstimate,
-    EntropyReport,
-    adjust_expectation_lognormal,
-    aic_adjusted_entropy,
-    akaike_weights,
-    conditional_entropy_bits,
-    noise_fraction,
-    prediction_interval,
-    rank_objectives,
-)
-from .io import load_csv, write_dataset_csv
-from .likelihoods import (
-    CATALOG,
-    DEFAULT_ZERO_THRESHOLD,
-    FittedParams,
-    ObjectiveSpec,
-    evaluate_objective,
-    get_objective,
-    resolve_objectives,
-    score_objective,
-)
-from .synthetic import SyntheticModel, SyntheticTruth, analytic_entropy, generate
-from .transforms import log_jacobian_sum
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG",
-    "ConvergenceCurve",
-    "DEFAULT_ZERO_THRESHOLD",
-    "Dataset",
-    "EntropyEstimate",
-    "EntropyMatrix",
-    "EntropyReport",
-    "FittedParams",
-    "ObjectiveSpec",
-    "ObjentropyError",
-    "SplitSpec",
-    "SyntheticModel",
-    "SyntheticTruth",
-    "adjust_expectation_lognormal",
-    "aic_adjusted_entropy",
-    "akaike_weights",
-    "analytic_entropy",
-    "conditional_entropy_bits",
-    "convergence_curve",
-    "evaluate_objective",
-    "generate",
-    "get_objective",
-    "load_csv",
-    "log_jacobian_sum",
-    "noise_fraction",
-    "per_location_entropy",
-    "prediction_interval",
-    "rank_objectives",
-    "resolve_objectives",
-    "score_objective",
-    "split",
-    "validate_dataset",
-    "write_dataset_csv",
-]
+# Each public name and the module it is read from.
+_EXPORTS = {
+    "Dataset": "data",
+    "SplitSpec": "data",
+    "split": "data",
+    "validate_dataset": "data",
+    "ConvergenceCurve": "diagnostics",
+    "EntropyMatrix": "diagnostics",
+    "convergence_curve": "diagnostics",
+    "per_location_entropy": "diagnostics",
+    "ObjentropyError": "errors",
+    "EntropyEstimate": "information",
+    "EntropyReport": "information",
+    "aic_adjusted_entropy": "information",
+    "akaike_weights": "information",
+    "conditional_entropy_bits": "information",
+    "noise_fraction": "information",
+    "rank_objectives": "information",
+    "load_csv": "io",
+    "write_dataset_csv": "io",
+    "CATALOG": "likelihoods",
+    "FittedParams": "likelihoods",
+    "ObjectiveSpec": "likelihoods",
+    "evaluate_objective": "likelihoods",
+    "get_objective": "likelihoods",
+    "resolve_objectives": "likelihoods",
+    "score_objective": "likelihoods",
+    "DEFAULT_ZERO_THRESHOLD": "plain",
+    "adjust_expectation_lognormal": "plain",
+    "prediction_interval": "plain",
+    "SyntheticModel": "synthetic",
+    "SyntheticTruth": "synthetic",
+    "analytic_entropy": "synthetic",
+    "generate": "synthetic",
+    "log_jacobian_sum": "transforms",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

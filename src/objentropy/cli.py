@@ -3,6 +3,9 @@
 Subcommands: rank, convergence, correlate, synth, adjust. Exit codes:
 0 success; 1 usage error, a bad flag value, found before any file is read
 or written; 2 a file that cannot be read or written, or bad data in one.
+
+Each command imports the modules it runs when it runs, so that adjust,
+--help and a usage error start without importing numpy.
 """
 
 from __future__ import annotations
@@ -15,40 +18,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .data import SplitSpec
-from .diagnostics import (
-    check_subsamples,
-    convergence_curve,
-    per_location_entropy,
-)
 from .errors import ObjentropyError, UsageError
-from .information import (
-    adjust_expectation_lognormal,
-    prediction_interval,
-    rank_objectives,
-)
-from .io import (
-    format_adjustment,
-    format_convergence,
-    format_correlations,
-    format_report,
-    load_entropies,
-    read_csv,
-    split_csv,
-    write_dataset_csv,
-)
-from .likelihoods import (
-    CATALOG,
-    DEFAULT_ZERO_THRESHOLD,
-    check_threshold,
-    evaluate_objective,
-    location_frames,
-    resolve_objectives,
-)
-from .synthetic import FAMILIES, SyntheticModel, layout, truth
-
-_DESCRIPTIONS = {name: spec.description for name, spec in CATALOG.items()}
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems as exit code 1."""
@@ -58,6 +28,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .plain import FAMILIES
+
     parser = _Parser(
         prog="objentropy",
         description=(
@@ -130,6 +102,8 @@ def _build_parser() -> _Parser:
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
+    from .plain import DEFAULT_ZERO_THRESHOLD
+
     sub.add_argument("--threshold", type=float,
                      default=DEFAULT_ZERO_THRESHOLD,
                      help="zero-state threshold in flow units")
@@ -176,6 +150,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_rank(args: argparse.Namespace) -> None:
+    from .data import SplitSpec
+    from .information import rank_objectives
+    from .io import format_report, load_entropies, split_csv
+    from .likelihoods import (
+        CATALOG,
+        check_threshold,
+        evaluate_objective,
+        location_frames,
+        resolve_objectives,
+    )
+
     with _flag_values():
         if (args.input is None) == (args.from_entropies is None):
             raise UsageError(
@@ -195,12 +180,17 @@ def _cmd_rank(args: argparse.Namespace) -> None:
         estimates = [evaluate_objective(spec, train, test, threshold)
                      for spec in specs]
         adjusted = args.aic == "on"
+    descriptions = {name: spec.description for name, spec in CATALOG.items()}
     report = rank_objectives(estimates, adjusted=adjusted,
-                             descriptions=_DESCRIPTIONS)
+                             descriptions=descriptions)
     _emit(format_report(report, args.format), args.out)
 
 
 def _cmd_convergence(args: argparse.Namespace) -> None:
+    from .diagnostics import check_subsamples, convergence_curve
+    from .io import format_convergence, read_csv
+    from .likelihoods import check_threshold, resolve_objectives
+
     with _flag_values():
         specs = resolve_objectives(args.objectives)
         threshold = check_threshold(args.threshold)
@@ -213,6 +203,10 @@ def _cmd_convergence(args: argparse.Namespace) -> None:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> None:
+    from .diagnostics import per_location_entropy
+    from .io import format_correlations, read_csv
+    from .likelihoods import check_threshold, resolve_objectives
+
     with _flag_values():
         specs = resolve_objectives(args.objectives)
         if len(specs) < 2:
@@ -224,6 +218,9 @@ def _cmd_correlate(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
+    from .io import write_dataset_csv
+    from .synthetic import SyntheticModel, layout, truth
+
     medians = args.base_median
     with _flag_values():
         model = SyntheticModel(
@@ -250,6 +247,12 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> None:
+    from .plain import (
+        adjust_expectation_lognormal,
+        format_adjustment,
+        prediction_interval,
+    )
+
     with _flag_values():
         low, high = prediction_interval(
             args.center, args.sigma, args.coverage, args.style

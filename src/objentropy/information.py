@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidCoverage,
-    NegativeSigma,
-    NonFiniteValue,
-    NonPositiveMedian,
-    OrderingViolation,
-    ZeroSampleCount,
-)
+from .errors import EmptyInput, OrderingViolation, ZeroSampleCount
+# The closed-form adjustments need no numpy; they are these same objects.
+from .plain import _exp, adjust_expectation_lognormal, prediction_interval
 
 if TYPE_CHECKING:
     from .likelihoods import FittedParams
@@ -169,55 +162,3 @@ def rank_objectives(
             rank=rank,
         ))
     return EntropyReport(rows=tuple(reversed(rows)), adjusted=adjusted)
-
-
-def adjust_expectation_lognormal(median: float, sigma: float) -> float:
-    """Convert a median prediction to an expectation: median * exp(sigma^2/2).
-
-    sigma is the standard deviation of the natural-log-scale errors.
-    """
-    if not 0 < median < math.inf:
-        raise NonPositiveMedian(f"median must be finite and > 0, got {median}")
-    if not 0 <= sigma < math.inf:
-        raise NegativeSigma(f"sigma must be finite and >= 0, got {sigma}")
-    return median * _exp(0.5 * sigma * sigma)
-
-
-def prediction_interval(
-    center: float,
-    sigma: float,
-    coverage: float = 0.95,
-    style: str = "multiplicative",
-) -> tuple[float, float]:
-    """Central prediction interval at the given coverage.
-
-    multiplicative: (center / exp(sigma z), center * exp(sigma z)) for a
-    median center on the original scale; additive: (center - sigma z,
-    center + sigma z) for an expectation center. z is the standard-normal
-    quantile at (1 + coverage) / 2. center and sigma must be finite; a
-    bound may overflow to an infinity.
-    """
-    if not 0 <= sigma < math.inf:
-        raise NegativeSigma(f"sigma must be finite and >= 0, got {sigma}")
-    if not (0.0 < coverage < 1.0):
-        raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage}")
-    if style not in ("multiplicative", "additive"):
-        raise InvalidCoverage(f"unknown interval style {style!r}")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + coverage))
-    if style == "multiplicative":
-        if not 0 < center < math.inf:
-            raise NonPositiveMedian("multiplicative interval requires a "
-                                    f"finite center > 0, got {center}")
-        factor = _exp(sigma * z)
-        return center / factor, center * factor
-    if not math.isfinite(center):
-        raise NonFiniteValue(f"center must be finite, got {center}")
-    return center - sigma * z, center + sigma * z
-
-
-def _exp(x: float) -> float:
-    """math.exp(x), or inf where that overflows a float."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf

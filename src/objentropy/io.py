@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import json
 import math
 import os
 import pickle
@@ -26,13 +25,13 @@ import threading
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import (
-    Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO,
+    TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, Mapping, NamedTuple,
+    Sequence, TextIO,
 )
 
 import numpy as np
 
-from .data import _BLOCK_PAIRS, Dataset, Layout, SplitSpec, split_blocks
-from .diagnostics import ConvergenceCurve, EntropyMatrix
+from .data import Dataset, Layout, SplitSpec, split_blocks
 from .errors import (
     DegenerateSplit,
     EmptyFile,
@@ -44,6 +43,20 @@ from .errors import (
     UnparseableNumber,
 )
 from .information import EntropyEstimate, EntropyReport
+# The numpy-free serialization, which format_adjustment is still read from
+# here.
+from .plain import (
+    _dump_csv,
+    _dump_json,
+    _finite,
+    _quote,
+    _render_table,
+    _tabular,
+    format_adjustment,
+)
+
+if TYPE_CHECKING:
+    from .diagnostics import ConvergenceCurve, EntropyMatrix
 
 _REQUIRED = ("location_id", "observed", "predicted")
 # The file size from which a CSV read cuts its records into one range per
@@ -59,6 +72,8 @@ _CHUNK_ROWS = 1 << 13
 _BLOCK_BYTES = 1 << 20
 # Bytes a record's observed and predicted float64 numbers take in a spool.
 _PAIR_BYTES = 16
+# Records read from a spool at a time (64 KiB of numbers).
+_READ_PAIRS = 1 << 12
 # How numpy reads a block of CSV records, as a list of lines.
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
 _LONE_CR = re.compile(r"\r(?!\n)")
@@ -202,13 +217,16 @@ def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
 
     def read(lo: int, hi: int) -> np.ndarray:
         pairs = np.empty((2, hi - lo))
+        # Each run is read into one small buffer and copied transposed, so
+        # a read holds little beside the pairs it returns.
+        buffer = np.empty((min(_READ_PAIRS, hi - lo), 2))
         for spool, start, stop in zip(spools, starts, starts[1:]):
             first, last = max(lo, start), min(hi, stop)
             spool.seek((first - start) * _PAIR_BYTES)
-            for at in range(first, last, _BLOCK_PAIRS):
-                take = min(_BLOCK_PAIRS, last - at)
-                numbers = np.frombuffer(spool.read(take * _PAIR_BYTES))
-                pairs[:, at - lo:at - lo + take] = numbers.reshape(-1, 2).T
+            for at in range(first, last, _READ_PAIRS):
+                numbers = buffer[:min(_READ_PAIRS, last - at)]
+                spool.readinto(numbers)
+                pairs[:, at - lo:at - lo + len(numbers)] = numbers.T
         return pairs
 
     # Python strings are made once every block's lines are gone.
@@ -697,14 +715,6 @@ def _write_rows(
     out.flush()
 
 
-def _quote(text: str) -> str:
-    """A CSV cell for text, quoted only when it holds a delimiter, quote or
-    line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 # --- report serialization ---
 
 _REPORT_FIELDS = (
@@ -773,59 +783,3 @@ def format_correlations(matrix: EntropyMatrix, fmt: str) -> str:
             })
     fields = ("objective_a", "objective_b", "correlation", "n_locations")
     return _tabular(records, fields, fmt)
-
-
-def format_adjustment(record: Mapping[str, Any], fmt: str) -> str:
-    return _tabular([record], tuple(record), fmt)
-
-
-def _tabular(
-    records: Sequence[Mapping[str, Any]], fields: Sequence[str], fmt: str
-) -> str:
-    """records in fmt, with None for each non-finite float."""
-    records = [_finite(rec) for rec in records]
-    if fmt == "json":
-        return _dump_json({"rows": records})
-    if fmt == "csv":
-        return _dump_csv(fields, records)
-    lines = [
-        tuple(_cell_text(rec[f], human=True) for f in fields)
-        for rec in records
-    ]
-    return _render_table(tuple(fields), lines)
-
-
-def _finite(record: Mapping[str, Any]) -> dict[str, Any]:
-    """record with each numpy scalar as the Python scalar it holds, and None
-    for each float in it that is NaN or infinite."""
-    plain = {key: v.item() if isinstance(v, np.generic) else v
-             for key, v in record.items()}
-    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
-            for key, v in plain.items()}
-
-
-def _cell_text(value: Any, human: bool = False) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.4f}" if human else repr(value)
-    return str(value)
-
-
-def _dump_csv(fields: Sequence[str], records: list[dict[str, Any]]) -> str:
-    rows = [fields, *([_cell_text(rec[f]) for f in fields] for rec in records)]
-    return "".join(",".join(map(_quote, row)) + "\n" for row in rows)
-
-
-def _dump_json(payload: Any) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _render_table(header: tuple[str, ...], lines: list[tuple[str, ...]]) -> str:
-    widths = [max(map(len, column)) for column in zip(header, *lines)]
-    rule = tuple("-" * w for w in widths)
-    return "".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-        + "\n" for line in (header, rule, *lines))

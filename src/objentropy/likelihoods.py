@@ -66,13 +66,11 @@ from .information import (
     aic_adjusted_entropy,
     conditional_entropy_bits,
 )
+from .plain import DEFAULT_ZERO_THRESHOLD
 from .transforms import POSITIVE_DOMAIN_KINDS, apply, log_jacobian_terms
 from .transforms import TRANSFORM_KINDS as _VALUE_KINDS
 
 _LN_2PI = float(np.log(2.0 * np.pi))
-
-# Default zero-state threshold in flow units (m^3/s); roughly 0.01 ft^3/s.
-DEFAULT_ZERO_THRESHOLD = 0.0028
 
 
 def _fsum(partials: Iterable[float]) -> float:

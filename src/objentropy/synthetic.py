@@ -18,18 +18,19 @@ import numpy as np
 from .data import Dataset, Layout
 from .errors import InvalidModel, NonPositiveScale, as_int, check_seed
 from .likelihoods import BASE_FAMILIES, CATALOG
+from .plain import FAMILIES
 
-# Each error family as the (transform kind, base family) of the catalog
-# objective that matches it: errors are drawn from the base family (a
-# numpy Generator method of that name) and act through the kind, added to
-# the prediction (identity) or added to its log (natural-log).
-_ERRORS = {
-    "additive-normal": ("identity", "normal"),
-    "additive-laplace": ("identity", "laplace"),
-    "multiplicative-lognormal": ("natural-log", "normal"),
-    "multiplicative-log-laplace": ("natural-log", "laplace"),
-}
-FAMILIES = tuple(_ERRORS)
+# Each error family, in the order of FAMILIES, as the (transform kind, base
+# family) of the catalog objective that matches it: errors are drawn from
+# the base family (a numpy Generator method of that name) and act through
+# the kind, added to the prediction (identity) or added to its log
+# (natural-log).
+_ERRORS = dict(zip(FAMILIES, (
+    ("identity", "normal"),
+    ("identity", "laplace"),
+    ("natural-log", "normal"),
+    ("natural-log", "laplace"),
+)))
 # Values of one kind drawn at a time into a location's columns.
 _DRAW = 1 << 16
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from objentropy import cli
 from objentropy import data as odata
 from objentropy import io as oio
+from objentropy import likelihoods as olikelihoods
 from objentropy.data import (
     Dataset,
     Layout,
@@ -558,12 +559,13 @@ def _cli_both(argv, mp, workers, block=8):
     `workers` ranges of blocks of `block` bytes; and whether read_csv
     handed the command a layout of the spooled numbers, and nothing
     else."""
-    mp.setattr(cli, "read_csv", lambda path, use: use(load_csv(path)))
-    mp.setattr(cli, "split_csv", lambda path, spec, reduce: split_blocks(
+    # Each command imports these from io when it runs.
+    read_csv, split_csv = oio.read_csv, oio.split_csv
+    mp.setattr(oio, "read_csv", lambda path, use: use(load_csv(path)))
+    mp.setattr(oio, "split_csv", lambda path, spec, reduce: split_blocks(
         load_csv(path), spec, reduce))
     loaded = _main(argv)
     sources = []
-    read_csv = oio.read_csv
 
     def spy(path, use):
         def seen(data):
@@ -572,8 +574,7 @@ def _cli_both(argv, mp, workers, block=8):
         return read_csv(path, seen)
 
     mp.setattr(oio, "read_csv", spy)
-    mp.setattr(cli, "read_csv", spy)
-    mp.setattr(cli, "split_csv", oio.split_csv)
+    mp.setattr(oio, "split_csv", split_csv)
     mp.setattr(oio, "_BLOCK_BYTES", block)
     mp.setattr(oio, "_FORK_BYTES", 0)
     mp.setattr(oio, "_workers", lambda: workers)
@@ -675,13 +676,13 @@ class TestStreamedRank:
             for loc, size in [("A", 3), ("B", largest), ("C", 2), ("D", 5)]
         }), f)
         blocks = []
-        frames = cli.location_frames
+        frames = olikelihoods.location_frames
 
         def spy(specs, block, **kwargs):
             blocks.append(block.location_ids)
             return frames(specs, block, **kwargs)
 
-        monkeypatch.setattr(cli, "location_frames", spy)
+        monkeypatch.setattr(olikelihoods, "location_frames", spy)
         whole, streamed, took_stream = _split_both(
             f, monkeypatch, "none", workers, objectives="MSE,MAE,U")
         assert whole[0] == 0 and streamed == whole and took_stream
@@ -780,7 +781,7 @@ class TestSpooledSplit:
             in enumerate(zip(bounds[:-1], bounds[1:]))}), f)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odata, "_BLOCK_PAIRS", 5)
-            mp.setattr(oio, "_BLOCK_PAIRS", 3)
+            mp.setattr(oio, "_READ_PAIRS", 3)
             loaded, spooled, folded = _split_both(f, mp, split, workers, fmt,
                                                   seed, objectives, block)
         assert spooled == loaded
@@ -939,7 +940,7 @@ class TestFoldedDiagnostics:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odata, "_BLOCK_PAIRS", 5)
             mp.setattr(odata, "_TAKE_PAIRS", 2)
-            mp.setattr(oio, "_BLOCK_PAIRS", 3)
+            mp.setattr(oio, "_READ_PAIRS", 3)
             loaded, spooled, folded = _cli_both(
                 _diagnose(command, f, fmt, objectives, seed), mp, workers,
                 block)

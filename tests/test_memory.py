@@ -18,6 +18,7 @@ import pytest
 from objentropy import cli
 from objentropy import data as odata
 from objentropy import io as oio
+from objentropy import likelihoods as olikelihoods
 from objentropy.data import (
     SplitSpec,
     _held_out,
@@ -322,7 +323,7 @@ def test_out_of_sample_rank_holds_the_mask_not_the_sides(tmp_path,
     loaded."""
     specs = list(CATALOG.values())
     datasets = {}
-    monkeypatch.setattr(cli, "split_csv", lambda path, spec, reduce: (
+    monkeypatch.setattr(oio, "split_csv", lambda path, spec, reduce: (
         split_blocks(datasets[path], spec, reduce)))
     out = tmp_path / "rank.json"
 
@@ -352,13 +353,13 @@ def test_spooled_split_holds_the_mask_and_the_positions(tmp_path, monkeypatch,
     monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
     specs = list(CATALOG.values())
     parts = []
-    frames = cli.location_frames
+    frames = olikelihoods.location_frames
 
     def counted(*args, **kwargs):
         parts.append(True)
         return frames(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "location_frames", counted)
+    monkeypatch.setattr(olikelihoods, "location_frames", counted)
     out = tmp_path / "rank.json"
 
     def argv(n):
@@ -461,3 +462,17 @@ def test_streamed_block_drops_its_bytes_and_text(tmp_path, monkeypatch):
                                        lambda block: block.n_total))
     assert peak <= 4.5 * oio._BLOCK_BYTES, (
         f"{peak / oio._BLOCK_BYTES:.2f} blocks")
+
+
+def test_spool_read_holds_little_beside_its_output(tmp_path, monkeypatch):
+    """A read of a load's spooled numbers reads them a small buffer at a
+    time and copies each piece transposed into the (2, n) pairs it
+    returns, so a read of 65,536 pairs peaks within 1.1 times those
+    pairs. Reading each run of the spool into bytes of its own held
+    twice the pairs."""
+    monkeypatch.setattr(oio, "_workers", lambda: 1)
+    n = 1 << 16
+    path = tmp_path / "d.csv"
+    oio.write_dataset_csv(_dataset(n, locations=1), path)
+    peak = oio.read_csv(path, lambda layout: _peak(lambda: layout.read(0, n)))
+    assert peak <= 1.1 * 2 * FLOAT * n, f"{peak / (2 * FLOAT * n):.2f}"
