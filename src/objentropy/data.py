@@ -64,7 +64,8 @@ class Dataset:
         if not counts.all():
             empty = ids[int(np.flatnonzero(counts == 0)[0])]
             raise EmptyInput(f"location {empty!r} has no pairs")
-        _check_finite(ids, bounds, pairs)
+        _check_finite(ids, bounds,
+                      np.flatnonzero(~np.isfinite(pairs).all(axis=0)))
         if self.timestamps is not None:
             stamps = tuple(self.timestamps)
             if len(stamps) != n:
@@ -156,14 +157,12 @@ class Dataset:
 
 
 def _check_finite(location_ids: tuple[str, ...], bounds: np.ndarray,
-                  pairs: np.ndarray, lo: int = 0) -> None:
-    """Raise NonFiniteValue, naming the location of the first one, where
-    pairs, columns lo: of a dataset with location_ids and bounds, hold a
-    NaN or infinite value."""
-    finite = np.isfinite(pairs).all(axis=0)
-    if not finite.all():
-        first = lo + int(np.flatnonzero(~finite)[0])
-        loc = location_ids[int(np.searchsorted(bounds, first, "right")) - 1]
+                  bad: np.ndarray) -> None:
+    """Raise NonFiniteValue naming the location of bad[0], where bad, the
+    ascending columns of a dataset with location_ids and bounds that hold
+    a NaN or infinite value, is not empty."""
+    if bad.size:
+        loc = location_ids[int(np.searchsorted(bounds, bad[0], "right")) - 1]
         raise NonFiniteValue(
             f"location {loc!r} contains NaN or infinite values"
         )
@@ -271,9 +270,9 @@ def split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
 
 
 # The most pairs of a block of whole locations that split_blocks reduces
-# at a time, and of the columns that a part split_blocks gathers, or a
-# layout's check, reads at a time: what a block holds does not grow with
-# the dataset. A larger location is a block of its own.
+# at a time, and of the columns that a part split_blocks gathers reads at
+# a time: what a block holds does not grow with the dataset. A larger
+# location is a block of its own.
 _BLOCK_PAIRS = 1 << 16
 # The most columns a layout's take reads at a time: a sparse draw reads
 # little more than its positions, and a dense one holds at most this many
@@ -283,35 +282,27 @@ _TAKE_PAIRS = 1 << 13
 
 class Layout(NamedTuple):
     """A dataset whose pairs are read, or drawn, a range of columns at a
-    time and never held whole: its location ids and bounds, as a Dataset
-    holds them, and read(lo, hi), the (2, hi - lo) observed and predicted
-    values of its columns lo:hi. It has no timestamps."""
+    time and never held whole: its location ids, bounds and timestamps (or
+    None), as a Dataset holds them, and read(lo, hi), the (2, hi - lo)
+    observed and predicted values of its columns lo:hi. Its values are
+    finite: its producers, the CSV reader (io.read_csv) and the synthetic
+    generator (synthetic.layout), check or draw them so."""
 
     location_ids: tuple[str, ...]
     bounds: np.ndarray
     read: Callable[[int, int], np.ndarray]
+    timestamps: Sequence[str] | None = None
 
     @property
     def n_total(self) -> int:
         return int(self.bounds[-1])
 
-    @property
-    def timestamps(self) -> None:
-        return None
-
-    def check(self) -> None:
-        """Raise NonFiniteValue, as a Dataset of these pairs does, where a
-        value is NaN or infinite: read _BLOCK_PAIRS columns at a time."""
-        n = self.n_total
-        for lo in range(0, n, _BLOCK_PAIRS):
-            _check_finite(self.location_ids, self.bounds,
-                          self.read(lo, min(lo + _BLOCK_PAIRS, n)), lo)
-
     def take(self, idx: np.ndarray) -> Dataset:
         """Dataset.take of the pairs at positions idx, which must be in
         ascending order, as a sorted draw gives them (a position listed
-        twice gives two pairs). The positions within _TAKE_PAIRS columns
-        of a run's first are gathered from one read of those columns."""
+        twice gives two pairs), without timestamps. The positions within
+        _TAKE_PAIRS columns of a run's first are gathered from one read of
+        those columns."""
         idx = _positions(idx, self.n_total)
         if (idx[1:] < idx[:-1]).any():
             raise LengthMismatch("a layout takes positions in ascending "
@@ -442,19 +433,20 @@ def _time_mask(dataset: Dataset | Layout, spec: SplitSpec) -> np.ndarray:
             times = np.array(stamps, dtype="datetime64")
         except ValueError:  # numpy does not say which stamp it rejected
             times = np.array([_datetime(t) for t in stamps])
+    counts = np.diff(dataset.bounds)
+    codes = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
     bad = np.flatnonzero(np.isnat(times))
     if bad.size:
-        loc = dataset.location_ids[dataset.location_codes[bad[0]]]
+        loc = dataset.location_ids[codes[bad[0]]]
         raise MissingTimestamps(
             f"location {loc!r} has timestamp {stamps[bad[0]]!r}; a time-based "
             "split needs an ISO-8601 date or time on every row"
         )
-    counts = np.diff(dataset.bounds)
     n_test = np.rint(spec.test_fraction * counts).astype(np.int64)
     tail = np.arange(dataset.n_total) >= np.repeat(dataset.bounds[1:] - n_test,
                                                    counts)
     mask = np.zeros(dataset.n_total, dtype=bool)
-    mask[np.lexsort((times, dataset.location_codes))[tail]] = True
+    mask[np.lexsort((times, codes))[tail]] = True
     return mask
 
 

@@ -26,6 +26,7 @@ from .likelihoods import (
     _frames,
     _loglik,
     evaluate_objective,
+    location_frames,
 )
 
 
@@ -103,13 +104,8 @@ def convergence_curve(
     drawn twice is scored twice. Fully deterministic given the seed: draws
     occur in (size ascending, replicate ascending) order from one
     generator, so a curve is the same whichever objectives come with it.
-
-    A layout is read twice over: every value is checked first (see
-    Layout.check), so a NaN that no draw picks fails as a dataset of the
-    same pairs does; then each sorted draw is read from it (Layout.take).
+    Each draw is sorted, so that a layout reads it once (Layout.take).
     """
-    if isinstance(dataset, Layout):
-        dataset.check()
     sizes = check_subsamples(sizes, replicates, seed, dataset.n_total)
     if not specs:
         raise EmptyInput("no objectives given")
@@ -120,10 +116,12 @@ def convergence_curve(
     for size, _ in draws:
         idx = rng.choice(dataset.n_total, size=size, replace=with_replacement)
         sub = dataset.take(np.sort(idx))
-        rows.append([evaluate_objective(spec, sub, sub, threshold).h_bits
+        # One pass per transform, shared by the objectives that use it.
+        frames = [location_frames(specs, sub, threshold)]
+        rows.append([evaluate_objective(spec, frames, frames, threshold).h_bits
                      for spec in specs])
         # So that two subsamples are never alive at once.
-        del idx, sub
+        del idx, sub, frames
     curves = []
     for spec, column in zip(specs, zip(*rows)):
         reference = float(np.mean(column[-5:]))

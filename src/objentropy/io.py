@@ -3,9 +3,9 @@
 Input schema: header row with location_id, observed, predicted, plus an
 optional timestamp column that is ignored for scoring and kept for
 time-based splits. One block reader parses the data records (see
-_parse_blocks) and spools their numbers: load_csv gathers every record,
-while read_csv hands a grouped file on as the layout of its spooled
-numbers, which split_csv folds. Machine-readable outputs (csv, json)
+_parse_blocks), spools their numbers and notes those that are not finite:
+read_csv hands every file on as a Layout, checked as it is read, which
+split_csv folds and load_csv gathers. Machine-readable outputs (csv, json)
 carry full float precision through repr, so the two formats hold
 identical numeric values; human tables round to two decimals.
 """
@@ -31,9 +31,8 @@ from typing import (
 
 import numpy as np
 
-from .data import Dataset, Layout, SplitSpec, split_blocks
+from .data import Dataset, Layout, SplitSpec, _check_finite, split_blocks
 from .errors import (
-    DegenerateSplit,
     EmptyFile,
     MissingColumn,
     NonFiniteValue,
@@ -98,65 +97,36 @@ def load_csv(path: str | Path) -> Dataset:
     each location. The file is read as written, whatever its name ends in:
     nothing is decompressed.
 
-    The records are parsed by block (see _parse_blocks), a range per
-    process, and each process spools its numbers to an unnamed temporary
-    file, gathered into the pairs (see _spool). Where numpy rejects a
-    record, the row parser reads the file: it raises the line-numbered
-    error or reads what float() accepts.
+    It is the dataset of the layout read_csv reads with timestamps, its
+    pairs gathered whole.
 
     Raises EmptyFile without a header or data rows, MissingColumn when a
     required column is absent or a column it reads is named twice,
     UnparseableNumber, naming the line, for a short row or a cell that is
-    not a number, and UndecodableFile for a byte that is not UTF-8.
+    not a number, UndecodableFile for a byte that is not UTF-8, and
+    NonFiniteValue, naming the location, for a NaN or infinite number.
     """
-    return _parse_csv(path, _loaded, stamps=True)
+    def gathered(layout: Layout) -> Dataset:
+        return Dataset(layout.location_ids, layout.bounds,
+                       layout.read(0, layout.n_total), layout.timestamps)
+    return read_csv(path, gathered, stamps=True)
 
 
-def read_csv(path: str | Path, use: Callable[[Dataset | Layout], Any]
-             ) -> Any:
-    """use(data) of the CSV file at path, read as load_csv reads it, while
-    data is open: the Layout of a grouped file's numbers, whose read reads
-    them where the load spools them (see _spool), so that they are not
-    gathered; or, where the file is not grouped or numpy rejects a record,
-    the dataset load_csv gives, though perhaps without timestamps, which
-    only load_csv keeps from the block reader. Raises load_csv's errors,
-    but a NaN or infinite value only where use reads it (see
-    Layout.check)."""
-    def laid_out(parsed: _Spooled | Dataset) -> Any:
-        if isinstance(parsed, _Spooled) and parsed.order is None:
-            return use(Layout(parsed.location_ids, parsed.bounds,
-                              parsed.read))
-        return use(_loaded(parsed))
-    return _parse_csv(path, laid_out)
+def read_csv(path: str | Path, use: Callable[[Layout], Any],
+             stamps: bool = False) -> Any:
+    """use(layout) of the CSV file at path, read as load_csv reads it,
+    while the layout is open: its location ids, bounds and, where stamps
+    is true and the file has them, timestamps, grouped as load_csv groups
+    them, and its numbers, whose read reads them where the file's records
+    are spooled (see _spool), unless the file lists a location's records
+    apart or numpy rejects a record: then they are read whole (see
+    _laid_out). Raises load_csv's errors before use is called.
 
-
-def split_csv(path: str | Path, spec: SplitSpec,
-              reduce: Callable[[Dataset], Any]) -> tuple[list[Any], list[Any]]:
-    """split_blocks(load_csv(path), spec, reduce): the same sides, or the
-    same error. Unless spec splits by time, the file is read by read_csv,
-    so a grouped file's layout is split a block of whole locations at a
-    time; where its held-out mask leaves a side empty, the load's error
-    about a value, if it raises one, comes first."""
-    if spec.mode == "time":
-        return split_blocks(load_csv(path), spec, reduce)
-
-    def split(data: Dataset | Layout) -> tuple[list[Any], list[Any]]:
-        try:
-            return split_blocks(data, spec, reduce)
-        except DegenerateSplit:
-            # Only the mask raises it, before any block is read; the
-            # load's check of every value comes before the mask.
-            if isinstance(data, Layout):
-                data.check()
-            raise
-    return read_csv(path, split)
-
-
-def _parse_csv(path: str | Path, use: Callable[[_Spooled | Dataset], Any],
-               stamps: bool = False) -> Any:
-    """use of path's records parsed to spools (see _spool), with their
-    timestamps where stamps is true, while the spools are open, or, where
-    numpy rejects a record, of the dataset the row parser reads."""
+    The records are parsed by block (see _parse_blocks), a range per
+    process, and each process spools its numbers to an unnamed temporary
+    file. Where numpy rejects a record, the row parser reads the file: it
+    raises the line-numbered error or reads what float() accepts.
+    """
     path = Path(path)
     with _open_text(path) as fh, ExitStack() as stack:
         columns, cuts = _layout(fh, path)
@@ -168,30 +138,53 @@ def _parse_csv(path: str | Path, use: Callable[[_Spooled | Dataset], Any],
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            parsed = _read_rows(reader, columns, path)
-        return use(parsed)
+            parsed = _read_rows(reader, columns, path, stamps)
+        return use(_laid_out(parsed))
+
+
+def split_csv(path: str | Path, spec: SplitSpec,
+              reduce: Callable[[Dataset], Any]) -> tuple[list[Any], list[Any]]:
+    """split_blocks(load_csv(path), spec, reduce): the same sides, or the
+    same error. The layout read_csv reads, with its timestamps where spec
+    splits by time, is split a block of whole locations at a time."""
+    return read_csv(path, lambda layout: split_blocks(layout, spec, reduce),
+                    stamps=spec.mode == "time")
 
 
 class _Spooled(NamedTuple):
-    """A file's records as _spool parses them: the location ids, bounds
-    and record order that group their runs (see _group), their stripped
-    timestamps or None, and read(lo, hi), the (2, hi - lo) numbers of
-    records lo:hi in file order."""
+    """A file's records as _spool or _read_rows parses them: the location
+    ids, bounds and record order that group their runs (see _group), their
+    stripped timestamps or None, the ascending positions of the records
+    that hold a NaN or infinite number, and read(lo, hi), the (2, hi - lo)
+    numbers of records lo:hi, all in file order."""
 
     location_ids: tuple[str, ...]
     bounds: np.ndarray
     order: np.ndarray | None
     stamps: list[str] | None
+    bad: np.ndarray
     read: Callable[[int, int], np.ndarray]
 
 
-def _loaded(parsed: _Spooled | Dataset) -> Dataset:
-    """The dataset of parsed records: all their numbers read, and grouped
-    by location (see _dataset)."""
-    if isinstance(parsed, Dataset):
-        return parsed
-    ids, bounds, order, stamps, read = parsed
-    return _dataset(ids, bounds, order, read(0, int(bounds[-1])), stamps)
+def _laid_out(parsed: _Spooled) -> Layout:
+    """The layout of parsed records, grouped by location. Where a record
+    order groups them, all their numbers are read and each row is put in
+    order through one copy of it, and their timestamps with them; else
+    they are read where parsed reads them. Raises NonFiniteValue, as a
+    Dataset of these pairs does, naming the location of the first bad
+    record in that order."""
+    ids, bounds, order, stamps, bad, read = parsed
+    if bad.size and order is not None:
+        bad = np.flatnonzero(np.isin(order, bad))
+    _check_finite(ids, bounds, bad)
+    if order is None:
+        return Layout(ids, bounds, read, stamps)
+    pairs = read(0, int(bounds[-1]))
+    for row in pairs:
+        row[...] = row[order]
+    if stamps is not None:
+        stamps = list(map(stamps.__getitem__, order.tolist()))
+    return Layout(ids, bounds, lambda lo, hi: pairs[:, lo:hi], stamps)
 
 
 def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
@@ -211,9 +204,10 @@ def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
     blocks = [block for part in parts for block in part]
     if not blocks:
         raise EmptyFile(f"{path} has a header but no data rows")
-    # The record each spool starts at, and one past the last.
-    starts = np.cumsum([0, *(sum(int(runs.sum()) for _, runs, _ in part)
-                             for part in parts)]).tolist()
+    # The record each block starts at, and one past the last; and so the
+    # record each spool starts at.
+    firsts = np.cumsum([0, *(int(runs.sum()) for _, runs, _, _ in blocks)])
+    starts = firsts[np.cumsum([0, *map(len, parts)])].tolist()
 
     def read(lo: int, hi: int) -> np.ndarray:
         pairs = np.empty((2, hi - lo))
@@ -222,34 +216,41 @@ def _spool(path: Path, columns: Mapping[str, int], cuts: list[int],
         buffer = np.empty((min(_READ_PAIRS, hi - lo), 2))
         for spool, start, stop in zip(spools, starts, starts[1:]):
             first, last = max(lo, start), min(hi, stop)
-            spool.seek((first - start) * _PAIR_BYTES)
             for at in range(first, last, _READ_PAIRS):
                 numbers = buffer[:min(_READ_PAIRS, last - at)]
-                spool.readinto(numbers)
+                # Read at an offset: a forked writer of this layout (see
+                # write_dataset_csv) shares the spool's file position.
+                os.preadv(spool.fileno(), [numbers],
+                          (at - start) * _PAIR_BYTES)
                 pairs[:, at - lo:at - lo + len(numbers)] = numbers.T
         return pairs
 
     # Python strings are made once every block's lines are gone.
-    heads = [head.strip() for heads, _, _ in blocks for head in heads.tolist()]
+    heads = [head.strip() for heads, _, _, _ in blocks
+             for head in heads.tolist()]
     kept = None if blocks[0][2] is None else [
-        stamp.strip() for _, _, stamps in blocks for stamp in stamps.tolist()]
-    lengths = np.concatenate([runs for _, runs, _ in blocks])
-    return _Spooled(*_group(heads, lengths), kept, read)
+        stamp.strip() for _, _, stamps, _ in blocks
+        for stamp in stamps.tolist()]
+    lengths = np.concatenate([runs for _, runs, _, _ in blocks])
+    bad = np.concatenate([first + block[3]
+                          for first, block in zip(firsts.tolist(), blocks)])
+    return _Spooled(*_group(heads, lengths), kept, bad, read)
 
 
 def _load_range(
     path: Path, columns: Mapping[str, int], spools: list[BinaryIO],
     stamps: bool, cuts: list[int], k: int,
 ) -> list[list[np.ndarray | None]]:
-    """The raw run ids, run lengths and, where stamps is true, raw
-    timestamps (else None) of each block of range k of cuts (see
-    _parse_blocks); the blocks' (m, 2) numbers go to spools[k], which is
-    flushed."""
+    """The raw run ids, run lengths, raw timestamps where stamps is true
+    (else None), and the positions of the records that hold a NaN or
+    infinite number, of each block of range k of cuts (see _parse_blocks);
+    the blocks' (m, 2) numbers go to spools[k], which is flushed."""
     blocks = []
     with path.open("rb") as fh:
         for *block, numbers in _parse_blocks(fh, cuts[k], cuts[k + 1],
                                              columns, stamps):
-            blocks.append(block)
+            blocks.append([*block, np.flatnonzero(
+                ~np.isfinite(numbers).all(axis=1))])
             spools[k].write(numbers)
     # A forked child ends in os._exit, which flushes no buffer.
     spools[k].flush()
@@ -519,28 +520,6 @@ def _group(
     return tuple(codes), bounds, order
 
 
-def _pairs(pairs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """pairs, the (2, n) observed and predicted numbers of n records, with
-    the records put in order in place (as _group returns it): each row is
-    gathered through one copy of it. Where order is None, pairs as given."""
-    if order is not None:
-        for row in pairs:
-            row[...] = row[order]
-    return pairs
-
-
-def _dataset(location_ids: tuple[str, ...], bounds: np.ndarray,
-             order: np.ndarray | None, pairs: np.ndarray,
-             stamps: list[str] | None) -> Dataset:
-    """The dataset of records whose runs group as _group gives location_ids,
-    bounds and order, whose (2, n) numbers are pairs and whose timestamps
-    (or None) are stamps, both in file order: grouped by location (see
-    _pairs)."""
-    if stamps is not None and order is not None:
-        stamps = list(map(stamps.__getitem__, order.tolist()))
-    return Dataset(location_ids, bounds, _pairs(pairs, order), stamps)
-
-
 def _workers() -> int:
     """The processes a CSV read or write may use: the CPUs this process may
     run on. 1 where os.fork or os.sched_getaffinity is missing, or while
@@ -613,25 +592,29 @@ def _in_child(fn: Callable[..., Any], *args: Any
 
 
 def _read_rows(
-    reader: Iterator[list[str]], columns: Mapping[str, int], path: Path
-) -> Dataset:
-    """Row-by-row parse of the data records after the header."""
+    reader: Iterator[list[str]], columns: Mapping[str, int], path: Path,
+    stamps: bool,
+) -> _Spooled:
+    """Row-by-row parse of the data records after the header, with their
+    timestamps where stamps is true and the file has them."""
     has_time = "timestamp" in columns
     locs: list[str] = []
     numbers: tuple[list[float], list[float]] = ([], [])
-    stamps: list[str] = []
+    kept: list[str] = []
     for line_no, row in _records(reader):
         locs.append(_cell(row, columns["location_id"], path, line_no).strip())
         for values, name in zip(numbers, ("observed", "predicted")):
             values.append(_parse_number(row, columns[name], path, line_no))
         if has_time:
-            stamps.append(
+            kept.append(
                 _cell(row, columns["timestamp"], path, line_no).strip()
             )
     if not locs:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return _dataset(*_group(locs, 1), np.array(numbers),
-                    stamps if has_time else None)
+    pairs = np.array(numbers)
+    return _Spooled(*_group(locs, 1), kept if has_time and stamps else None,
+                    np.flatnonzero(~np.isfinite(pairs).all(axis=0)),
+                    lambda lo, hi: pairs[:, lo:hi])
 
 
 def _cell(row: list[str], col: int, path: Path, line_no: int) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from statistics import NormalDist
 from typing import Any, Mapping, Sequence
 
 from .errors import (
@@ -67,6 +66,9 @@ def prediction_interval(
         raise InvalidCoverage(f"coverage must lie in (0, 1), got {coverage}")
     if style not in ("multiplicative", "additive"):
         raise InvalidCoverage(f"unknown interval style {style!r}")
+    # Only adjust needs statistics, which imports decimal and fractions.
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(0.5 * (1.0 + coverage))
     if style == "multiplicative":
         if not 0 < center < math.inf:

@@ -309,24 +309,6 @@ class TestTake:
         with pytest.raises(LengthMismatch):
             layout.take(idx[::-1] if len(set(draw)) > 1 else [90])
 
-    def test_layout_check_names_the_first_location(self):
-        """A layout's check reads every value, a block at a time, and
-        raises a dataset's error about the first that is not finite."""
-        pairs = _dataset(n=4, locations=3).pairs.copy()
-        pairs[1, 6] = np.inf
-        pairs[0, 10] = np.nan
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(odata, "_BLOCK_PAIRS", 5)
-            layout = Layout(("A", "B", "C"), [0, 4, 8, 12],
-                            lambda lo, hi: pairs[:, lo:hi])
-            with pytest.raises(NonFiniteValue, match="location 'B'"):
-                layout.check()
-            pairs[1, 6] = 1.0
-            with pytest.raises(NonFiniteValue, match="location 'C'"):
-                layout.check()
-            pairs[0, 10] = 1.0
-            layout.check()
-
 
 class TestSplit:
     def test_mode_none_is_identity(self):
@@ -438,18 +420,23 @@ class TestSplitBlocks:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=8),
            st.sampled_from([1, 4, 7]),
-           st.sampled_from(["none", "random", "location"]),
+           st.sampled_from(["none", "random", "location", "time"]),
            st.sampled_from([0.2, 0.5, 0.7]), st.integers(0, 2 ** 32))
     def test_parts_of_a_dataset_and_a_layout_join_to_the_split(
             self, sizes, block, mode, fraction, seed):
-        """A loaded dataset and a layout of its pairs are cut into the same
-        parts, which laid side by side are split's train and test sides."""
+        """A loaded dataset and a layout of its pairs and timestamps are
+        cut into the same parts, which laid side by side are split's train
+        and test sides."""
         rng = np.random.default_rng(seed)
         bounds = np.cumsum([0, *sizes])
+        n = int(bounds[-1])
         ds = Dataset(tuple(f"L{i}" for i in range(len(sizes))), bounds,
-                     rng.lognormal(0.0, 1.0, (2, int(bounds[-1]))))
+                     rng.lognormal(0.0, 1.0, (2, n)), tuple(
+                         (np.datetime64("2020-01-01")
+                          + rng.integers(0, 30, n)).astype(str).tolist()))
         layout = Layout(ds.location_ids, ds.bounds,
-                        lambda lo, hi: ds.pairs[:, lo:hi].copy())
+                        lambda lo, hi: ds.pairs[:, lo:hi].copy(),
+                        ds.timestamps)
         spec = SplitSpec(mode, None if mode == "none" else fraction, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odata, "_BLOCK_PAIRS", block)

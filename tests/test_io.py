@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, dataset writing, and report serialization."""
 
 import contextlib
+import csv
 import gzip
 import io
 import json
@@ -31,6 +32,7 @@ from objentropy.data import (
 from objentropy.errors import (
     EmptyFile,
     MissingColumn,
+    NonFiniteValue,
     UndecodableFile,
     UnparseableNumber,
 )
@@ -154,8 +156,15 @@ def _unexpected_fallback(*args):
     raise AssertionError("columnar read fell back to the row parser")
 
 
-def _unexpected_gather(*args):
-    raise AssertionError("a grouped file's spooled numbers were gathered")
+_LAID_OUT = oio._laid_out
+
+
+def _no_gather(parsed):
+    """_laid_out of parsed, a grouped file's records, which are left where
+    they are spooled."""
+    if parsed.order is not None:
+        raise AssertionError("a grouped file's spooled numbers were gathered")
+    return _LAID_OUT(parsed)
 
 
 def _assert_identical(a, b):
@@ -227,16 +236,37 @@ class TestLoaderEquivalence:
         f = tmp_path / "d.csv"
         f.write_bytes(_LOADER_CASES[case][0].encode("utf-8"))
         orders = []
-        pairs = oio._pairs
+        laid_out = oio._laid_out
 
-        def recorded(numbers, order):
-            orders.append(order)
-            return pairs(numbers, order)
+        def recorded(parsed):
+            orders.append(parsed.order)
+            return laid_out(parsed)
 
-        monkeypatch.setattr(oio, "_pairs", recorded)
+        monkeypatch.setattr(oio, "_laid_out", recorded)
         load_csv(f)
         (order,) = orders
         assert (order is not None) == (case in _UNGROUPED)
+
+    @pytest.mark.parametrize("parser", ["columns", "rows"])
+    def test_non_finite_value_names_the_first_location(self, parser,
+                                                       tmp_path, monkeypatch):
+        """A NaN or infinite value raises as a dataset of the grouped pairs
+        raises: naming the first location, in grouped order, that holds
+        one, not the location of the file's first. Where none is left, the
+        file loads."""
+        f = tmp_path / "d.csv"
+        body = _HEADER + "B,1,1\nA,nan,2\nC,3,3\nB,2,inf\nA,4,4\n"
+        f.write_text(body)
+        with pytest.raises(NonFiniteValue, match="location 'B'"):
+            _load_by(f, monkeypatch, parser)
+        f.write_text(body.replace("inf", "2"))
+        with pytest.raises(NonFiniteValue, match="location 'A'"):
+            _load_by(f, monkeypatch, parser)
+        f.write_text(body.replace("inf", "2").replace("nan", "-inf"))
+        with pytest.raises(NonFiniteValue, match="location 'A'"):
+            _load_by(f, monkeypatch, parser)
+        f.write_text(body.replace("inf", "2").replace("nan", "3"))
+        assert _load_by(f, monkeypatch, parser).location_ids == ("B", "A", "C")
 
     def test_quoted_crlf_and_lf_ids_stay_apart(self, tmp_path, monkeypatch):
         """Read from the path, numpy turns the CRLF into LF, and the two ids
@@ -507,7 +537,7 @@ class TestBlockReader:
         monkeypatch.setattr(oio, "_BLOCK_BYTES", block)
         monkeypatch.setattr(oio, "_FORK_BYTES", 0)
         monkeypatch.setattr(oio, "_workers", lambda: workers)
-        monkeypatch.setattr(oio, "_loaded", _unexpected_gather)
+        monkeypatch.setattr(oio, "_laid_out", _no_gather)
         streamed, _ = oio.split_csv(f, SplitSpec("none"),
                                     partial(location_frames, specs))
         assert _frame_columns(streamed) == _frame_columns([loaded])
@@ -533,12 +563,6 @@ def _frame_columns(blocks):
     return ids, columns
 
 
-# The loader cases that rank reads whole: a location whose records lie
-# apart, or a record that numpy rejects. A quoted file is folded.
-_READ_WHOLE = _UNGROUPED | {
-    "whitespace-only lines", "blank cells", "underscore digits"}
-
-
 def _main(argv):
     """cli.main(argv): exit code, stdout, stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -555,23 +579,32 @@ def _rank(path, fmt="json", objectives="all", split="none", seed=0):
 
 def _cli_both(argv, mp, workers, block=8):
     """cli.main(argv)'s exit code, stdout and stderr with its input loaded
-    whole by load_csv; the same with its input read by read_csv in
+    whole by load_csv, its values checked by the Dataset that load builds
+    rather than by the reader; the same with its input read by read_csv in
     `workers` ranges of blocks of `block` bytes; and whether read_csv
-    handed the command a layout of the spooled numbers, and nothing
-    else."""
+    handed the command a layout, once, and nothing else."""
     # Each command imports these from io when it runs.
     read_csv, split_csv = oio.read_csv, oio.split_csv
-    mp.setattr(oio, "read_csv", lambda path, use: use(load_csv(path)))
+
+    def load(path):
+        # load_csv reads through io.read_csv, which this side replaces.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oio, "read_csv", read_csv)
+            m.setattr(oio, "_check_finite", lambda *args: None)
+            return load_csv(path)
+
+    mp.setattr(oio, "read_csv", lambda path, use, stamps=False: use(
+        load(path)))
     mp.setattr(oio, "split_csv", lambda path, spec, reduce: split_blocks(
-        load_csv(path), spec, reduce))
+        load(path), spec, reduce))
     loaded = _main(argv)
     sources = []
 
-    def spy(path, use):
+    def spy(path, use, stamps=False):
         def seen(data):
             sources.append(type(data))
             return use(data)
-        return read_csv(path, seen)
+        return read_csv(path, seen, stamps)
 
     mp.setattr(oio, "read_csv", spy)
     mp.setattr(oio, "split_csv", split_csv)
@@ -596,8 +629,8 @@ class TestStreamedRank:
         f.write_bytes(_LOADER_CASES[case][0].encode("utf-8"))
         whole, streamed, took_stream = _split_both(
             f, monkeypatch, "none", workers, objectives=objectives)
-        assert streamed == whole
-        assert took_stream == (case not in _READ_WHOLE)
+        # Every file that reads, grouped or not, is handed on as a layout.
+        assert streamed == whole and took_stream
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_formats(self, fmt, tmp_path, monkeypatch):
@@ -633,24 +666,23 @@ class TestStreamedRank:
             whole, streamed, _ = _split_both(f, mp, "none", workers)
         assert streamed == whole
 
-    @pytest.mark.parametrize("body, folds", [
-        (_HEADER + "A,1,2\nA,3,5\nB,x,3\n", False),
-        (_HEADER + "A,1,2\nA,3,5\n\nB,3\n", False),
-        ("location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n",
-         False),
-        (_HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n", True),
-        (_HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n", False),
+    @pytest.mark.parametrize("body", [
+        _HEADER + "A,1,2\nA,3,5\nB,x,3\n",
+        _HEADER + "A,1,2\nA,3,5\n\nB,3\n",
+        "location_id,observed,predicted,timestamp\nA,1,2,t1\nA,3,4\n",
+        _HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n",
+        _HEADER + "A,1,2\nA,3,5\nB,\udcff1,3\n",
     ], ids=["number", "short row", "short of a timestamp", "nan",
             "not utf-8"])
-    def test_malformed_files_are_the_whole_reads_errors(self, body, folds,
-                                                       tmp_path,
+    def test_malformed_files_are_the_whole_reads_errors(self, body, tmp_path,
                                                        monkeypatch):
         """What numpy rejects is read by the row parser, which raises; a
-        NaN is parsed and raises where its block is folded."""
+        NaN is parsed and raises as the file is read. Either way the
+        command is handed nothing."""
         f = tmp_path / "d.csv"
         f.write_bytes(body.encode("utf-8", "surrogateescape"))
         whole, streamed, took_stream = _split_both(f, monkeypatch, "none", 2)
-        assert streamed == whole and took_stream == folds
+        assert streamed == whole and not took_stream
         assert whole[0] == 2 and whole[2].startswith("error: ")
 
     def test_no_data_rows_is_the_whole_reads_error(self, tmp_path,
@@ -798,21 +830,22 @@ class TestSpooledSplit:
     ], ids=["number", "short row", "underscore digits", "not utf-8",
             "header only", "no data rows"])
     def test_pinned_files(self, body, split, tmp_path, monkeypatch):
-        """A file numpy rejects is read by the row parser and split loaded;
-        its error, or its report, is the load's."""
+        """A file numpy rejects is read by the row parser, and what it
+        reads is split as a layout; its error, or its report, is the
+        load's."""
         f = tmp_path / "d.csv"
         f.write_bytes(body.encode("utf-8", "surrogateescape"))
         loaded, spooled, folded = _split_both(f, monkeypatch, split, 2,
                                               objectives="MSE,MAE,U")
-        assert spooled == loaded and not folded
+        assert spooled == loaded and folded == ("1_000" in body)
         assert loaded[0] == (0 if "1_000" in body else 2)
 
     @pytest.mark.parametrize("split", ["random:0.1", "location:0.1"])
     def test_load_error_before_an_empty_side(self, split, tmp_path,
                                              monkeypatch):
-        """The held-out mask is drawn before the spooled numbers are read,
-        but where it leaves a side empty, the loaded dataset's error about
-        a NaN comes first, as it does when the file is loaded."""
+        """Where the held-out mask would leave a side empty, the error
+        about a NaN comes first: the file is checked as it is read, before
+        the mask is drawn, as the load checks it."""
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\nA,3,5\nB,nan,3\nB,1,1\n")
         loaded, spooled, _ = _split_both(f, monkeypatch, split, 2)
@@ -822,46 +855,73 @@ class TestSpooledSplit:
     @pytest.mark.parametrize("split", _SPLITS)
     def test_nan_in_a_later_block(self, split, tmp_path, monkeypatch):
         """A NaN in a block after the first raises the load's error, naming
-        the first location that holds one."""
+        the first location that holds one, before the split."""
         monkeypatch.setattr(odata, "_BLOCK_PAIRS", 2)
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n"
                      "C,inf,1\nC,2,2\nD,nan,3\nD,1,1\n")
         loaded, spooled, folded = _split_both(f, monkeypatch, split, 2)
-        assert spooled == loaded and folded
+        assert spooled == loaded and not folded
         assert loaded[0] == 2 and "'C' contains NaN" in loaded[2]
 
+    @pytest.mark.parametrize("split", ["random:0.3", "location:0.5"])
+    def test_nan_names_the_files_first_location(self, split, tmp_path):
+        """A grouped file of two locations, with a NaN in a held-out pair
+        of A and one in a kept pair of B: the split names 'A', as the load
+        does, though the train side, without A's NaN, is built first."""
+        mode, fraction = split.split(":")
+        rows = [[loc, i % 4 + 1.0, i % 3 + 1.0]
+                for loc in "AB" for i in range(10)]
+        finite = validate_dataset({loc: ([r[1] for r in rows[k:k + 10]],
+                                         [r[2] for r in rows[k:k + 10]])
+                                   for loc, k in (("A", 0), ("B", 10))})
+        for seed in range(100):
+            held = odata._test_mask(finite, SplitSpec(mode, float(fraction),
+                                                      seed))
+            in_a = np.flatnonzero(held[:10])
+            in_b = 10 + np.flatnonzero(~held[10:])
+            if in_a.size and in_b.size:
+                break
+        rows[in_a[0]][1] = rows[in_b[0]][2] = math.nan
+        f = tmp_path / "d.csv"
+        f.write_text(_HEADER + "".join(f"{loc},{o!r},{p!r}\n"
+                                       for loc, o, p in rows))
+        with pytest.raises(NonFiniteValue, match="location 'A'"):
+            load_csv(f)
+        code, out, err = _main(_rank(f, objectives="MSE,MAE,U", split=split,
+                                     seed=seed))
+        assert (code, out) == (2, "")
+        assert err == "error: location 'A' contains NaN or infinite values\n"
+
     @pytest.mark.parametrize("split", [*_SPLITS, "time:0.5"])
-    @pytest.mark.parametrize("body, grouped", [
-        (_HEADER + "A,1,2\nB,3,5\nA,2,3\nB,1,1\n", False),
-        ("timestamp," + _HEADER + "2020-01-02,A,1,2\n2020-01-01,A,3,5\n"
-         "2020-01-01,B,2,3\n2020-01-02,B,1,1\n", True),
-        (_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n", True),
+    @pytest.mark.parametrize("body", [
+        _HEADER + "A,1,2\nB,3,5\nA,2,3\nB,1,1\n",
+        "timestamp," + _HEADER + "2020-01-02,A,1,2\n2020-01-01,A,3,5\n"
+        "2020-01-01,B,2,3\n2020-01-02,B,1,1\n",
+        _HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n",
     ], ids=["ungrouped", "timestamped", "grouped"])
-    def test_what_is_loaded(self, body, grouped, split, tmp_path,
-                            monkeypatch):
-        """An ungrouped file, or a split by time, is loaded and split as
-        before. A grouped file is folded whether or not it has timestamps,
-        which only a split by time reads."""
+    def test_what_is_loaded(self, body, split, tmp_path, monkeypatch):
+        """Every file is split as a layout: an ungrouped one gathered by
+        location, a timestamped one with its stamps where a split by time
+        reads them."""
         f = tmp_path / "d.csv"
         f.write_text(body)
         loaded, spooled, folded = _split_both(f, monkeypatch, split, 2,
                                               objectives="MSE,MAE,U")
-        assert spooled == loaded
-        assert folded == (grouped and split != "time:0.5")
+        assert spooled == loaded and folded
 
 
     @pytest.mark.parametrize("split", [*_SPLITS, "time:0.5"])
     def test_stamps_are_kept_for_a_time_split_only(self, split, tmp_path,
                                                    monkeypatch):
         """The workers parse every timestamp, but send them only to a time
-        split, which loads the file; the other splits fold it."""
+        split; every split folds the file."""
         kept = []
         load_range = oio._load_range
 
         def spy(*args):
             blocks = load_range(*args)
-            kept.append({stamps is not None for _, _, stamps in blocks})
+            kept.append({stamps is not None for _, _, stamps, _ in blocks})
             return blocks
 
         monkeypatch.setattr(oio, "_load_range", spy)
@@ -872,8 +932,7 @@ class TestSpooledSplit:
         # One worker parses in this process, where the spy sees it.
         loaded, spooled, folded = _split_both(f, monkeypatch, split, 1,
                                               objectives="MSE,MAE,U")
-        assert loaded[0] == 0 and spooled == loaded
-        assert folded == (split != "time:0.5")
+        assert loaded[0] == 0 and spooled == loaded and folded
         # The loaded path's read, then the spooled one's blocks.
         assert kept == [{True}, {split == "time:0.5"}]
 
@@ -957,32 +1016,33 @@ class TestFoldedDiagnostics:
     ], ids=["number", "short row", "underscore digits", "not utf-8",
             "header only", "no data rows"])
     def test_pinned_files(self, body, command, tmp_path, monkeypatch):
-        """A file numpy rejects is read by the row parser and loaded; its
-        error, or its report, is the load's."""
+        """A file numpy rejects is read by the row parser, and what it
+        reads is handed on as a layout; its error, or its report, is the
+        load's."""
         f = tmp_path / "d.csv"
         f.write_bytes(body.encode("utf-8", "surrogateescape"))
         loaded, spooled, folded = _cli_both(_diagnose(command, f), monkeypatch,
                                             2)
-        assert spooled == loaded and not folded
+        assert spooled == loaded and folded == ("1_000" in body)
         assert loaded[0] == (0 if "1_000" in body else 2)
 
     @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
     def test_nan_in_a_later_block(self, command, tmp_path, monkeypatch):
         """A NaN in a block after the first raises the load's error, naming
-        the first location that holds one."""
+        the first location that holds one, before the command runs."""
         monkeypatch.setattr(odata, "_BLOCK_PAIRS", 2)
         f = tmp_path / "d.csv"
         f.write_text(_HEADER + "A,1,2\nA,3,5\nB,2,3\nB,1,1\n"
                      "C,inf,1\nC,2,2\nD,nan,3\nD,1,1\n")
         loaded, spooled, folded = _cli_both(_diagnose(command, f), monkeypatch,
                                             2)
-        assert spooled == loaded and folded
+        assert spooled == loaded and not folded
         assert loaded[0] == 2 and "'C' contains NaN" in loaded[2]
 
     @pytest.mark.parametrize("command", ["convergence", "bootstrap"])
     def test_nan_that_no_draw_picks(self, command, tmp_path, monkeypatch):
-        """Every value is checked before the draws, so a NaN that no draw
-        reads fails the command, as it fails the load."""
+        """Every value is checked as the file is read, so a NaN that no
+        draw reads fails the command, as it fails the load."""
         monkeypatch.setattr(odata, "_BLOCK_PAIRS", 4)
         argv = _diagnose(command, tmp_path / "d.csv")
         sizes = argv.index("--sizes") + 1
@@ -996,7 +1056,7 @@ class TestFoldedDiagnostics:
         (tmp_path / "d.csv").write_text(_HEADER + "".join(
             f"{'ABC'[i // 4]},{v}\n" for i, v in enumerate(values)))
         loaded, spooled, folded = _cli_both(argv, monkeypatch, 2)
-        assert spooled == loaded and folded
+        assert spooled == loaded and not folded
         assert loaded[0] == 2 and "contains NaN" in loaded[2]
 
     @pytest.mark.parametrize("command", sorted(_DIAGNOSE))
@@ -1027,11 +1087,78 @@ class TestFoldedDiagnostics:
             raise AssertionError("the file was loaded")
 
         monkeypatch.setattr(oio, "load_csv", forbidden)
-        monkeypatch.setattr(oio, "_loaded", forbidden)
+        monkeypatch.setattr(oio, "_laid_out", _no_gather)
         monkeypatch.setattr(oio, "_FORK_BYTES", 0)
         monkeypatch.setattr(oio, "_workers", lambda: 2)
         code, out, err = _main(_diagnose(command, f))
         assert (code, err) == (0, "") and json.loads(out)["rows"]
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite value anywhere in a file fails every split and
+    command as it fails the load, before the command is handed the file:
+    the same exit code, stdout and stderr, naming the first location that
+    holds one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 71), st.integers(0, 1),
+                              st.sampled_from([math.nan, math.inf,
+                                               -math.inf])), max_size=3),
+           st.sampled_from([*_SPLITS, "time:0.5", *sorted(_DIAGNOSE)]),
+           st.booleans(), st.integers(0, 3), st.integers(1, 3),
+           st.integers(1, 64), st.sampled_from([5, 1 << 16]),
+           st.integers(0, 2 ** 32 - 1))
+    # Seed 0 holds out pair 2, of A, and keeps pair 5, of q"x, which the
+    # train side of the one block reads first.
+    @example([3, 7, 2, 9, 1, 6], [(2, 0, math.nan), (5, 1, math.inf)],
+             "random:0.3", False, 0, 2, 5, 1 << 16, 8)
+    @example([3, 7, 2, 9, 1, 6], [(12, 1, -math.inf), (2, 0, math.nan)],
+             "time:0.5", True, 1, 3, 7, 5, 3)
+    @example([3, 7, 2], [(11, 0, math.nan)], "bootstrap", False, 0, 2, 9, 5,
+             1)
+    def test_drawn_positions(self, tmp_path_factory, sizes, bad, command,
+                             stamped, seed, workers, block, block_pairs,
+                             draw):
+        """TestSpooledSplit's files, stamped for a split by time, with
+        NaN and infinite values at drawn positions, split in blocks of
+        whole locations of up to 5 pairs or in one block."""
+        rng = np.random.default_rng(draw)
+        ids = ["A", 'q"x', "c,d", "B", " e", "F"]
+        n = sum(sizes)
+        pairs = rng.lognormal(0.0, 1.0, (2, n))
+        pairs[0, rng.random(n) < 0.1] = 0.0
+        for at, row, value in bad:
+            pairs[row, at % n] = value
+        bounds = np.cumsum([0, *sizes])
+        locations = np.repeat(ids[:len(sizes)], sizes).tolist()
+        stamps = (np.datetime64("2020-01-01T00") + rng.permutation(n)).astype(
+            str).tolist()
+        f = tmp_path_factory.mktemp("nonfinite") / "d.csv"
+        stamped = stamped or command == "time:0.5"
+        with f.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["timestamp"] * stamped + [
+                "location_id", "observed", "predicted"])
+            writer.writerows(
+                [stamp] * stamped + [loc, o, p] for stamp, loc, o, p
+                in zip(stamps, locations, *pairs.tolist()))
+        argv = (_diagnose(command, f, seed=seed) if command in _DIAGNOSE
+                else _rank(f, objectives="MSE,MAE,U", split=command,
+                           seed=seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS", block_pairs)
+            mp.setattr(odata, "_TAKE_PAIRS", 2)
+            mp.setattr(oio, "_READ_PAIRS", 3)
+            loaded, spooled, folded = _cli_both(argv, mp, workers, block)
+        assert spooled == loaded
+        finite = np.isfinite(pairs).all(axis=0)
+        if not finite.all():
+            first = ids[int(np.searchsorted(bounds, np.argmin(finite),
+                                            "right")) - 1].strip()
+            assert loaded == (2, "", f"error: location {first!r} contains "
+                              "NaN or infinite values\n")
+            assert not folded
 
 
 def _assert_no_child_left():
@@ -1203,6 +1330,29 @@ class TestRoundTrip:
         assert written[1] == written[0] and written[2] == written[0]
         assert sorted(p.name for p in folder.iterdir()) == [
             "1.csv", "2.csv", "3.csv"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", [
+        *sorted(_UNGROUPED), "quoted cr stamps", "grouped stamps"])
+    def test_read_layout_writes_the_loaded_bytes(self, case, workers,
+                                                 tmp_path, monkeypatch):
+        """The layout read_csv reads with its stamps writes the bytes that
+        load_csv's dataset writes, also where forked writers, a row each,
+        read a grouped file's spools at once."""
+        f = tmp_path / "d.csv"
+        f.write_text(_LOADER_CASES[case][0] if case in _LOADER_CASES else
+                     "timestamp," + _HEADER + "".join(
+                         f"2020-01-{day:02d},{loc},{day},{day % 3 + 1}\n"
+                         for loc in "ABCD" for day in range(1, 29)),
+                     newline="")
+        monkeypatch.setattr(oio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(oio, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(oio, "_workers", lambda: workers)
+        write_dataset_csv(load_csv(f), tmp_path / "loaded.csv")
+        oio.read_csv(f, partial(write_dataset_csv, path=tmp_path / "read.csv"),
+                     stamps=True)
+        assert (tmp_path / "read.csv").read_bytes() == (
+            tmp_path / "loaded.csv").read_bytes()
 
     def test_synth_round_trip_is_exact(self, tmp_path):
         model = SyntheticModel("multiplicative-log-laplace", 0.5,

@@ -249,16 +249,15 @@ def test_correlate_holds_locations_not_pairs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("draw, per_pair", [("", INDEX), ("--bootstrap", 0)])
 def test_convergence_holds_the_draw_not_the_pairs(tmp_path, monkeypatch,
                                                   draw, per_pair):
-    """convergence checks a grouped file's spooled numbers a block at a
-    time and reads each sorted draw from them, so at fixed sizes its peak
-    grows by at most the positions numpy's choice without replacement
-    permutes, INDEX bytes per pair of the input, and by nothing with
-    replacement. Locations of 10,000 pairs keep what grows with the
-    locations within _FIXED, and checks of 4,096 pairs at a time keep the
-    check's peak below the permutation's."""
+    """convergence reads each sorted draw from a grouped file's spooled
+    numbers, whose values the reader checked a block of records at a time,
+    so at fixed sizes its peak grows by at most the positions numpy's
+    choice without replacement permutes, INDEX bytes per pair of the
+    input, and by nothing with replacement. Locations of 10,000 pairs keep
+    what grows with the locations within _FIXED, and blocks of 64 KiB of
+    records keep the parse's peak below the permutation's."""
     monkeypatch.setattr(oio, "_workers", lambda: 1)
     monkeypatch.setattr(oio, "_BLOCK_BYTES", 1 << 16)
-    monkeypatch.setattr(odata, "_BLOCK_PAIRS", 1 << 12)
     out = tmp_path / "convergence.json"
 
     def argv(n):
