@@ -18,14 +18,11 @@ from .errors import (
     as_int,
     check_seed,
 )
-from .information import conditional_entropy_bits
 from .likelihoods import (
     DEFAULT_ZERO_THRESHOLD,
     ObjectiveSpec,
-    _fit,
-    _frames,
-    _loglik,
     evaluate_objective,
+    location_entropies,
     location_frames,
 )
 
@@ -140,21 +137,19 @@ def per_location_entropy(
     in-sample.
 
     A dataset, or a layout, is scored a block of whole locations at a
-    time (see split_blocks), whose rows of entropies are stacked. Each
-    transform makes one pass over the data scored, shared by every
-    objective that uses it. Each location's slice of that pass is reduced
-    to each objective's family statistic, and each objective fits and
-    scores the column of locations at once, so a cell is bit for bit the
-    entropy of `evaluate_objective` on a dataset of that location alone.
-    Locations where an objective fails (no pair above the threshold for a
-    positive-domain objective, sigma_o = 0 for NSE, or a degenerate scale)
-    become NaN cells and drop out of the pairwise correlations. A
+    time (see split_blocks), whose rows of `location_entropies` are
+    stacked: each transform makes one pass over a block, shared by every
+    objective that uses it, and a cell is bit for bit the entropy of
+    `evaluate_objective` on a dataset of that location alone. Locations
+    where an objective fails (no pair above the threshold for a
+    positive-domain objective, sigma_o = 0 for NSE, or a degenerate
+    scale) become NaN cells and drop out of the pairwise correlations. A
     threshold that is not finite and > 0 fails every cell, so it raises.
     """
     if not specs:
         raise EmptyInput("no objectives given")
-    blocks, _ = split_blocks(dataset, SplitSpec("none"),
-                             partial(_entropies, specs, threshold))
+    blocks, _ = split_blocks(dataset, SplitSpec("none"), partial(
+        location_entropies, specs, threshold=threshold))
     h = np.concatenate(blocks)
     return EntropyMatrix(
         locations=dataset.location_ids,
@@ -162,23 +157,6 @@ def per_location_entropy(
         entropies=h,
         correlations=pearson_matrix(h),
     )
-
-
-def _entropies(specs: Sequence[ObjectiveSpec], threshold: float,
-               dataset: Dataset) -> np.ndarray:
-    """The (location, objective) entropies of per_location_entropy of
-    dataset."""
-    h = np.full((len(dataset.location_ids), len(specs)), np.nan)
-    for kind in dict.fromkeys(s.transform_kind for s in specs):
-        columns = [j for j, s in enumerate(specs) if s.transform_kind == kind]
-        frames = _frames([specs[j] for j in columns], dataset, threshold)
-        for j in columns:
-            scale, rho = _fit(specs[j], frames)
-            total, n_eval = _loglik(specs[j], frames, scale, rho)
-            ok = scale > 0
-            ok[list(frames.errors)] = False
-            h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
-    return h
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

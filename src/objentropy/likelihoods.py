@@ -28,7 +28,9 @@ up to the threshold before a positive-domain transform is applied.
 Fits and scores are numpy formulas over columns of dataset segments; one
 segment is a column of one. Objectives that share a transform share one
 pass over the pairs: one residual array per transform, reduced to each of
-their families' statistics.
+their families' statistics. This module alone builds and scores these
+location frames: `evaluate_objective` scores a whole segment for `rank`
+and `convergence`, `location_entropies` each location for `correlate`.
 
 Every float total follows one rule: reduce each location's slice with
 numpy, then take the `math.fsum` of the locations' partials (U's maximum
@@ -271,14 +273,16 @@ class _Frames(NamedTuple):
     support, each requested base family's statistic of them by family
     name, the log-Jacobian summed over their observed values, and the
     zero-state counts n1 and n2 (0 where the transform's domain is not
-    positive). errors maps each failed location or segment to its error."""
+    positive). errors maps each failed location's id to its error; a
+    segment's hold at most one, its least failed location's, or under the
+    key None its own (see _total)."""
 
     n: np.ndarray
     statistic: dict[str, np.ndarray]
     log_jacobian: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    errors: dict[int, ObjentropyError]
+    errors: dict[str | None, ObjentropyError]
 
 
 def _frames(
@@ -303,7 +307,7 @@ def _frames(
     obs, pred = dataset.observed, dataset.predicted
     n = np.diff(dataset.bounds)
     n1 = n2 = np.zeros_like(n)
-    errors: dict[int, ObjentropyError] = {}
+    errors: dict[str | None, ObjentropyError] = {}
     # At most two per-pair float arrays are alive at once beside the
     # dataset's: each per-pair array is reduced to per-location sums and
     # dropped before the next one is formed, and the positive pairs'
@@ -331,10 +335,11 @@ def _frames(
     elif kind == "per-location-scale":
         sigma = _sigma_o(dataset)
         zero = sigma == 0
-        for k in np.flatnonzero(zero).tolist():
-            errors[k] = DomainViolation(
-                f"sigma_o must be > 0 wherever used as a divisor; "
-                f"location {dataset.location_ids[k]!r} has sigma_o = 0.0")
+        errors = {loc: DomainViolation(
+            f"sigma_o must be > 0 wherever used as a divisor; "
+            f"location {loc!r} has sigma_o = 0.0")
+            for loc, failed in zip(dataset.location_ids, zero.tolist())
+            if failed}
         # 1.0 keeps ln and division finite and silent on failed locations.
         sigma[zero] = 1.0
         # ln sigma_o is summed over pairs, as the pairwise sum's bits need,
@@ -391,31 +396,23 @@ def _per_location(reduce: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def _total(parts: Sequence[_Frames], location_ids: Sequence[str]) -> _Frames:
+def _total(parts: Sequence[_Frames]) -> _Frames:
     """The frame of one segment from its locations' frames, which parts
-    hold in order and location_ids names. Each float total is the fsum of
-    the locations' partials (U's statistic is their maximum) and each count
-    their integer sum, so the total does not depend on their order or on
-    how parts groups them. The segment fails with no pair over the
-    transform's support, or with the error of its least failed location
-    id."""
+    hold in order. Each float total is the fsum of the locations' partials
+    (U's statistic is their maximum) and each count their integer sum, so
+    the total does not depend on their order or on how parts groups them.
+    The segment fails with no pair over the transform's support, or with
+    the error of its least failed location id."""
 
     def total(combine: Callable[[list[float]], float],
               columns: Iterable[np.ndarray]) -> np.ndarray:
         return np.array([combine(np.concatenate(list(columns)).tolist())])
 
-    failed: dict[str, ObjentropyError] = {}
-    offset = 0
-    for part in parts:
-        failed.update((location_ids[offset + i], error)
-                      for i, error in part.errors.items())
-        offset += part.n.size
+    failed = {loc: e for part in parts for loc, e in part.errors.items()}
     n = sum(int(part.n.sum()) for part in parts)
-    errors: dict[int, ObjentropyError] = {}
-    if failed:
-        errors[0] = failed[min(failed)]
-    elif n == 0:
-        errors[0] = EmptyEvaluationSet(
+    errors = {loc: failed[loc] for loc in sorted(failed)[:1]}
+    if not (errors or n):
+        errors[None] = EmptyEvaluationSet(
             "no pairs above the zero-state threshold")
     return _Frames(
         np.array([n]),
@@ -478,7 +475,7 @@ def _named(spec: ObjectiveSpec) -> Iterator[None]:
 
 
 # The location frames of blocks of whole locations (see location_frames).
-_Blocks = Sequence[tuple[tuple[str, ...], dict[str, _Frames]]]
+_Blocks = Sequence[dict[str, _Frames]]
 
 
 def evaluate_objective(
@@ -509,15 +506,38 @@ def location_frames(
     specs: Sequence[ObjectiveSpec],
     dataset: Dataset,
     threshold: float = DEFAULT_ZERO_THRESHOLD,
-) -> tuple[tuple[str, ...], dict[str, _Frames]]:
-    """dataset's location ids, and its locations' frames for each transform
-    of specs: what `evaluate_objective` needs of a block of whole
-    locations. It grows with the locations, not with the pairs."""
+) -> dict[str, _Frames]:
+    """dataset's location frames for each transform of specs, by transform:
+    what `evaluate_objective` needs of a block of whole locations. They
+    grow with the locations, not with the pairs, and name the locations
+    that fail."""
     kinds = dict.fromkeys(spec.transform_kind for spec in specs)
-    return dataset.location_ids, {
-        kind: _frames([s for s in specs if s.transform_kind == kind],
-                      dataset, threshold)
-        for kind in kinds}
+    return {kind: _frames([s for s in specs if s.transform_kind == kind],
+                          dataset, threshold)
+            for kind in kinds}
+
+
+def location_entropies(
+    specs: Sequence[ObjectiveSpec],
+    dataset: Dataset,
+    threshold: float = DEFAULT_ZERO_THRESHOLD,
+) -> np.ndarray:
+    """The in-sample entropy of each objective of specs (columns) at each
+    location of dataset (rows), each objective fitted and scored on the
+    column of location frames at once: a cell is bit for bit the entropy
+    of `evaluate_objective` on a dataset of that location alone, and NaN
+    where that fails (a failed location, or no pair or a zero scale)."""
+    frames = location_frames(specs, dataset, threshold)
+    h = np.full((len(dataset.location_ids), len(specs)), np.nan)
+    for j, spec in enumerate(specs):
+        frame = frames[spec.transform_kind]
+        scale, rho = _fit(spec, frame)
+        total, n_eval = _loglik(spec, frame, scale, rho)
+        ok = scale > 0
+        if frame.errors:
+            ok &= [loc not in frame.errors for loc in dataset.location_ids]
+        h[ok, j] = conditional_entropy_bits(total[ok], n_eval[ok])
+    return h
 
 
 def _segment(spec: ObjectiveSpec, side: Dataset | _Blocks, threshold: float
@@ -526,8 +546,7 @@ def _segment(spec: ObjectiveSpec, side: Dataset | _Blocks, threshold: float
     or the location frames of blocks, as one segment."""
     if isinstance(side, Dataset):
         side = [location_frames((spec,), side, threshold)]
-    return _total([kinds[spec.transform_kind] for _, kinds in side],
-                  [i for block_ids, _ in side for i in block_ids])
+    return _total([frames[spec.transform_kind] for frames in side])
 
 
 def score_objective(

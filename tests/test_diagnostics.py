@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from objentropy import data as odata
 from objentropy import diagnostics, likelihoods
 from objentropy.data import Dataset, validate_dataset
 from objentropy.diagnostics import (
@@ -227,14 +228,18 @@ def _mixed_locations(draw):
 
 class TestPerLocationEntropy:
     @settings(max_examples=80, deadline=None)
-    @given(_mixed_locations())
-    def test_equals_one_location_evaluations(self, drawn):
+    @given(_mixed_locations(), st.data())
+    def test_equals_one_location_evaluations(self, drawn, data):
         """Each cell is bit for bit evaluate_objective's entropy on a
         dataset of that location alone, and NaN exactly where that
-        evaluation fails."""
+        evaluation fails, however the locations are blocked."""
         kinds, raw = drawn
         specs = list(CATALOG.values())
-        h = per_location_entropy(validate_dataset(raw), specs).entropies
+        ds = validate_dataset(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odata, "_BLOCK_PAIRS",
+                       data.draw(st.integers(1, ds.n_total)))
+            h = per_location_entropy(ds, specs).entropies
         oracle = np.full((len(raw), len(specs)), np.nan)
         for i, (loc, pairs) in enumerate(raw.items()):
             single = validate_dataset({loc: pairs})

@@ -533,23 +533,27 @@ class TestBlockReader:
                               ("r\rs", 5), ("t\nu", 4), ("v", 7)]
         }), f)
         specs = list(CATALOG.values())
-        loaded = location_frames(specs, load_csv(f))
+        loaded = _ids_and_frames(specs, load_csv(f))
         monkeypatch.setattr(oio, "_BLOCK_BYTES", block)
         monkeypatch.setattr(oio, "_FORK_BYTES", 0)
         monkeypatch.setattr(oio, "_workers", lambda: workers)
         monkeypatch.setattr(oio, "_laid_out", _no_gather)
         streamed, _ = oio.split_csv(f, SplitSpec("none"),
-                                    partial(location_frames, specs))
+                                    partial(_ids_and_frames, specs))
         assert _frame_columns(streamed) == _frame_columns([loaded])
 
 
+def _ids_and_frames(specs, part):
+    """part's location ids and location frames."""
+    return part.location_ids, location_frames(specs, part)
+
+
 def _frame_columns(blocks):
-    """The location ids of blocks of location frames, and each transform's
+    """The location ids of blocks of _ids_and_frames, and each transform's
     frame columns and failed locations, over all blocks."""
     ids = [i for block_ids, _ in blocks for i in block_ids]
     columns = {}
-    offset = 0
-    for block_ids, frames in blocks:
+    for _, frames in blocks:
         for kind, frame in frames.items():
             cols = columns.setdefault(kind, {"errors": {}})
             for name, col in [("n", frame.n), ("log_jacobian",
@@ -557,9 +561,8 @@ def _frame_columns(blocks):
                               ("n1", frame.n1), ("n2", frame.n2),
                               *frame.statistic.items()]:
                 cols[name] = cols.get(name, b"") + col.tobytes()
-            cols["errors"].update((ids[offset + i], str(error))
+            cols["errors"].update((i, str(error))
                                   for i, error in frame.errors.items())
-        offset += len(block_ids)
     return ids, columns
 
 
